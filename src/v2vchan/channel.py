@@ -8,11 +8,13 @@ produces positive Doppler for closing vehicles.
 
 Coarse ray-traced snapshots (default every 10 ms) are interpolated to a
 fine time grid by matching paths between adjacent snapshots on their
-(kind, surface sequence, tile) identity, linearly interpolating length,
-interaction points and amplitude, and recomputing delay (hence phase) from
-the interpolated length.  Unmatched paths appear or vanish hard at the
-coarse boundary; a path missing from the next snapshot keeps its last
-state until that boundary.
+(kind, surface sequence, tile) identity, holding each interval's matches
+as arrays, and at every fine step (one at a time) linearly interpolating
+length, amplitude and the renormalised directions, recomputing delay (hence
+phase) from the length, then running ``synthesize_cir``'s array kernel.
+Interaction points are not interpolated; synthesis never reads them.
+Unmatched paths appear or vanish hard at the coarse boundary; a path
+missing from the next snapshot keeps its last state until that boundary.
 
 Frequency-domain tensors store bins in increasing frequency order (carrier
 at the center bin).  ``cir_to_ctf`` is an unnormalized forward DFT and
@@ -127,41 +129,32 @@ class ChannelTensor:
         return replace(self, data=self.data * factor)
 
 
-def synthesize_cir(paths: list[PropagationPath], tx_array: ArrayLayout,
-                   rx_array: ArrayLayout, t: float, config: SimConfig,
-                   tx_heading: float = 0.0, rx_heading: float = 0.0) -> np.ndarray:
-    """One delay-domain time slice, shape (M_R, M_T, n_freq_bins).
+def _stack(paths: list[PropagationPath]) -> tuple[np.ndarray, ...]:
+    """A path list as arrays: length (P,), delay (P,), amplitude (P, 2, 2),
+    departure (P, 3), arrival (P, 3), rows in list order."""
+    return (np.array([p.length for p in paths], dtype=float),
+            np.array([p.delay for p in paths], dtype=float),
+            np.array([p.amplitude for p in paths], dtype=complex).reshape(-1, 2, 2),
+            np.array([p.departure for p in paths], dtype=float).reshape(-1, 3),
+            np.array([p.arrival for p in paths], dtype=float).reshape(-1, 3))
 
-    Each path lands in the delay bin round(tau * B) with value
-    g_rx(n)^H . A_k . g_tx(m) . exp(-j 2 pi f tau_nm), where A_k is the
-    path's polarimetric matrix (H row sign-flipped into the receive DoA
-    basis) and tau_nm adds the element-offset delays to the phase only.
-    Paths whose delay exceeds the unambiguous span are dropped and counted
-    in a single warning.
-    """
+
+def _synthesize(arrays: tuple[np.ndarray, ...], tx_array: ArrayLayout,
+                rx_array: ArrayLayout, config: SimConfig,
+                tx_heading: float, rx_heading: float) -> tuple[np.ndarray, int]:
+    """The (M_R, M_T, n_freq_bins) slice of a path set held as :func:`_stack`
+    arrays, and the number of paths dropped beyond the delay span.  Taps
+    accumulate in row order, so the row order fixes the float result."""
+    _, taus, amp, dep, arr = arrays
     m_r, m_t = rx_array.size, tx_array.size
-    slice_ = np.zeros((m_r, m_t, config.n_freq_bins), dtype=complex)
-    if not paths:
-        return slice_
     f = config.carrier_frequency
-    bw = config.bandwidth
-    taus = np.array([p.delay for p in paths])
-    bins = np.rint(taus * bw).astype(int)
+    bins = np.rint(taus * config.bandwidth).astype(int)
     keep = bins < config.n_freq_bins
     dropped = int((~keep).sum())
     if dropped:
-        warnings.warn(f"{dropped} path(s) beyond the unambiguous delay span "
-                      f"{config.max_delay * 1e6:.2f} us dropped", RuntimeWarning,
-                      stacklevel=2)
-    if not keep.any():
-        return slice_
-    paths = [p for p, k in zip(paths, keep) if k]
-    taus, bins = taus[keep], bins[keep]
-    dep = np.stack([p.departure for p in paths])       # (P, 3)
-    doa = np.stack([-p.arrival for p in paths])        # (P, 3) arrival DoA
-    amp = np.stack([p.amplitude for p in paths])       # (P, 2, 2)
-    amp = amp.copy()
-    amp[:, 1, :] *= -1.0                               # H flip into the DoA basis
+        taus, amp, dep, arr, bins = taus[keep], amp[keep], dep[keep], arr[keep], bins[keep]
+    doa = -arr                                         # (P, 3) arrival DoA
+    amp = amp * np.array([[1.0], [-1.0]])              # H flip into the DoA basis
     g_tx = tx_array.element_gains(dep, tx_heading)     # (M_T, P, 2)
     g_rx = rx_array.element_gains(doa, rx_heading)     # (M_R, P, 2)
     # polarimetric coupling per (rx element, tx element, path)
@@ -176,7 +169,6 @@ def synthesize_cir(paths: list[PropagationPath], tx_array: ArrayLayout,
     ph_rx = np.exp(2j * math.pi * f * dtau_rx)         # (P, M_R)
     vals = coup * base[None, None, :] * ph_rx.T[:, None, :] * ph_tx.T[None, :, :]
     # accumulate with one bincount over a combined (n, m, bin) index
-    p_count = len(paths)
     pair_idx = (np.arange(m_r)[:, None, None] * m_t
                 + np.arange(m_t)[None, :, None]) * config.n_freq_bins
     flat_idx = (pair_idx + bins[None, None, :]).ravel()
@@ -184,7 +176,27 @@ def synthesize_cir(paths: list[PropagationPath], tx_array: ArrayLayout,
     size = m_r * m_t * config.n_freq_bins
     acc = (np.bincount(flat_idx, weights=flat_vals.real, minlength=size)
            + 1j * np.bincount(flat_idx, weights=flat_vals.imag, minlength=size))
-    return acc.reshape(m_r, m_t, config.n_freq_bins)
+    return acc.reshape(m_r, m_t, config.n_freq_bins), dropped
+
+
+def synthesize_cir(paths: list[PropagationPath], tx_array: ArrayLayout,
+                   rx_array: ArrayLayout, t: float, config: SimConfig,
+                   tx_heading: float = 0.0, rx_heading: float = 0.0) -> np.ndarray:
+    """One delay-domain time slice, shape (M_R, M_T, n_freq_bins).
+
+    Each path lands in the delay bin round(tau * B) with value
+    g_rx(n)^H . A_k . g_tx(m) . exp(-j 2 pi f tau_nm), where A_k is the
+    path's polarimetric matrix (H row sign-flipped into the receive DoA
+    basis) and tau_nm adds the element-offset delays to the phase only.
+    Paths whose delay exceeds the unambiguous span are dropped and counted
+    in a single warning.
+    """
+    slice_, dropped = _synthesize(_stack(paths), tx_array, rx_array, config,
+                                  tx_heading, rx_heading)
+    if dropped:
+        warnings.warn(f"{dropped} path(s) beyond the unambiguous delay span "
+                      f"{config.max_delay * 1e6:.2f} us dropped", RuntimeWarning, stacklevel=2)
+    return slice_
 
 
 def _match_paths(a: list[PropagationPath], b: list[PropagationPath]):
@@ -192,7 +204,8 @@ def _match_paths(a: list[PropagationPath], b: list[PropagationPath]):
 
     Paths group by (kind, surface sequence, tile); within a group the two
     delay-sorted lists are aligned greedily, skipping whichever unmatched
-    path closes the smaller delay gap.  Returns (pairs, only_a, only_b).
+    path closes the smaller delay gap.  Returns (pairs, only_a): the
+    matched (a, b) pairs and the a-paths with no partner in b.
     """
     from collections import defaultdict
     ga, gb = defaultdict(list), defaultdict(list)
@@ -200,7 +213,7 @@ def _match_paths(a: list[PropagationPath], b: list[PropagationPath]):
         ga[p.match_key()].append(p)
     for p in b:
         gb[p.match_key()].append(p)
-    pairs, only_a, only_b = [], [], []
+    pairs, only_a = [], []
     # deterministic key order keeps float accumulation (and outputs) bit-stable
     keys = sorted(set(ga) | set(gb),
                   key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2]))
@@ -228,34 +241,19 @@ def _match_paths(a: list[PropagationPath], b: list[PropagationPath]):
                     i += 1
                     j += 1
                 else:
-                    only_b.append(lb[j])
-                    j += 1
+                    j += 1  # b-path with no partner in a: born at the boundary
         only_a.extend(la[i:])
-        only_b.extend(lb[j:])
-    return pairs, only_a, only_b
-
-
-def _lerp_path(pa: PropagationPath, pb: PropagationPath, u: float) -> PropagationPath:
-    length = (1 - u) * pa.length + u * pb.length
-    inter = tuple(
-        (sa, (1 - u) * qa + u * qb)
-        for (sa, qa), (_, qb) in zip(pa.interactions, pb.interactions)
-    )
-    dep = (1 - u) * pa.departure + u * pb.departure
-    arr = (1 - u) * pa.arrival + u * pb.arrival
-    ndep, narr = np.linalg.norm(dep), np.linalg.norm(arr)
-    dep = dep / ndep if ndep > 0 else pa.departure
-    arr = arr / narr if narr > 0 else pa.arrival
-    return PropagationPath(
-        kind=pa.kind, order=pa.order, interactions=inter,
-        length=length, delay=length / SPEED_OF_LIGHT,
-        amplitude=(1 - u) * pa.amplitude + u * pb.amplitude,
-        departure=dep, arrival=arr, tile=pa.tile,
-    )
+    return pairs, only_a
 
 
 class PathInterpolator:
-    """Evaluate the traced path set at arbitrary times between snapshots."""
+    """Evaluate the traced path set at arbitrary times between snapshots.
+
+    Each coarse interval is matched once and held as :func:`_stack` arrays
+    (matched pairs at both ends, then the paths held until the interval's
+    end).  Only the interval last evaluated is kept; going back rematches.
+    Interpolated :meth:`paths_at` paths keep the start's interaction points.
+    """
 
     def __init__(self, coarse: list[tuple[float, list[PropagationPath]]]):
         if len(coarse) < 1:
@@ -269,30 +267,52 @@ class PathInterpolator:
             self.dt = float(dt[0])
         else:
             self.dt = 0.0
-        self._cache: dict[int, tuple] = {}
+        self._current: tuple = (None,)
 
-    def _interval(self, i: int):
-        hit = self._cache.get(i)
-        if hit is None:
-            hit = _match_paths(self.snapshots[i], self.snapshots[i + 1])
-            self._cache[i] = hit
-        return hit
-
-    def paths_at(self, t: float) -> list[PropagationPath]:
+    def _locate(self, t: float) -> tuple[int, float]:
+        """(i, u): t lies at fraction u of interval i.  u == 1.0 means the
+        path set is snapshot i + 1's (i == -1 for a single snapshot)."""
         if len(self.times) == 1:
-            return list(self.snapshots[0])
+            return -1, 1.0
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
             raise ValueError(f"time {t} outside the traced span")
         i = min(int(np.searchsorted(self.times, t, side="right")) - 1, len(self.times) - 2)
         i = max(i, 0)
         u = (t - self.times[i]) / self.dt
-        u = min(max(u, 0.0), 1.0)
+        return i, min(max(u, 0.0), 1.0)
+
+    def arrays_at(self, t: float) -> tuple[np.ndarray, ...]:
+        """The :meth:`paths_at` path set as :func:`_stack` arrays, same row
+        order.  Inside an interval the next call overwrites them."""
+        i, u = self._locate(t)
+        if u == 1.0:
+            return _stack(self.snapshots[i + 1])
+        if self._current[0] != i:
+            pairs, held = _match_paths(self.snapshots[i], self.snapshots[i + 1])
+            lead = [pa for pa, _ in pairs]
+            a, b = _stack(lead), _stack([pb for _, pb in pairs])
+            # rows [:n] are the lerped pairs, rows [n:] the held paths
+            now = tuple(np.concatenate(x) for x in zip(a, _stack(held)))
+            self._current = (i, lead, held, a, b, now)
+        _, lead, _, a, b, now = self._current
+        n, w = len(lead), 1.0 - u
+        for x, xa, xb in zip(now, a, b):
+            x[:n] = w * xa + u * xb
+        now[1][:n] = now[0][:n] / SPEED_OF_LIGHT      # delay from the lerped length
+        for x, xa in zip(now[3:], a[3:]):               # unit directions; 0 keeps the start
+            norm = np.linalg.norm(x[:n], axis=-1, keepdims=True)
+            x[:n] = np.divide(x[:n], norm, out=xa.copy(), where=norm > 0)
+        return now
+
+    def paths_at(self, t: float) -> list[PropagationPath]:
+        i, u = self._locate(t)
         if u == 1.0:
             return list(self.snapshots[i + 1])
-        pairs, only_a, _ = self._interval(i)
-        out = [_lerp_path(pa, pb, u) for pa, pb in pairs]
-        out.extend(only_a)  # held until they vanish at the next boundary
-        return out
+        length, delay, amp, dep, arr = self.arrays_at(t)
+        _, lead, held = self._current[:3]
+        return [replace(p, length=float(length[k]), delay=float(delay[k]), amplitude=amp[k].copy(),
+                        departure=dep[k].copy(), arrival=arr[k].copy())
+                for k, p in enumerate(lead)] + held
 
 
 def interpolate_snapshots(coarse: list[tuple[float, list[PropagationPath]]],
@@ -321,7 +341,9 @@ def synthesize_tensor(interp: PathInterpolator | list, tx_array: ArrayLayout,
     ``interp`` is a PathInterpolator or a coarse (t, paths) list.  Headings
     may be callables of t or constants (radians).  The default time grid
     runs from the first traced snapshot in steps of ``config.fine_dt``,
-    duration / fine_dt samples in total.
+    duration / fine_dt samples in total.  Steps are synthesized one at a
+    time from the interpolator's arrays; paths dropped beyond the delay span
+    are summed over all steps into one warning.
     """
     if not isinstance(interp, PathInterpolator):
         interp = PathInterpolator(interp)
@@ -332,19 +354,19 @@ def synthesize_tensor(interp: PathInterpolator | list, tx_array: ArrayLayout,
     times = np.asarray(times, dtype=float)
 
     def heading_at(h, t):
-        if h is None:
-            return 0.0
-        return h(t) if callable(h) else float(h)
+        return h(t) if callable(h) else float(h or 0.0)
 
     data = np.empty((len(times), rx_array.size, tx_array.size, config.n_freq_bins),
                     dtype=complex)
-    with warnings.catch_warnings():
-        warnings.simplefilter("once", RuntimeWarning)
-        for k, t in enumerate(times):
-            paths = interp.paths_at(t)
-            data[k] = synthesize_cir(paths, tx_array, rx_array, t, config,
-                                     tx_heading=heading_at(tx_heading, t),
-                                     rx_heading=heading_at(rx_heading, t))
+    dropped = 0
+    for k, t in enumerate(times):
+        data[k], n_dropped = _synthesize(interp.arrays_at(t), tx_array, rx_array, config,
+                                         heading_at(tx_heading, t), heading_at(rx_heading, t))
+        dropped += n_dropped
+    if dropped:
+        warnings.warn(f"{dropped} path(s) beyond the unambiguous delay span "
+                      f"{config.max_delay * 1e6:.2f} us dropped over {len(times)} time steps",
+                      RuntimeWarning, stacklevel=2)
     return ChannelTensor(
         domain="delay", data=data, t0=float(times[0]),
         dt=float(times[1] - times[0]) if len(times) > 1 else config.fine_dt,

@@ -172,13 +172,21 @@ def _polarimetric_chain(points: list[np.ndarray], surfaces, frequency: float,
     return m
 
 
-def trace_los(scene: Scene, tx, rx, frequency: float = 5.9e9) -> PropagationPath | None:
-    """Free-space line-of-sight path, or None when obstructed."""
+def _endpoints(tx, rx) -> tuple[np.ndarray, np.ndarray]:
+    """TX and RX as float arrays; non-finite or coinciding ones raise ValueError."""
     tx = np.asarray(tx, dtype=float)
     rx = np.asarray(rx, dtype=float)
+    if not (np.isfinite(tx).all() and np.isfinite(rx).all()):
+        raise ValueError("tx and rx positions must be finite")
+    if np.array_equal(tx, rx):
+        raise ValueError("tx and rx coincide")
+    return tx, rx
+
+
+def trace_los(scene: Scene, tx, rx, frequency: float = 5.9e9) -> PropagationPath | None:
+    """Free-space line-of-sight path, or None when obstructed."""
+    tx, rx = _endpoints(tx, rx)
     d = float(np.linalg.norm(rx - tx))
-    if d == 0.0:
-        raise ValueError("tx and rx coincide; free-space loss undefined")
     if occlusion_test(scene, tx, rx):
         return None
     lam = SPEED_OF_LIGHT / frequency
@@ -211,10 +219,7 @@ def image_method_specular(scene: Scene, tx, rx, max_order: int,
     if max_order > MAX_SPECULAR_ORDER:
         raise ComplexityError(
             f"specular order {max_order} above practical cap {MAX_SPECULAR_ORDER}")
-    tx = np.asarray(tx, dtype=float)
-    rx = np.asarray(rx, dtype=float)
-    if np.array_equal(tx, rx):
-        raise ValueError("tx and rx coincide")
+    tx, rx = _endpoints(tx, rx)
     n_surf = len(scene.surfaces)
     normals = [s.normal for s in scene.surfaces]
     offsets = [s.plane_offset for s in scene.surfaces]
@@ -320,10 +325,7 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
     """
     if tile_size <= 0:
         raise ValueError("tile_size must be > 0")
-    tx = np.asarray(tx, dtype=float)
-    rx = np.asarray(rx, dtype=float)
-    if np.array_equal(tx, rx):
-        raise ValueError("tx and rx coincide")
+    tx, rx = _endpoints(tx, rx)
     lam = SPEED_OF_LIGHT / frequency
 
     # gather candidate tiles (front side of both endpoints) with exact

@@ -142,6 +142,8 @@ class Surface:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 3:
             raise GeometryError(f"surface {tag!r}: need >= 3 vertices of dimension 3")
+        if not np.isfinite(v).all():
+            raise GeometryError(f"surface {tag!r}: vertices must be finite")
         n = _newell_normal(v)
         area2 = np.linalg.norm(n)
         if area2 <= 0.0:
@@ -294,8 +296,8 @@ def extrude_footprint(footprint, height: float, material: Material,
     fp = np.asarray(footprint, dtype=float)
     if fp.ndim != 2 or fp.shape[1] != 2 or len(fp) < 3:
         raise GeometryError("footprint needs >= 3 two-dimensional vertices")
-    if height <= 0:
-        raise ValueError("height must be > 0")
+    if not height > 0:
+        raise GeometryError(f"footprint {tag!r}: height must be > 0")
     if _self_intersects(fp):
         raise GeometryError(f"footprint {tag!r} is self-intersecting")
     # normalize to CCW so that edge-right is outward
@@ -415,6 +417,9 @@ class Trajectory:
             raise ValueError("trajectory needs at least one sample")
         if self.position.shape != (len(self.t), 3) or self.velocity.shape != (len(self.t), 3):
             raise ValueError("position/velocity must be (N, 3)")
+        if not (np.isfinite(self.t).all() and np.isfinite(self.position).all()
+                and np.isfinite(self.velocity).all()):
+            raise ValueError("trajectory times, positions and velocities must be finite")
         if len(self.t) > 1:
             dt = np.diff(self.t)
             if np.any(dt <= 0):
@@ -513,6 +518,15 @@ def _material_from_dict(d: dict, where: str) -> Material:
         raise SceneFormatError(f"{where}: {e}") from e
 
 
+def _floats(value, where: str, scalar: bool = False):
+    """A float (``scalar``) or float array from JSON data; SceneFormatError if
+    the data is not numeric."""
+    try:
+        return float(value) if scalar else np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise SceneFormatError(f"{where}: {e}") from e
+
+
 def load_scene(path) -> Scene:
     """Load and validate a scene file.
 
@@ -559,8 +573,8 @@ def load_scene(path) -> Scene:
     for i, fp in enumerate(doc.get("footprints", [])):
         where = f"{path}: footprints[{i}]"
         try:
-            poly = fp["polygon"]
-            height = float(fp["height"])
+            poly = _floats(fp["polygon"], f"{where}: polygon")
+            height = _floats(fp["height"], f"{where}: height", scalar=True)
             mat = resolve(fp["material"], where)
         except KeyError as e:
             raise SceneFormatError(f"{where}: missing field {e}") from e
@@ -576,16 +590,16 @@ def load_scene(path) -> Scene:
         tag = ob.get("tag", f"obstacle{i}")
         for j, poly in enumerate(polys):
             sub_tag = tag if len(polys) == 1 else f"{tag}:{j}"
-            surfaces.append(Surface(poly, mat, tag=sub_tag))
+            surfaces.append(Surface(_floats(poly, f"{where}: surfaces[{j}]"), mat, tag=sub_tag))
 
     if "ground" not in doc:
         raise SceneFormatError(f"{path}: missing required field 'ground'")
     g = doc["ground"]
     gmat = resolve(g.get("material", "asphalt"), f"{path}: ground")
     if "vertices" in g:
-        ground = Surface(g["vertices"], gmat, tag="ground")
+        ground = Surface(_floats(g["vertices"], f"{path}: ground"), gmat, tag="ground")
     elif "extent" in g:
-        x0, y0, x1, y1 = (float(v) for v in g["extent"])
+        x0, y0, x1, y1 = _floats(g["extent"], f"{path}: ground")
         ground = Surface([(x0, y0, 0), (x1, y0, 0), (x1, y1, 0), (x0, y1, 0)], gmat, tag="ground")
     else:
         raise SceneFormatError(f"{path}: ground needs 'extent' or 'vertices'")

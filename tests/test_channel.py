@@ -305,6 +305,31 @@ class TestSynthesizeTensor:
         assert tensor.n_time == 10_000
         assert tensor.dt == pytest.approx(cfg.fine_dt)
 
+    def _dropping_run(self):
+        cfg = SimConfig(n_freq_bins=64)
+        near = los_path(20 * SPEED_OF_LIGHT / cfg.bandwidth)
+        far = los_path(100 * SPEED_OF_LIGHT / cfg.bandwidth)  # bin 100 > 63
+        coarse = [(0.0, [near, far]), (cfg.coarse_trace_dt, [near, far])]
+        return coarse, isotropic_array(1), cfg
+
+    def test_dropped_paths_one_warning_with_total(self):
+        coarse, arr, cfg = self._dropping_run()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tensor = synthesize_tensor(coarse, arr, arr, cfg)
+        assert tensor.n_time == 100
+        assert [type(w.message) for w in caught] == [RuntimeWarning]
+        assert str(caught[0].message).startswith("100 path(s) beyond")
+        assert "over 100 time steps" in str(caught[0].message)
+        assert caught[0].filename == __file__
+
+    def test_dropped_paths_error_filter_raises(self):
+        coarse, arr, cfg = self._dropping_run()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="dropped"):
+                synthesize_tensor(coarse, arr, arr, cfg)
+
     def test_resample_time_nearest(self):
         t = rand_tensor(np.random.default_rng(13), (10, 1, 1, 8), dt=1e-4)
         out = resample_time(t, 2e-4)

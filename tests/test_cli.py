@@ -253,6 +253,18 @@ class TestSceneValidate:
         p.write_text("{nope")
         assert main(["scene-validate", str(p)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("field, value", [("polygon", "abc"), ("height", "abc"),
+                                              ("height", [1, 2]), ("height", -5.0)])
+    def test_malformed_footprint_exit_3(self, tmp_path, capsys, field, value):
+        fp = {"polygon": [[0, 0], [10, 0], [10, 10], [0, 10]], "height": 5.0,
+              "material": "concrete"}
+        fp[field] = value
+        p = tmp_path / "scene.json"
+        p.write_text(json.dumps({"footprints": [fp],
+                                 "ground": {"extent": [-50, -50, 50, 50]}}))
+        assert main(["scene-validate", str(p)]) == EXIT_DATA
+        assert field in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_missing_config_file(self):

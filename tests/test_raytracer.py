@@ -42,6 +42,14 @@ class TestTraceLos:
         with pytest.raises(ValueError):
             trace_los(free_space_scene(), (1, 2, 3), (1, 2, 3), F)
 
+    @pytest.mark.parametrize("tx, rx", [((np.nan, 0, 1.5), (50, 0, 1.5)),
+                                        ((0, 0, 1.5), (50, np.inf, 1.5))])
+    def test_non_finite_endpoint_rejected(self, tx, rx):
+        with pytest.raises(ValueError, match="finite"):
+            trace_los(free_space_scene(), tx, rx, F)
+        with pytest.raises(ValueError, match="finite"):
+            trace_snapshot(pec_ground_scene(), tx, rx, TracerConfig(frequency=F))
+
 
 class TestFresnel:
     def test_pec_all_angles(self, pec):

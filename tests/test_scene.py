@@ -41,6 +41,10 @@ class TestSurface:
         with pytest.raises(GeometryError):
             Surface([(0, 0, 0), (1, 0, 0), (2, 0, 0)], concrete)  # collinear
 
+    def test_rejects_nan_vertex(self, concrete):
+        with pytest.raises(GeometryError, match="finite"):
+            Surface([(0, 0, 0), (1, 0, 0), (1, np.nan, 0), (0, 1, 0)], concrete)
+
     def test_rejects_nonplanar(self, concrete):
         with pytest.raises(GeometryError):
             Surface([(0, 0, 0), (1, 0, 0), (1, 1, 0.1), (0, 1, 0)], concrete)
@@ -270,6 +274,18 @@ class TestSceneIO:
         with pytest.raises(MaterialReferenceError, match="vibranium"):
             load_scene(p)
 
+    @pytest.mark.parametrize("doc", [
+        {"obstacles": [{"material": "metal", "surfaces": [[[0, 0, 0], [1, 0, "x"], [1, 0, 1]]]}],
+         "ground": {"extent": [-50, -50, 50, 50]}},
+        {"ground": {"extent": [-50, "south", 50, 50]}},
+        {"ground": {"vertices": [[0, 0, 0], [1, 0, 0], None]}},
+    ])
+    def test_non_numeric_geometry(self, tmp_path, doc):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SceneFormatError):
+            load_scene(p)
+
     def test_parse_error_has_line(self, tmp_path):
         p = tmp_path / "s.json"
         p.write_text("{\n  broken\n}")
@@ -308,6 +324,14 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0]), np.zeros((1, 3)), np.zeros((1, 3)),
                        antenna_height=0.0)
+
+    @pytest.mark.parametrize("field", ["t", "position", "velocity"])
+    def test_rejects_non_finite(self, field):
+        args = {"t": np.array([0.0, 0.5, 1.0]), "position": np.zeros((3, 3)),
+                "velocity": np.zeros((3, 3))}
+        args[field][-1] = np.inf if field == "velocity" else np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(**args)
 
     def test_interpolation(self):
         tr = straight_trajectory((0, 0, 1.5), 0.0, 10.0, 1.0, 0.5)
