@@ -18,7 +18,7 @@ tx = np.array([0.0, 4.0, 1.73])
 rx = np.array([60.0, 8.5, 1.73])
 
 print(f"canyon width {WIDTH} m, tx {tx}, rx {rx}\n")
-for order in (1, 2, 3):
+for order in (1, 2, 3, 4):
     paths = image_method_specular(scene, tx, rx, order)
     print(f"max order {order}: {len(paths)} specular paths")
     for p in paths:

@@ -351,7 +351,10 @@ def synthesize_tensor(interp: PathInterpolator | list, tx_array: ArrayLayout,
         span = interp.times[-1] - interp.times[0]
         n = max(1, int(round(span / config.fine_dt)))
         times = interp.times[0] + np.arange(n) * config.fine_dt
-    times = np.asarray(times, dtype=float)
+        dt = config.fine_dt   # so time_axis rebuilds exactly this grid
+    else:
+        times = np.asarray(times, dtype=float)
+        dt = float(times[1] - times[0]) if len(times) > 1 else config.fine_dt
 
     def heading_at(h, t):
         return h(t) if callable(h) else float(h or 0.0)
@@ -368,8 +371,7 @@ def synthesize_tensor(interp: PathInterpolator | list, tx_array: ArrayLayout,
                       f"{config.max_delay * 1e6:.2f} us dropped over {len(times)} time steps",
                       RuntimeWarning, stacklevel=2)
     return ChannelTensor(
-        domain="delay", data=data, t0=float(times[0]),
-        dt=float(times[1] - times[0]) if len(times) > 1 else config.fine_dt,
+        domain="delay", data=data, t0=float(times[0]), dt=dt,
         bin0=0.0, dbin=1.0 / config.bandwidth,
         carrier_frequency=config.carrier_frequency,
     )

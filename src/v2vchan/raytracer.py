@@ -200,19 +200,37 @@ def trace_los(scene: Scene, tx, rx, frequency: float = 5.9e9) -> PropagationPath
     )
 
 
-def _mirror(p: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    return p - 2.0 * (p @ normal - offset) * normal
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, 3) arrays, rounded as ``a[i] @ b[i]`` is.
+
+    ``einsum`` and a matrix-vector product sum in another order, which would
+    move the reflection points by an ulp against the per-sequence solution.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def image_method_specular(scene: Scene, tx, rx, max_order: int,
                           frequency: float = 5.9e9) -> list[PropagationPath]:
     """All geometrically valid specular paths of order 1..max_order.
 
-    Reflection points come from the image method: the source is mirrored
-    across each candidate surface sequence and reflection points recovered
-    by back-substitution.  A candidate survives when every reflection point
-    lies strictly inside its polygon, both adjacent points are on the front
-    side, and every sub-segment is unobstructed.
+    The image tree is built one order level at a time, as arrays over every
+    surviving surface sequence.  Each level
+
+    1. expands every parent sequence by each surface other than its last,
+       in lexicographic order;
+    2. prunes a child, and with it its whole subtree, when the parent image
+       is not strictly in front of the child surface's plane (the visibility
+       pruning of Allen & Berkley 1979 and Funkhouser et al. 1998).  The
+       point before that bounce lies between the parent image and the
+       reflection point, so it could never pass the front-face test below;
+    3. mirrors the surviving images across their new surfaces in one batch;
+    4. back-substitutes the reflection points from RX to TX over the whole
+       level, with one point-in-polygon call per surface per step.
+
+    A candidate survives when every reflection point lies strictly inside
+    its polygon, both adjacent points are on the front side, and every
+    sub-segment is unobstructed.  Paths come out sorted by (order, length),
+    ties in lexicographic order of the surface sequence.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -221,26 +239,28 @@ def image_method_specular(scene: Scene, tx, rx, max_order: int,
             f"specular order {max_order} above practical cap {MAX_SPECULAR_ORDER}")
     tx, rx = _endpoints(tx, rx)
     n_surf = len(scene.surfaces)
-    normals = [s.normal for s in scene.surfaces]
-    offsets = [s.plane_offset for s in scene.surfaces]
+    if n_surf == 0:
+        return []
+    normals = np.array([s.normal for s in scene.surfaces])
+    offsets = np.array([s.plane_offset for s in scene.surfaces])
 
     candidates: list[tuple[tuple[int, ...], list[np.ndarray]]] = []
-
-    def expand(seq: tuple[int, ...], images: list[np.ndarray]):
-        order = len(seq)
-        if order >= 1:
-            pts = _solve_reflection_points(scene, tx, rx, seq, images, normals, offsets)
-            if pts is not None:
-                candidates.append((seq, pts))
-        if order == max_order:
-            return
-        for sid in range(n_surf):
-            if seq and sid == seq[-1]:
-                continue
-            img = _mirror(images[-1], normals[sid], offsets[sid])
-            expand(seq + (sid,), images + [img])
-
-    expand((), [tx])
+    seqs = np.zeros((1, 0), dtype=int)     # the level's surface sequences
+    images = tx[None, None, :]             # (sequence, tx and its images, xyz)
+    for order in range(1, max_order + 1):
+        parent = np.repeat(np.arange(len(seqs)), n_surf)
+        sid = np.tile(np.arange(n_surf), len(seqs))
+        keep = (images[:, -1] @ normals.T - offsets > 0.0).ravel()
+        if order > 1:
+            keep &= sid != seqs[parent, -1]
+        parent, sid = parent[keep], sid[keep]
+        if len(parent) == 0:
+            break
+        seqs = np.column_stack((seqs[parent], sid))
+        prev, n = images[parent, -1], normals[sid]
+        img = prev - 2.0 * (_rowdot(prev, n) - offsets[sid])[:, None] * n
+        images = np.concatenate((images[parent], img[:, None, :]), axis=1)
+        candidates.extend(_reflection_points(scene, tx, rx, seqs, images, normals, offsets))
 
     # batch the occlusion tests over every candidate's sub-segments
     seg_start, seg_end, seg_owner = [], [], []
@@ -272,34 +292,42 @@ def image_method_specular(scene: Scene, tx, rx, max_order: int,
     return paths
 
 
-def _solve_reflection_points(scene, tx, rx, seq, images, normals, offsets):
-    """Back-substitute reflection points for one surface sequence, or None."""
-    pts = [rx]
+def _reflection_points(scene: Scene, tx, rx, seqs: np.ndarray, images: np.ndarray,
+                       normals: np.ndarray, offsets: np.ndarray):
+    """Back-substitute the reflection points of one order level in batch.
+
+    ``seqs`` is (M, k) surface ids and ``images[:, j]`` is tx mirrored
+    through the first j surfaces.  Returns (sequence, [tx, q_1, ..., q_k,
+    rx]) for every sequence that passes, in the order of ``seqs``.
+    """
+    m, k = seqs.shape
+    rows = np.arange(m)
+    pts = np.empty((m, k + 2, 3))
+    pts[:, 0] = tx
+    pts[:, -1] = rx
     cur = rx
-    for j in range(len(seq), 0, -1):
-        sid = seq[j - 1]
-        n, off = normals[sid], offsets[sid]
-        img_j = images[j]  # tx mirrored through the first j surfaces
-        denom = float(n @ (cur - img_j))
-        if abs(denom) < 1e-12:
-            return None
-        t = (off - float(n @ img_j)) / denom
-        if not 1e-12 < t < 1.0 - 1e-12:
-            return None
-        q = img_j + t * (cur - img_j)
-        if not scene.surfaces[sid].contains(q[None, :], strict=True)[0]:
-            return None
-        pts.append(q)
-        cur = q
-    pts.append(tx)
-    pts.reverse()  # [tx, q_1, ..., q_k, rx]
+    for j in range(k, 0, -1):
+        sid = seqs[rows, j - 1]
+        img = images[rows, j]
+        n, diff = normals[sid], cur - img
+        denom = _rowdot(n, diff)
+        ok = np.abs(denom) >= 1e-12
+        t = (offsets[sid] - _rowdot(n, img)) / np.where(ok, denom, 1.0)
+        ok &= (t > 1e-12) & (t < 1.0 - 1e-12)
+        q = img + t[:, None] * diff
+        for s in range(len(normals)):
+            on = ok & (sid == s)
+            if on.any():
+                ok[on] = scene.surfaces[s].contains(q[on], strict=True)
+        rows, cur = rows[ok], q[ok]
+        pts[rows, j] = cur
     # front-face checks: both neighbors of each bounce on the normal side
-    for j, sid in enumerate(seq):
-        n, off = normals[sid], offsets[sid]
-        q = pts[j + 1]
-        if (pts[j] - q) @ n <= 1e-12 or (pts[j + 2] - q) @ n <= 1e-12:
-            return None
-    return pts
+    seqs, pts = seqs[rows], pts[rows]
+    ok = np.ones(len(rows), dtype=bool)
+    for j in range(k):
+        n, q = normals[seqs[:, j]], pts[:, j + 1]
+        ok &= (_rowdot(pts[:, j] - q, n) > 1e-12) & (_rowdot(pts[:, j + 2] - q, n) > 1e-12)
+    return [(tuple(seq), list(p)) for seq, p in zip(seqs[ok].tolist(), pts[ok])]
 
 
 def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,

@@ -305,6 +305,17 @@ class TestSynthesizeTensor:
         assert tensor.n_time == 10_000
         assert tensor.dt == pytest.approx(cfg.fine_dt)
 
+    def test_time_axis_is_the_default_grid(self):
+        # near t = 4 s, the float difference of the first two grid times is
+        # not fine_dt, and a time axis rebuilt from it drifts off the grid
+        cfg = SimConfig(n_freq_bins=8, fine_dt=625e-6)
+        p = los_path(5.0)
+        coarse = [(4.04 + k * cfg.coarse_trace_dt, [p]) for k in range(5)]
+        tensor = synthesize_tensor(coarse, isotropic_array(1), isotropic_array(1), cfg)
+        assert tensor.n_time == 64
+        assert tensor.dt == cfg.fine_dt
+        assert np.array_equal(tensor.time_axis, coarse[0][0] + np.arange(64) * cfg.fine_dt)
+
     def _dropping_run(self):
         cfg = SimConfig(n_freq_bins=64)
         near = los_path(20 * SPEED_OF_LIGHT / cfg.bandwidth)

@@ -98,8 +98,7 @@ def test_default_grid_callable_headings(flip_slice):
     snaps, tx, rx, arrays = flip_slice
     tensor = synthesize_tensor(PathInterpolator(snaps), arrays, arrays, SIM,
                                tx_heading=tx.heading, rx_heading=rx.heading)
-    # the default grid, built as synthesize_tensor builds it (time_axis
-    # re-derives dt from a float difference and drifts by ~1e-14 s)
+    # the default grid, built as synthesize_tensor builds it
     times = snaps[0][0] + np.arange(tensor.n_time) * SIM.fine_dt
     want = reference_tensor(snaps, arrays, times, tx.heading, rx.heading)
     _assert_close(tensor.data, want)

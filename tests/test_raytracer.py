@@ -141,6 +141,24 @@ class TestImageMethod:
         assert len(got) == 4
         assert np.allclose(got, expected, atol=1e-9)
 
+    def test_canyon_image_lattice_orders_3_and_4(self):
+        # two walls alternate, so each order has one chain starting on either
+        # wall; the image of the k-th bounce sits at the lattice offset dy
+        W = 20.0
+        scene = canyon_scene(W)
+        tx = np.array([0.0, 6.0, 5.0])
+        rx = np.array([37.0, 13.0, 4.0])
+        paths = image_method_specular(scene, tx, rx, 4, F)
+        planar = math.hypot(rx[0] - tx[0], rx[2] - tx[2])
+        yt, yr = tx[1], rx[1]
+        dys = {3: [yr + 2 * W + yt, 4 * W - yt - yr],
+               4: [4 * W + yt - yr, 4 * W - yt + yr]}
+        for order, dy in dys.items():
+            got = sorted(p.length for p in paths if p.order == order)
+            assert len(got) == 2
+            assert np.allclose(got, sorted(math.hypot(planar, d) for d in dy),
+                               rtol=0, atol=1e-9)
+
     def test_blocked_reflection_removed(self, pec, concrete):
         # reflection point is (5, 0, 0); the reflected leg crosses y=2 at
         # x = 7.5, so a blocker there must remove the path
