@@ -32,18 +32,9 @@ def default_workers() -> int:
         return 1
 
 
-_worker_job: tuple[Scene, TracerConfig] | None = None
-
-
-def _init_worker(scene: Scene, config: TracerConfig) -> None:
-    """Pool initializer: receive the scene and tracer config once per worker."""
-    global _worker_job
-    _worker_job = (scene, config)
-
-
-def _trace_in_worker(endpoints):
-    scene, config = _worker_job
-    return trace_snapshot(scene, *endpoints, config)
+def _trace_one(args):
+    scene, tx, rx, config = args
+    return trace_snapshot(scene, tx, rx, config)
 
 
 def trace_trajectory(scene: Scene, tx_traj: Trajectory, rx_traj: Trajectory,
@@ -57,15 +48,17 @@ def trace_trajectory(scene: Scene, tx_traj: Trajectory, rx_traj: Trajectory,
         raise ValueError("trajectories do not overlap in time")
     n = int(round((hi - lo) / coarse_dt)) + 1
     times = lo + np.arange(n) * coarse_dt
-    jobs = [(tx_traj.at(t)[0], rx_traj.at(t)[0]) for t in times]
+    jobs = []
+    for t in times:
+        tx_pos, _ = tx_traj.at(t)
+        rx_pos, _ = rx_traj.at(t)
+        jobs.append((scene, tx_pos, rx_pos, tracer))
     workers = default_workers() if workers is None else max(1, workers)
     if workers == 1 or len(jobs) < 4:
-        results = [trace_snapshot(scene, tx, rx, tracer) for tx, rx in jobs]
+        results = [_trace_one(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(scene, tracer)) as pool:
-            results = list(pool.map(_trace_in_worker, jobs,
-                                    chunksize=max(1, len(jobs) // (4 * workers))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_trace_one, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
     return [(float(t), paths) for t, paths in zip(times, results)]
 
 

@@ -262,6 +262,17 @@ def image_method_specular(scene: Scene, tx, rx, max_order: int,
         images = np.concatenate((images[parent], img[:, None, :]), axis=1)
         candidates.extend(_reflection_points(scene, tx, rx, seqs, images, normals, offsets))
 
+    return _specular_paths(scene, candidates, frequency)
+
+
+def _specular_paths(scene: Scene, candidates, frequency: float) -> list[PropagationPath]:
+    """Paths of the (sequence, [tx, q_1, ..., rx]) candidates that are unobstructed.
+
+    Every candidate's sub-segments go through one occlusion batch; the
+    paths come out sorted by (order, length), ties kept in candidate order.
+    """
+    if not candidates:
+        return []
     # batch the occlusion tests over every candidate's sub-segments
     seg_start, seg_end, seg_owner = [], [], []
     for ci, (_, pts) in enumerate(candidates):
@@ -270,24 +281,23 @@ def image_method_specular(scene: Scene, tx, rx, max_order: int,
             seg_end.append(pts[i + 1])
             seg_owner.append(ci)
     paths: list[PropagationPath] = []
-    if candidates:
-        blocked = occlusion_test_batch(scene, np.array(seg_start), np.array(seg_end))
-        bad = set(np.array(seg_owner)[blocked].tolist())
-        lam = SPEED_OF_LIGHT / frequency
-        for ci, (seq, pts) in enumerate(candidates):
-            if ci in bad:
-                continue
-            length = float(sum(np.linalg.norm(pts[i + 1] - pts[i]) for i in range(len(pts) - 1)))
-            m = _polarimetric_chain(pts, seq, frequency, scene)
-            amp = (lam / (4.0 * math.pi * length)) * m
-            paths.append(PropagationPath(
-                kind="specular", order=len(seq),
-                interactions=tuple((sid, pts[i + 1]) for i, sid in enumerate(seq)),
-                length=length, delay=length / SPEED_OF_LIGHT,
-                amplitude=amp,
-                departure=_unit(pts[1] - pts[0]),
-                arrival=_unit(pts[-1] - pts[-2]),
-            ))
+    blocked = occlusion_test_batch(scene, np.array(seg_start), np.array(seg_end))
+    bad = set(np.array(seg_owner)[blocked].tolist())
+    lam = SPEED_OF_LIGHT / frequency
+    for ci, (seq, pts) in enumerate(candidates):
+        if ci in bad:
+            continue
+        length = float(sum(np.linalg.norm(pts[i + 1] - pts[i]) for i in range(len(pts) - 1)))
+        m = _polarimetric_chain(pts, seq, frequency, scene)
+        amp = (lam / (4.0 * math.pi * length)) * m
+        paths.append(PropagationPath(
+            kind="specular", order=len(seq),
+            interactions=tuple((sid, pts[i + 1]) for i, sid in enumerate(seq)),
+            length=length, delay=length / SPEED_OF_LIGHT,
+            amplitude=amp,
+            departure=_unit(pts[1] - pts[0]),
+            arrival=_unit(pts[-1] - pts[-2]),
+        ))
     paths.sort(key=lambda p: (p.order, p.length))
     return paths
 

@@ -4,21 +4,18 @@ The reference is the depth-first search that ``image_method_specular`` used
 before it built the image tree as arrays: every surface sequence without an
 immediate repeat is expanded (no visibility pruning), and each one's
 reflection points are back-substituted one sequence and one point-in-polygon
-test at a time.  Both sides share the occlusion batch, the polarimetric chain
-and the final (order, length) sort, so the path lists must agree in order,
-surface sequence and value.
+test at a time.  Both sides hand their (sequence, points) candidates to the
+same ``_specular_paths`` stage (occlusion batch, polarimetric chain and the
+(order, length) sort), so what is compared is the enumeration: the path
+lists must agree in order, surface sequence and value.
 """
-
-import math
 
 import numpy as np
 import pytest
 
-from v2vchan.raytracer import (SPEED_OF_LIGHT, PropagationPath, _endpoints,
-                               _polarimetric_chain, _unit, image_method_specular,
+from v2vchan.raytracer import (_endpoints, _specular_paths, image_method_specular,
                                trace_los)
-from v2vchan.scene import (DEFAULT_MATERIALS, Scene, extrude_footprint,
-                           occlusion_test_batch)
+from v2vchan.scene import DEFAULT_MATERIALS, Scene, extrude_footprint
 from v2vchan.scenarios import (ANTENNA_HEIGHT, EW_STREET_WIDTH, NS_STREET_WIDTH,
                                ground_surface, intersection_scene,
                                intersection_trajectories)
@@ -83,32 +80,7 @@ def reference_specular(scene, tx, rx, max_order, frequency=F):
             expand(seq + (sid,), images + [img])
 
     expand((), [tx])
-    if not candidates:
-        return []
-    seg_start, seg_end, seg_owner = [], [], []
-    for ci, (_, pts) in enumerate(candidates):
-        for i in range(len(pts) - 1):
-            seg_start.append(pts[i])
-            seg_end.append(pts[i + 1])
-            seg_owner.append(ci)
-    blocked = occlusion_test_batch(scene, np.array(seg_start), np.array(seg_end))
-    bad = set(np.array(seg_owner)[blocked].tolist())
-    lam = SPEED_OF_LIGHT / frequency
-    paths = []
-    for ci, (seq, pts) in enumerate(candidates):
-        if ci in bad:
-            continue
-        length = float(sum(np.linalg.norm(pts[i + 1] - pts[i]) for i in range(len(pts) - 1)))
-        m = _polarimetric_chain(pts, seq, frequency, scene)
-        paths.append(PropagationPath(
-            kind="specular", order=len(seq),
-            interactions=tuple((sid, pts[i + 1]) for i, sid in enumerate(seq)),
-            length=length, delay=length / SPEED_OF_LIGHT,
-            amplitude=(lam / (4.0 * math.pi * length)) * m,
-            departure=_unit(pts[1] - pts[0]), arrival=_unit(pts[-1] - pts[-2]),
-        ))
-    paths.sort(key=lambda p: (p.order, p.length))
-    return paths
+    return _specular_paths(scene, candidates, frequency)
 
 
 def _assert_same(got, want):
