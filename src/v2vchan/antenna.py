@@ -99,12 +99,6 @@ def pattern_gain(pattern: AntennaPattern, direction) -> np.ndarray:
     return pattern.sample(az, el)[0]
 
 
-def pattern_gain_many(pattern: AntennaPattern, directions: np.ndarray) -> np.ndarray:
-    """Batch variant of :func:`pattern_gain` for unit directions (N, 3)."""
-    az, el = direction_to_angles(directions)
-    return pattern.sample(az, el)
-
-
 def isotropic_pattern(gain: complex = 1.0, step_deg: float = 30.0) -> AntennaPattern:
     """Unit vertical-polarization pattern, constant over the sphere."""
     n_az = int(round(360.0 / step_deg))

@@ -93,11 +93,14 @@ class ChannelTensor:
 
     def __post_init__(self):
         if self.domain not in ("delay", "frequency"):
-            raise ValueError("domain must be 'delay' or 'frequency'")
+            raise ValueError(f"domain must be 'delay' or 'frequency', not {self.domain!r}")
         if self.data.ndim != 4:
             raise ValueError("tensor data must be (time, rx, tx, bin)")
         if min(self.data.shape) < 1:
             raise ValueError("all tensor dimensions must be >= 1")
+        if not np.isfinite([self.t0, self.dt, self.bin0, self.dbin,
+                            self.carrier_frequency]).all():
+            raise ValueError("axis origins, spacings and carrier must be finite")
         if self.dt <= 0 or self.dbin <= 0:
             raise ValueError("axis spacings must be positive")
 
@@ -435,20 +438,6 @@ def add_measurement_noise(tensor: ChannelTensor, noise_power_per_bin: float,
     return replace(tensor, data=tensor.data + noise)
 
 
-def resample_time(tensor: ChannelTensor, new_dt: float) -> ChannelTensor:
-    """Nearest-sample decimation/upsampling of the time axis (e.g. to the
-    sounder's 307.2 us snapshot interval)."""
-    if new_dt <= 0:
-        raise ValueError("new_dt must be > 0")
-    span = (tensor.n_time - 1) * tensor.dt
-    n_new = int(math.floor(span / new_dt)) + 1
-    idx = np.rint(np.arange(n_new) * new_dt / tensor.dt).astype(int)
-    idx = np.clip(idx, 0, tensor.n_time - 1)
-    return ChannelTensor(domain=tensor.domain, data=tensor.data[idx], t0=tensor.t0,
-                         dt=new_dt, bin0=tensor.bin0, dbin=tensor.dbin,
-                         carrier_frequency=tensor.carrier_frequency)
-
-
 _HEADER_FMT = "<4sB B I I I I d d d d d"  # magic, version, domain, M_R, M_T, N_t, N_b, t0, dt, bin0, dbin, f_c
 
 
@@ -465,6 +454,7 @@ def save_tensor(tensor: ChannelTensor, path) -> None:
 
 
 def load_tensor(path) -> ChannelTensor:
+    """Read the binary tensor format; any malformed file raises TensorFormatError."""
     with open(path, "rb") as f:
         raw = f.read(struct.calcsize(_HEADER_FMT))
         if len(raw) < struct.calcsize(_HEADER_FMT):
@@ -475,23 +465,15 @@ def load_tensor(path) -> ChannelTensor:
             raise TensorFormatError(f"{path}: bad magic {magic!r}")
         if version != TENSOR_VERSION:
             raise TensorFormatError(f"{path}: unsupported version {version}")
-        payload = np.frombuffer(f.read(), dtype=np.complex64)
+        payload = f.read()
     expected = n_t * m_r * m_t * n_b
-    if payload.size != expected:
-        raise TensorFormatError(f"{path}: payload has {payload.size} values, expected {expected}")
-    data = payload.reshape(n_t, m_r, m_t, n_b).astype(complex)
-    return ChannelTensor(domain="delay" if dom == 0 else "frequency", data=data,
-                         t0=t0, dt=dt, bin0=bin0, dbin=dbin, carrier_frequency=fc)
-
-
-def tensor_to_csv(tensor: ChannelTensor, path) -> None:
-    """Plain-text exporter for small tensors (debugging aid)."""
-    with open(path, "w") as f:
-        f.write("# t_index,rx,tx,bin,re,im\n")
-        f.write(f"# domain={tensor.domain} t0={tensor.t0!r} dt={tensor.dt!r} "
-                f"bin0={tensor.bin0!r} dbin={tensor.dbin!r} "
-                f"f_c={tensor.carrier_frequency!r}\n")
-        it = np.nditer(tensor.data, flags=["multi_index"])
-        for v in it:
-            k, n, m, b = it.multi_index
-            f.write(f"{k},{n},{m},{b},{complex(v).real!r},{complex(v).imag!r}\n")
+    if len(payload) != 8 * expected:
+        raise TensorFormatError(f"{path}: payload has {len(payload)} bytes, "
+                                f"expected {expected} complex64 values")
+    try:
+        data = np.frombuffer(payload, dtype=np.complex64).reshape(n_t, m_r, m_t, n_b)
+        return ChannelTensor(domain={0: "delay", 1: "frequency"}.get(dom, dom),
+                             data=data.astype(complex), t0=t0, dt=dt, bin0=bin0,
+                             dbin=dbin, carrier_frequency=fc)
+    except ValueError as e:
+        raise TensorFormatError(f"{path}: {e}") from e

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,9 +31,8 @@ from . import compare as cmp
 from . import metrics as met
 from .antenna import default_sharkfin_array
 from .channel import (SimConfig, TensorFormatError, load_tensor, save_tensor)
-from .pipeline import (METRIC_FILES, WORKERS_ENV, analyze_tensor,
-                       default_workers, synthesize_from_snapshots,
-                       trace_trajectory)
+from .pipeline import (SERIES_UNITS, WORKERS_ENV, analyze_tensor,
+                       synthesize_from_snapshots, trace_trajectory)
 from .raytracer import TracerConfig, dump_paths_csv, PATH_DUMP_HEADER
 from .scene import (GeometryError, MaterialReferenceError, SceneFormatError,
                     load_scene, load_trajectory)
@@ -47,25 +48,19 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Everything one batch run needs; mirrors the JSON config keys."""
+    """One batch run: the synthesis and tracer configs plus the run-only keys.
 
+    The JSON config is flat: its keys are the :class:`SimConfig` fields, the
+    :class:`TracerConfig` fields but ``frequency`` (``carrier_frequency``
+    sets both), and the run-only fields below.
+    """
+
+    sim: SimConfig = field(default_factory=SimConfig)
+    tracer: TracerConfig = field(default_factory=TracerConfig)
     scene: str = ""
     tx_trajectory: str = ""
     rx_trajectory: str = ""
     output_dir: str = "out"
-    # sounder / synthesis
-    carrier_frequency: float = 5.9e9
-    bandwidth: float = 240e6
-    n_freq_bins: int = 769
-    snapshot_dt: float = 307.2e-6
-    coarse_trace_dt: float = 10e-3
-    fine_dt: float = 100e-6
-    # tracer
-    max_order: int = 2
-    tile_size: float = 1.0
-    enable_diffuse: bool = True
-    cull_db: float = -40.0
-    # arrays
     array_type: str = "sharkfin"   # or "isotropic" for antenna-free runs
     # metrics
     n_avg: int = met.DEFAULT_N_AVG
@@ -75,16 +70,47 @@ class RunConfig:
     noise_seed: int = 0
     workers: int = 0             # 0 means env default
 
-    def sim_config(self) -> SimConfig:
-        return SimConfig(carrier_frequency=self.carrier_frequency,
-                         bandwidth=self.bandwidth, n_freq_bins=self.n_freq_bins,
-                         snapshot_dt=self.snapshot_dt,
-                         coarse_trace_dt=self.coarse_trace_dt, fine_dt=self.fine_dt)
+    def __post_init__(self):
+        if self.n_avg < 1:
+            raise ConfigError("n_avg must be >= 1")
+        if self.stride < 0 or self.workers < 0:
+            raise ConfigError("stride and workers must be >= 0")
+        if self.noise_power < 0:
+            raise ConfigError("noise_power must be >= 0")
+        if self.array_type not in ("sharkfin", "isotropic"):
+            raise ConfigError("array_type must be 'sharkfin' or 'isotropic'")
 
-    def tracer_config(self) -> TracerConfig:
-        return TracerConfig(frequency=self.carrier_frequency, max_order=self.max_order,
-                            tile_size=self.tile_size, enable_diffuse=self.enable_diffuse,
-                            cull_db=self.cull_db)
+
+#: Every key a JSON run config may hold.
+CONFIG_KEYS = frozenset(f.name for cls in (SimConfig, TracerConfig, RunConfig)
+                        for f in fields(cls)) - {"frequency", "sim", "tracer"}
+# resolved once: get_type_hints evaluates the string annotations on each call
+_FIELD_TYPES = {cls: get_type_hints(cls) for cls in (SimConfig, TracerConfig, RunConfig)}
+
+
+def _fits(value, want: type) -> bool:
+    """Whether a JSON value fits a field of type ``want``: a bool only for a
+    bool, an int that is not a bool for an int, a finite number for a float."""
+    if isinstance(value, bool) != (want is bool):
+        return False
+    if want is float:
+        try:
+            return math.isfinite(value)
+        except (TypeError, OverflowError):
+            return False
+    return isinstance(value, want)
+
+
+def _from_doc(cls, doc: dict):
+    """``cls`` built from the keys of ``doc`` that name its fields, each value
+    checked against its field's type; ``cls`` checks the ranges itself."""
+    types = _FIELD_TYPES[cls]
+    values = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
+    for name, value in values.items():
+        if not _fits(value, types[name]):
+            want = "a finite number" if types[name] is float else types[name].__name__
+            raise ConfigError(f"config key {name!r} must be {want}, not {value!r}")
+    return cls(**values)
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
@@ -99,28 +125,16 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"{path}:{e.lineno}: {e.msg}") from e
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(doc) - known
+    unknown = set(doc) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     doc.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = RunConfig(**{k: v for k, v in doc.items() if k in known})
-    # numeric sanity: positive steps, order within cap
     try:
-        cfg.sim_config()
+        sim = _from_doc(SimConfig, doc)
+        tracer = _from_doc(TracerConfig, {**doc, "frequency": sim.carrier_frequency})
+        return _from_doc(RunConfig, {**doc, "sim": sim, "tracer": tracer})
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    if not 1 <= cfg.max_order <= 4:
-        raise ConfigError("max_order must be in 1..4")
-    if cfg.tile_size <= 0:
-        raise ConfigError("tile_size must be > 0")
-    if cfg.n_avg < 1:
-        raise ConfigError("n_avg must be >= 1")
-    if cfg.noise_power < 0:
-        raise ConfigError("noise_power must be >= 0")
-    if cfg.array_type not in ("sharkfin", "isotropic"):
-        raise ConfigError("array_type must be 'sharkfin' or 'isotropic'")
-    return cfg
 
 
 def _require_inputs(cfg: RunConfig) -> None:
@@ -140,9 +154,8 @@ def _load_run_inputs(cfg: RunConfig):
 
 
 def _traced_snapshots(cfg: RunConfig, scene, tx, rx):
-    workers = cfg.workers if cfg.workers > 0 else default_workers()
-    return trace_trajectory(scene, tx, rx, cfg.tracer_config(),
-                            cfg.coarse_trace_dt, workers=workers)
+    return trace_trajectory(scene, tx, rx, cfg.tracer, cfg.sim.coarse_trace_dt,
+                            workers=cfg.workers or None)
 
 
 def cmd_trace(cfg: RunConfig) -> int:
@@ -170,8 +183,7 @@ def cmd_synthesize(cfg: RunConfig) -> int:
     else:
         tx_array = default_sharkfin_array()
         rx_array = default_sharkfin_array()
-    tensor = synthesize_from_snapshots(snapshots, tx, rx, tx_array, rx_array,
-                                       cfg.sim_config())
+    tensor = synthesize_from_snapshots(snapshots, tx, rx, tx_array, rx_array, cfg.sim)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "channel.v2vc"
@@ -195,20 +207,11 @@ def cmd_analyze(tensor_path: str, cfg: RunConfig) -> int:
                              threshold=cfg.noise_threshold)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    met.series_to_csv(results["gain"], out / "gain.csv")
-    met.series_to_csv(results["delay_spread"], out / "delay_spread.csv")
-    met.series_to_csv(results["doppler_spread"], out / "doppler_spread.csv")
-    met.series_to_csv(results["eigenvalues"], out / "eigenvalues.csv")
-    met.series_to_csv(results["correlation_tx"], out / "correlation_tx.csv")
-    met.series_to_csv(results["correlation_rx"], out / "correlation_rx.csv")
-    met.profile_to_csv(results["apdp"], out / "apdp.csv")
-    met.profile_to_csv(results["dsd"], out / "dsd.csv")
-    print(f"wrote {', '.join(METRIC_FILES)} -> {out}")
+    for name, result in results.items():
+        write = met.series_to_csv if name in SERIES_UNITS else met.profile_to_csv
+        write(result, out / f"{name}.csv")
+    print(f"wrote {', '.join(f'{name}.csv' for name in results)} -> {out}")
     return EXIT_OK
-
-
-_COMPARE_UNITS = {"gain": "dB", "delay_spread": "s", "doppler_spread": "Hz",
-                  "eigenvalues": "dB", "correlation_tx": "", "correlation_rx": ""}
 
 
 def cmd_compare(dir_a: str, dir_b: str, labels_path: str | None, cfg: RunConfig) -> int:
@@ -218,15 +221,13 @@ def cmd_compare(dir_a: str, dir_b: str, labels_path: str | None, cfg: RunConfig)
     labels = None
     if labels_path:
         labels = cmp.load_labels(labels_path)
-    names = ["gain", "delay_spread", "doppler_spread", "eigenvalues",
-             "correlation_tx", "correlation_rx"]
-    for name in names:
+    for name, unit in SERIES_UNITS.items():
         pa, pb = Path(dir_a) / f"{name}.csv", Path(dir_b) / f"{name}.csv"
         for p in (pa, pb):
             if not p.exists():
                 raise ConfigError(f"metric file missing: {p}")
-        sa = met.series_from_csv(pa, kind=name, unit=_COMPARE_UNITS[name])
-        sb = met.series_from_csv(pb, kind=name, unit=_COMPARE_UNITS[name])
+        sa = met.series_from_csv(pa, kind=name, unit=unit)
+        sb = met.series_from_csv(pb, kind=name, unit=unit)
         eps = cmp.error_series(sa, sb)
         if name == "delay_spread":  # metric files are SI; the report uses ns
             eps.values = eps.values * 1e9

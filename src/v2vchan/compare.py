@@ -224,18 +224,3 @@ def save_report(stats: dict[str, ErrorStats], text_path, csv_path) -> None:
         w.writerow(["metric", "segment", "mu", "sigma", "n"])
         w.writerows(rows)
 
-
-def load_report_csv(path) -> dict[str, ErrorStats]:
-    out: dict[str, ErrorStats] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["metric", "segment", "mu", "sigma", "n"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for row in reader:
-            if not row:
-                continue
-            name, seg, mu, sigma, n = row
-            st = out.setdefault(name, ErrorStats(metric=name, unit="", cells={}))
-            st.cells[seg] = (float(mu), float(sigma), int(n))
-    return out

@@ -91,15 +91,14 @@ def compute_apdp(tensor: ChannelTensor, n_avg: int = DEFAULT_N_AVG,
                 bins=tensor.bin_axis.copy(), n_avg=n_avg, stride=stride)
 
 
-def per_pair_apdp(tensor: ChannelTensor, n_avg: int = DEFAULT_N_AVG,
-                  stride: int | None = None) -> np.ndarray:
-    """APDP without antenna-pair averaging: (n_windows, M_R, M_T, n_bins)."""
-    if tensor.domain != "delay":
-        raise ValueError("per_pair_apdp expects a delay-domain tensor")
-    stride = n_avg if stride is None else stride
-    starts = _window_starts(tensor.n_time, n_avg, stride)
-    power = np.abs(tensor.data) ** 2
-    return np.stack([power[s:s + n_avg].mean(axis=0) for s in starts])
+def _lowest_decile_mean(region: np.ndarray) -> float:
+    """Mean of the lowest-decile nonzero values of ``region``; 0 when all are zero."""
+    nz = region[region > 0]
+    if nz.size == 0:
+        return 0.0
+    nz = np.sort(nz)
+    k = max(1, int(math.ceil(0.1 * nz.size)))
+    return float(nz[:k].mean())
 
 
 def estimate_noise_floor(apdp: Apdp) -> float:
@@ -110,25 +109,18 @@ def estimate_noise_floor(apdp: Apdp) -> float:
     """
     if apdp.values.shape[1] < 32:
         raise ValueError("noise-floor estimation needs >= 32 delay bins")
-    tail = apdp.values[:, 3 * apdp.values.shape[1] // 4:]
-    nz = tail[tail > 0]
-    if nz.size == 0:
-        return 0.0
-    nz = np.sort(nz)
-    k = max(1, int(math.ceil(0.1 * nz.size)))
-    return float(nz[:k].mean())
+    return _lowest_decile_mean(apdp.values[:, 3 * apdp.values.shape[1] // 4:])
 
 
 def estimate_noise_floor_dsd(dsd: Dsd) -> float:
-    """Noise level from the outer (largest |Doppler|) quarters of a DSD."""
+    """Noise level from the outer eighth at each end of the Doppler axis (the
+    largest |Doppler|), estimated as :func:`estimate_noise_floor` does.  With
+    fewer than 8 bins those edges would be empty or the whole spectrum."""
     n = dsd.values.shape[1]
-    edge = np.concatenate([dsd.values[:, :n // 8], dsd.values[:, -(n // 8):]], axis=1)
-    nz = edge[edge > 0]
-    if nz.size == 0:
-        return 0.0
-    nz = np.sort(nz)
-    k = max(1, int(math.ceil(0.1 * nz.size)))
-    return float(nz[:k].mean())
+    if n < 8:
+        raise ValueError("noise-floor estimation needs >= 8 Doppler bins")
+    return _lowest_decile_mean(
+        np.concatenate([dsd.values[:, :n // 8], dsd.values[:, -(n // 8):]], axis=1))
 
 
 def apply_noise_threshold(profile, noise_floor: float):

@@ -72,18 +72,20 @@ def synthesize_from_snapshots(snapshots, tx_traj: Trajectory, rx_traj: Trajector
         tx_heading=tx_traj.heading, rx_heading=rx_traj.heading)
 
 
-METRIC_FILES = (
-    "gain.csv", "delay_spread.csv", "doppler_spread.csv", "eigenvalues.csv",
-    "correlation_tx.csv", "correlation_rx.csv", "apdp.csv", "dsd.csv",
-)
+#: Unit of every MetricSeries that :func:`analyze_tensor` returns, by name.
+#: The CLI writes each to ``<name>.csv`` (as it does the APDP and DSD
+#: profiles) and reads them back with these units to compare them.
+SERIES_UNITS = {"gain": "dB", "delay_spread": "s", "doppler_spread": "Hz",
+                "eigenvalues": "dB", "correlation_tx": "", "correlation_rx": ""}
 
 
 def analyze_tensor(tensor: ChannelTensor, n_avg: int, stride: int | None = None,
                    noise_floor: float | None = None, threshold: bool = False):
     """Compute the full metric set from a delay-domain tensor.
 
-    Returns a dict with Apdp/Dsd profiles and MetricSeries for gain, spreads,
-    eigenvalues and per-end correlation magnitudes.  When ``threshold`` is
+    Returns a dict with a MetricSeries per :data:`SERIES_UNITS` name (gain,
+    spreads, eigenvalues and per-end correlation magnitudes), keyed by its
+    ``kind``, then the ``apdp`` and ``dsd`` profiles.  When ``threshold`` is
     set, the measurement-style noise thresholding (estimated or supplied
     floor plus 3 dB) is applied to the APDP and DSD before gain and spreads.
     """
@@ -97,13 +99,8 @@ def analyze_tensor(tensor: ChannelTensor, n_avg: int, stride: int | None = None,
         dfloor = estimate_noise_floor_dsd(dsd) if noise_floor is None else noise_floor
         dsd = apply_noise_threshold(dsd, dfloor)
     ctf = cir_to_ctf(tensor)
-    return {
-        "apdp": apdp,
-        "dsd": dsd,
-        "gain": channel_gain(apdp),
-        "delay_spread": rms_delay_spread(apdp),
-        "doppler_spread": rms_doppler_spread(dsd),
-        "eigenvalues": eigenvalue_series(ctf, n_avg=n_avg, stride=stride),
-        "correlation_tx": correlation_matrix_series(ctf, "tx", n_avg=n_avg, stride=stride),
-        "correlation_rx": correlation_matrix_series(ctf, "rx", n_avg=n_avg, stride=stride),
-    }
+    series = (channel_gain(apdp), rms_delay_spread(apdp), rms_doppler_spread(dsd),
+              eigenvalue_series(ctf, n_avg=n_avg, stride=stride),
+              correlation_matrix_series(ctf, "tx", n_avg=n_avg, stride=stride),
+              correlation_matrix_series(ctf, "rx", n_avg=n_avg, stride=stride))
+    return {**{s.kind: s for s in series}, "apdp": apdp, "dsd": dsd}

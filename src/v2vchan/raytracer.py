@@ -55,6 +55,12 @@ class TracerConfig:
     enable_diffuse: bool = True
     cull_db: float = -40.0   # drop diffuse paths this far below the strongest path
 
+    def __post_init__(self):
+        if not 1 <= self.max_order <= MAX_SPECULAR_ORDER:
+            raise ValueError(f"max_order must be in 1..{MAX_SPECULAR_ORDER}")
+        if not self.tile_size > 0:
+            raise ValueError("tile_size must be > 0")
+
 
 @dataclass
 class PropagationPath:
@@ -453,8 +459,7 @@ def trace_snapshot(scene: Scene, tx, rx, config: TracerConfig) -> list[Propagati
     los = trace_los(scene, tx, rx, config.frequency)
     if los is not None:
         paths.append(los)
-    if config.max_order >= 1:
-        paths.extend(image_method_specular(scene, tx, rx, config.max_order, config.frequency))
+    paths.extend(image_method_specular(scene, tx, rx, config.max_order, config.frequency))
     if config.enable_diffuse:
         known_best = max((p.gain_linear() for p in paths), default=0.0)
         diffuse = lambertian_diffuse(scene, tx, rx, config.tile_size, config.frequency,

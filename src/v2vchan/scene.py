@@ -54,10 +54,11 @@ class Material:
     scattering_coefficient: float = 0.0
 
     def __post_init__(self):
-        if self.relative_permittivity < 1.0:
-            raise ValueError(f"material {self.name!r}: relative_permittivity must be >= 1")
-        if self.conductivity < 0.0:
-            raise ValueError(f"material {self.name!r}: conductivity must be >= 0")
+        if not 1.0 <= self.relative_permittivity < math.inf:
+            raise ValueError(
+                f"material {self.name!r}: relative_permittivity must be finite and >= 1")
+        if not 0.0 <= self.conductivity < math.inf:
+            raise ValueError(f"material {self.name!r}: conductivity must be finite and >= 0")
         if not 0.0 <= self.scattering_coefficient <= 1.0:
             raise ValueError(f"material {self.name!r}: scattering_coefficient must be in [0, 1]")
 
@@ -146,8 +147,8 @@ class Surface:
             raise GeometryError(f"surface {tag!r}: vertices must be finite")
         n = _newell_normal(v)
         area2 = np.linalg.norm(n)
-        if area2 <= 0.0:
-            raise GeometryError(f"surface {tag!r}: degenerate polygon (zero area)")
+        if not 0.0 < area2 < math.inf:   # NaN or inf when the coordinates overflow
+            raise GeometryError(f"surface {tag!r}: zero or overflowing polygon area")
         normal = n / area2
         offset = float(normal @ v[0])
         dev = np.abs(v @ normal - offset)
@@ -236,17 +237,8 @@ class Scene:
             hi = np.full(3, bounding_margin)
         self.bounding_box = np.vstack((lo, hi))
         # Flattened triangle soup for vectorized occlusion tests.
-        tris, owner = [], []
-        for sid, s in enumerate(self.surfaces):
-            t = s.triangles()
-            tris.append(t)
-            owner.append(np.full(len(t), sid))
-        if tris:
-            self._tri = np.concatenate(tris)
-            self._tri_owner = np.concatenate(owner)
-        else:
-            self._tri = np.zeros((0, 3, 3))
-            self._tri_owner = np.zeros(0, dtype=int)
+        tris = [s.triangles() for s in self.surfaces]
+        self._tri = np.concatenate(tris) if tris else np.zeros((0, 3, 3))
         self._tile_cache: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
@@ -343,25 +335,19 @@ def _self_intersects(poly: np.ndarray) -> bool:
     return False
 
 
-def occlusion_test_batch(scene: Scene, starts, ends, ignore=frozenset()) -> np.ndarray:
+def occlusion_test_batch(scene: Scene, starts, ends) -> np.ndarray:
     """Vectorized obstruction test for many segments against the whole scene.
 
-    Returns a boolean array: True where some surface not in ``ignore``
-    intersects the open segment.  Intersections within INTERSECT_TOL (1e-9 m)
-    of either endpoint do not count, so segments that terminate exactly on a
-    surface (reflection points) are not blocked by that surface.
+    Returns a boolean array: True where some surface intersects the open
+    segment.  Intersections within INTERSECT_TOL (1e-9 m) of either endpoint
+    do not count, so segments that terminate exactly on a surface
+    (reflection points) are not blocked by that surface.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     ends = np.atleast_2d(np.asarray(ends, dtype=float))
     n_seg = len(starts)
     blocked = np.zeros(n_seg, dtype=bool)
-    if len(scene._tri) == 0:
-        return blocked
-    if ignore:
-        keep = ~np.isin(scene._tri_owner, list(ignore))
-        tri = scene._tri[keep]
-    else:
-        tri = scene._tri
+    tri = scene._tri
     if len(tri) == 0:
         return blocked
     v0 = tri[:, 0]
@@ -395,9 +381,9 @@ def occlusion_test_batch(scene: Scene, starts, ends, ignore=frozenset()) -> np.n
     return blocked
 
 
-def occlusion_test(scene: Scene, start, end, ignore=frozenset()) -> bool:
-    """True iff some surface not in ``ignore`` blocks the open segment."""
-    return bool(occlusion_test_batch(scene, [start], [end], ignore)[0])
+def occlusion_test(scene: Scene, start, end) -> bool:
+    """True iff some surface blocks the open segment."""
+    return bool(occlusion_test_batch(scene, [start], [end])[0])
 
 
 @dataclass
@@ -463,7 +449,11 @@ def straight_trajectory(start, heading_deg: float, speed: float, duration: float
 
 
 def load_trajectory(path, antenna_height: float | None = None) -> Trajectory:
-    """Read a trajectory CSV with header ``t,x,y,z,vx,vy,vz`` (SI units)."""
+    """Read a trajectory CSV with header ``t,x,y,z,vx,vy,vz`` (SI units).
+
+    A malformed file, or samples that :class:`Trajectory` rejects, raise
+    SceneFormatError.
+    """
     rows = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -473,6 +463,8 @@ def load_trajectory(path, antenna_height: float | None = None) -> Trajectory:
         for ln, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
+            if len(row) != 7:
+                raise SceneFormatError(f"{path}:{ln}: rows must have 7 columns")
             try:
                 rows.append([float(c) for c in row])
             except ValueError as e:
@@ -480,10 +472,11 @@ def load_trajectory(path, antenna_height: float | None = None) -> Trajectory:
     if not rows:
         raise SceneFormatError(f"{path}: no samples")
     arr = np.asarray(rows)
-    if arr.shape[1] != 7:
-        raise SceneFormatError(f"{path}: rows must have 7 columns")
     h = antenna_height if antenna_height is not None else float(arr[0, 3])
-    return Trajectory(arr[:, 0], arr[:, 1:4], arr[:, 4:7], antenna_height=h)
+    try:
+        return Trajectory(arr[:, 0], arr[:, 1:4], arr[:, 4:7], antenna_height=h)
+    except ValueError as e:
+        raise SceneFormatError(f"{path}: {e}") from e
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
@@ -506,25 +499,34 @@ def latlon_to_enu(lat_deg, lon_deg, origin_lat_deg, origin_lon_deg):
 def _material_from_dict(d: dict, where: str) -> Material:
     try:
         return Material(
-            name=d["name"],
+            name=_json(d["name"], str, f"{where}: name"),
             relative_permittivity=float(d.get("relative_permittivity", 1.0)),
             conductivity=float(d.get("conductivity", 0.0)),
-            is_pec=bool(d.get("is_pec", False)),
+            is_pec=_json(d.get("is_pec", False), bool, f"{where}: is_pec"),
             scattering_coefficient=float(d.get("scattering_coefficient", 0.0)),
         )
     except KeyError as e:
         raise SceneFormatError(f"{where}: material missing field {e}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise SceneFormatError(f"{where}: {e}") from e
 
 
 def _floats(value, where: str, scalar: bool = False):
     """A float (``scalar``) or float array from JSON data; SceneFormatError if
-    the data is not numeric."""
+    the data is not numeric or too large for a float."""
     try:
         return float(value) if scalar else np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise SceneFormatError(f"{where}: {e}") from e
+
+
+def _json(value, kind: type, where: str):
+    """``value`` if it has the JSON type ``kind`` (dict, list, str or bool),
+    else SceneFormatError."""
+    if not isinstance(value, kind):
+        raise SceneFormatError(f"{where}: expected a JSON {kind.__name__}, "
+                               f"not {type(value).__name__}")
+    return value
 
 
 def load_scene(path) -> Scene:
@@ -560,46 +562,51 @@ def load_scene(path) -> Scene:
         raise SceneFormatError(f"{path}: top level must be an object")
 
     materials = dict(DEFAULT_MATERIALS)
-    for i, m in enumerate(doc.get("materials", [])):
+    for i, m in enumerate(_json(doc.get("materials", []), list, f"{path}: materials")):
         mat = _material_from_dict(m, f"{path}: materials[{i}]")
         materials[mat.name] = mat
 
     def resolve(name, where):
-        if name not in materials:
+        if not isinstance(name, str) or name not in materials:
             raise MaterialReferenceError(f"{where}: unknown material {name!r}")
         return materials[name]
 
     surfaces: list[Surface] = []
-    for i, fp in enumerate(doc.get("footprints", [])):
+    for i, fp in enumerate(_json(doc.get("footprints", []), list, f"{path}: footprints")):
         where = f"{path}: footprints[{i}]"
+        _json(fp, dict, where)
         try:
             poly = _floats(fp["polygon"], f"{where}: polygon")
             height = _floats(fp["height"], f"{where}: height", scalar=True)
             mat = resolve(fp["material"], where)
         except KeyError as e:
             raise SceneFormatError(f"{where}: missing field {e}") from e
-        tag = fp.get("tag", f"footprint{i}")
+        tag = _json(fp.get("tag", f"footprint{i}"), str, f"{where}: tag")
         surfaces.extend(extrude_footprint(poly, height, mat, tag=tag))
-    for i, ob in enumerate(doc.get("obstacles", [])):
+    for i, ob in enumerate(_json(doc.get("obstacles", []), list, f"{path}: obstacles")):
         where = f"{path}: obstacles[{i}]"
+        _json(ob, dict, where)
         try:
             mat = resolve(ob["material"], where)
-            polys = ob["surfaces"]
+            polys = _json(ob["surfaces"], list, f"{where}: surfaces")
         except KeyError as e:
             raise SceneFormatError(f"{where}: missing field {e}") from e
-        tag = ob.get("tag", f"obstacle{i}")
+        tag = _json(ob.get("tag", f"obstacle{i}"), str, f"{where}: tag")
         for j, poly in enumerate(polys):
             sub_tag = tag if len(polys) == 1 else f"{tag}:{j}"
             surfaces.append(Surface(_floats(poly, f"{where}: surfaces[{j}]"), mat, tag=sub_tag))
 
     if "ground" not in doc:
         raise SceneFormatError(f"{path}: missing required field 'ground'")
-    g = doc["ground"]
+    g = _json(doc["ground"], dict, f"{path}: ground")
     gmat = resolve(g.get("material", "asphalt"), f"{path}: ground")
     if "vertices" in g:
         ground = Surface(_floats(g["vertices"], f"{path}: ground"), gmat, tag="ground")
     elif "extent" in g:
-        x0, y0, x1, y1 = _floats(g["extent"], f"{path}: ground")
+        extent = _floats(g["extent"], f"{path}: ground")
+        if extent.shape != (4,):
+            raise SceneFormatError(f"{path}: ground extent must be [xmin, ymin, xmax, ymax]")
+        x0, y0, x1, y1 = extent
         ground = Surface([(x0, y0, 0), (x1, y0, 0), (x1, y1, 0), (x0, y1, 0)], gmat, tag="ground")
     else:
         raise SceneFormatError(f"{path}: ground needs 'extent' or 'vertices'")

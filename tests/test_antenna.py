@@ -7,7 +7,7 @@ from v2vchan.antenna import (AntennaPattern, ArrayLayout, angles_to_direction,
                              cardioid_pattern, default_sharkfin_array,
                              direction_to_angles, isotropic_array,
                              isotropic_pattern, load_pattern, pattern_gain,
-                             pattern_gain_many, save_pattern, vh_basis)
+                             save_pattern, vh_basis)
 
 
 class TestBasis:

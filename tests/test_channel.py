@@ -6,10 +6,9 @@ import pytest
 
 from v2vchan.antenna import isotropic_array
 from v2vchan.channel import (ChannelTensor, PathInterpolator, SimConfig,
-                             add_measurement_noise, cir_to_ctf, ctf_to_cir,
+                             TensorFormatError, add_measurement_noise, cir_to_ctf, ctf_to_cir,
                              hann_window, interpolate_snapshots, load_tensor,
-                             resample_time, save_tensor, synthesize_cir,
-                             synthesize_tensor, tensor_to_csv)
+                             save_tensor, synthesize_cir, synthesize_tensor)
 from v2vchan.raytracer import SPEED_OF_LIGHT, PropagationPath, trace_los
 from v2vchan.scenarios import free_space_scene
 
@@ -290,10 +289,18 @@ class TestTensorIO:
         with pytest.raises(TensorFormatError):
             load_tensor(p)
 
-    def test_csv_export_runs(self, tmp_path):
-        t = rand_tensor(np.random.default_rng(12), (1, 1, 1, 4))
-        tensor_to_csv(t, tmp_path / "t.csv")
-        assert (tmp_path / "t.csv").read_text().count("\n") == 2 + 4
+    def test_payload_not_whole_values(self, tmp_path, write_tensor):
+        p = write_tensor(tmp_path / "c.v2vc", payload=bytes(4 * 8 * 8 - 3))
+        with pytest.raises(TensorFormatError, match="payload"):
+            load_tensor(p)
+
+    @pytest.mark.parametrize("header", [
+        {"n_time": 0}, {"m_rx": 0}, {"n_bins": 0}, {"domain": 7}, {"dt": math.nan},
+        {"dt": -1e-4}, {"dbin": math.inf}, {"t0": math.nan}, {"bin0": -math.inf},
+        {"carrier": math.nan}])
+    def test_malformed_header(self, tmp_path, write_tensor, header):
+        with pytest.raises(TensorFormatError):
+            load_tensor(write_tensor(tmp_path / "c.v2vc", **header))
 
 
 class TestSynthesizeTensor:
@@ -340,9 +347,3 @@ class TestSynthesizeTensor:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeWarning, match="dropped"):
                 synthesize_tensor(coarse, arr, arr, cfg)
-
-    def test_resample_time_nearest(self):
-        t = rand_tensor(np.random.default_rng(13), (10, 1, 1, 8), dt=1e-4)
-        out = resample_time(t, 2e-4)
-        assert out.n_time == 5
-        assert np.array_equal(out.data, t.data[::2])

@@ -1,13 +1,19 @@
 import csv
 import json
+import math
 import os
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from v2vchan.channel import load_tensor
-from v2vchan.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from v2vchan.channel import SimConfig, load_tensor
+from v2vchan.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_DATA, EXIT_OK, RunConfig,
+                         load_run_config, main)
+from v2vchan.pipeline import SERIES_UNITS, analyze_tensor
+from v2vchan.raytracer import TracerConfig
 from v2vchan.scenarios import data_path
 
 
@@ -152,6 +158,20 @@ class TestAnalyzeCommand:
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert main(["analyze", str(bad), "-c", str(cfg)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("header", [{"n_time": 0}, {"dt": math.nan}])
+    def test_malformed_tensor_header_exit_3(self, run_dir, write_tensor, header):
+        tmp, cfg = run_dir
+        bad = write_tensor(tmp / "bad.v2vc", **header)
+        assert main(["analyze", str(bad), "-c", str(cfg)]) == EXIT_DATA
+
+    def test_series_table_matches_analyze(self, run_dir):
+        tmp, cfg = run_dir
+        main(["synthesize", "-c", str(cfg)])
+        results = analyze_tensor(load_tensor(tmp / "out" / "channel.v2vc"), n_avg=5)
+        assert list(results) == [*SERIES_UNITS, "apdp", "dsd"]
+        for name, unit in SERIES_UNITS.items():
+            assert (results[name].kind, results[name].unit) == (name, unit)
+
 
 class TestCompareCommand:
     def _metrics(self, run_dir, out_name):
@@ -254,7 +274,8 @@ class TestSceneValidate:
         assert main(["scene-validate", str(p)]) == EXIT_DATA
 
     @pytest.mark.parametrize("field, value", [("polygon", "abc"), ("height", "abc"),
-                                              ("height", [1, 2]), ("height", -5.0)])
+                                              ("height", [1, 2]), ("height", -5.0),
+                                              ("tag", 7)])
     def test_malformed_footprint_exit_3(self, tmp_path, capsys, field, value):
         fp = {"polygon": [[0, 0], [10, 0], [10, 10], [0, 10]], "height": 5.0,
               "material": "concrete"}
@@ -289,6 +310,30 @@ class TestConfigHandling:
         bad.write_text(json.dumps(doc))
         assert main(["trace", "-c", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, value", [
+        ("enable_diffuse", "false"), ("n_avg", 2.5), ("n_avg", True),
+        ("carrier_frequency", math.nan), ("bandwidth", math.inf), ("noise_power", math.nan),
+        ("cull_db", math.nan), ("tile_size", math.nan), ("max_order", "2"),
+        ("carrier_frequency", "5.9e9"),
+        pytest.param("fine_dt", 10 ** 400, id="fine_dt-10**400")])
+    def test_value_of_wrong_type_exit_2(self, run_dir, capsys, key, value):
+        tmp, cfg = run_dir
+        doc = json.loads(cfg.read_text())
+        doc[key] = value
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps(doc))     # writes NaN and Infinity bare, as json.load reads them
+        assert main(["trace", "-c", str(bad)]) == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["stride", "workers"])
+    def test_negative_count_exit_2(self, run_dir, key):
+        tmp, cfg = run_dir
+        doc = json.loads(cfg.read_text())
+        doc[key] = -1
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["trace", "-c", str(bad)]) == EXIT_CONFIG
+
     def test_missing_scene_exit_2(self, run_dir):
         tmp, cfg = run_dir
         doc = json.loads(cfg.read_text())
@@ -311,3 +356,22 @@ class TestConfigHandling:
         a = {p.name: p.read_bytes() for p in (tmp / "w1" / "trace").glob("*.csv")}
         b = {p.name: p.read_bytes() for p in (tmp / "w2" / "trace").glob("*.csv")}
         assert a == b
+
+
+#: The config keys that belong to a run, not to SimConfig or TracerConfig.
+RUN_ONLY_KEYS = {"scene", "tx_trajectory", "rx_trajectory", "output_dir", "array_type",
+                 "n_avg", "stride", "noise_threshold", "noise_power", "noise_seed", "workers"}
+
+
+def test_readme_config_loads_and_keys_are_documented(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "run.json").write_text(block)
+    cfg = load_run_config(str(tmp_path / "run.json"), {})
+    assert (cfg.sim.n_freq_bins, cfg.tracer.max_order, cfg.n_avg) == (193, 2, 91)
+    sim_keys = {f.name for f in fields(SimConfig)}
+    tracer_keys = {f.name for f in fields(TracerConfig)} - {"frequency"}
+    assert CONFIG_KEYS == sim_keys | tracer_keys | RUN_ONLY_KEYS
+    # RunConfig re-declares no SimConfig or TracerConfig field
+    assert {f.name for f in fields(RunConfig)} == RUN_ONLY_KEYS | {"sim", "tracer"}
+    assert [k for k in sorted(RUN_ONLY_KEYS) if f"`{k}`" not in readme] == []

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from v2vchan.compare import (LOS, NLOS, AlignmentError, ErrorStats,
                              SegmentLabels, error_series, error_stats,
-                             load_labels, load_report_csv, render_report,
+                             load_labels, render_report,
                              save_labels, save_report, segment_los_nlos)
 from v2vchan.metrics import MetricSeries
 from v2vchan.raytracer import PropagationPath, trace_los
@@ -175,9 +176,13 @@ class TestReport:
     def test_csv_round_trip(self, tmp_path):
         stats = self._stats()
         save_report(stats, tmp_path / "r.txt", tmp_path / "r.csv")
-        back = load_report_csv(tmp_path / "r.csv")
-        for name, st in stats.items():
-            assert back[name].cells == st.cells
+        with open(tmp_path / "r.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["metric", "segment", "mu", "sigma", "n"]
+        back = {}
+        for name, seg, mu, sigma, n in rows:
+            back.setdefault(name, {})[seg] = (float(mu), float(sigma), int(n))
+        assert back == {name: st.cells for name, st in stats.items()}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -8,9 +8,9 @@ from v2vchan.metrics import (Apdp, Dsd, MetricSeries, antenna_correlation,
                              apply_noise_threshold, channel_gain, compute_apdp,
                              compute_dsd, correlation_matrix_series,
                              eigenvalue_series, estimate_noise_floor,
-                             estimate_noise_floor_dsd, per_pair_apdp,
-                             profile_to_csv, rms_delay_spread,
-                             rms_doppler_spread, series_from_csv, series_to_csv)
+                             estimate_noise_floor_dsd, profile_to_csv,
+                             rms_delay_spread, rms_doppler_spread,
+                             series_from_csv, series_to_csv)
 
 
 def delay_tensor(data, dt=307.2e-6, bw=240e6):
@@ -69,11 +69,6 @@ class TestComputeApdp:
         with pytest.raises(ValueError):
             compute_apdp(delay_tensor(h), n_avg=4)
 
-    def test_per_pair_shape(self):
-        h = np.zeros((4, 2, 3, 5), dtype=complex)
-        out = per_pair_apdp(delay_tensor(h), n_avg=2)
-        assert out.shape == (2, 2, 3, 5)
-
 
 class TestNoiseThreshold:
     def test_rule_application(self):
@@ -131,6 +126,24 @@ class TestNoiseFloorEstimate:
     def test_needs_32_bins(self):
         with pytest.raises(ValueError):
             estimate_noise_floor(apdp_from(np.ones((1, 16))))
+
+    @staticmethod
+    def dsd_from(values):
+        values = np.atleast_2d(np.asarray(values, dtype=float))
+        n = values.shape[1]
+        return Dsd(values=values, times=np.zeros(len(values)),
+                   bins=np.arange(n) - n // 2, n_avg=n, stride=n)
+
+    def test_dsd_reads_outer_eighths_only(self):
+        vals = np.ones((2, 16))
+        vals[:, [0, 1, 14, 15]] = 1e-9    # the outer eighth at each end
+        assert estimate_noise_floor_dsd(self.dsd_from(vals)) == pytest.approx(1e-9)
+
+    def test_dsd_needs_8_bins(self):
+        # with 4 bins the outer eighths are empty, and a [-0:] slice would
+        # read the whole all-signal spectrum as noise
+        with pytest.raises(ValueError, match="8 Doppler bins"):
+            estimate_noise_floor_dsd(self.dsd_from([3.0, 1.0, 5.0, 2.0]))
 
 
 class TestChannelGain:

@@ -23,6 +23,12 @@ class TestMaterial:
         with pytest.raises(ValueError):
             Material("bad", scattering_coefficient=1.5)
 
+    @pytest.mark.parametrize("field", ["relative_permittivity", "conductivity"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            Material("bad", **{field: value})
+
     def test_defaults_present(self):
         assert DEFAULT_MATERIALS["metal"].is_pec
         assert DEFAULT_MATERIALS["concrete"].relative_permittivity == 5.0
@@ -44,6 +50,11 @@ class TestSurface:
     def test_rejects_nan_vertex(self, concrete):
         with pytest.raises(GeometryError, match="finite"):
             Surface([(0, 0, 0), (1, 0, 0), (1, np.nan, 0), (0, 1, 0)], concrete)
+
+    def test_rejects_overflowing_area(self, concrete):
+        # finite vertices whose cross products overflow give an inf or NaN normal
+        with pytest.raises(GeometryError, match="overflowing"):
+            Surface([(0, 0, 0), (1e308, 0, 0), (1e308, 1e308, 0), (0, 1e308, 0)], concrete)
 
     def test_rejects_nonplanar(self, concrete):
         with pytest.raises(GeometryError):
@@ -139,9 +150,6 @@ class TestOcclusion:
         # segment ending exactly on the wall does not count as blocked
         assert not occlusion_test(single_wall_scene, (0, 1, 0), (0, 0, 0))
         assert not occlusion_test(single_wall_scene, (0, 0, 0), (0, 1, 0))
-
-    def test_ignore_set(self, single_wall_scene):
-        assert not occlusion_test(single_wall_scene, (0, -1, 0), (0, 1, 0), ignore={0})
 
     def test_symmetry_randomized(self, single_wall_scene):
         rng = np.random.default_rng(42)
@@ -286,6 +294,25 @@ class TestSceneIO:
         with pytest.raises(SceneFormatError):
             load_scene(p)
 
+    @pytest.mark.parametrize("doc", [
+        {"materials": None},
+        {"materials": [{"name": ["brick"]}]},
+        {"materials": [{"name": "brick", "conductivity": 10 ** 400}]},
+        {"materials": [{"name": "brick", "is_pec": "false"}]},   # a truthy string
+        {"footprints": [["not", "an", "object"]]},
+        {"footprints": [{"tag": 7, "polygon": [[0, 0], [1, 0], [1, 1]], "height": 2.0,
+                         "material": "concrete"}]},
+        {"obstacles": [{"material": "metal", "surfaces": 5}]},
+        {"ground": [-50, -50, 50, 50]},
+        {"ground": {"extent": [-50, -50, 50]}},
+        {"ground": {"extent": [-50, -50, 50, 10 ** 400]}},
+    ])
+    def test_wrong_json_type(self, tmp_path, doc):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"ground": {"extent": [-50, -50, 50, 50]}, **doc}))
+        with pytest.raises(SceneFormatError):
+            load_scene(p)
+
     def test_parse_error_has_line(self, tmp_path):
         p = tmp_path / "s.json"
         p.write_text("{\n  broken\n}")
@@ -352,6 +379,18 @@ class TestTrajectory:
     def test_bad_header(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("time,x,y,z\n0,0,0,0\n")
+        with pytest.raises(SceneFormatError):
+            load_trajectory(p)
+
+    @pytest.mark.parametrize("rows", [
+        ["0,0,0,1.5,1,0,0", "0.1,0.1,0,1.5,1,0"],          # a short row
+        ["nan,0,0,1.5,1,0,0", "0.1,0.1,0,1.5,1,0,0"],      # non-finite time
+        ["0,0,0,1.5,1,0,0", "0,0.1,0,1.5,1,0,0"],          # time not increasing
+        ["0,0,0,-1.5,1,0,0"],                              # antenna below ground
+    ])
+    def test_bad_samples_are_format_errors(self, tmp_path, rows):
+        p = tmp_path / "t.csv"
+        p.write_text("\n".join(["t,x,y,z,vx,vy,vz", *rows]) + "\n")
         with pytest.raises(SceneFormatError):
             load_trajectory(p)
 
