@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .antenna import ArrayLayout
-from .raytracer import SPEED_OF_LIGHT, PropagationPath
+from .raytracer import SPEED_OF_LIGHT, PropagationPath, _require_finite
 
 TENSOR_MAGIC = b"V2VC"
 TENSOR_VERSION = 1
@@ -54,6 +54,7 @@ class SimConfig:
     fine_dt: float = 100e-6            # synthesized tensor time step
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.carrier_frequency, self.bandwidth, self.snapshot_dt,
                self.coarse_trace_dt, self.fine_dt) <= 0 or self.n_freq_bins < 1:
             raise ValueError("all SimConfig parameters must be positive")
@@ -433,9 +434,10 @@ def add_measurement_noise(tensor: ChannelTensor, noise_power_per_bin: float,
         return replace(tensor, data=tensor.data.copy())
     rng = np.random.default_rng(seed)
     scale = math.sqrt(noise_power_per_bin / 2.0)
-    noise = scale * (rng.standard_normal(tensor.data.shape)
-                     + 1j * rng.standard_normal(tensor.data.shape))
-    return replace(tensor, data=tensor.data + noise)
+    data = tensor.data.astype(complex)  # the one copy; noise is added in place
+    data.real += scale * rng.standard_normal(data.shape)
+    data.imag += scale * rng.standard_normal(data.shape)
+    return replace(tensor, data=data)
 
 
 _HEADER_FMT = "<4sB B I I I I d d d d d"  # magic, version, domain, M_R, M_T, N_t, N_b, t0, dt, bin0, dbin, f_c

@@ -195,26 +195,29 @@ def eigenvalue_series(tensor: ChannelTensor, n_avg: int = DEFAULT_N_AVG,
                       stride: int | None = None) -> MetricSeries:
     """Eigenvalues of the window-averaged H H^H of the normalized channel.
 
-    Per window the stacked (time, frequency) channel matrices are scaled so
-    the window-average squared Frobenius norm equals min(M_R, M_T); the
+    Per window the (time, frequency) channel matrices are scaled so the
+    window-average squared Frobenius norm equals min(M_R, M_T); the
     eigenvalues of the window-averaged H H^H then sum to that constant, and
-    an identity channel reports 0 dB on every eigenvalue.  Values in dB,
-    sorted descending; all-zero windows yield NaN.
+    an identity channel reports 0 dB on every eigenvalue.  The window sum of
+    H H^H over frequency bins is the Gram matrix X_t X_t^H of each time
+    step's M_R x (M_T * n_bins) block, so it is one batched matmul per
+    window, summed over the window's time steps.  Values in dB, sorted
+    descending; all-zero windows yield NaN.
     """
     if tensor.domain != "frequency":
         raise ValueError("eigenvalue_series expects a frequency-domain tensor")
     stride = n_avg if stride is None else stride
     starts = _window_starts(tensor.n_time, n_avg, stride)
     m_min = min(tensor.m_rx, tensor.m_tx)
+    n_mat = n_avg * tensor.n_bins                  # channel matrices per window
     vals = np.full((len(starts), m_min), np.nan)
     for k, s in enumerate(starts):
-        block = tensor.data[s:s + n_avg]                       # (n_avg, MR, MT, nb)
-        h = np.moveaxis(block, 3, 1).reshape(-1, tensor.m_rx, tensor.m_tx)
-        mean_fro2 = float(np.mean(np.sum(np.abs(h) ** 2, axis=(1, 2))))
+        x = tensor.data[s:s + n_avg].reshape(n_avg, tensor.m_rx, -1)   # a view when C-ordered
+        gram = (x @ np.conj(x).transpose(0, 2, 1)).sum(axis=0)
+        mean_fro2 = float(np.trace(gram).real) / n_mat
         if mean_fro2 == 0.0:
             continue
-        scale2 = m_min / mean_fro2
-        r = scale2 * np.einsum("kij,klj->il", h, np.conj(h)) / h.shape[0]
+        r = (m_min / mean_fro2) * gram / n_mat
         lam = np.linalg.eigvalsh(r)[::-1][:m_min]
         lam = np.maximum(lam, 0.0)
         lam[lam < lam.max() * 1e-12] = 0.0  # numerical zeros -> -inf dB sentinel
@@ -223,6 +226,44 @@ def eigenvalue_series(tensor: ChannelTensor, n_avg: int = DEFAULT_N_AVG,
     labels = tuple(f"lambda_{i + 1}" for i in range(m_min))
     return MetricSeries(kind="eigenvalues", times=_window_times(tensor, starts, n_avg),
                         values=vals, unit="dB", labels=labels)
+
+
+def _end_elements(tensor: ChannelTensor, end: str) -> tuple[str, int]:
+    """Lower-cased ``end`` and its element count; ValueError when invalid."""
+    if tensor.domain != "frequency":
+        raise ValueError("antenna correlation expects a frequency-domain tensor")
+    end = end.lower()
+    if end not in ("tx", "rx"):
+        raise ValueError("end must be 'tx' or 'rx'")
+    return end, tensor.m_tx if end == "tx" else tensor.m_rx
+
+
+def _element(tensor: ChannelTensor, end: str, i: int) -> np.ndarray:
+    """(n_time, opposite-end elements, n_bins) samples of element ``i``."""
+    return tensor.data[:, i, :, :] if end == "rx" else tensor.data[:, :, i, :]
+
+
+def _element_power(tensor: ChannelTensor, end: str, i: int) -> np.ndarray:
+    """(n_time, n_bins) power of element ``i`` summed over the opposite end."""
+    return (np.abs(_element(tensor, end, i)) ** 2).sum(axis=1)
+
+
+def _pair_correlation(tensor: ChannelTensor, end: str, i: int, j: int, p_i: np.ndarray,
+                      p_j: np.ndarray, starts: np.ndarray, n_avg: int) -> np.ndarray:
+    """Complex window correlation of elements ``i`` and ``j`` with powers
+    ``p_i`` and ``p_j``; NaN where every sample of a window is skipped."""
+    a, b = _element(tensor, end, i), _element(tensor, end, j)
+    num_t = ((a * np.conj(b)) if end == "rx" else (np.conj(a) * b)).sum(axis=1)
+    den_t = np.sqrt(p_i * p_j)
+    vals = np.full(len(starts), np.nan, dtype=complex)
+    for k, s in enumerate(starts):
+        num = num_t[s:s + n_avg]
+        den = den_t[s:s + n_avg]
+        ok = den > 0
+        if not ok.any():
+            continue
+        vals[k] = (num[ok] / den[ok]).sum() / ok.sum()
+    return vals
 
 
 def antenna_correlation(tensor: ChannelTensor, end: str, i: int, j: int,
@@ -237,61 +278,35 @@ def antenna_correlation(tensor: ChannelTensor, end: str, i: int, j: int,
     accumulated samples, so its magnitude stays in [0, 1].  Element indices
     are 0-based.
     """
-    if tensor.domain != "frequency":
-        raise ValueError("antenna_correlation expects a frequency-domain tensor")
-    end = end.lower()
-    if end not in ("tx", "rx"):
-        raise ValueError("end must be 'tx' or 'rx'")
-    n_el = tensor.m_tx if end == "tx" else tensor.m_rx
+    end, n_el = _end_elements(tensor, end)
     if i == j:
         raise ValueError("element indices must differ")
     if not (0 <= i < n_el and 0 <= j < n_el):
         raise ValueError("element index out of range")
     stride = n_avg if stride is None else stride
     starts = _window_starts(tensor.n_time, n_avg, stride)
-    if end == "rx":
-        a = tensor.data[:, i, :, :]
-        b = tensor.data[:, j, :, :]
-        num_t = (a * np.conj(b)).sum(axis=1)          # (n_time, nf)
-    else:
-        a = tensor.data[:, :, i, :]
-        b = tensor.data[:, :, j, :]
-        num_t = (np.conj(a) * b).sum(axis=1)
-    pa = (np.abs(a) ** 2).sum(axis=1)
-    pb = (np.abs(b) ** 2).sum(axis=1)
-    den_t = np.sqrt(pa * pb)
-    vals = np.full(len(starts), np.nan, dtype=complex)
-    for k, s in enumerate(starts):
-        num = num_t[s:s + n_avg]
-        den = den_t[s:s + n_avg]
-        ok = den > 0
-        if not ok.any():
-            continue
-        vals[k] = (num[ok] / den[ok]).sum() / ok.sum()
-    pair = f"rho_{i + 1}{j + 1}"
-    if complex_values:
-        return MetricSeries(kind=f"correlation_{end}", times=_window_times(tensor, starts, n_avg),
-                            values=vals, unit="", labels=(pair,))
-    mags = np.abs(vals)
-    mags[np.isnan(vals.real)] = np.nan
+    vals = _pair_correlation(tensor, end, i, j, _element_power(tensor, end, i),
+                             _element_power(tensor, end, j), starts, n_avg)
     return MetricSeries(kind=f"correlation_{end}", times=_window_times(tensor, starts, n_avg),
-                        values=mags, unit="", labels=(pair,))
+                        values=vals if complex_values else np.abs(vals), unit="",
+                        labels=(f"rho_{i + 1}{j + 1}",))
 
 
 def correlation_matrix_series(tensor: ChannelTensor, end: str,
                               n_avg: int = DEFAULT_N_AVG,
                               stride: int | None = None) -> MetricSeries:
-    """|rho| for every element pair of one end, one column per pair."""
-    n_el = tensor.m_tx if end == "tx" else tensor.m_rx
+    """|rho| for every element pair of one end, one column per pair; each
+    element's power is computed once and shared by its pairs."""
+    end, n_el = _end_elements(tensor, end)
+    stride = n_avg if stride is None else stride
+    starts = _window_starts(tensor.n_time, n_avg, stride)
+    power = [_element_power(tensor, end, i) for i in range(n_el)]
     pairs = [(i, j) for i in range(n_el) for j in range(i + 1, n_el)]
-    cols, labels, times = [], [], None
-    for i, j in pairs:
-        s = antenna_correlation(tensor, end, i, j, n_avg=n_avg, stride=stride)
-        cols.append(s.values)
-        labels.append(s.labels[0])
-        times = s.times
-    return MetricSeries(kind=f"correlation_{end}", times=times,
-                        values=np.column_stack(cols), unit="", labels=tuple(labels))
+    cols = [np.abs(_pair_correlation(tensor, end, i, j, power[i], power[j], starts, n_avg))
+            for i, j in pairs]
+    return MetricSeries(kind=f"correlation_{end}", times=_window_times(tensor, starts, n_avg),
+                        values=np.column_stack(cols), unit="",
+                        labels=tuple(f"rho_{i + 1}{j + 1}" for i, j in pairs))
 
 
 def _format_value(v: float, db_column: bool) -> str:

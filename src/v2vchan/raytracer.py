@@ -28,7 +28,7 @@ component to move between the two antipodal bases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,14 @@ class ComplexityError(ValueError):
     """Requested reflection order above the practical cap."""
 
 
+def _require_finite(config) -> None:
+    """ValueError naming every field of the dataclass ``config`` that is NaN or
+    infinite; the range checks that follow cannot see NaN."""
+    bad = [f.name for f in fields(config) if not math.isfinite(getattr(config, f.name))]
+    if bad:
+        raise ValueError(f"{type(config).__name__} fields must be finite: {', '.join(bad)}")
+
+
 @dataclass
 class TracerConfig:
     """Knobs for :func:`trace_snapshot`."""
@@ -56,6 +64,9 @@ class TracerConfig:
     cull_db: float = -40.0   # drop diffuse paths this far below the strongest path
 
     def __post_init__(self):
+        _require_finite(self)
+        if not self.frequency > 0:
+            raise ValueError("frequency must be > 0")
         if not 1 <= self.max_order <= MAX_SPECULAR_ORDER:
             raise ValueError(f"max_order must be in 1..{MAX_SPECULAR_ORDER}")
         if not self.tile_size > 0:

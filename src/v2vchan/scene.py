@@ -14,6 +14,7 @@ segment endpoint do not count as obstructions.  Both sit far below the
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -448,6 +449,15 @@ def straight_trajectory(start, heading_deg: float, speed: float, duration: float
     return Trajectory(t, pos, vel, antenna_height=antenna_height)
 
 
+def _read_text(path) -> str:
+    """The whole file as UTF-8 text; other bytes raise SceneFormatError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise SceneFormatError(f"{path}: not UTF-8 text: {e}") from e
+
+
 def load_trajectory(path, antenna_height: float | None = None) -> Trajectory:
     """Read a trajectory CSV with header ``t,x,y,z,vx,vy,vz`` (SI units).
 
@@ -455,20 +465,19 @@ def load_trajectory(path, antenna_height: float | None = None) -> Trajectory:
     SceneFormatError.
     """
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["t", "x", "y", "z", "vx", "vy", "vz"]:
-            raise SceneFormatError(f"{path}: expected header t,x,y,z,vx,vy,vz")
-        for ln, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 7:
-                raise SceneFormatError(f"{path}:{ln}: rows must have 7 columns")
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as e:
-                raise SceneFormatError(f"{path}:{ln}: {e}") from e
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    header = next(reader, None)
+    if header is None or [c.strip() for c in header] != ["t", "x", "y", "z", "vx", "vy", "vz"]:
+        raise SceneFormatError(f"{path}: expected header t,x,y,z,vx,vy,vz")
+    for ln, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 7:
+            raise SceneFormatError(f"{path}:{ln}: rows must have 7 columns")
+        try:
+            rows.append([float(c) for c in row])
+        except ValueError as e:
+            raise SceneFormatError(f"{path}:{ln}: {e}") from e
     if not rows:
         raise SceneFormatError(f"{path}: no samples")
     arr = np.asarray(rows)
@@ -554,8 +563,7 @@ def load_scene(path) -> Scene:
     files raise SceneFormatError with line/field information.
     """
     try:
-        with open(path) as f:
-            doc = json.load(f)
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise SceneFormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     if not isinstance(doc, dict):

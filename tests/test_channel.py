@@ -38,6 +38,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(fine_dt=3e-4)  # 10 ms / 0.3 ms is not integral
 
+    @pytest.mark.parametrize("field", ["carrier_frequency", "bandwidth", "n_freq_bins",
+                                       "snapshot_dt", "coarse_trace_dt", "fine_dt"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, field, value):
+        with pytest.raises(ValueError, match=f"finite: {field}"):
+            SimConfig(**{field: value})
+
 
 class TestSynthesizeCir:
     def test_no_paths_zero_slice(self):
@@ -250,6 +257,20 @@ class TestNoise:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             add_measurement_noise(rand_tensor(np.random.default_rng(8)), -1.0, 0)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_equals_complex_noise_sum(self, dtype):
+        t = rand_tensor(np.random.default_rng(11), (5, 2, 3, 16))
+        t.data = t.data.astype(dtype)
+        before = t.data.copy()
+        out = add_measurement_noise(t, 0.3, seed=12)
+        rng = np.random.default_rng(12)
+        scale = math.sqrt(0.3 / 2.0)
+        n1 = rng.standard_normal(t.data.shape)
+        n2 = rng.standard_normal(t.data.shape)
+        assert out.data.dtype == np.complex128
+        assert np.array_equal(out.data, t.data + scale * (n1 + 1j * n2))
+        assert np.array_equal(t.data, before)  # the input is left as it was
 
 
 class TestTensorIO:

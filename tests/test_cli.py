@@ -65,6 +65,14 @@ class TestTraceCommand:
             los_rows = [r for r in rows[1:] if ",los," in r]
             assert len(los_rows) == 1
 
+    @pytest.mark.parametrize("which", ["tx.csv", "rx.csv"])
+    def test_non_utf8_trajectory_exit_3(self, run_dir, capsys, which):
+        tmp, cfg = run_dir
+        text = (tmp / which).read_text()
+        (tmp / which).write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+        assert main(["trace", "-c", str(cfg)]) == EXIT_DATA
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, run_dir):
         tmp, cfg = run_dir
         assert main(["trace", "-c", str(cfg)]) == EXIT_OK
@@ -272,6 +280,12 @@ class TestSceneValidate:
         p = tmp_path / "broken.json"
         p.write_text("{nope")
         assert main(["scene-validate", str(p)]) == EXIT_DATA
+
+    def test_non_utf8_file_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe" + '{"ground": {}}'.encode("utf-16-le"))
+        assert main(["scene-validate", str(p)]) == EXIT_DATA
+        assert "not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [("polygon", "abc"), ("height", "abc"),
                                               ("height", [1, 2]), ("height", -5.0),

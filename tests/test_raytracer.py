@@ -290,6 +290,19 @@ class TestTraceSnapshot:
         assert kinds == sorted(kinds, key=["los", "specular", "diffuse"].index)
 
 
+class TestTracerConfig:
+    @pytest.mark.parametrize("field", ["frequency", "tile_size", "cull_db"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, field, value):
+        with pytest.raises(ValueError, match=f"finite: {field}"):
+            TracerConfig(**{field: value})
+
+    @pytest.mark.parametrize("frequency", [0.0, -1.0])
+    def test_frequency_must_be_positive(self, frequency):
+        with pytest.raises(ValueError, match="frequency must be > 0"):
+            TracerConfig(frequency=frequency)
+
+
 class TestPathInvariants:
     def test_delay_length_consistency(self):
         scene = pec_ground_scene()
