@@ -57,7 +57,7 @@ class AntennaPattern:
     bilinearly and are exact at grid nodes.
     """
 
-    def __init__(self, grid: np.ndarray, max_gain: float | None = None):
+    def __init__(self, grid: np.ndarray):
         g = np.asarray(grid, dtype=complex)
         if g.ndim != 3 or g.shape[2] != 2 or g.shape[0] < 2 or g.shape[1] < 2:
             raise ValueError("pattern grid must have shape (n_az >= 2, n_el >= 2, 2)")
@@ -67,9 +67,6 @@ class AntennaPattern:
         self.n_az, self.n_el = g.shape[0], g.shape[1]
         self.az_step = 360.0 / self.n_az
         self.el_step = 180.0 / (self.n_el - 1)
-        self.max_gain = float(np.abs(g).max()) if max_gain is None else float(max_gain)
-        if np.abs(g).max() > self.max_gain + 1e-12:
-            raise ValueError("pattern sample magnitude exceeds declared max gain")
 
     def sample(self, az_deg, el_deg) -> np.ndarray:
         """Bilinear interpolation at (azimuth, elevation) in degrees; (N, 2)."""

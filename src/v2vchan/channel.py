@@ -13,8 +13,11 @@ as arrays, and at every fine step (one at a time) linearly interpolating
 length, amplitude and the renormalised directions, recomputing delay (hence
 phase) from the length, then running ``synthesize_cir``'s array kernel.
 Interaction points are not interpolated; synthesis never reads them.
-Unmatched paths appear or vanish hard at the coarse boundary; a path
-missing from the next snapshot keeps its last state until that boundary.
+Matching is a join on that identity.  The tracer emits each identity at
+most once per snapshot, so a match pairs one path with one; a hand-built
+list that repeats an identity pairs its paths in delay order.  Unmatched paths appear or vanish hard at the coarse
+boundary; a path missing from the next snapshot keeps its last state until
+that boundary.
 
 Frequency-domain tensors store bins in increasing frequency order (carrier
 at the center bin).  ``cir_to_ctf`` is an unnormalized forward DFT and
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,10 +73,6 @@ class SimConfig:
     @property
     def max_delay(self) -> float:
         return self.n_freq_bins / self.bandwidth
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_frequency
 
 
 @dataclass
@@ -128,9 +128,6 @@ class ChannelTensor:
     @property
     def bin_axis(self) -> np.ndarray:
         return self.bin0 + np.arange(self.n_bins) * self.dbin
-
-    def scaled(self, factor: complex) -> "ChannelTensor":
-        return replace(self, data=self.data * factor)
 
 
 def _stack(paths: list[PropagationPath]) -> tuple[np.ndarray, ...]:
@@ -204,49 +201,25 @@ def synthesize_cir(paths: list[PropagationPath], tx_array: ArrayLayout,
 
 
 def _match_paths(a: list[PropagationPath], b: list[PropagationPath]):
-    """Pair paths between adjacent snapshots.
+    """Pair paths between adjacent snapshots by :meth:`PropagationPath.match_key`.
 
-    Paths group by (kind, surface sequence, tile); within a group the two
-    delay-sorted lists are aligned greedily, skipping whichever unmatched
-    path closes the smaller delay gap.  Returns (pairs, only_a): the
-    matched (a, b) pairs and the a-paths with no partner in b.
+    Within a key the k-th shortest-delay a-path pairs with the k-th
+    shortest-delay b-path.  Leftover a-paths are held until the boundary;
+    leftover b-paths are born there.  The tracer emits each key at most once
+    per snapshot, so there a key pairs one path with one.  Returns (pairs,
+    only_a): the matched (a, b) pairs and the held a-paths, both in sorted
+    key order, which fixes the row order and so the float result of
+    synthesis.
     """
-    from collections import defaultdict
-    ga, gb = defaultdict(list), defaultdict(list)
-    for p in a:
-        ga[p.match_key()].append(p)
-    for p in b:
-        gb[p.match_key()].append(p)
+    groups = defaultdict(lambda: ([], []))
+    for side, paths in enumerate((a, b)):
+        for p in paths:
+            groups[p.match_key()][side].append(p)
     pairs, only_a = [], []
-    # deterministic key order keeps float accumulation (and outputs) bit-stable
-    keys = sorted(set(ga) | set(gb),
-                  key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2]))
-    for key in keys:
-        la = sorted(ga.get(key, []), key=lambda p: p.delay)
-        lb = sorted(gb.get(key, []), key=lambda p: p.delay)
-        i = j = 0
-        while i < len(la) and j < len(lb):
-            if len(la) - i == len(lb) - j:
-                pairs.append((la[i], lb[j]))
-                i += 1
-                j += 1
-            elif len(la) - i > len(lb) - j:
-                # too many in a: drop the a-path farther from the next b
-                if j < len(lb) and abs(la[i].delay - lb[j].delay) <= abs(la[i + 1].delay - lb[j].delay):
-                    pairs.append((la[i], lb[j]))
-                    i += 1
-                    j += 1
-                else:
-                    only_a.append(la[i])
-                    i += 1
-            else:
-                if i < len(la) and abs(lb[j].delay - la[i].delay) <= abs(lb[j + 1].delay - la[i].delay):
-                    pairs.append((la[i], lb[j]))
-                    i += 1
-                    j += 1
-                else:
-                    j += 1  # b-path with no partner in a: born at the boundary
-        only_a.extend(la[i:])
+    for key in sorted(groups, key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2])):
+        la, lb = (sorted(g, key=lambda p: p.delay) for g in groups[key])
+        pairs.extend(zip(la, lb))
+        only_a.extend(la[len(lb):])
     return pairs, only_a
 
 

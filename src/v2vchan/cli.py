@@ -2,8 +2,8 @@
 
 Runs are driven by a JSON config file; every flag mirrors a config key and
 flags win.  Exit codes: 0 on success, 2 for configuration problems (bad
-flags, missing files, invalid values), 3 for data problems (malformed scene
-or tensor files).  The ``V2VCHAN_WORKERS`` environment variable sets the
+flags, missing files, invalid values), 3 for data problems (malformed scene,
+tensor, metric or label files).  The ``V2VCHAN_WORKERS`` environment variable sets the
 default worker count for tracing.
 
 Subcommands::
@@ -324,7 +324,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (SceneFormatError, MaterialReferenceError, GeometryError,
-            TensorFormatError, cmp.AlignmentError) as e:
+            TensorFormatError, met.SeriesFormatError, cmp.AlignmentError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as e:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import MetricSeries
+from .metrics import MetricSeries, SeriesFormatError, _read_timed_csv
 
 LOS, NLOS = "LOS", "NLOS"
 
@@ -81,22 +81,19 @@ def segment_los_nlos(snapshots, window_times) -> SegmentLabels:
 
 
 def load_labels(path) -> SegmentLabels:
-    """Label override file: CSV ``t_s,label`` with label LOS or NLOS."""
-    times, los = [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["t_s", "label"]:
-            raise ValueError(f"{path}: expected header t_s,label")
-        for row in reader:
-            if not row:
-                continue
-            times.append(float(row[0]))
-            lab = row[1].strip().upper()
-            if lab not in (LOS, NLOS):
-                raise ValueError(f"{path}: unknown label {row[1]!r}")
-            los.append(lab == LOS)
-    return SegmentLabels(times=np.asarray(times), is_los=np.asarray(los))
+    """Label override file: CSV ``t_s,label`` with label LOS or NLOS and
+    finite, strictly increasing times.  A malformed file raises
+    SeriesFormatError."""
+    header, times, rows = _read_timed_csv(path)
+    if [c.strip() for c in header[:2]] != ["t_s", "label"]:
+        raise SeriesFormatError(f"{path}: expected header t_s,label")
+    los = []
+    for line, cells in rows:
+        lab = cells[0].strip().upper()
+        if lab not in (LOS, NLOS):
+            raise SeriesFormatError(f"{path}:{line}: unknown label {cells[0]!r}")
+        los.append(lab == LOS)
+    return SegmentLabels(times=times, is_los=np.asarray(los))
 
 
 def save_labels(labels: SegmentLabels, path) -> None:
@@ -107,6 +104,15 @@ def save_labels(labels: SegmentLabels, path) -> None:
             w.writerow([repr(float(t)), LOS if l else NLOS])
 
 
+def _nearest(times: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Index of the entry of the increasing, non-empty ``times`` nearest to
+    each of ``at``; a tie goes to the earlier entry."""
+    idx = np.clip(np.searchsorted(times, at), 0, len(times) - 1)
+    left = np.clip(idx - 1, 0, len(times) - 1)
+    pick_left = np.abs(at - times[left]) <= np.abs(times[idx] - at)
+    return np.where(pick_left, left, idx)
+
+
 def _align(ref: MetricSeries, other: MetricSeries) -> np.ndarray:
     """Return other's values resampled onto ref's time axis (nearest window)."""
     if ref.times.shape == other.times.shape and np.allclose(ref.times, other.times,
@@ -115,10 +121,7 @@ def _align(ref: MetricSeries, other: MetricSeries) -> np.ndarray:
     if len(other.times) == 0:
         raise AlignmentError("cannot align against an empty series")
     spacing = np.min(np.diff(ref.times)) if len(ref.times) > 1 else math.inf
-    idx = np.clip(np.searchsorted(other.times, ref.times), 0, len(other.times) - 1)
-    left = np.clip(idx - 1, 0, len(other.times) - 1)
-    pick_left = np.abs(ref.times - other.times[left]) <= np.abs(other.times[idx] - ref.times)
-    nearest = np.where(pick_left, left, idx)
+    nearest = _nearest(other.times, ref.times)
     gap = np.abs(other.times[nearest] - ref.times)
     if np.any(gap > spacing / 2 + 1e-12):
         raise AlignmentError(
@@ -153,11 +156,7 @@ def error_stats(eps: MetricSeries, labels: SegmentLabels,
             mask_by_segment[seg] = labels.segment(seg)
     else:
         # nearest-label lookup when the label axis differs from the metric axis
-        idx = np.clip(np.searchsorted(labels.times, eps.times), 0, len(labels.times) - 1)
-        left = np.clip(idx - 1, 0, len(labels.times) - 1)
-        pick_left = np.abs(eps.times - labels.times[left]) <= np.abs(labels.times[idx] - eps.times)
-        nearest = np.where(pick_left, left, idx)
-        is_los = labels.is_los[nearest]
+        is_los = labels.is_los[_nearest(labels.times, eps.times)]
         mask_by_segment = {LOS: is_los, NLOS: ~is_los}
     cells, omitted = {}, {}
     for seg, mask in mask_by_segment.items():

@@ -28,6 +28,11 @@ DB_FLOOR_SENTINEL = -400.0
 DEFAULT_N_AVG = 185  # 57 ms / 307.2 us, about ten wavelengths of travel at 10 m/s
 
 
+class SeriesFormatError(ValueError):
+    """A metric or label CSV file is malformed (see :func:`series_from_csv`
+    and :func:`compare.load_labels`)."""
+
+
 @dataclass
 class Apdp:
     """Averaged power delay profile per sliding window (linear power)."""
@@ -332,20 +337,62 @@ def series_to_csv(series: MetricSeries, path) -> None:
                 w.writerow([repr(float(t))] + [_format_value(v, db) for v in row])
 
 
+def _read_timed_csv(path) -> tuple[list[str], np.ndarray, list[tuple[int, list[str]]]]:
+    """The header, the first-column times and the (line, other cells) of
+    every row of a CSV time table; blank lines are skipped.
+
+    The file must be UTF-8 text with a header of at least two fields, one or
+    more rows as long as the header, and times that are finite and strictly
+    increasing (the nearest-window lookups bisect them); anything else
+    raises SeriesFormatError.
+    """
+    header, times, rows = None, [], []
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            reader = csv.reader(f)
+            for row in reader:
+                if not row:
+                    continue
+                if header is None:
+                    header = row
+                    continue
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(header):
+                    raise SeriesFormatError(
+                        f"{where}: {len(row)} fields, the header has {len(header)}")
+                try:
+                    times.append(float(row[0]))
+                except ValueError as e:
+                    raise SeriesFormatError(f"{where}: {e}") from e
+                rows.append((reader.line_num, row[1:]))
+    except UnicodeDecodeError as e:
+        raise SeriesFormatError(f"{path}: not UTF-8 text: {e}") from e
+    except csv.Error as e:
+        raise SeriesFormatError(f"{path}: {e}") from e
+    if header is None or len(header) < 2:
+        raise SeriesFormatError(f"{path}: expected a header with a time and a value column")
+    if not rows:
+        raise SeriesFormatError(f"{path}: no rows after the header")
+    times = np.asarray(times)
+    if not np.isfinite(times).all() or np.any(np.diff(times) <= 0):
+        raise SeriesFormatError(f"{path}: times must be finite and strictly increasing")
+    return header, times, rows
+
+
 def series_from_csv(path, kind: str = "", unit: str = "") -> MetricSeries:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        times, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            times.append(float(row[0]))
-            rows.append([float(c) if c.strip() else np.nan for c in row[1:]])
-    vals = np.asarray(rows)
+    """Read a :func:`series_to_csv` file; empty fields read as NaN.  A
+    malformed file raises SeriesFormatError."""
+    header, times, rows = _read_timed_csv(path)
+    vals = []
+    for line, cells in rows:
+        try:
+            vals.append([float(c) if c.strip() else np.nan for c in cells])
+        except ValueError as e:
+            raise SeriesFormatError(f"{path}:{line}: {e}") from e
+    vals = np.asarray(vals)
     if vals.shape[1] == 1:
         vals = vals[:, 0]
-    return MetricSeries(kind=kind, times=np.asarray(times), values=vals,
+    return MetricSeries(kind=kind, times=times, values=vals,
                         unit=unit, labels=tuple(header[1:]) if vals.ndim == 2 else ())
 
 

@@ -362,65 +362,51 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
                        known_best_gain: float = 0.0) -> list[PropagationPath]:
     """Single-bounce Lambertian diffuse paths from every doubly visible tile.
 
-    Each surface is segmented into square tiles; a tile visible from both
-    endpoints (front side, unobstructed) contributes one path with field
-    magnitude
+    Every tile of :meth:`Scene.tiles` on a scattering surface (S > 0) that
+    is visible from both endpoints (front side, unobstructed) contributes
+    one path with field magnitude
 
         S * sqrt(cos_i * cos_s / pi) * sqrt(A_tile) / (r1 * r2) * lambda/(4 pi)
 
     where the angles are measured from the tile normal.  The polarimetric
-    matrix is diagonal (no cross-polarization).
+    matrix is diagonal (no cross-polarization) and the path's
+    ``gain_linear()`` is exactly the squared magnitude.
 
-    ``cull_db`` enables an early power cull: tiles provably more than that
-    many dB below the strongest path (the stronger of ``known_best_gain``
-    and the strongest already-confirmed tile) are skipped before their
-    occlusion tests.  The returned set equals the exhaustive result filtered
-    at the same relative floor, just computed without testing hopeless
-    tiles; with ``cull_db=None`` every doubly visible tile is returned.
+    ``cull_db`` sets a power floor relative to the strongest path: the
+    stronger of ``known_best_gain`` and the strongest tile returned.  Tiles
+    below it are not returned, and tiles provably below it are skipped
+    before their occlusion tests (strongest first, in chunks), so the result
+    equals the exhaustive one filtered at the floor.  With ``cull_db=None``
+    every doubly visible tile is returned.  Paths come out sorted by length,
+    ties in (surface id, tile id) order.
     """
     if tile_size <= 0:
         raise ValueError("tile_size must be > 0")
     tx, rx = _endpoints(tx, rx)
     lam = SPEED_OF_LIGHT / frequency
+    normals = np.array([s.normal for s in scene.surfaces]).reshape(-1, 3)
+    scatter = np.array([s.material.scattering_coefficient for s in scene.surfaces])
 
-    # gather candidate tiles (front side of both endpoints) with exact
-    # amplitudes; occlusion is the only unknown left
-    cand = []
-    for sid, surf in enumerate(scene.surfaces):
-        s_coeff = surf.material.scattering_coefficient
-        if s_coeff <= 0.0:
-            continue
-        centers, areas, tile_ids = scene.tiles(sid, tile_size)
-        if len(centers) == 0:
-            continue
-        v1 = centers - tx                    # tx -> tile
-        v2 = rx - centers                    # tile -> rx
-        r1 = np.linalg.norm(v1, axis=1)
-        r2 = np.linalg.norm(v2, axis=1)
-        valid = (r1 > 1e-9) & (r2 > 1e-9)
-        n = surf.normal
-        cos_i = np.where(valid, -(v1 @ n) / np.where(valid, r1, 1.0), 0.0)
-        cos_s = np.where(valid, (v2 @ n) / np.where(valid, r2, 1.0), 0.0)
-        front = valid & (cos_i > 1e-9) & (cos_s > 1e-9)
-        if not front.any():
-            continue
-        idx = np.flatnonzero(front)
-        mag = (s_coeff * np.sqrt(cos_i[idx] * cos_s[idx] / math.pi)
-               * np.sqrt(areas[idx]) / (r1[idx] * r2[idx]) * lam / (4.0 * math.pi))
-        cand.append((np.full(len(idx), sid), idx, centers[idx], r1[idx], r2[idx],
-                     mag, tile_ids[idx]))
-    if not cand:
-        return []
-    sids = np.concatenate([c[0] for c in cand])
-    centers = np.concatenate([c[2] for c in cand])
-    r1 = np.concatenate([c[3] for c in cand])
-    r2 = np.concatenate([c[4] for c in cand])
-    mag = np.concatenate([c[5] for c in cand])
-    tids = np.concatenate([c[6] for c in cand])
+    # candidate tiles (front side of both endpoints) with exact amplitudes;
+    # occlusion is the only unknown left
+    sids, centers, areas, tids = scene.tiles(tile_size)
+    v1 = centers - tx                    # tx -> tile
+    v2 = rx - centers                    # tile -> rx
+    r1 = np.linalg.norm(v1, axis=1)
+    r2 = np.linalg.norm(v2, axis=1)
+    valid = (r1 > 1e-9) & (r2 > 1e-9) & (scatter[sids] > 0.0)
+    n = normals[sids]
+    cos_i = np.where(valid, -_rowdot(v1, n) / np.where(valid, r1, 1.0), 0.0)
+    cos_s = np.where(valid, _rowdot(v2, n) / np.where(valid, r2, 1.0), 0.0)
+    front = np.flatnonzero(valid & (cos_i > 1e-9) & (cos_s > 1e-9))
+    sids, centers, tids, v1, v2, r1, r2 = (
+        x[front] for x in (sids, centers, tids, v1, v2, r1, r2))
+    mag = (scatter[sids] * np.sqrt(cos_i[front] * cos_s[front] / math.pi)
+           * np.sqrt(areas[front]) / (r1 * r2) * lam / (4.0 * math.pi))
 
     # strongest candidates first so the cull floor is confirmed early
     order = np.lexsort((tids, sids, -mag))
-    keep_mask = np.zeros(len(order), dtype=bool)
+    keep = np.zeros(len(order), dtype=bool)
     best_gain = known_best_gain
     rel = 10.0 ** (cull_db / 10.0) if cull_db is not None else 0.0
     chunk = 1024
@@ -438,33 +424,34 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
             blocked = occlusion_test_batch(scene, centers[sel], np.tile(rx, (len(sel), 1)))
             sel = sel[~blocked]
         if len(sel):
-            keep_mask[sel] = True
+            keep[sel] = True
             best_gain = max(best_gain, float(np.max(mag[sel]) ** 2))
         pos += chunk
+    # tiles kept before the strongest one was confirmed may sit below the floor
+    keep &= mag ** 2 >= best_gain * rel
 
-    paths: list[PropagationPath] = []
-    for i in np.flatnonzero(keep_mask):
-        c = centers[i]
-        length = float(r1[i] + r2[i])
-        paths.append(PropagationPath(
-            kind="diffuse", order=1,
-            interactions=((int(sids[i]), c),),
-            length=length, delay=length / SPEED_OF_LIGHT,
-            amplitude=mag[i] * np.eye(2, dtype=complex),
-            departure=_unit(c - tx),
-            arrival=_unit(rx - c),
-            tile=int(tids[i]),
-        ))
-    paths.sort(key=lambda p: p.length)
-    return paths
+    length = r1 + r2
+    idx = np.flatnonzero(keep)
+    idx = idx[np.argsort(length[idx], kind="stable")]
+    v1, v2 = v1[idx], v2[idx]
+    departure = v1 / np.sqrt(_rowdot(v1, v1))[:, None]
+    arrival = v2 / np.sqrt(_rowdot(v2, v2))[:, None]
+    amplitude = mag[idx, None, None] * np.eye(2, dtype=complex)
+    return [PropagationPath(kind="diffuse", order=1, interactions=((sid, c),),
+                            length=d, delay=d / SPEED_OF_LIGHT, amplitude=a,
+                            departure=u1, arrival=u2, tile=tid)
+            for sid, c, d, a, u1, u2, tid in zip(
+                sids[idx].tolist(), centers[idx], length[idx].tolist(), amplitude,
+                departure, arrival, tids[idx].tolist())]
 
 
 def trace_snapshot(scene: Scene, tx, rx, config: TracerConfig) -> list[PropagationPath]:
     """Union of LOS, specular and diffuse paths in deterministic order.
 
     Ordering: LOS first, then speculars by (order, length), then diffuse by
-    length.  Diffuse paths more than ``cull_db`` below the strongest path of
-    the snapshot are dropped to keep the component count bounded.
+    length.  :func:`lambertian_diffuse` drops the diffuse paths more than
+    ``cull_db`` below the strongest path of the snapshot, which keeps the
+    component count bounded.
     """
     paths: list[PropagationPath] = []
     los = trace_los(scene, tx, rx, config.frequency)
@@ -473,13 +460,8 @@ def trace_snapshot(scene: Scene, tx, rx, config: TracerConfig) -> list[Propagati
     paths.extend(image_method_specular(scene, tx, rx, config.max_order, config.frequency))
     if config.enable_diffuse:
         known_best = max((p.gain_linear() for p in paths), default=0.0)
-        diffuse = lambertian_diffuse(scene, tx, rx, config.tile_size, config.frequency,
-                                     cull_db=config.cull_db, known_best_gain=known_best)
-        if diffuse:
-            strongest = max(known_best, max(p.gain_linear() for p in diffuse))
-            floor = strongest * 10.0 ** (config.cull_db / 10.0)
-            diffuse = [p for p in diffuse if p.gain_linear() >= floor]
-        paths.extend(diffuse)
+        paths.extend(lambertian_diffuse(scene, tx, rx, config.tile_size, config.frequency,
+                                        cull_db=config.cull_db, known_best_gain=known_best))
     return paths
 
 

@@ -136,7 +136,7 @@ class Surface:
     """A planar polygon with an outward normal and a material.
 
     Vertices are ordered counter-clockwise when viewed from the outward
-    (normal) side.  The normal, area, centroid, a 2D in-plane frame and a
+    (normal) side.  The normal, area, a 2D in-plane frame and a
     triangulation are derived on construction.
     """
 
@@ -163,7 +163,6 @@ class Surface:
         self.normal = normal
         self.plane_offset = offset
         self.area = 0.5 * area2
-        self.centroid = v.mean(axis=0)
         # In-plane orthonormal frame for 2D point-in-polygon tests.
         e_u = v[1] - v[0]
         e_u = e_u - (e_u @ normal) * normal
@@ -240,42 +239,48 @@ class Scene:
         # Flattened triangle soup for vectorized occlusion tests.
         tris = [s.triangles() for s in self.surfaces]
         self._tri = np.concatenate(tris) if tris else np.zeros((0, 3, 3))
-        self._tile_cache: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._tile_cache: dict[float, tuple[np.ndarray, ...]] = {}
 
     @property
     def ground_plane(self) -> Surface | None:
         return None if self.ground is None else self.surfaces[self.ground]
 
-    def tiles(self, surface_id: int, tile_size: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Deterministic tessellation of a surface into square tiles.
+    def tiles(self, tile_size: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Deterministic tessellation of every surface into square tiles, as one table.
 
-        Returns (centers (M, 3), areas (M,), tile_ids (M,)).  Tiles are laid
-        on a grid in the surface's in-plane frame; a tile belongs to the
-        surface when its center lies inside the polygon.  Tile ids are
-        row-major grid indices, stable across calls, which path interpolation
-        relies on when matching diffuse paths between snapshots.
+        Returns (surface_ids (M,), centers (M, 3), areas (M,), tile_ids (M,)),
+        rows grouped by surface in id order and, within a surface, in
+        increasing tile id.  Tiles are laid on a grid in each surface's
+        in-plane frame; a tile belongs to the surface when its center lies
+        inside the polygon.  Tile ids are row-major grid indices, stable
+        across calls, which path interpolation relies on when matching
+        diffuse paths between snapshots.  The table is built once per tile
+        size and shared read-only between callers.
         """
-        key = (surface_id, float(tile_size))
+        key = float(tile_size)
         hit = self._tile_cache.get(key)
         if hit is not None:
             return hit
-        s = self.surfaces[surface_id]
-        poly = s._poly2d
-        lo, hi = poly.min(axis=0), poly.max(axis=0)
-        nu = max(1, int(math.ceil((hi[0] - lo[0]) / tile_size)))
-        nv = max(1, int(math.ceil((hi[1] - lo[1]) / tile_size)))
-        u = lo[0] + (np.arange(nu) + 0.5) * (hi[0] - lo[0]) / nu
-        v = lo[1] + (np.arange(nv) + 0.5) * (hi[1] - lo[1]) / nv
-        uu, vv = np.meshgrid(u, v, indexing="ij")
-        centers2d = np.column_stack((uu.ravel(), vv.ravel()))
-        e_u, e_v = s._frame
-        centers = s.vertices[0] + np.outer(centers2d[:, 0], e_u) + np.outer(centers2d[:, 1], e_v)
-        keep = s.contains(centers, strict=False)
-        cell_area = ((hi[0] - lo[0]) / nu) * ((hi[1] - lo[1]) / nv)
-        ids = np.flatnonzero(keep)
-        out = (centers[keep], np.full(keep.sum(), cell_area), ids)
-        self._tile_cache[key] = out
-        return out
+        # an empty first part gives a scene without surfaces typed, empty columns
+        parts = [(np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int))]
+        for sid, s in enumerate(self.surfaces):
+            poly = s._poly2d
+            lo, hi = poly.min(axis=0), poly.max(axis=0)
+            nu = max(1, int(math.ceil((hi[0] - lo[0]) / tile_size)))
+            nv = max(1, int(math.ceil((hi[1] - lo[1]) / tile_size)))
+            u = lo[0] + (np.arange(nu) + 0.5) * (hi[0] - lo[0]) / nu
+            v = lo[1] + (np.arange(nv) + 0.5) * (hi[1] - lo[1]) / nv
+            uu, vv = np.meshgrid(u, v, indexing="ij")
+            e_u, e_v = s._frame
+            centers = s.vertices[0] + np.outer(uu.ravel(), e_u) + np.outer(vv.ravel(), e_v)
+            ids = np.flatnonzero(s.contains(centers, strict=False))
+            cell_area = ((hi[0] - lo[0]) / nu) * ((hi[1] - lo[1]) / nv)
+            parts.append((np.full(len(ids), sid), centers[ids], np.full(len(ids), cell_area), ids))
+        table = tuple(np.concatenate(col) for col in zip(*parts))
+        for col in table:
+            col.flags.writeable = False
+        self._tile_cache[key] = table
+        return table
 
 
 def extrude_footprint(footprint, height: float, material: Material,

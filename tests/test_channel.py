@@ -6,9 +6,9 @@ import pytest
 
 from v2vchan.antenna import isotropic_array
 from v2vchan.channel import (ChannelTensor, PathInterpolator, SimConfig,
-                             TensorFormatError, add_measurement_noise, cir_to_ctf, ctf_to_cir,
-                             hann_window, interpolate_snapshots, load_tensor,
-                             save_tensor, synthesize_cir, synthesize_tensor)
+                             TensorFormatError, _match_paths, add_measurement_noise,
+                             cir_to_ctf, ctf_to_cir, hann_window, interpolate_snapshots,
+                             load_tensor, save_tensor, synthesize_cir, synthesize_tensor)
 from v2vchan.raytracer import SPEED_OF_LIGHT, PropagationPath, trace_los
 from v2vchan.scenarios import free_space_scene
 
@@ -163,6 +163,15 @@ class TestInterpolation:
         fine = interpolate_snapshots(coarse, 5e-3)
         assert len(fine[1][1]) == 2   # still there mid-interval
         assert len(fine[2][1]) == 1   # gone at the boundary
+
+    def test_repeated_key_pairs_in_delay_order(self):
+        # a key a hand-built snapshot repeats: the k-th shortest a-path pairs
+        # with the k-th shortest b-path, and the leftover a-path is held
+        a = [los_path(150.0), los_path(100.0)]
+        b = [los_path(149.0)]
+        pairs, held = _match_paths(a, b)
+        assert [(pa.length, pb.length) for pa, pb in pairs] == [(100.0, 149.0)]
+        assert [p.length for p in held] == [150.0]
 
     def test_exact_retrace_oracle(self):
         # uniformly moving rx in empty space: interpolated delays vs re-trace

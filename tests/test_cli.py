@@ -234,6 +234,34 @@ class TestCompareCommand:
         # every expected parameter appears (segments may drop NaN-only cells)
         assert set(names) == set(expected)
 
+    @pytest.mark.parametrize("target, text", [
+        pytest.param("labels", "t_s,label\n0.1\n", id="labels-one-field"),
+        pytest.param("labels", "t_s,label\n", id="labels-header-only"),
+        pytest.param("labels", "t_s,label\nnan,LOS\n", id="labels-nan-time"),
+        pytest.param("labels", "t_s,label\n0.2,LOS\n0.1,NLOS\n", id="labels-unsorted"),
+        pytest.param("labels", b"\xff\xfe" + "t_s,label\n0.1,LOS\n".encode("utf-16-le"),
+                     id="labels-not-utf8"),
+        pytest.param("gain", "", id="metric-empty"),
+        pytest.param("gain", "t_s,value\n", id="metric-header-only"),
+        pytest.param("gain", "t_s,value\n0.1,abc\n", id="metric-non-numeric"),
+        pytest.param("gain", "t_s,value\n0.1,-80.0,-81.0\n0.2\n", id="metric-ragged"),
+        pytest.param("gain", "t_s,value\ninf,-80.0\n", id="metric-inf-time"),
+        pytest.param("gain", "t_s,value\n0.2,-80.0\n0.1,-81.0\n", id="metric-unsorted"),
+    ])
+    def test_malformed_input_exit_3(self, run_dir, capsys, target, text):
+        tmp, cfg, out = self._metrics(run_dir, "mE")
+        other = tmp / "mE_bad"
+        other.mkdir()
+        for p in out.iterdir():
+            (other / p.name).write_bytes(p.read_bytes())
+        bad = tmp / "labels.csv" if target == "labels" else other / f"{target}.csv"
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+        argv = ["compare", str(out), str(other), "-o", str(tmp / "rep5")]
+        if target == "labels":
+            argv += ["--labels", str(bad)]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {bad}")
+
     def test_missing_metric_named_error(self, run_dir, capsys):
         tmp, cfg, out = self._metrics(run_dir, "mD")
         empty = tmp / "empty"

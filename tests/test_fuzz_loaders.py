@@ -3,7 +3,8 @@
 Scene, trajectory and tensor files are derived from valid ones by
 truncation, by replacing a value with one of another JSON type, a NaN, an
 infinity or an oversized number, and (for tensors) by arbitrary header
-fields and payload lengths.  Each loader must either return or raise one of
+fields and payload lengths; metric and label CSV files the same way as
+trajectories.  Each loader must either return or raise one of
 its documented exception types, and the CLI must turn every rejected file
 into exit code 3 (data error), never a traceback.
 """
@@ -24,6 +25,9 @@ from conftest import TENSOR_HEADER
 from v2vchan.channel import (_HEADER_FMT, ChannelTensor, TensorFormatError,
                              load_tensor)
 from v2vchan.cli import EXIT_DATA, EXIT_OK, main
+from v2vchan.compare import load_labels
+from v2vchan.metrics import SeriesFormatError, series_from_csv
+from v2vchan.pipeline import SERIES_UNITS
 from v2vchan.scene import (GeometryError, MaterialReferenceError, Scene,
                            SceneFormatError, Trajectory, load_scene,
                            load_trajectory)
@@ -42,6 +46,10 @@ SCENE = {
 TRAJECTORY = [["t", "x", "y", "z", "vx", "vy", "vz"]] + [
     [f"{0.01 * k:.2f}", f"{10.0 * 0.01 * k:.2f}", "0.0", "1.5", "10.0", "0.0", "0.0"]
     for k in range(5)]
+METRIC = [["t_s", "rho_12", "rho_13"]] + [
+    [f"{0.05 * k:.2f}", f"{0.1 * k:.1f}", ""] for k in range(4)]
+LABELS = [["t_s", "label"]] + [[f"{0.05 * k:.2f}", "NLOS" if k < 2 else "LOS"]
+                               for k in range(4)]
 
 json_scalars = st.one_of(
     st.none(), st.booleans(), st.text(max_size=4),
@@ -83,15 +91,19 @@ def mutated_scenes(draw):
     return text
 
 
+CSV_TOKENS = ["nan", "inf", "-inf", "1e400", "9" * 400, "", "abc", "0x10", "True",
+              "-0.01", "0.02", None]
+
+
 @st.composite
-def mutated_trajectories(draw):
-    """The CSV text of TRAJECTORY with cells replaced or removed, possibly truncated."""
-    rows = [list(r) for r in TRAJECTORY]
+def mutated_csv(draw, table, tokens=CSV_TOKENS):
+    """The CSV text of ``table`` with cells replaced by ``tokens`` or removed
+    (None), possibly truncated."""
+    rows = [list(r) for r in table]
     for _ in range(draw(st.integers(1, 3))):
         r = draw(st.integers(0, len(rows) - 1))
         c = draw(st.integers(0, len(rows[r]) - 1))
-        token = draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "9" * 400, "", "abc",
-                                      "0x10", "True", "-0.01", "0.02", None]))
+        token = draw(st.sampled_from(tokens))
         if token is None:
             del rows[r][c]
         else:
@@ -155,7 +167,7 @@ def test_load_scene_raises_only_documented_errors(tmp_path_factory, text):
 
 
 @FUZZ
-@given(text=mutated_trajectories())
+@given(text=mutated_csv(TRAJECTORY))
 def test_load_trajectory_raises_only_documented_errors(tmp_path_factory, text):
     work = tmp_path_factory.mktemp("trajectory")
     (work / "tx.csv").write_text(text)
@@ -188,3 +200,47 @@ def test_load_tensor_raises_only_documented_errors(tmp_path_factory, raw):
         assert min(tensor.data.shape) >= 1 and tensor.dt > 0 and tensor.dbin > 0
         assert np.isfinite([tensor.t0, tensor.dt, tensor.bin0, tensor.dbin,
                             tensor.carrier_frequency]).all()
+
+
+def _metric_dir(path):
+    """A directory holding every metric file ``compare`` reads, all valid."""
+    path.mkdir()
+    text = "t_s,value\n" + "".join(f"{0.05 * k:.2f},{-80.0 + k}\n" for k in range(4))
+    for name in SERIES_UNITS:
+        (path / f"{name}.csv").write_text(text)
+    return path
+
+
+def _valid_times(times):
+    return np.isfinite(times).all() and (np.diff(times) > 0).all()
+
+
+@FUZZ
+@given(text=mutated_csv(METRIC))
+def test_series_from_csv_raises_only_documented_errors(tmp_path_factory, text):
+    work = tmp_path_factory.mktemp("series")
+    good, bad = _metric_dir(work / "a"), _metric_dir(work / "b")
+    (bad / "correlation_tx.csv").write_text(text)
+    try:
+        series = series_from_csv(bad / "correlation_tx.csv")
+    except SeriesFormatError:
+        assert _cli("compare", str(good), str(bad), "-o", str(work / "rep")) == EXIT_DATA
+    else:
+        assert len(series.times) >= 1 and _valid_times(series.times)
+        assert len(series.values) == len(series.times)
+
+
+@FUZZ
+@given(text=mutated_csv(LABELS, CSV_TOKENS + ["LOS", "nlos", "0.1"]))
+def test_load_labels_raises_only_documented_errors(tmp_path_factory, text):
+    work = tmp_path_factory.mktemp("labels")
+    metrics = _metric_dir(work / "m")
+    (work / "labels.csv").write_text(text)
+    try:
+        labels = load_labels(work / "labels.csv")
+    except SeriesFormatError:
+        assert _cli("compare", str(metrics), str(metrics), "--labels", str(work / "labels.csv"),
+                    "-o", str(work / "rep")) == EXIT_DATA
+    else:
+        assert len(labels.times) >= 1 and _valid_times(labels.times)
+        assert labels.is_los.shape == labels.times.shape

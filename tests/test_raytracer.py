@@ -8,8 +8,8 @@ from v2vchan.raytracer import (SPEED_OF_LIGHT, ComplexityError, PropagationPath,
                                TracerConfig, fresnel_coefficients,
                                image_method_specular, lambertian_diffuse,
                                trace_los, trace_snapshot)
-from v2vchan.scene import Material, Scene, Surface
-from v2vchan.scenarios import (canyon_scene, free_space_scene, pec_ground_scene,
+from v2vchan.scene import Material, Scene, Surface, load_scene, load_trajectory
+from v2vchan.scenarios import (canyon_scene, data_path, free_space_scene, pec_ground_scene,
                                single_wall_scene)
 
 from conftest import big_wall
@@ -240,6 +240,18 @@ class TestLambertianDiffuse:
         culled = [p for p in culled if p.gain_linear() >= floor]
         assert sorted(p.tile for p in culled) == expected
 
+    def test_cull_floor_applied_by_lambertian_diffuse(self):
+        # no filter in the caller: at -3 dB the tiles tested before the
+        # strongest one is confirmed must still meet the floor
+        scene = self._wall_scene()
+        tx = np.array([-10.0, 20.0, 2.0])
+        rx = np.array([10.0, 18.0, 3.0])
+        full = lambertian_diffuse(scene, tx, rx, 1.0, F)
+        floor = max(p.gain_linear() for p in full) * 10 ** (-3 / 10)
+        expected = sorted(p.tile for p in full if p.gain_linear() >= floor)
+        culled = lambertian_diffuse(scene, tx, rx, 1.0, F, cull_db=-3.0)
+        assert sorted(p.tile for p in culled) == expected
+
     def test_tile_size_validation(self):
         with pytest.raises(ValueError):
             lambertian_diffuse(self._wall_scene(), (0, 5, 1), (1, 5, 1), 0.0, F)
@@ -288,6 +300,19 @@ class TestTraceSnapshot:
         assert [p.match_key() for p in a] == [p.match_key() for p in b]
         kinds = [p.kind for p in a]
         assert kinds == sorted(kinds, key=["los", "specular", "diffuse"].index)
+
+
+@pytest.mark.parametrize("scene_file", ["intersection_plain.json", "intersection.json"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_bundled_drive_emits_each_match_key_once(scene_file, order):
+    # the premise of the key join that pairs paths across snapshots
+    scene = load_scene(data_path(scene_file))
+    tx = load_trajectory(data_path("tx_trajectory.csv"))
+    rx = load_trajectory(data_path("rx_trajectory.csv"))
+    cfg = TracerConfig(max_order=order)
+    for t in np.linspace(tx.t[0], tx.t[-1], 7):
+        keys = [p.match_key() for p in trace_snapshot(scene, tx.at(t)[0], rx.at(t)[0], cfg)]
+        assert keys and len(set(keys)) == len(keys)
 
 
 class TestTracerConfig:

@@ -218,9 +218,21 @@ class TestSceneContainer:
 
     def test_tiles_cover_area(self, concrete):
         s = Scene([Surface([(0, 0, 0), (10, 0, 0), (10, 15, 0), (0, 15, 0)], concrete)])
-        centers, areas, ids = s.tiles(0, 1.0)
+        sids, centers, areas, ids = s.tiles(1.0)
         assert np.isclose(areas.sum(), 150.0)
         assert len(np.unique(ids)) == len(ids)
+
+    def test_tiles_table_in_surface_order(self, concrete):
+        floor = Surface([(0, 0, 0), (4, 0, 0), (4, 3, 0), (0, 3, 0)], concrete)
+        wall = Surface([(0, 5, 0), (0, 5, 2), (2, 5, 2), (2, 5, 0)], concrete)
+        s = Scene([floor, wall])
+        sids, centers, areas, ids = s.tiles(1.0)
+        assert sids.tolist() == [0] * 12 + [1] * 4
+        assert ids.tolist() == list(range(12)) + list(range(4))
+        assert np.allclose(areas, 1.0)
+        assert np.allclose(centers[12:, 1], 5.0) and np.allclose(centers[:12, 2], 0.0)
+        assert s.tiles(1.0)[1] is centers           # built once per tile size
+        assert not centers.flags.writeable
 
 
 SCENE_DOC = {
