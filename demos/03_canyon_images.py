@@ -21,10 +21,12 @@ print(f"canyon width {WIDTH} m, tx {tx}, rx {rx}\n")
 for order in (1, 2, 3, 4):
     paths = image_method_specular(scene, tx, rx, order)
     print(f"max order {order}: {len(paths)} specular paths")
-    for p in paths:
-        walls = "-".join(scene.surfaces[s].tag.split(':')[1] for s in p.surface_ids())
-        print(f"  order {p.order}  via {walls:<24} length {p.length:9.3f} m  "
-              f"delay {p.delay * 1e9:8.2f} ns  gain {p.gain_db():7.2f} dB")
+    gain_db = 10.0 * np.log10(paths.gain_linear())
+    for sids, order_, length, delay, g in zip(paths.surfaces, paths.order, paths.length,
+                                              paths.delay, gain_db):
+        walls = "-".join(scene.surfaces[s].tag.split(':')[1] for s in sids[:order_])
+        print(f"  order {order_}  via {walls:<24} length {length:9.3f} m  "
+              f"delay {delay * 1e9:8.2f} ns  gain {g:7.2f} dB")
     print()
 
 # analytic cross-check for the first-order pair

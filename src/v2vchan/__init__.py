@@ -16,15 +16,14 @@ from .antenna import (AntennaPattern, ArrayElement, ArrayLayout,
                       isotropic_array, isotropic_pattern, pattern_gain)
 from .channel import (ChannelTensor, PathInterpolator, SimConfig,
                       add_measurement_noise, cir_to_ctf, ctf_to_cir,
-                      interpolate_snapshots, load_tensor, save_tensor,
-                      synthesize_cir, synthesize_tensor)
+                      load_tensor, save_tensor, synthesize_cir, synthesize_tensor)
 from .compare import (ErrorStats, SegmentLabels, error_series, error_stats,
                       render_report, segment_los_nlos)
 from .metrics import (Apdp, Dsd, MetricSeries, antenna_correlation,
                       apply_noise_threshold, channel_gain, compute_apdp,
                       compute_dsd, eigenvalue_series, estimate_noise_floor,
                       rms_delay_spread, rms_doppler_spread)
-from .raytracer import (PropagationPath, TracerConfig, fresnel_coefficients,
+from .raytracer import (PathSet, PropagationPath, TracerConfig, fresnel_coefficients,
                         image_method_specular, lambertian_diffuse, trace_los,
                         trace_snapshot)
 from .scene import (Material, Scene, Surface, Trajectory, extrude_footprint,

@@ -1,4 +1,4 @@
-"""Time-variant MIMO channel synthesis from per-snapshot path lists.
+"""Time-variant MIMO channel synthesis from per-snapshot path sets.
 
 The delay-domain channel is the classic delta train: every path contributes
 its polarimetric amplitude times exp(-j 2 pi f tau) into the delay bin
@@ -7,17 +7,16 @@ approaching link advances by +2 pi (f v / c) dt per step, which is what
 produces positive Doppler for closing vehicles.
 
 Coarse ray-traced snapshots (default every 10 ms) are interpolated to a
-fine time grid by matching paths between adjacent snapshots on their
-(kind, surface sequence, tile) identity, holding each interval's matches
-as arrays, and at every fine step (one at a time) linearly interpolating
-length, amplitude and the renormalised directions, recomputing delay (hence
-phase) from the length, then running ``synthesize_cir``'s array kernel.
+fine time grid by matching the rows of adjacent snapshots' path sets on
+their (kind, surfaces, tile) identity, once per interval, and at every fine
+step (one at a time) linearly interpolating length, amplitude and the
+renormalised directions; delay, hence phase, follows from the length.
 Interaction points are not interpolated; synthesis never reads them.
 Matching is a join on that identity.  The tracer emits each identity at
 most once per snapshot, so a match pairs one path with one; a hand-built
-list that repeats an identity pairs its paths in delay order.  Unmatched paths appear or vanish hard at the coarse
-boundary; a path missing from the next snapshot keeps its last state until
-that boundary.
+set that repeats an identity pairs its paths in delay order.  Unmatched
+paths appear or vanish hard at the coarse boundary; a path missing from the
+next snapshot keeps its last state until that boundary.
 
 Frequency-domain tensors store bins in increasing frequency order (carrier
 at the center bin).  ``cir_to_ctf`` is an unnormalized forward DFT and
@@ -30,13 +29,12 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .antenna import ArrayLayout
-from .raytracer import SPEED_OF_LIGHT, PropagationPath, _require_finite
+from .raytracer import SPEED_OF_LIGHT, PathSet, _require_finite
 
 TENSOR_MAGIC = b"V2VC"
 TENSOR_VERSION = 1
@@ -130,23 +128,13 @@ class ChannelTensor:
         return self.bin0 + np.arange(self.n_bins) * self.dbin
 
 
-def _stack(paths: list[PropagationPath]) -> tuple[np.ndarray, ...]:
-    """A path list as arrays: length (P,), delay (P,), amplitude (P, 2, 2),
-    departure (P, 3), arrival (P, 3), rows in list order."""
-    return (np.array([p.length for p in paths], dtype=float),
-            np.array([p.delay for p in paths], dtype=float),
-            np.array([p.amplitude for p in paths], dtype=complex).reshape(-1, 2, 2),
-            np.array([p.departure for p in paths], dtype=float).reshape(-1, 3),
-            np.array([p.arrival for p in paths], dtype=float).reshape(-1, 3))
-
-
-def _synthesize(arrays: tuple[np.ndarray, ...], tx_array: ArrayLayout,
-                rx_array: ArrayLayout, config: SimConfig,
-                tx_heading: float, rx_heading: float) -> tuple[np.ndarray, int]:
-    """The (M_R, M_T, n_freq_bins) slice of a path set held as :func:`_stack`
-    arrays, and the number of paths dropped beyond the delay span.  Taps
-    accumulate in row order, so the row order fixes the float result."""
-    _, taus, amp, dep, arr = arrays
+def _synthesize(paths: PathSet, tx_array: ArrayLayout, rx_array: ArrayLayout,
+                config: SimConfig, tx_heading: float,
+                rx_heading: float) -> tuple[np.ndarray, int]:
+    """The (M_R, M_T, n_freq_bins) slice of a path set and the number of
+    paths dropped beyond the delay span.  Taps accumulate in row order, so
+    the row order fixes the float result."""
+    taus, amp, dep, arr = paths.delay, paths.amplitude, paths.departure, paths.arrival
     m_r, m_t = rx_array.size, tx_array.size
     f = config.carrier_frequency
     bins = np.rint(taus * config.bandwidth).astype(int)
@@ -180,7 +168,7 @@ def _synthesize(arrays: tuple[np.ndarray, ...], tx_array: ArrayLayout,
     return acc.reshape(m_r, m_t, config.n_freq_bins), dropped
 
 
-def synthesize_cir(paths: list[PropagationPath], tx_array: ArrayLayout,
+def synthesize_cir(paths: PathSet, tx_array: ArrayLayout,
                    rx_array: ArrayLayout, t: float, config: SimConfig,
                    tx_heading: float = 0.0, rx_heading: float = 0.0) -> np.ndarray:
     """One delay-domain time slice, shape (M_R, M_T, n_freq_bins).
@@ -192,47 +180,47 @@ def synthesize_cir(paths: list[PropagationPath], tx_array: ArrayLayout,
     Paths whose delay exceeds the unambiguous span are dropped and counted
     in a single warning.
     """
-    slice_, dropped = _synthesize(_stack(paths), tx_array, rx_array, config,
-                                  tx_heading, rx_heading)
+    slice_, dropped = _synthesize(paths, tx_array, rx_array, config, tx_heading, rx_heading)
     if dropped:
         warnings.warn(f"{dropped} path(s) beyond the unambiguous delay span "
                       f"{config.max_delay * 1e6:.2f} us dropped", RuntimeWarning, stacklevel=2)
     return slice_
 
 
-def _match_paths(a: list[PropagationPath], b: list[PropagationPath]):
-    """Pair paths between adjacent snapshots by :meth:`PropagationPath.match_key`.
+def _match_paths(a: PathSet, b: PathSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair the rows of adjacent snapshots by their (kind, surfaces, tile) identity.
 
-    Within a key the k-th shortest-delay a-path pairs with the k-th
-    shortest-delay b-path.  Leftover a-paths are held until the boundary;
-    leftover b-paths are born there.  The tracer emits each key at most once
-    per snapshot, so there a key pairs one path with one.  Returns (pairs,
-    only_a): the matched (a, b) pairs and the held a-paths, both in sorted
-    key order, which fixes the row order and so the float result of
+    Within an identity the k-th shortest-delay a-row pairs with the k-th
+    shortest-delay b-row.  Leftover a-rows are held until the boundary;
+    leftover b-rows are born there.  The tracer emits each identity at most
+    once per snapshot, so there an identity pairs one row with one.
+    Returns row indices (ia, ib, held): a-row ia[k] pairs with b-row ib[k],
+    and held lists the held a-rows.  Both follow the sorted identity order,
+    then delay rank, which fixes the row order and so the float result of
     synthesis.
     """
-    groups = defaultdict(lambda: ([], []))
-    for side, paths in enumerate((a, b)):
-        for p in paths:
-            groups[p.match_key()][side].append(p)
-    pairs, only_a = [], []
-    for key in sorted(groups, key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2])):
-        la, lb = (sorted(g, key=lambda p: p.delay) for g in groups[key])
-        pairs.extend(zip(la, lb))
-        only_a.extend(la[len(lb):])
-    return pairs, only_a
+    keys = np.concatenate([np.column_stack((p.kind, p.surfaces, p.tile)) for p in (a, b)])
+    _, ident = np.unique(keys, axis=0, return_inverse=True)
+    ranked = []
+    for p, k in zip((a, b), np.split(ident.reshape(-1), [len(a)])):
+        rows = np.lexsort((p.delay, k))
+        k = k[rows]
+        rank = np.arange(len(k)) - np.searchsorted(k, k)
+        ranked.append((rows, k * (len(keys) + 1) + rank))   # (identity, rank) as one int
+    (rows_a, code_a), (rows_b, code_b) = ranked
+    _, ja, jb = np.intersect1d(code_a, code_b, assume_unique=True, return_indices=True)
+    return rows_a[ja], rows_b[jb], np.delete(rows_a, ja)
 
 
 class PathInterpolator:
     """Evaluate the traced path set at arbitrary times between snapshots.
 
-    Each coarse interval is matched once and held as :func:`_stack` arrays
-    (matched pairs at both ends, then the paths held until the interval's
-    end).  Only the interval last evaluated is kept; going back rematches.
-    Interpolated :meth:`paths_at` paths keep the start's interaction points.
+    Each coarse interval is matched once: its matched rows at both ends
+    and the rows held until the interval's end are kept as path sets.
+    Only the interval last evaluated is kept; going back rematches.
     """
 
-    def __init__(self, coarse: list[tuple[float, list[PropagationPath]]]):
+    def __init__(self, coarse: list[tuple[float, PathSet]]):
         if len(coarse) < 1:
             raise ValueError("need at least one coarse snapshot")
         self.times = np.array([t for t, _ in coarse])
@@ -258,72 +246,43 @@ class PathInterpolator:
         u = (t - self.times[i]) / self.dt
         return i, min(max(u, 0.0), 1.0)
 
-    def arrays_at(self, t: float) -> tuple[np.ndarray, ...]:
-        """The :meth:`paths_at` path set as :func:`_stack` arrays, same row
-        order.  Inside an interval the next call overwrites them."""
+    def paths_at(self, t: float) -> PathSet:
+        """The path set at time ``t``.
+
+        On a snapshot's own time (u == 1) this is that snapshot's set
+        itself.  Inside an interval the rows are the matched pairs, with
+        length, amplitude and the renormalised directions lerped and the
+        start's identity and interaction points, then the held rows.
+        """
         i, u = self._locate(t)
         if u == 1.0:
-            return _stack(self.snapshots[i + 1])
+            return self.snapshots[i + 1]
         if self._current[0] != i:
-            pairs, held = _match_paths(self.snapshots[i], self.snapshots[i + 1])
-            lead = [pa for pa, _ in pairs]
-            a, b = _stack(lead), _stack([pb for _, pb in pairs])
-            # rows [:n] are the lerped pairs, rows [n:] the held paths
-            now = tuple(np.concatenate(x) for x in zip(a, _stack(held)))
-            self._current = (i, lead, held, a, b, now)
-        _, lead, _, a, b, now = self._current
-        n, w = len(lead), 1.0 - u
-        for x, xa, xb in zip(now, a, b):
-            x[:n] = w * xa + u * xb
-        now[1][:n] = now[0][:n] / SPEED_OF_LIGHT      # delay from the lerped length
-        for x, xa in zip(now[3:], a[3:]):               # unit directions; 0 keeps the start
-            norm = np.linalg.norm(x[:n], axis=-1, keepdims=True)
-            x[:n] = np.divide(x[:n], norm, out=xa.copy(), where=norm > 0)
-        return now
-
-    def paths_at(self, t: float) -> list[PropagationPath]:
-        i, u = self._locate(t)
-        if u == 1.0:
-            return list(self.snapshots[i + 1])
-        length, delay, amp, dep, arr = self.arrays_at(t)
-        _, lead, held = self._current[:3]
-        return [replace(p, length=float(length[k]), delay=float(delay[k]), amplitude=amp[k].copy(),
-                        departure=dep[k].copy(), arrival=arr[k].copy())
-                for k, p in enumerate(lead)] + held
+            a, b = self.snapshots[i], self.snapshots[i + 1]
+            ia, ib, held = _match_paths(a, b)
+            self._current = (i, a.take(ia), b.take(ib), a.take(held))
+        _, start, end, held = self._current
+        cols = {name: (1.0 - u) * getattr(start, name) + u * getattr(end, name)
+                for name in ("length", "amplitude", "departure", "arrival")}
+        for name in ("departure", "arrival"):            # unit directions; 0 keeps the start
+            norm = np.linalg.norm(cols[name], axis=-1, keepdims=True)
+            cols[name] = np.divide(cols[name], norm, out=getattr(start, name).copy(),
+                                   where=norm > 0)
+        return PathSet.concat([replace(start, **cols), held])
 
 
-def interpolate_snapshots(coarse: list[tuple[float, list[PropagationPath]]],
-                          fine_dt: float) -> list[tuple[float, list[PropagationPath]]]:
-    """Resample coarse (t, paths) snapshots onto a fine uniform grid."""
-    interp = PathInterpolator(coarse)
-    if len(interp.times) > 1:
-        ratio = interp.dt / fine_dt
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("fine_dt must divide the coarse spacing exactly")
-    t0, t1 = interp.times[0], interp.times[-1]
-    n = int(round((t1 - t0) / fine_dt)) + 1 if len(interp.times) > 1 else 1
-    out = []
-    for k in range(n):
-        t = t0 + k * fine_dt
-        out.append((t, interp.paths_at(t)))
-    return out
-
-
-def synthesize_tensor(interp: PathInterpolator | list, tx_array: ArrayLayout,
+def synthesize_tensor(interp: PathInterpolator, tx_array: ArrayLayout,
                       rx_array: ArrayLayout, config: SimConfig,
                       times: np.ndarray | None = None,
                       tx_heading=None, rx_heading=None) -> ChannelTensor:
     """Delay-domain tensor over a fine time grid.
 
-    ``interp`` is a PathInterpolator or a coarse (t, paths) list.  Headings
-    may be callables of t or constants (radians).  The default time grid
+    Headings may be callables of t or constants (radians).  The default time grid
     runs from the first traced snapshot in steps of ``config.fine_dt``,
     duration / fine_dt samples in total.  Steps are synthesized one at a
-    time from the interpolator's arrays; paths dropped beyond the delay span
-    are summed over all steps into one warning.
+    time from :meth:`PathInterpolator.paths_at`; paths dropped beyond the
+    delay span are summed over all steps into one warning.
     """
-    if not isinstance(interp, PathInterpolator):
-        interp = PathInterpolator(interp)
     if times is None:
         span = interp.times[-1] - interp.times[0]
         n = max(1, int(round(span / config.fine_dt)))
@@ -340,7 +299,7 @@ def synthesize_tensor(interp: PathInterpolator | list, tx_array: ArrayLayout,
                     dtype=complex)
     dropped = 0
     for k, t in enumerate(times):
-        data[k], n_dropped = _synthesize(interp.arrays_at(t), tx_array, rx_array, config,
+        data[k], n_dropped = _synthesize(interp.paths_at(t), tx_array, rx_array, config,
                                          heading_at(tx_heading, t), heading_at(rx_heading, t))
         dropped += n_dropped
     if dropped:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import MetricSeries, SeriesFormatError, _read_timed_csv
+from .raytracer import KINDS
 
 LOS, NLOS = "LOS", "NLOS"
 
@@ -46,6 +47,10 @@ class SegmentLabels:
         self.is_los = np.asarray(self.is_los, dtype=bool)
         if self.times.shape != self.is_los.shape:
             raise ValueError("times and labels must have matching shapes")
+        # the nearest-label lookups bisect the times
+        if not (self.times.size and np.isfinite(self.times).all()
+                and np.all(np.diff(self.times) > 0)):
+            raise ValueError("label times must be non-empty, finite and strictly increasing")
 
     def segment(self, name: str) -> np.ndarray:
         return self.is_los if name == LOS else ~self.is_los
@@ -64,7 +69,7 @@ class ErrorStats:
 def segment_los_nlos(snapshots, window_times) -> SegmentLabels:
     """Label each metric window LOS iff a LOS path exists at its center time.
 
-    ``snapshots`` is the traced (t, paths) list.  Path presence between
+    ``snapshots`` is the traced (t, path set) list.  Path presence between
     snapshots follows the interpolation birth/death rule (paths appear at
     the boundary, never before), so the window center maps to the snapshot
     at or immediately before it; a label therefore flips exactly at the
@@ -73,7 +78,8 @@ def segment_los_nlos(snapshots, window_times) -> SegmentLabels:
     if not snapshots:
         raise ValueError("empty snapshot list")
     times = np.array([t for t, _ in snapshots])
-    has_los = np.array([any(p.kind == "los" for p in paths) for _, paths in snapshots])
+    los = KINDS.index("los")
+    has_los = np.array([bool(np.any(paths.kind == los)) for _, paths in snapshots])
     window_times = np.asarray(window_times, dtype=float)
     idx = np.searchsorted(times, window_times + 1e-12, side="right") - 1
     idx = np.clip(idx, 0, len(times) - 1)

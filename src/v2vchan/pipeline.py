@@ -41,7 +41,7 @@ def trace_trajectory(scene: Scene, tx_traj: Trajectory, rx_traj: Trajectory,
                      tracer: TracerConfig, coarse_dt: float,
                      t0: float | None = None, t1: float | None = None,
                      workers: int | None = None):
-    """Ray-trace at every coarse time step; returns the (t, paths) list."""
+    """Ray-trace at every coarse time step; returns the (t, PathSet) list."""
     lo = max(tx_traj.t[0], rx_traj.t[0]) if t0 is None else t0
     hi = min(tx_traj.t[-1], rx_traj.t[-1]) if t1 is None else t1
     if hi < lo:

@@ -5,7 +5,8 @@ the TX and RX reference points: the free-space line-of-sight ray when
 unobstructed, specular reflections up to a configurable order found with the
 image method and weighted by Fresnel coefficients, and single-bounce
 Lambertian diffuse scattering from surface tiles.  Diffraction and
-multi-bounce diffuse scattering are deliberately out of scope.
+multi-bounce diffuse scattering are deliberately out of scope.  A snapshot's
+paths are one :class:`PathSet`, the representation channel synthesis reads.
 
 Polarimetric bookkeeping
 ------------------------
@@ -73,41 +74,104 @@ class TracerConfig:
             raise ValueError("tile_size must be > 0")
 
 
+#: Path kinds by code.  The codes follow the names' alphabetical order, so
+#: sorting by code sorts by name.
+KINDS = ("diffuse", "los", "specular")
+
+
 @dataclass
 class PropagationPath:
-    """One multipath component.
+    """One multipath component: the row type that iterating a :class:`PathSet`
+    yields.  ``interactions`` lists (surface_id, point) in propagation order;
+    ``tile`` is None unless the path is diffuse."""
 
-    ``interactions`` lists (surface_id, point) in propagation order;
-    ``departure`` points from TX along the ray, ``arrival`` points along the
-    ray toward RX (the DoA seen by the receiver is ``-arrival``).  The
-    amplitude excludes antenna gains and the carrier phase term exp(-j 2 pi
-    f tau), both applied during channel synthesis.
-    """
-
-    kind: str                       # 'los' | 'specular' | 'diffuse'
+    kind: str
     order: int
     interactions: tuple             # ((surface_id, np.ndarray(3,)), ...)
     length: float
     delay: float
-    amplitude: np.ndarray           # (2, 2) complex, departure (V,H) -> arrival (V,H)
+    amplitude: np.ndarray           # (2, 2) complex
     departure: np.ndarray           # (3,) unit
     arrival: np.ndarray             # (3,) unit
-    tile: int | None = None         # tile id for diffuse paths
+    tile: int | None = None
 
-    def surface_ids(self) -> tuple[int, ...]:
-        return tuple(sid for sid, _ in self.interactions)
 
-    def match_key(self) -> tuple:
-        """Identity used to match paths across snapshots during interpolation."""
-        return (self.kind, self.surface_ids(), self.tile)
+@dataclass
+class PathSet:
+    """The multipath components of one snapshot, one row per path in columns.
 
-    def gain_linear(self) -> float:
-        """Scalar power-gain proxy: mean squared singular gain of the matrix."""
-        return float(np.sum(np.abs(self.amplitude) ** 2)) / 2.0
+    ``kind`` holds codes into :data:`KINDS`.  ``surfaces`` lists each path's
+    surface ids in propagation order, padded with -1 to
+    ``MAX_SPECULAR_ORDER``, and ``points`` the interaction points, padded
+    with NaN.  ``tile`` is the diffuse tile id, -1 for the other kinds.
+    ``departure`` points from TX along the ray and ``arrival`` along the ray
+    toward RX (the DoA seen by the receiver is ``-arrival``).  The amplitude
+    maps departure (V, H) onto arrival (V, H); it excludes antenna gains and
+    the carrier phase term exp(-j 2 pi f tau), both applied during channel
+    synthesis.  Delay (length / c) and order (the count of surface ids) are
+    derived, not stored.
+    """
 
-    def gain_db(self) -> float:
-        g = self.gain_linear()
-        return 10.0 * math.log10(g) if g > 0 else -math.inf
+    kind: np.ndarray                # (P,) int
+    surfaces: np.ndarray            # (P, MAX_SPECULAR_ORDER) int
+    points: np.ndarray              # (P, MAX_SPECULAR_ORDER, 3)
+    tile: np.ndarray                # (P,) int
+    length: np.ndarray              # (P,)
+    amplitude: np.ndarray           # (P, 2, 2) complex
+    departure: np.ndarray           # (P, 3) unit
+    arrival: np.ndarray             # (P, 3) unit
+
+    @property
+    def delay(self) -> np.ndarray:
+        return self.length / SPEED_OF_LIGHT
+
+    @property
+    def order(self) -> np.ndarray:
+        return np.count_nonzero(self.surfaces >= 0, axis=1)
+
+    def __len__(self) -> int:
+        return len(self.length)
+
+    def __iter__(self):
+        columns = (c.tolist() for c in (self.kind, self.order, self.surfaces, self.tile,
+                                        self.length))
+        for i, (kind, order, sids, tile, length) in enumerate(zip(*columns)):
+            yield PropagationPath(
+                KINDS[kind], order, tuple(zip(sids[:order], self.points[i])), length,
+                length / SPEED_OF_LIGHT, self.amplitude[i], self.departure[i],
+                self.arrival[i], None if tile < 0 else tile)
+
+    def take(self, rows) -> PathSet:
+        """The given rows, in the given order."""
+        return PathSet(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @staticmethod
+    def concat(sets) -> PathSet:
+        """The rows of every set in ``sets``, in order; no sets give an empty set."""
+        sets = [_EMPTY, *sets]
+        return PathSet(*(np.concatenate([getattr(s, f.name) for s in sets])
+                         for f in fields(PathSet)))
+
+    def gain_linear(self) -> np.ndarray:
+        """Scalar power-gain proxy per path: mean squared singular gain of the
+        amplitude matrix."""
+        return np.sum(np.abs(self.amplitude.reshape(-1, 4)) ** 2, axis=1) / 2.0
+
+
+def _pathset(kind: str, length, amplitude, departure, arrival, surfaces, points,
+             tile=None) -> PathSet:
+    """A PathSet of one kind; ``surfaces`` (P, k) and ``points`` (P, k, 3)
+    are padded here to ``MAX_SPECULAR_ORDER`` columns."""
+    p, k = surfaces.shape
+    fill = MAX_SPECULAR_ORDER - k
+    return PathSet(np.full(p, KINDS.index(kind)),
+                   np.concatenate((surfaces, np.full((p, fill), -1)), axis=1),
+                   np.concatenate((points, np.full((p, fill, 3), np.nan)), axis=1),
+                   np.full(p, -1) if tile is None else tile, length, amplitude, departure, arrival)
+
+
+_EMPTY = _pathset("los", np.zeros(0), np.zeros((0, 2, 2), dtype=complex), np.zeros((0, 3)),
+                  np.zeros((0, 3)), np.zeros((0, 0), dtype=int), np.zeros((0, 0, 3)))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -200,8 +264,8 @@ def _endpoints(tx, rx) -> tuple[np.ndarray, np.ndarray]:
     return tx, rx
 
 
-def trace_los(scene: Scene, tx, rx, frequency: float = 5.9e9) -> PropagationPath | None:
-    """Free-space line-of-sight path, or None when obstructed."""
+def trace_los(scene: Scene, tx, rx, frequency: float = 5.9e9) -> PathSet | None:
+    """The free-space line-of-sight path as a one-row set, or None when obstructed."""
     tx, rx = _endpoints(tx, rx)
     d = float(np.linalg.norm(rx - tx))
     if occlusion_test(scene, tx, rx):
@@ -209,12 +273,9 @@ def trace_los(scene: Scene, tx, rx, frequency: float = 5.9e9) -> PropagationPath
     lam = SPEED_OF_LIGHT / frequency
     gain = lam / (4.0 * math.pi * d)
     direction = (rx - tx) / d
-    return PropagationPath(
-        kind="los", order=0, interactions=(),
-        length=d, delay=d / SPEED_OF_LIGHT,
-        amplitude=gain * np.eye(2, dtype=complex),
-        departure=direction, arrival=direction.copy(),
-    )
+    return _pathset("los", np.array([d]), gain * np.eye(2, dtype=complex)[None],
+                    direction[None], direction[None].copy(),
+                    np.zeros((1, 0), dtype=int), np.zeros((1, 0, 3)))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,7 +288,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def image_method_specular(scene: Scene, tx, rx, max_order: int,
-                          frequency: float = 5.9e9) -> list[PropagationPath]:
+                          frequency: float = 5.9e9) -> PathSet:
     """All geometrically valid specular paths of order 1..max_order.
 
     The image tree is built one order level at a time, as arrays over every
@@ -256,9 +317,7 @@ def image_method_specular(scene: Scene, tx, rx, max_order: int,
             f"specular order {max_order} above practical cap {MAX_SPECULAR_ORDER}")
     tx, rx = _endpoints(tx, rx)
     n_surf = len(scene.surfaces)
-    if n_surf == 0:
-        return []
-    normals = np.array([s.normal for s in scene.surfaces])
+    normals = np.array([s.normal for s in scene.surfaces]).reshape(-1, 3)
     offsets = np.array([s.plane_offset for s in scene.surfaces])
 
     candidates: list[tuple[tuple[int, ...], list[np.ndarray]]] = []
@@ -282,14 +341,14 @@ def image_method_specular(scene: Scene, tx, rx, max_order: int,
     return _specular_paths(scene, candidates, frequency)
 
 
-def _specular_paths(scene: Scene, candidates, frequency: float) -> list[PropagationPath]:
+def _specular_paths(scene: Scene, candidates, frequency: float) -> PathSet:
     """Paths of the (sequence, [tx, q_1, ..., rx]) candidates that are unobstructed.
 
     Every candidate's sub-segments go through one occlusion batch; the
     paths come out sorted by (order, length), ties kept in candidate order.
     """
     if not candidates:
-        return []
+        return PathSet.concat([])
     # batch the occlusion tests over every candidate's sub-segments
     seg_start, seg_end, seg_owner = [], [], []
     for ci, (_, pts) in enumerate(candidates):
@@ -297,26 +356,25 @@ def _specular_paths(scene: Scene, candidates, frequency: float) -> list[Propagat
             seg_start.append(pts[i])
             seg_end.append(pts[i + 1])
             seg_owner.append(ci)
-    paths: list[PropagationPath] = []
     blocked = occlusion_test_batch(scene, np.array(seg_start), np.array(seg_end))
     bad = set(np.array(seg_owner)[blocked].tolist())
+    kept = [c for ci, c in enumerate(candidates) if ci not in bad]
+    n = len(kept)
+    surfaces = np.full((n, MAX_SPECULAR_ORDER), -1)
+    points = np.full((n, MAX_SPECULAR_ORDER, 3), np.nan)
+    length, amplitude = np.empty(n), np.empty((n, 2, 2), dtype=complex)
+    departure, arrival = np.empty((n, 3)), np.empty((n, 3))
     lam = SPEED_OF_LIGHT / frequency
-    for ci, (seq, pts) in enumerate(candidates):
-        if ci in bad:
-            continue
-        length = float(sum(np.linalg.norm(pts[i + 1] - pts[i]) for i in range(len(pts) - 1)))
+    for row, (seq, pts) in enumerate(kept):
+        surfaces[row, :len(seq)] = seq
+        points[row, :len(seq)] = pts[1:-1]
+        length[row] = sum(np.linalg.norm(pts[i + 1] - pts[i]) for i in range(len(pts) - 1))
         m = _polarimetric_chain(pts, seq, frequency, scene)
-        amp = (lam / (4.0 * math.pi * length)) * m
-        paths.append(PropagationPath(
-            kind="specular", order=len(seq),
-            interactions=tuple((sid, pts[i + 1]) for i, sid in enumerate(seq)),
-            length=length, delay=length / SPEED_OF_LIGHT,
-            amplitude=amp,
-            departure=_unit(pts[1] - pts[0]),
-            arrival=_unit(pts[-1] - pts[-2]),
-        ))
-    paths.sort(key=lambda p: (p.order, p.length))
-    return paths
+        amplitude[row] = (lam / (4.0 * math.pi * length[row])) * m
+        departure[row] = _unit(pts[1] - pts[0])
+        arrival[row] = _unit(pts[-1] - pts[-2])
+    paths = _pathset("specular", length, amplitude, departure, arrival, surfaces, points)
+    return paths.take(np.lexsort((length, paths.order)))
 
 
 def _reflection_points(scene: Scene, tx, rx, seqs: np.ndarray, images: np.ndarray,
@@ -359,7 +417,7 @@ def _reflection_points(scene: Scene, tx, rx, seqs: np.ndarray, images: np.ndarra
 
 def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
                        frequency: float = 5.9e9, *, cull_db: float | None = None,
-                       known_best_gain: float = 0.0) -> list[PropagationPath]:
+                       known_best_gain: float = 0.0) -> PathSet:
     """Single-bounce Lambertian diffuse paths from every doubly visible tile.
 
     Every tile of :meth:`Scene.tiles` on a scattering surface (S > 0) that
@@ -370,7 +428,7 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
 
     where the angles are measured from the tile normal.  The polarimetric
     matrix is diagonal (no cross-polarization) and the path's
-    ``gain_linear()`` is exactly the squared magnitude.
+    :meth:`PathSet.gain_linear` is exactly the squared magnitude.
 
     ``cull_db`` sets a power floor relative to the strongest path: the
     stronger of ``known_best_gain`` and the strongest tile returned.  Tiles
@@ -380,8 +438,6 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
     every doubly visible tile is returned.  Paths come out sorted by length,
     ties in (surface id, tile id) order.
     """
-    if tile_size <= 0:
-        raise ValueError("tile_size must be > 0")
     tx, rx = _endpoints(tx, rx)
     lam = SPEED_OF_LIGHT / frequency
     normals = np.array([s.normal for s in scene.surfaces]).reshape(-1, 3)
@@ -437,15 +493,11 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
     departure = v1 / np.sqrt(_rowdot(v1, v1))[:, None]
     arrival = v2 / np.sqrt(_rowdot(v2, v2))[:, None]
     amplitude = mag[idx, None, None] * np.eye(2, dtype=complex)
-    return [PropagationPath(kind="diffuse", order=1, interactions=((sid, c),),
-                            length=d, delay=d / SPEED_OF_LIGHT, amplitude=a,
-                            departure=u1, arrival=u2, tile=tid)
-            for sid, c, d, a, u1, u2, tid in zip(
-                sids[idx].tolist(), centers[idx], length[idx].tolist(), amplitude,
-                departure, arrival, tids[idx].tolist())]
+    return _pathset("diffuse", length[idx], amplitude, departure, arrival,
+                    sids[idx, None], centers[idx, None], tile=tids[idx])
 
 
-def trace_snapshot(scene: Scene, tx, rx, config: TracerConfig) -> list[PropagationPath]:
+def trace_snapshot(scene: Scene, tx, rx, config: TracerConfig) -> PathSet:
     """Union of LOS, specular and diffuse paths in deterministic order.
 
     Ordering: LOS first, then speculars by (order, length), then diffuse by
@@ -453,25 +505,24 @@ def trace_snapshot(scene: Scene, tx, rx, config: TracerConfig) -> list[Propagati
     ``cull_db`` below the strongest path of the snapshot, which keeps the
     component count bounded.
     """
-    paths: list[PropagationPath] = []
     los = trace_los(scene, tx, rx, config.frequency)
-    if los is not None:
-        paths.append(los)
-    paths.extend(image_method_specular(scene, tx, rx, config.max_order, config.frequency))
+    parts = [] if los is None else [los]
+    parts.append(image_method_specular(scene, tx, rx, config.max_order, config.frequency))
     if config.enable_diffuse:
-        known_best = max((p.gain_linear() for p in paths), default=0.0)
-        paths.extend(lambertian_diffuse(scene, tx, rx, config.tile_size, config.frequency,
+        known_best = max(float(p.gain_linear().max(initial=0.0)) for p in parts)
+        parts.append(lambertian_diffuse(scene, tx, rx, config.tile_size, config.frequency,
                                         cull_db=config.cull_db, known_best_gain=known_best))
-    return paths
+    return PathSet.concat(parts)
 
 
 PATH_DUMP_HEADER = ["snapshot_t", "kind", "order", "length_m", "delay_s",
                     "gain_db", "n_interactions", "points"]
 
 
-def dump_paths_csv(paths: list[PropagationPath], t: float, fh) -> None:
+def dump_paths_csv(paths: PathSet, t: float, fh) -> None:
     """Append one CSV row per path to an open file handle."""
-    for p in paths:
+    for p, g in zip(paths, paths.gain_linear().tolist()):
         pts = ";".join(f"{q[0]:.6f}|{q[1]:.6f}|{q[2]:.6f}" for _, q in p.interactions)
+        gain_db = 10.0 * math.log10(g) if g > 0 else -math.inf
         fh.write(f"{t!r},{p.kind},{p.order},{p.length!r},{p.delay!r},"
-                 f"{p.gain_db():.6f},{len(p.interactions)},{pts}\n")
+                 f"{gain_db:.6f},{p.order},{pts}\n")

@@ -255,9 +255,12 @@ class Scene:
         inside the polygon.  Tile ids are row-major grid indices, stable
         across calls, which path interpolation relies on when matching
         diffuse paths between snapshots.  The table is built once per tile
-        size and shared read-only between callers.
+        size and shared read-only between callers.  A tile size that is not
+        finite and > 0 raises ValueError.
         """
         key = float(tile_size)
+        if not (math.isfinite(key) and key > 0):
+            raise ValueError(f"tile_size must be finite and > 0, not {tile_size!r}")
         hit = self._tile_cache.get(key)
         if hit is not None:
             return hit

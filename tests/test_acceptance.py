@@ -36,7 +36,7 @@ from v2vchan.metrics import (Apdp, Dsd, antenna_correlation, apply_noise_thresho
                              estimate_noise_floor_dsd, rms_delay_spread,
                              rms_doppler_spread)
 from v2vchan.pipeline import analyze_tensor, trace_trajectory
-from v2vchan.raytracer import (SPEED_OF_LIGHT, TracerConfig,
+from v2vchan.raytracer import (SPEED_OF_LIGHT, PathSet, TracerConfig,
                                image_method_specular, trace_los, trace_snapshot)
 from v2vchan.scene import Material, Scene, Surface, straight_trajectory
 from v2vchan.scenarios import (canyon_scene, free_space_scene,
@@ -60,7 +60,7 @@ def test_criterion_1_free_space_fidelity():
     tx_t = straight_trajectory((0, 0, 1.5), 0.0, 0.0, 0.1, 0.01)
     rx_t = straight_trajectory((100.0, 0, 1.5), 0.0, 0.0, 0.1, 0.01)
     snaps = trace_trajectory(scene, tx_t, rx_t, TracerConfig(frequency=F_C), 0.01)
-    assert all(len(p) == 1 and p[0].kind == "los" for _, p in snaps)
+    assert all([p.kind for p in paths] == ["los"] for _, paths in snaps)
     arr = isotropic_array(1)
     tensor = synthesize_tensor(PathInterpolator(snaps), arr, arr, sim)
     gain = channel_gain(compute_apdp(tensor, n_avg=tensor.n_time))
@@ -381,9 +381,9 @@ def test_criterion_8_invariance_suite():
                    for d in rng.uniform(5, 70, size=rng.integers(1, 6))]
         paths_b = [trace_los(fs, (0, 0, 0), (float(d), 0, 0), F_C)
                    for d in rng.uniform(5, 70, size=rng.integers(1, 6))]
-        s_ab = synthesize_cir(paths_a + paths_b, arr, arr, 0.0, sim)
-        s_a = synthesize_cir(paths_a, arr, arr, 0.0, sim)
-        s_b = synthesize_cir(paths_b, arr, arr, 0.0, sim)
+        s_ab = synthesize_cir(PathSet.concat(paths_a + paths_b), arr, arr, 0.0, sim)
+        s_a = synthesize_cir(PathSet.concat(paths_a), arr, arr, 0.0, sim)
+        s_b = synthesize_cir(PathSet.concat(paths_b), arr, arr, 0.0, sim)
         assert np.array_equal(s_ab, s_a + s_b)
 
     # determinism: same seed/config -> identical outputs
@@ -400,7 +400,8 @@ def test_criterion_8_invariance_suite():
             d = float(rng.uniform(20, 80))
             p1 = trace_snapshot(scene_d, (0, 0, 1.5), (d, 0, 1.5), cfg_d)
             p2 = trace_snapshot(scene_d, (0, 0, 1.5), (d, 0, 1.5), cfg_d)
-            assert [p.match_key() for p in p1] == [p.match_key() for p in p2]
+            for name in ("kind", "surfaces", "tile"):
+                assert np.array_equal(getattr(p1, name), getattr(p2, name))
             assert np.array_equal(
                 synthesize_cir(p1, arr, arr, 0.0, sim),
                 synthesize_cir(p2, arr, arr, 0.0, sim))

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,17 +8,24 @@ import pytest
 from v2vchan.antenna import isotropic_array
 from v2vchan.channel import (ChannelTensor, PathInterpolator, SimConfig,
                              TensorFormatError, _match_paths, add_measurement_noise,
-                             cir_to_ctf, ctf_to_cir, hann_window, interpolate_snapshots,
+                             cir_to_ctf, ctf_to_cir, hann_window,
                              load_tensor, save_tensor, synthesize_cir, synthesize_tensor)
-from v2vchan.raytracer import SPEED_OF_LIGHT, PropagationPath, trace_los
+from v2vchan.raytracer import SPEED_OF_LIGHT, PathSet, trace_los
 from v2vchan.scenarios import free_space_scene
 
 F = 5.9e9
 LAM = SPEED_OF_LIGHT / F
 
 
-def los_path(d: float, f: float = F) -> PropagationPath:
+def los_path(d: float, f: float = F) -> PathSet:
     return trace_los(free_space_scene(), (0.0, 0.0, 0.0), (d, 0.0, 0.0), f)
+
+
+def fine_paths(coarse, fine_dt):
+    """(t, path set) on the fine grid from the first to the last snapshot."""
+    interp = PathInterpolator(coarse)
+    n = int(round((interp.times[-1] - interp.times[0]) / fine_dt)) + 1
+    return [(t, interp.paths_at(t)) for t in interp.times[0] + np.arange(n) * fine_dt]
 
 
 def rand_tensor(rng, shape=(6, 2, 2, 32), domain="delay", dt=1e-4) -> ChannelTensor:
@@ -49,7 +57,7 @@ class TestSimConfig:
 class TestSynthesizeCir:
     def test_no_paths_zero_slice(self):
         arr = isotropic_array(2)
-        s = synthesize_cir([], arr, arr, 0.0, SimConfig())
+        s = synthesize_cir(PathSet.concat([]), arr, arr, 0.0, SimConfig())
         assert s.shape == (2, 2, 769)
         assert not s.any()
 
@@ -61,7 +69,7 @@ class TestSynthesizeCir:
         assert (cfg.carrier_frequency * k / cfg.bandwidth) == int(
             cfg.carrier_frequency * k / cfg.bandwidth)
         arr = isotropic_array(1)
-        s = synthesize_cir([los_path(d)], arr, arr, 0.0, cfg)
+        s = synthesize_cir(los_path(d), arr, arr, 0.0, cfg)
         tap = s[0, 0, k]
         assert abs(tap.imag) < 1e-11 * tap.real  # zero phase up to fp rounding
         assert tap.real == pytest.approx(LAM / (4 * math.pi * d), rel=1e-12)
@@ -73,17 +81,13 @@ class TestSynthesizeCir:
         d = k * SPEED_OF_LIGHT / cfg.bandwidth
         p1 = los_path(d)
         # delay offset of exactly 1/(2f): pi phase opposition, same bin
-        p2 = PropagationPath(
-            kind="los", order=0, interactions=(), length=p1.length,
-            delay=p1.delay + 1.0 / (2 * cfg.carrier_frequency),
-            amplitude=p1.amplitude.copy(), departure=p1.departure,
-            arrival=p1.arrival)
+        p2 = replace(p1, length=p1.length + SPEED_OF_LIGHT / (2 * cfg.carrier_frequency))
         arr = isotropic_array(1)
-        s = synthesize_cir([p1, p2], arr, arr, 0.0, cfg)
+        s = synthesize_cir(PathSet.concat([p1, p2]), arr, arr, 0.0, cfg)
         # independent two-phasor oracle
         a = LAM / (4 * math.pi * d)
-        oracle = a * (np.exp(-2j * np.pi * cfg.carrier_frequency * p1.delay)
-                      + np.exp(-2j * np.pi * cfg.carrier_frequency * p2.delay))
+        oracle = a * (np.exp(-2j * np.pi * cfg.carrier_frequency * p1.delay[0])
+                      + np.exp(-2j * np.pi * cfg.carrier_frequency * p2.delay[0]))
         single = a
         assert abs(oracle) < 1e-9 * single            # pi opposition cancels
         assert abs(s[0, 0, k] - oracle) < 1e-12 * single
@@ -93,7 +97,7 @@ class TestSynthesizeCir:
         d = 100 * SPEED_OF_LIGHT / cfg.bandwidth  # bin 100 > 63
         arr = isotropic_array(1)
         with pytest.warns(RuntimeWarning, match="dropped"):
-            s = synthesize_cir([los_path(d)], arr, arr, 0.0, cfg)
+            s = synthesize_cir(los_path(d), arr, arr, 0.0, cfg)
         assert not s.any()
 
     def test_linear_in_path_list(self):
@@ -102,15 +106,15 @@ class TestSynthesizeCir:
         arr = isotropic_array(2)
         paths_a = [los_path(rng.uniform(10, 100)) for _ in range(5)]
         paths_b = [los_path(rng.uniform(10, 100)) for _ in range(7)]
-        s_ab = synthesize_cir(paths_a + paths_b, arr, arr, 0.0, cfg)
-        s_a = synthesize_cir(paths_a, arr, arr, 0.0, cfg)
-        s_b = synthesize_cir(paths_b, arr, arr, 0.0, cfg)
+        s_ab = synthesize_cir(PathSet.concat(paths_a + paths_b), arr, arr, 0.0, cfg)
+        s_a = synthesize_cir(PathSet.concat(paths_a), arr, arr, 0.0, cfg)
+        s_b = synthesize_cir(PathSet.concat(paths_b), arr, arr, 0.0, cfg)
         assert np.array_equal(s_ab, s_a + s_b)
 
     def test_element_offsets_phase_only(self):
         cfg = SimConfig()
         arr2 = isotropic_array(2, element_spacing=0.05)
-        s = synthesize_cir([los_path(50.0)], arr2, arr2, 0.0, cfg)
+        s = synthesize_cir(los_path(50.0), arr2, arr2, 0.0, cfg)
         mags = np.abs(s[:, :, np.abs(s).max(axis=(0, 1)).argmax()])
         assert np.allclose(mags, mags[0, 0], rtol=1e-12)  # same magnitude
         phases = np.angle(s[:, :, np.abs(s).max(axis=(0, 1)).argmax()])
@@ -126,7 +130,7 @@ class TestDopplerPhase:
         for k in range(6):
             t = k * cfg.fine_dt
             p = los_path(d0 - v * t)
-            s = synthesize_cir([p], arr, arr, t, cfg)
+            s = synthesize_cir(p, arr, arr, t, cfg)
             b = int(np.abs(s[0, 0]).argmax())
             phases.append(np.angle(s[0, 0, b]))
         dphi = np.diff(np.unwrap(phases))
@@ -138,19 +142,19 @@ class TestInterpolation:
     def test_linear_midpoint_delay(self):
         p0 = los_path(299.792458)            # 1.000 us
         p1 = los_path(302.79038258)          # 1.010 us
-        coarse = [(0.0, [p0]), (10e-3, [p1])]
-        fine = interpolate_snapshots(coarse, 5e-3)
+        coarse = [(0.0, p0), (10e-3, p1)]
+        fine = fine_paths(coarse, 5e-3)
         assert len(fine) == 3
         t, mid = fine[1]
         assert t == pytest.approx(5e-3)
-        assert mid[0].delay == pytest.approx(1.005e-6, rel=1e-9)
+        assert mid.delay[0] == pytest.approx(1.005e-6, rel=1e-9)
 
     def test_no_extrapolation_of_new_path(self):
         p0 = los_path(100.0)
         p1 = los_path(100.1)
         extra = los_path(200.0)
-        coarse = [(0.0, [p0]), (10e-3, [p1, extra])]
-        fine = interpolate_snapshots(coarse, 2.5e-3)
+        coarse = [(0.0, p0), (10e-3, PathSet.concat([p1, extra]))]
+        fine = fine_paths(coarse, 2.5e-3)
         for t, paths in fine[:-1]:
             assert len(paths) == 1
         assert len(fine[-1][1]) == 2
@@ -159,19 +163,19 @@ class TestInterpolation:
         p0 = los_path(100.0)
         dying = los_path(150.0)
         p1 = los_path(100.1)
-        coarse = [(0.0, [p0, dying]), (10e-3, [p1])]
-        fine = interpolate_snapshots(coarse, 5e-3)
+        coarse = [(0.0, PathSet.concat([p0, dying])), (10e-3, p1)]
+        fine = fine_paths(coarse, 5e-3)
         assert len(fine[1][1]) == 2   # still there mid-interval
         assert len(fine[2][1]) == 1   # gone at the boundary
 
     def test_repeated_key_pairs_in_delay_order(self):
         # a key a hand-built snapshot repeats: the k-th shortest a-path pairs
         # with the k-th shortest b-path, and the leftover a-path is held
-        a = [los_path(150.0), los_path(100.0)]
-        b = [los_path(149.0)]
-        pairs, held = _match_paths(a, b)
-        assert [(pa.length, pb.length) for pa, pb in pairs] == [(100.0, 149.0)]
-        assert [p.length for p in held] == [150.0]
+        a = PathSet.concat([los_path(150.0), los_path(100.0)])
+        b = los_path(149.0)
+        ia, ib, held = _match_paths(a, b)
+        assert (a.length[ia].tolist(), b.length[ib].tolist()) == ([100.0], [149.0])
+        assert a.length[held].tolist() == [150.0]
 
     def test_exact_retrace_oracle(self):
         # uniformly moving rx in empty space: interpolated delays vs re-trace
@@ -187,23 +191,18 @@ class TestInterpolation:
         coarse = []
         for k in range(3):
             t = k * cfg.coarse_trace_dt
-            coarse.append((t, [trace_los(scene, tx, pos(t), F)]))
-        fine = interpolate_snapshots(coarse, cfg.fine_dt)
+            coarse.append((t, trace_los(scene, tx, pos(t), F)))
+        fine = fine_paths(coarse, cfg.fine_dt)
         worst = 0.0
         for t, paths in fine:
-            exact = trace_los(scene, tx, pos(t), F)
-            worst = max(worst, abs(paths[0].delay - exact.delay) / exact.delay)
+            exact = trace_los(scene, tx, pos(t), F).delay[0]
+            worst = max(worst, abs(paths.delay[0] - exact) / exact)
         assert worst < 1e-4
 
     def test_nonuniform_spacing_rejected(self):
         p = los_path(50.0)
         with pytest.raises(ValueError):
-            PathInterpolator([(0.0, [p]), (1e-3, [p]), (3e-3, [p])])
-
-    def test_fine_dt_must_divide(self):
-        p = los_path(50.0)
-        with pytest.raises(ValueError):
-            interpolate_snapshots([(0.0, [p]), (10e-3, [p])], 3e-3)
+            PathInterpolator([(0.0, p), (1e-3, p), (3e-3, p)])
 
 
 class TestDftPair:
@@ -337,8 +336,8 @@ class TestSynthesizeTensor:
     def test_fine_step_count(self):
         cfg = SimConfig()
         p = los_path(100.0)
-        coarse = [(k * cfg.coarse_trace_dt, [p]) for k in range(101)]  # 1 s
-        tensor = synthesize_tensor(coarse, isotropic_array(1), isotropic_array(1), cfg)
+        coarse = [(k * cfg.coarse_trace_dt, p) for k in range(101)]  # 1 s
+        tensor = synthesize_tensor(PathInterpolator(coarse), isotropic_array(1), isotropic_array(1), cfg)
         assert tensor.n_time == 10_000
         assert tensor.dt == pytest.approx(cfg.fine_dt)
 
@@ -347,8 +346,8 @@ class TestSynthesizeTensor:
         # not fine_dt, and a time axis rebuilt from it drifts off the grid
         cfg = SimConfig(n_freq_bins=8, fine_dt=625e-6)
         p = los_path(5.0)
-        coarse = [(4.04 + k * cfg.coarse_trace_dt, [p]) for k in range(5)]
-        tensor = synthesize_tensor(coarse, isotropic_array(1), isotropic_array(1), cfg)
+        coarse = [(4.04 + k * cfg.coarse_trace_dt, p) for k in range(5)]
+        tensor = synthesize_tensor(PathInterpolator(coarse), isotropic_array(1), isotropic_array(1), cfg)
         assert tensor.n_time == 64
         assert tensor.dt == cfg.fine_dt
         assert np.array_equal(tensor.time_axis, coarse[0][0] + np.arange(64) * cfg.fine_dt)
@@ -357,14 +356,15 @@ class TestSynthesizeTensor:
         cfg = SimConfig(n_freq_bins=64)
         near = los_path(20 * SPEED_OF_LIGHT / cfg.bandwidth)
         far = los_path(100 * SPEED_OF_LIGHT / cfg.bandwidth)  # bin 100 > 63
-        coarse = [(0.0, [near, far]), (cfg.coarse_trace_dt, [near, far])]
+        both = PathSet.concat([near, far])
+        coarse = [(0.0, both), (cfg.coarse_trace_dt, both)]
         return coarse, isotropic_array(1), cfg
 
     def test_dropped_paths_one_warning_with_total(self):
         coarse, arr, cfg = self._dropping_run()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            tensor = synthesize_tensor(coarse, arr, arr, cfg)
+            tensor = synthesize_tensor(PathInterpolator(coarse), arr, arr, cfg)
         assert tensor.n_time == 100
         assert [type(w.message) for w in caught] == [RuntimeWarning]
         assert str(caught[0].message).startswith("100 path(s) beyond")
@@ -376,4 +376,4 @@ class TestSynthesizeTensor:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeWarning, match="dropped"):
-                synthesize_tensor(coarse, arr, arr, cfg)
+                synthesize_tensor(PathInterpolator(coarse), arr, arr, cfg)

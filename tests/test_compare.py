@@ -9,7 +9,7 @@ from v2vchan.compare import (LOS, NLOS, AlignmentError, ErrorStats,
                              load_labels, render_report,
                              save_labels, save_report, segment_los_nlos)
 from v2vchan.metrics import MetricSeries
-from v2vchan.raytracer import PropagationPath, trace_los
+from v2vchan.raytracer import PathSet, trace_los
 from v2vchan.scenarios import free_space_scene
 
 
@@ -22,10 +22,9 @@ def series(values, times=None, kind="gain", unit="dB"):
 
 
 def los_snapshot(t, with_los=True):
-    paths = []
     if with_los:
-        paths.append(trace_los(free_space_scene(), (0, 0, 0), (10, 0, 0), 5.9e9))
-    return (t, paths)
+        return (t, trace_los(free_space_scene(), (0, 0, 0), (10, 0, 0), 5.9e9))
+    return (t, PathSet.concat([]))
 
 
 class TestSegmentation:
@@ -150,6 +149,18 @@ class TestErrorStats:
         eps = series([1.0, np.nan, 3.0])
         st = error_stats(eps, self._labels(3, [True] * 3))
         assert st.cells[LOS][2] == 2
+
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ValueError, match="label times"):
+            error_stats(series([1.0, 2.0]), SegmentLabels(times=[], is_los=[]))
+
+    @pytest.mark.parametrize("times", [[0.2, 0.0, 0.1], [0.0, 0.1, 0.1],
+                                       [0.0, math.nan, 0.2], [0.0, 0.1, math.inf]])
+    def test_unsorted_or_non_finite_label_times_rejected(self, times):
+        # the nearest-label lookup bisects the times: unsorted labels would
+        # silently give wrong LOS/NLOS means
+        with pytest.raises(ValueError, match="label times"):
+            SegmentLabels(times=times, is_los=[True, False, False])
 
 
 class TestReport:

@@ -13,8 +13,8 @@ lists must agree in order, surface sequence and value.
 import numpy as np
 import pytest
 
-from v2vchan.raytracer import (_endpoints, _specular_paths, image_method_specular,
-                               trace_los)
+from v2vchan.raytracer import (MAX_SPECULAR_ORDER, TracerConfig, _endpoints, _specular_paths,
+                               image_method_specular, trace_los, trace_snapshot)
 from v2vchan.scene import DEFAULT_MATERIALS, Scene, extrude_footprint
 from v2vchan.scenarios import (ANTENNA_HEIGHT, EW_STREET_WIDTH, NS_STREET_WIDTH,
                                ground_surface, intersection_scene,
@@ -83,8 +83,12 @@ def reference_specular(scene, tx, rx, max_order, frequency=F):
     return _specular_paths(scene, candidates, frequency)
 
 
+def _key(p) -> tuple:
+    return (p.kind, tuple(sid for sid, _ in p.interactions), p.tile)
+
+
 def _assert_same(got, want):
-    assert [p.match_key() for p in got] == [p.match_key() for p in want]
+    assert [_key(p) for p in got] == [_key(p) for p in want]
     for g, w in zip(got, want):
         assert g.length == pytest.approx(w.length, rel=REL, abs=0)
         assert np.allclose(g.amplitude, w.amplitude, rtol=REL, atol=0)
@@ -152,5 +156,13 @@ def test_order_4_courtyard_block_over_ground():
 
 
 def test_empty_scene_returns_no_paths():
-    assert image_method_specular(Scene([]), (0, 0, 1), (10, 0, 1), 4, F) == []
-    assert reference_specular(Scene([]), (0, 0, 1), (10, 0, 1), 4) == []
+    got = image_method_specular(Scene([]), (0, 0, 1), (10, 0, 1), 4, F)
+    shapes = {"kind": (0,), "surfaces": (0, MAX_SPECULAR_ORDER),
+              "points": (0, MAX_SPECULAR_ORDER, 3), "tile": (0,), "length": (0,),
+              "amplitude": (0, 2, 2), "departure": (0, 3), "arrival": (0, 3)}
+    assert {name: getattr(got, name).shape for name in shapes} == shapes
+    assert got.amplitude.dtype == complex and got.surfaces.dtype.kind == "i"
+    assert len(reference_specular(Scene([]), (0, 0, 1), (10, 0, 1), 4)) == 0
+    los = trace_snapshot(Scene([]), (0, 0, 1), (10, 0, 1), TracerConfig(frequency=F))
+    assert [(p.kind, p.order, p.interactions, p.tile) for p in los] == [("los", 0, (), None)]
+    assert los.surfaces.tolist() == [[-1] * MAX_SPECULAR_ORDER] and los.tile.tolist() == [-1]

@@ -234,6 +234,12 @@ class TestSceneContainer:
         assert s.tiles(1.0)[1] is centers           # built once per tile size
         assert not centers.flags.writeable
 
+    @pytest.mark.parametrize("size", [0.0, -1.0, math.inf, math.nan])
+    def test_tiles_reject_bad_size(self, single_wall_scene, size):
+        # 0 overflowed, -1 and inf gave one tile per surface, NaN failed in int()
+        with pytest.raises(ValueError, match="tile_size must be finite and > 0"):
+            single_wall_scene.tiles(size)
+
 
 SCENE_DOC = {
     "materials": [
