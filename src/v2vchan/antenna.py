@@ -9,6 +9,17 @@ polarization basis for a propagation direction d is
 
 so (e_h, e_v, d) is right-handed.  Both the ray tracer and the channel
 synthesizer use this basis.
+
+Every :class:`AntennaPattern` keeps a read-only copy of its grid and, built
+from it once, a real (4, K) gather table ``planes`` (re V, im V, re H,
+im H over its K nodes); a grid that cannot change cannot leave the table
+stale.  An :class:`ArrayLayout` stacks the tables of its distinct patterns
+and keeps each element's table offset, grid size, steps and boresight as
+(M, 1) columns, so :meth:`ArrayLayout.element_gains` interpolates all
+elements in one pass: one index computation over (elements, directions)
+and four gathers.  :meth:`AntennaPattern.sample` is the one-pattern case of
+the same kernel.  The four shark-fin elements share one cardioid pattern,
+turned by their boresights, so its table is held once.
 """
 
 from __future__ import annotations
@@ -54,37 +65,70 @@ class AntennaPattern:
 
     ``grid`` has shape (n_az, n_el, 2); azimuth wraps (the sample at 360 deg
     equals the one at 0 deg and is not stored).  Queries interpolate
-    bilinearly and are exact at grid nodes.
+    bilinearly and are exact at grid nodes.  The pattern keeps a read-only
+    copy of the grid and, from it, the gather table ``planes``.
     """
 
     def __init__(self, grid: np.ndarray):
-        g = np.asarray(grid, dtype=complex)
+        g = np.array(grid, dtype=complex)
         if g.ndim != 3 or g.shape[2] != 2 or g.shape[0] < 2 or g.shape[1] < 2:
             raise ValueError("pattern grid must have shape (n_az >= 2, n_el >= 2, 2)")
         if not np.all(np.isfinite(g)):
             raise ValueError("pattern grid must be finite everywhere")
+        g.flags.writeable = False
         self.grid = g
         self.n_az, self.n_el = g.shape[0], g.shape[1]
         self.az_step = 360.0 / self.n_az
         self.el_step = 180.0 / (self.n_el - 1)
+        # re V, im V, re H, im H, each over the nodes in (azimuth, elevation) order
+        self.planes = np.moveaxis(g.view(float).reshape(-1, 4), 1, 0).copy()
+        self.planes.flags.writeable = False
 
     def sample(self, az_deg, el_deg) -> np.ndarray:
-        """Bilinear interpolation at (azimuth, elevation) in degrees; (N, 2)."""
-        az = np.asarray(az_deg, dtype=float) % 360.0
-        el = np.clip(np.asarray(el_deg, dtype=float), -90.0, 90.0)
-        fa = az / self.az_step
-        fe = (el + 90.0) / self.el_step
-        ia = np.floor(fa).astype(int) % self.n_az
-        ie = np.minimum(np.floor(fe).astype(int), self.n_el - 2)
-        wa = (fa - np.floor(fa))[..., None]
-        we = (fe - ie)[..., None]
-        ia1 = (ia + 1) % self.n_az
-        g00 = self.grid[ia, ie]
-        g10 = self.grid[ia1, ie]
-        g01 = self.grid[ia, ie + 1]
-        g11 = self.grid[ia1, ie + 1]
-        return (g00 * (1 - wa) * (1 - we) + g10 * wa * (1 - we)
-                + g01 * (1 - wa) * we + g11 * wa * we)
+        """Bilinear interpolation at (azimuth, elevation) in degrees; shape
+        (..., 2) over the broadcast query shape.  Non-finite angles raise
+        ValueError."""
+        az, el = np.broadcast_arrays(np.asarray(az_deg, dtype=float),
+                                     np.asarray(el_deg, dtype=float))
+        if not (np.isfinite(az).all() and np.isfinite(el).all()):
+            raise ValueError("pattern query angles must be finite")
+        cols = tuple(np.array([[x]]) for x in (0, self.n_az, self.n_el,
+                                                self.az_step, self.el_step))
+        return _bilinear(self.planes, cols, az.reshape(1, -1), el.reshape(-1)).reshape(
+            *az.shape, 2)
+
+
+def _bilinear(planes: np.ndarray, cols, az: np.ndarray, el: np.ndarray) -> np.ndarray:
+    """Bilinear (V, H) gains of M patterns that share one gather table.
+
+    ``planes`` is a (4, K) table of node values (re V, im V, re H, im H);
+    ``cols`` holds (M, 1) columns of each pattern's first node in the table,
+    n_az, n_el, azimuth step and elevation step.  ``az`` (M, N) holds each
+    pattern's azimuths, ``el`` (N,) the shared elevations.  Returns (M, N, 2)
+    complex.  The index arithmetic runs once over (M, N), the four corner
+    gathers take all planes at once, and the weights apply in the order
+    ``g00 (1 - wa) (1 - we) + g10 wa (1 - we) + g01 (1 - wa) we + g11 wa we``.
+    Per component these are the products and sums of the complex form, so
+    nonzero results agree with it bit for bit; a zero may differ in sign
+    where a node carries a negative component.
+    """
+    base, n_az, n_el, az_step, el_step = cols
+    fa = (az % 360.0) / az_step
+    fe = (np.clip(el, -90.0, 90.0) + 90.0) / el_step
+    floor_a = np.floor(fa)
+    ia = floor_a.astype(int) % n_az
+    ie = np.minimum(np.floor(fe).astype(int), n_el - 2)
+    wa = fa - floor_a
+    we = fe - ie
+    i00 = base + ia * n_el + ie
+    i10 = base + (ia + 1) % n_az * n_el + ie
+    ua, ue = 1 - wa, 1 - we
+    planes4 = (np.take(planes, i00, axis=1) * ua * ue + np.take(planes, i10, axis=1) * wa * ue
+               + np.take(planes, i00 + 1, axis=1) * ua * we
+               + np.take(planes, i10 + 1, axis=1) * wa * we)             # (4, M, N)
+    out = np.empty((*az.shape, 2), dtype=complex)
+    out.view(float).reshape(*az.shape, 4)[...] = np.moveaxis(planes4, 0, -1)
+    return out
 
 
 def pattern_gain(pattern: AntennaPattern, direction) -> np.ndarray:
@@ -138,7 +182,13 @@ class ArrayElement:
 
 @dataclass
 class ArrayLayout:
-    """Roof-mounted antenna array: element offsets, patterns, boresights."""
+    """Roof-mounted antenna array: element offsets, patterns, boresights.
+
+    Construction reads the elements once: the distinct patterns' planes go
+    into one gather table, and each element's table offset, grid shape,
+    steps and boresight into (M, 1) columns that :meth:`element_gains`
+    reads.
+    """
 
     elements: list[ArrayElement]
 
@@ -149,6 +199,16 @@ class ArrayLayout:
             e.offset = np.asarray(e.offset, dtype=float)
             if np.linalg.norm(e.offset) > 1.0:
                 raise ValueError("element offsets must stay within 1 m of the array origin")
+        distinct = list({id(e.pattern): e.pattern for e in self.elements}.values())
+        starts = dict(zip(map(id, distinct),
+                          np.cumsum([0] + [p.planes.shape[1] for p in distinct]).tolist()))
+        self._planes = (distinct[0].planes if len(distinct) == 1
+                        else np.concatenate([p.planes for p in distinct], axis=1))
+        self._planes.flags.writeable = False
+        rows = [(starts[id(p)], p.n_az, p.n_el, p.az_step, p.el_step)
+                for p in (e.pattern for e in self.elements)]
+        self._cols = tuple(np.array(col)[:, None] for col in zip(*rows))
+        self._boresight = np.array([[e.boresight_az_deg] for e in self.elements], dtype=float)
 
     @property
     def size(self) -> int:
@@ -165,14 +225,15 @@ class ArrayLayout:
 
         Returns an array of shape (n_elements, N, 2).  Element frames differ
         from the world frame by the vehicle yaw plus the element boresight
-        azimuth (elevation is passed through unchanged).
+        azimuth (elevation is passed through unchanged).  Non-finite
+        directions or heading raise ValueError.
         """
+        directions = np.asarray(directions, dtype=float)
+        if not (np.isfinite(directions).all() and math.isfinite(heading_rad)):
+            raise ValueError("antenna query directions and heading must be finite")
         az, el = direction_to_angles(directions)
-        out = np.empty((self.size, len(az), 2), dtype=complex)
-        for i, e in enumerate(self.elements):
-            az_local = (az - math.degrees(heading_rad) - e.boresight_az_deg) % 360.0
-            out[i] = e.pattern.sample(az_local, el)
-        return out
+        az_local = (az - math.degrees(heading_rad)) - self._boresight
+        return _bilinear(self._planes, self._cols, az_local % 360.0, el)
 
 
 def default_sharkfin_array(element_spacing: float = 0.05,
@@ -186,10 +247,11 @@ def default_sharkfin_array(element_spacing: float = 0.05,
     """
     boresights = [90.0, 180.0, 0.0, 270.0]
     n = len(boresights)
+    pattern = cardioid_pattern(0.0, peak_gain_dbi)      # one pattern, turned per element
     elements = []
     for i, b in enumerate(boresights):
         offset = np.array([(i - (n - 1) / 2.0) * element_spacing, 0.0, 0.0])
-        elements.append(ArrayElement(offset, cardioid_pattern(0.0, peak_gain_dbi), b))
+        elements.append(ArrayElement(offset, pattern, b))
     return ArrayLayout(elements)
 
 

@@ -319,15 +319,29 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * math.pi * i / (n - 1)) if n > 1 else np.ones(1)
 
 
+#: Values per time chunk of :func:`cir_to_ctf`; each chunk's transform and
+#: shifted copy are the only buffers beside the output.
+_CTF_CHUNK_VALUES = 1 << 16
+
+
 def cir_to_ctf(tensor: ChannelTensor) -> ChannelTensor:
     """Delay -> frequency via an unnormalized forward DFT along the bin axis.
 
     The resulting bin axis is fftshifted so frequencies increase and the
-    carrier sits at index n_bins // 2.
+    carrier sits at index n_bins // 2.  The transform runs over time chunks
+    into one preallocated output; each row's DFT does not depend on the
+    chunking, so the result equals the whole-tensor transform bit for bit.
     """
     if tensor.domain != "delay":
         raise ValueError("cir_to_ctf expects a delay-domain tensor")
-    h = np.fft.fftshift(np.fft.fft(tensor.data, axis=-1), axes=-1)
+    rows = max(1, _CTF_CHUNK_VALUES // tensor.data[0].size)
+    h = None
+    for a in range(0, tensor.n_time, rows):
+        chunk = np.fft.fftshift(np.fft.fft(tensor.data[a:a + rows], axis=-1), axes=-1)
+        if h is None:       # the transform's own dtype, as for the whole tensor
+            h = np.empty(tensor.data.shape, dtype=chunk.dtype)
+        h[a:a + rows] = chunk
+        del chunk           # so the next chunk's transform does not coexist with it
     n = tensor.n_bins
     df = 1.0 / (n * tensor.dbin)
     return ChannelTensor(domain="frequency", data=h, t0=tensor.t0, dt=tensor.dt,

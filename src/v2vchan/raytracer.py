@@ -34,7 +34,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .antenna import vh_basis
-from .scene import Material, Scene, occlusion_test, occlusion_test_batch
+from .scene import (Material, Scene, occlusion_test, occlusion_test_batch,
+                    occlusion_test_fan)
 
 SPEED_OF_LIGHT = 299792458.0
 VACUUM_PERMITTIVITY = 8.8541878128e-12
@@ -474,11 +475,9 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
             if not above.any():
                 break  # everything further down is weaker still
             sel = sel[above]
-        blocked = occlusion_test_batch(scene, np.tile(tx, (len(sel), 1)), centers[sel])
-        sel = sel[~blocked]
+        sel = sel[~occlusion_test_fan(scene, tx, centers[sel])]
         if len(sel):
-            blocked = occlusion_test_batch(scene, centers[sel], np.tile(rx, (len(sel), 1)))
-            sel = sel[~blocked]
+            sel = sel[~occlusion_test_fan(scene, centers[sel], rx)]
         if len(sel):
             keep[sel] = True
             best_gain = max(best_gain, float(np.max(mag[sel]) ** 2))

@@ -9,6 +9,30 @@ Tolerances: vertices must be coplanar within ``PLANARITY_TOL`` (1e-6 m);
 segment/surface intersections closer than ``INTERSECT_TOL`` (1e-9 m) to a
 segment endpoint do not count as obstructions.  Both sit far below the
 4.17 ns (about 1.25 m) delay resolution of the 240 MHz channel.
+
+Occlusion
+---------
+:func:`occlusion_test_batch` is the exact test: Moller-Trumbore (1997)
+against every scene triangle, a hit needing ``|det| > 1e-14``,
+``u, v >= -1e-12``, ``u + v <= 1 + 1e-12`` and the crossing strictly
+inside the segment, ``INTERSECT_TOL`` from either end.
+
+:func:`occlusion_test_fan` decides segments that share one endpoint, the
+apex ``o`` (the diffuse stage's TX -> tile and tile -> RX segments), with
+per-fan constants: for each triangle the three edge-plane normals
+``(v_i - o) x (v_j - o)``, the plane normal ``N`` and the offset
+``N . (v_0 - o)``.  For a segment ``w = point - o`` their dot products with
+``w`` are D u, D v, D (1 - u - v) and D with ``D = w . N``, and the plane
+crossing is at offset / D, so a (segment, triangle) pair costs one
+matrix-product column and a few comparisons instead of two cross products.
+Every Moller-Trumbore threshold is compared in that scaled form, behind a
+guard band that bounds the rounding of both formulations; a pair inside a
+band, or a triangle whose plane passes within a few nanometres of the
+apex, stays undecided.  A segment is blocked when some pair is a clear
+hit, clear when every pair is a clear miss, and otherwise goes back
+through :func:`occlusion_test_batch`, so the result equals the exact test
+element for element.  LOS and specular sub-segments share no endpoint and
+use the exact test directly.
 """
 
 from __future__ import annotations
@@ -236,9 +260,15 @@ class Scene:
             lo = np.full(3, -bounding_margin)
             hi = np.full(3, bounding_margin)
         self.bounding_box = np.vstack((lo, hi))
-        # Flattened triangle soup for vectorized occlusion tests.
+        # Flattened triangle soup for vectorized occlusion tests, with the
+        # plane normal e1 x e2 and longer edge of each triangle for the fan test.
         tris = [s.triangles() for s in self.surfaces]
         self._tri = np.concatenate(tris) if tris else np.zeros((0, 3, 3))
+        e1 = self._tri[:, 1] - self._tri[:, 0]
+        e2 = self._tri[:, 2] - self._tri[:, 0]
+        self._tri_normal = np.cross(e1, e2)
+        self._tri_area2 = np.linalg.norm(self._tri_normal, axis=1)
+        self._tri_edge = np.maximum(np.linalg.norm(e1, axis=1), np.linalg.norm(e2, axis=1))
         self._tile_cache: dict[float, tuple[np.ndarray, ...]] = {}
 
     @property
@@ -393,6 +423,89 @@ def occlusion_test_batch(scene: Scene, starts, ends) -> np.ndarray:
 def occlusion_test(scene: Scene, start, end) -> bool:
     """True iff some surface blocks the open segment."""
     return bool(occlusion_test_batch(scene, [start], [end])[0])
+
+
+# Guard bands of the fan test.  With W = |w| (largest over the call), L the
+# largest distance from the apex to a vertex of the triangle, h its longer
+# edge from v0 and S = |start - v0| in the Moller-Trumbore form (S <= L from
+# the apex, S <= W + L toward it), every quantity either test compares is a
+# triple product, which float64 evaluates to within 7u 3**1.5 < 37u times the
+# product of its three vector lengths (u = 2**-53, the unit roundoff).  Scaled
+# by D, where the thresholds become multiples of D:
+#   - barycentric numerators: fan W L**2, Moller-Trumbore W S h (twice for
+#     u + v) and its determinant W h**2, plus about 2u per term for the
+#     divisions and sums;
+#   - plane crossing: fan L h**2 (offset), Moller-Trumbore S h**2, both
+#     determinants W h**2, and toward the apex u W h**2 more, because the
+#     segment start is then not exactly apex + w.
+# The sums stay below 128u W (L**2 + S h + h**2) and 128u ((L + S) h**2 + W h**2),
+# the bands below.  A plane within 3 bands plus 2e-9 |N| of the apex leaves
+# its pairs undecided, which keeps D's sign known wherever a test decides.
+_FAN_GUARD = 128 * 2.0 ** -53
+_FAN_CHUNK = 1 << 16            # (segment, triangle) pairs per block
+
+
+def occlusion_test_fan(scene: Scene, starts, ends) -> np.ndarray:
+    """:func:`occlusion_test_batch` for segments that share one endpoint.
+
+    One of ``starts`` and ``ends`` is a single point (3,), the apex, and the
+    other holds the segments' other endpoints (N, 3).  The result equals
+    ``occlusion_test_batch`` on those segments element for element; the
+    module docstring says how.
+    """
+    starts = np.asarray(starts, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    toward_apex = starts.ndim == 2
+    apex, points = (ends, starts) if toward_apex else (starts, np.atleast_2d(ends))
+    if apex.shape != (3,):
+        raise ValueError("one of starts and ends must be a single point")
+    blocked = np.zeros(len(points), dtype=bool)
+    tri = scene._tri
+    n_tri = len(tri)
+    if n_tri == 0 or len(points) == 0:
+        return blocked
+    w = points - apex
+    length = np.linalg.norm(w, axis=1)
+    ok = length > 0                 # as in occlusion_test_batch: empty or NaN segments are clear
+    tol = INTERSECT_TOL / np.where(ok, length, 1.0)
+    # per-fan triangle constants, each triangle turned to face the apex:
+    # edge-plane normals through the apex, plane normal N and offset N.(v0 - apex)
+    a = tri - apex
+    normal = scene._tri_normal
+    offset = np.einsum("tk,tk->t", a[:, 0], normal)
+    cols = np.concatenate((np.cross(a[:, 2], a[:, 0]), np.cross(a[:, 0], a[:, 1]),
+                           np.cross(a[:, 1], a[:, 2]), normal))
+    cols = (cols * np.tile(np.where(offset < 0, -1.0, 1.0), 4)[:, None]).T    # (3, 4T)
+    offset = np.abs(offset)
+    reach = np.linalg.norm(a, axis=2).max(axis=1)
+    edge, area2 = scene._tri_edge, scene._tri_area2
+    wmax = length[ok].max(initial=0.0)
+    band_t = _FAN_GUARD * edge ** 2 * ((2.0 if toward_apex else 1.0) * wmax + 2.0 * reach)
+    band_bary = _FAN_GUARD * wmax * (reach ** 2 + reach * edge + edge ** 2
+                                     + (wmax * edge if toward_apex else 0.0))
+    regular = offset > 3.0 * band_t + 2e-9 * area2 + 3e-14
+    bary_hit = np.where(regular, band_bary, np.inf)
+    bary_miss = np.where(regular, -(band_bary + 2e-12 * wmax * area2), -np.inf)
+    t_hit = np.where(regular, band_t, np.inf)
+    t_miss = np.where(regular, -band_t, -np.inf)
+    unsure = np.zeros(len(points), dtype=bool)
+    step = max(1, _FAN_CHUNK // n_tri)
+    for lo in range(0, len(points), step):
+        hi = min(lo + step, len(points))
+        m = w[lo:hi] @ cols                     # D times (u, v, 1 - u - v, 1)
+        z_bary = np.minimum(np.minimum(m[:, :n_tri], m[:, n_tri:2 * n_tri]),
+                            m[:, 2 * n_tri:3 * n_tri])
+        z_t = (1.0 - tol[lo:hi])[:, None] * m[:, 3 * n_tri:] - offset
+        hit = (z_bary > bary_hit) & (z_t > t_hit)
+        miss = (z_bary < bary_miss) | (z_t < t_miss)
+        blocked[lo:hi] = hit.any(axis=1) & ok[lo:hi]
+        unsure[lo:hi] = ~blocked[lo:hi] & ~miss.all(axis=1) & ok[lo:hi]
+    idx = np.flatnonzero(unsure)
+    if len(idx):
+        apexes = np.broadcast_to(apex, (len(idx), 3))
+        blocked[idx] = (occlusion_test_batch(scene, points[idx], apexes) if toward_apex
+                        else occlusion_test_batch(scene, apexes, points[idx]))
+    return blocked
 
 
 @dataclass

@@ -1,0 +1,136 @@
+"""The stacked antenna gather against the per-element complex interpolation.
+
+``reference_sample`` and ``reference_element_gains`` are the per-pattern,
+per-element loop that ``ArrayLayout.element_gains`` replaces: complex grid
+lookups and complex-by-real weights, one element at a time.  The gather
+must reproduce them bit for bit (uint64 views), across the azimuth wrap,
+at the poles and for several headings.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from v2vchan.antenna import (AntennaPattern, ArrayElement, ArrayLayout,
+                             angles_to_direction, cardioid_pattern,
+                             default_sharkfin_array, direction_to_angles,
+                             isotropic_pattern)
+
+
+def reference_sample(p: AntennaPattern, az_deg, el_deg) -> np.ndarray:
+    az = np.asarray(az_deg, dtype=float) % 360.0
+    el = np.clip(np.asarray(el_deg, dtype=float), -90.0, 90.0)
+    fa = az / p.az_step
+    fe = (el + 90.0) / p.el_step
+    ia = np.floor(fa).astype(int) % p.n_az
+    ie = np.minimum(np.floor(fe).astype(int), p.n_el - 2)
+    wa = (fa - np.floor(fa))[..., None]
+    we = (fe - ie)[..., None]
+    ia1 = (ia + 1) % p.n_az
+    g00 = p.grid[ia, ie]
+    g10 = p.grid[ia1, ie]
+    g01 = p.grid[ia, ie + 1]
+    g11 = p.grid[ia1, ie + 1]
+    return (g00 * (1 - wa) * (1 - we) + g10 * wa * (1 - we)
+            + g01 * (1 - wa) * we + g11 * wa * we)
+
+
+def reference_element_gains(layout: ArrayLayout, directions, heading_rad) -> np.ndarray:
+    az, el = direction_to_angles(directions)
+    out = np.empty((layout.size, len(az), 2), dtype=complex)
+    for i, e in enumerate(layout.elements):
+        az_local = (az - math.degrees(heading_rad) - e.boresight_az_deg) % 360.0
+        out[i] = reference_sample(e.pattern, az_local, el)
+    return out
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _directions() -> np.ndarray:
+    """Random directions plus azimuths next to 0/360 deg and both poles."""
+    rng = np.random.default_rng(8)
+    d = rng.standard_normal((600, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    tiny = [0.0, 1e-13, -1e-13, 1e-9, -1e-9, 359.9999999, 2.0, 30.0, 180.0]
+    az = np.repeat(tiny, 5)
+    el = np.tile([-90.0, 90.0, 0.0, 89.999, -45.0], len(tiny))
+    edge = angles_to_direction(az, el)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-17, 0.0, 1.0],
+                      [1.0, -1e-17, 0.0], [1.0, 1e-17, 0.0]])
+    return np.concatenate((d, edge, poles))
+
+
+def _mixed_layout() -> ArrayLayout:
+    iso, card = isotropic_pattern(step_deg=30.0), cardioid_pattern(20.0, 3.0, step_deg=2.0)
+    return ArrayLayout([ArrayElement([0.0, 0.0, 0.0], iso, 0.0),
+                        ArrayElement([0.05, 0.0, 0.0], card, 90.0),
+                        ArrayElement([0.1, 0.0, 0.0], iso, 270.0),
+                        ArrayElement([0.15, 0.0, 0.0], card, 45.5)])
+
+
+@pytest.mark.parametrize("make", [default_sharkfin_array, _mixed_layout],
+                         ids=["sharkfin", "mixed"])
+@pytest.mark.parametrize("heading", [0.0, math.pi / 2, -2.5, 1e-15, 2 * math.pi, 7.0])
+def test_element_gains_bit_identical(make, heading):
+    layout, d = make(), _directions()
+    got = layout.element_gains(d, heading)
+    want = reference_element_gains(layout, d, heading)
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_random_complex_pattern_matches():
+    """A grid with negative and complex values; off-node queries, where no
+    weight is zero, agree bit for bit."""
+    rng = np.random.default_rng(3)
+    p = AntennaPattern(rng.standard_normal((36, 19, 2)) + 1j * rng.standard_normal((36, 19, 2)))
+    az = rng.uniform(-720.0, 720.0, 500)
+    el = rng.uniform(-89.0, 89.0, 500)
+    assert np.array_equal(_bits(p.sample(az, el)), _bits(reference_sample(p, az, el)))
+
+
+def test_sample_keeps_query_shape():
+    p = cardioid_pattern(step_deg=10.0)
+    assert p.sample(10.0, 5.0).shape == (2,)
+    az = np.linspace(0, 350, 12).reshape(3, 4)
+    got = p.sample(az, 5.0)
+    assert got.shape == (3, 4, 2)
+    assert np.array_equal(_bits(got), _bits(reference_sample(p, az, 5.0)))
+
+
+def test_sharkfin_shares_one_pattern():
+    layout = default_sharkfin_array()
+    assert len({id(e.pattern) for e in layout.elements}) == 1
+    assert layout._planes is layout.elements[0].pattern.planes
+
+
+def test_grids_and_tables_are_read_only():
+    grid = np.ones((4, 3, 2), dtype=complex)
+    p = AntennaPattern(grid)
+    grid[0, 0, 0] = 5.0                      # the caller's array stays the caller's
+    assert p.grid[0, 0, 0] == 1.0
+    for a in (p.grid, p.planes, _mixed_layout()._planes):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 2.0
+
+
+class TestNonFiniteQueries:
+    @pytest.mark.parametrize("az, el", [(math.nan, 0.0), (0.0, math.nan),
+                                        (math.inf, 0.0), (0.0, -math.inf)])
+    def test_sample_rejects(self, az, el):
+        p = cardioid_pattern(step_deg=10.0)
+        with pytest.raises(ValueError, match="finite"):
+            p.sample(np.array([10.0, az]), np.array([0.0, el]))
+
+    @pytest.mark.parametrize("heading", [math.nan, math.inf, -math.inf])
+    def test_element_gains_rejects_heading(self, heading):
+        with pytest.raises(ValueError, match="finite"):
+            default_sharkfin_array().element_gains(np.array([[1.0, 0.0, 0.0]]), heading)
+
+    def test_element_gains_rejects_direction(self):
+        d = np.array([[1.0, 0.0, 0.0], [math.nan, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            default_sharkfin_array().element_gains(d, 0.0)

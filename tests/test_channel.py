@@ -240,6 +240,28 @@ class TestDftPair:
         H = cir_to_ctf(t)
         assert np.allclose(H.data[..., 33 // 2], t.data.sum(axis=-1))
 
+    @pytest.mark.parametrize("shape", [(222, 4, 4, 193), (3, 1, 1, 5), (2, 2, 2, 40_000)])
+    def test_chunks_equal_whole_transform(self, shape):
+        t = rand_tensor(np.random.default_rng(6), shape)
+        whole = np.fft.fftshift(np.fft.fft(t.data, axis=-1), axes=-1)
+        assert np.array_equal(cir_to_ctf(t).data.view(np.uint64), whole.view(np.uint64))
+
+    def test_heap_is_output_plus_two_chunks(self):
+        """Beside its output, the transform holds at most two time chunks of
+        about 2**16 complex values each (the transform and its shifted copy)."""
+        import tracemalloc
+
+        t = rand_tensor(np.random.default_rng(7), (222, 4, 4, 193))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = cir_to_ctf(t)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        chunk = 2 ** 16 * 16
+        assert peak <= out.data.nbytes + 2 * chunk, (peak, out.data.nbytes, chunk)
+
 
 class TestNoise:
     def test_zero_power_bit_exact(self):
@@ -351,6 +373,15 @@ class TestSynthesizeTensor:
         assert tensor.n_time == 64
         assert tensor.dt == cfg.fine_dt
         assert np.array_equal(tensor.time_axis, coarse[0][0] + np.arange(64) * cfg.fine_dt)
+
+    @pytest.mark.parametrize("end", ["tx_heading", "rx_heading"])
+    def test_non_finite_heading_rejected(self, end):
+        cfg = SimConfig(n_freq_bins=8)
+        p = los_path(5.0)
+        coarse = [(k * cfg.coarse_trace_dt, p) for k in range(2)]
+        with pytest.raises(ValueError, match="finite"):
+            synthesize_tensor(PathInterpolator(coarse), isotropic_array(1), isotropic_array(1),
+                              cfg, **{end: math.nan})
 
     def _dropping_run(self):
         cfg = SimConfig(n_freq_bins=64)
