@@ -25,6 +25,7 @@ turned by their boresights, so its table is held once.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -267,29 +268,51 @@ def isotropic_array(n_elements: int = 1, element_spacing: float = 0.05) -> Array
 def load_pattern(path) -> AntennaPattern:
     """Read a pattern CSV ``theta_deg,phi_deg,re_v,im_v,re_h,im_h``.
 
-    theta is azimuth on [0, 360) and phi elevation on [-90, 90], both on the
-    uniform grid declared by the file contents.
+    theta is azimuth and phi elevation.  The rows hold every node of a
+    uniform grid exactly once, in any order: azimuths ``i * 360 / n_az``
+    and elevations ``-90 + j * 180 / (n_el - 1)`` to within 1e-6 deg, with
+    n_az, n_el >= 2.  Any other file (not UTF-8, a bad header or row, a
+    missing, repeated or off-grid node, a non-finite value) raises
+    ValueError naming the file.
     """
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text: {e}") from e
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    expected = ["theta_deg", "phi_deg", "re_v", "im_v", "re_h", "im_h"]
+    if header is None or [c.strip() for c in header] != expected:
+        raise ValueError(f"{path}: expected header {','.join(expected)}")
     rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        expected = ["theta_deg", "phi_deg", "re_v", "im_v", "re_h", "im_h"]
-        if header is None or [c.strip() for c in header] != expected:
-            raise ValueError(f"{path}: expected header {','.join(expected)}")
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
+    for ln, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(expected):
+            raise ValueError(f"{path}:{ln}: rows must have {len(expected)} columns")
+        try:
             rows.append([float(c) for c in row])
-    arr = np.asarray(rows)
-    azs = np.unique(arr[:, 0])
-    els = np.unique(arr[:, 1])
-    grid = np.zeros((len(azs), len(els), 2), dtype=complex)
-    ia = np.searchsorted(azs, arr[:, 0])
-    ie = np.searchsorted(els, arr[:, 1])
+        except ValueError as e:
+            raise ValueError(f"{path}:{ln}: {e}") from e
+    arr = np.array(rows).reshape(-1, len(expected))
+    azs, els = np.unique(arr[:, 0]), np.unique(arr[:, 1])
+    n_az, n_el = len(azs), len(els)
+    ia, ie = np.searchsorted(azs, arr[:, 0]), np.searchsorted(els, arr[:, 1])
+    if not (n_az >= 2 and n_el >= 2 and len(arr) == n_az * n_el
+            and len(np.unique(ia * n_el + ie)) == len(arr)
+            and np.allclose(azs, np.arange(n_az) * (360.0 / n_az), rtol=0.0, atol=1e-6)
+            and np.allclose(els, np.arange(n_el) * (180.0 / (n_el - 1)) - 90.0,
+                            rtol=0.0, atol=1e-6)):
+        raise ValueError(f"{path}: rows must hold each (theta_deg, phi_deg) node of a "
+                         "uniform grid exactly once")
+    grid = np.empty((n_az, n_el, 2), dtype=complex)
     grid[ia, ie, 0] = arr[:, 2] + 1j * arr[:, 3]
     grid[ia, ie, 1] = arr[:, 4] + 1j * arr[:, 5]
-    return AntennaPattern(grid)
+    try:
+        return AntennaPattern(grid)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def save_pattern(pattern: AntennaPattern, path) -> None:

@@ -80,24 +80,23 @@ SERIES_UNITS = {"gain": "dB", "delay_spread": "s", "doppler_spread": "Hz",
 
 
 def analyze_tensor(tensor: ChannelTensor, n_avg: int, stride: int | None = None,
-                   noise_floor: float | None = None, threshold: bool = False):
+                   threshold: bool = False):
     """Compute the full metric set from a delay-domain tensor.
 
     Returns a dict with a MetricSeries per :data:`SERIES_UNITS` name (gain,
     spreads, eigenvalues and per-end correlation magnitudes), keyed by its
     ``kind``, then the ``apdp`` and ``dsd`` profiles.  When ``threshold`` is
-    set, the measurement-style noise thresholding (estimated or supplied
-    floor plus 3 dB) is applied to the APDP and DSD before gain and spreads.
+    set, the measurement-style noise thresholding (floor plus 3 dB) is
+    applied to the APDP and DSD before gain and spreads, each profile with
+    its own estimated floor.
     """
     if tensor.domain != "delay":
         raise ValueError("analyze_tensor expects a delay-domain tensor")
     apdp = compute_apdp(tensor, n_avg=n_avg, stride=stride)
     dsd = compute_dsd(tensor, n_avg=n_avg, stride=stride)
     if threshold:
-        floor = estimate_noise_floor(apdp) if noise_floor is None else noise_floor
-        apdp = apply_noise_threshold(apdp, floor)
-        dfloor = estimate_noise_floor_dsd(dsd) if noise_floor is None else noise_floor
-        dsd = apply_noise_threshold(dsd, dfloor)
+        apdp = apply_noise_threshold(apdp, estimate_noise_floor(apdp))
+        dsd = apply_noise_threshold(dsd, estimate_noise_floor_dsd(dsd))
     ctf = cir_to_ctf(tensor)
     series = (channel_gain(apdp), rms_delay_spread(apdp), rms_doppler_spread(dsd),
               eigenvalue_series(ctf, n_avg=n_avg, stride=stride),

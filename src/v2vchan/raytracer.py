@@ -8,6 +8,15 @@ Lambertian diffuse scattering from surface tiles.  Diffraction and
 multi-bounce diffuse scattering are deliberately out of scope.  A snapshot's
 paths are one :class:`PathSet`, the representation channel synthesis reads.
 
+Specular paths stay arrays from the image tree to the :class:`PathSet`.
+Each order level is a pair of arrays, surface sequences (M, k) and points
+[tx, q_1, ..., q_k, rx] (M, k + 2, 3): :func:`_reflection_points` fills
+and filters them, and :func:`_specular_paths` runs one occlusion batch
+over the level's sub-segments, the polarimetric chain and a stable length
+sort.  The chain loops over the bounce index only, each step a batch over
+paths, and every reflection coefficient comes from one array Fresnel
+kernel, of which :func:`fresnel_coefficients` is the one-row case.
+
 Polarimetric bookkeeping
 ------------------------
 Each path carries a 2x2 complex matrix mapping (V, H) field components at
@@ -175,82 +184,75 @@ _EMPTY = _pathset("los", np.zeros(0), np.zeros((0, 2, 2), dtype=complex), np.zer
                   np.zeros((0, 3)), np.zeros((0, 0), dtype=int), np.zeros((0, 0, 3)))
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
 def fresnel_coefficients(material: Material, incidence_angle: float,
                          frequency: float) -> tuple[complex, complex]:
     """Fresnel field reflection coefficients (Gamma_perp, Gamma_par).
 
     The half-space below the interface has complex relative permittivity
     eps = eps_r - j sigma / (2 pi f eps_0); the incidence angle is measured
-    from the surface normal in [0, pi/2).  A PEC short-circuits the
-    computation to (-1, +1); see the module docstring for the sign
-    convention behind the +1.
+    from the surface normal in [0, pi/2).  A PEC gives (-1, +1); see the
+    module docstring for the sign convention behind the +1.  This is the
+    one-row case of the kernel the specular stage runs over every bounce.
     """
     if not 0.0 <= incidence_angle < math.pi / 2 + 1e-12:
         raise ValueError("incidence angle must lie in [0, pi/2)")
     if frequency <= 0:
         raise ValueError("frequency must be > 0")
-    if material.is_pec:
-        return (-1.0 + 0.0j, 1.0 + 0.0j)
-    eps = material.relative_permittivity - 1j * material.conductivity / (
-        2.0 * math.pi * frequency * VACUUM_PERMITTIVITY)
-    cos_t = math.cos(incidence_angle)
-    sin2 = math.sin(incidence_angle) ** 2
+    gamma = _fresnel([material], np.zeros(1, dtype=int), np.array([incidence_angle]), frequency)
+    return complex(gamma[0, 0]), complex(gamma[0, 1])
+
+
+def _fresnel(materials, index: np.ndarray, theta: np.ndarray, frequency: float) -> np.ndarray:
+    """(N, 2) complex (Gamma_perp, Gamma_par) on ``materials[index]`` at the
+    incidence angles ``theta`` (N,)."""
+    eps = np.array([m.relative_permittivity - 1j * m.conductivity / (
+        2.0 * math.pi * frequency * VACUUM_PERMITTIVITY) for m in materials])[index]
+    pec = np.array([m.is_pec for m in materials], dtype=bool)[index]
+    cos_t = np.cos(theta)
+    sin2 = np.sin(theta) ** 2
     root = np.sqrt(eps - sin2)
-    g_perp = (cos_t - root) / (cos_t + root)
-    g_par = (eps * cos_t - root) / (eps * cos_t + root)
-    return (complex(g_perp), complex(g_par))
+    gamma = np.stack(((cos_t - root) / (cos_t + root),
+                      (eps * cos_t - root) / (eps * cos_t + root)), axis=1)
+    gamma[pec] = (-1.0, 1.0)
+    return gamma
 
 
-def _incidence_plane_basis(d: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Unit vector perpendicular to the incidence plane (s-polarization axis)."""
-    s = np.cross(d, n)
-    ns = np.linalg.norm(s)
-    if ns < 1e-9:
-        # normal incidence: incidence plane undefined, any transverse axis works
-        e_v, e_h = vh_basis(d)
-        return e_h[0]
-    return s / ns
+def _rotation(frm, to) -> np.ndarray:
+    """(P, 2, 2) changes of basis between two orthonormal transverse frames,
+    each a pair of (P, 3) unit-vector columns: entry [i, j] is to[i] . frm[j]."""
+    return np.stack([np.stack([_rowdot(a, f) for f in frm], axis=1) for a in to], axis=1)
 
 
-def _pol_rotation(from_v: np.ndarray, from_h: np.ndarray,
-                  to_a: np.ndarray, to_b: np.ndarray) -> np.ndarray:
-    """2x2 change of basis between two orthonormal transverse frames."""
-    return np.array([[to_a @ from_v, to_a @ from_h],
-                     [to_b @ from_v, to_b @ from_h]])
+def _polarimetric_chain(scene: Scene, seqs: np.ndarray, dirs: np.ndarray,
+                        frequency: float) -> np.ndarray:
+    """Accumulate basis rotations and Fresnel matrices along specular paths.
 
-
-def _polarimetric_chain(points: list[np.ndarray], surfaces, frequency: float,
-                        scene: Scene) -> np.ndarray:
-    """Accumulate basis rotations and Fresnel matrices along a specular path.
-
-    ``points`` is [tx, q_1, ..., q_k, rx]; ``surfaces`` the surface ids at
-    the interior points.  Returns the 2x2 matrix mapping departure (V, H) to
-    arrival (V, H), excluding spreading loss.
+    ``seqs`` (P, k) holds each path's surface ids and ``dirs`` (P, k + 1, 3)
+    its unit segment directions, TX to RX.  Returns the (P, 2, 2) matrices
+    mapping departure (V, H) to arrival (V, H), excluding spreading loss.
+    Each bounce's matrices are built in one batch over every (path, bounce);
+    only their products loop, over the bounce index.
     """
-    dirs = [_unit(points[i + 1] - points[i]) for i in range(len(points) - 1)]
-    e_v, e_h = vh_basis(dirs[0])
-    cur_v, cur_h = e_v[0], e_h[0]
-    m = np.eye(2, dtype=complex)
-    for b, sid in enumerate(surfaces):
-        surf = scene.surfaces[sid]
-        d_in, d_out = dirs[b], dirs[b + 1]
-        n = surf.normal
-        cos_i = abs(float(d_in @ n))
-        theta = math.acos(min(1.0, cos_i))
-        g_perp, g_par = fresnel_coefficients(surf.material, theta, frequency)
-        s_hat = _incidence_plane_basis(d_in, n)
-        p_in = np.cross(s_hat, d_in)
-        p_out = np.cross(s_hat, d_out)
-        t_in = _pol_rotation(cur_v, cur_h, s_hat, p_in)
-        m = np.diag([g_perp, g_par]) @ t_in @ m
-        ev_out, eh_out = vh_basis(d_out)
-        cur_v, cur_h = ev_out[0], eh_out[0]
-        t_out = _pol_rotation(s_hat, p_out, cur_v, cur_h).astype(complex)
-        m = t_out @ m
+    p, k = seqs.shape
+    sid = seqs.ravel()
+    d_in, d_out, n = dirs[:, :-1].reshape(-1, 3), dirs[:, 1:].reshape(-1, 3), scene.normals[sid]
+    theta = np.arccos(np.minimum(1.0, np.abs(_rowdot(d_in, n))))
+    gamma = np.zeros((p * k, 2, 2), dtype=complex)
+    gamma[:, [0, 1], [0, 1]] = _fresnel([s.material for s in scene.surfaces], sid, theta,
+                                        frequency)
+    # s_hat, the axis perpendicular to the incidence plane; at normal
+    # incidence the plane is undefined and any transverse axis works
+    s = np.cross(d_in, n)
+    ns = np.sqrt(_rowdot(s, s))
+    normal = ns < 1e-9
+    basis_in = vh_basis(d_in)
+    s_hat = np.where(normal[:, None], basis_in[1], s / np.where(normal, 1.0, ns)[:, None])
+    t_in = (gamma @ _rotation(basis_in, (s_hat, np.cross(s_hat, d_in)))).reshape(p, k, 2, 2)
+    t_out = _rotation((s_hat, np.cross(s_hat, d_out)), vh_basis(d_out)).astype(complex)
+    t_out = t_out.reshape(p, k, 2, 2)
+    m = np.broadcast_to(np.eye(2, dtype=complex), (p, 2, 2))
+    for b in range(k):
+        m = t_out[:, b] @ (t_in[:, b] @ m)
     return m
 
 
@@ -318,10 +320,8 @@ def image_method_specular(scene: Scene, tx, rx, max_order: int,
             f"specular order {max_order} above practical cap {MAX_SPECULAR_ORDER}")
     tx, rx = _endpoints(tx, rx)
     n_surf = len(scene.surfaces)
-    normals = np.array([s.normal for s in scene.surfaces]).reshape(-1, 3)
-    offsets = np.array([s.plane_offset for s in scene.surfaces])
-
-    candidates: list[tuple[tuple[int, ...], list[np.ndarray]]] = []
+    normals, offsets = scene.normals, scene.offsets
+    levels = []
     seqs = np.zeros((1, 0), dtype=int)     # the level's surface sequences
     images = tx[None, None, :]             # (sequence, tx and its images, xyz)
     for order in range(1, max_order + 1):
@@ -337,55 +337,47 @@ def image_method_specular(scene: Scene, tx, rx, max_order: int,
         prev, n = images[parent, -1], normals[sid]
         img = prev - 2.0 * (_rowdot(prev, n) - offsets[sid])[:, None] * n
         images = np.concatenate((images[parent], img[:, None, :]), axis=1)
-        candidates.extend(_reflection_points(scene, tx, rx, seqs, images, normals, offsets))
+        levels.append(_specular_paths(scene, *_reflection_points(scene, tx, rx, seqs, images),
+                                      frequency))
+    return PathSet.concat(levels)
 
-    return _specular_paths(scene, candidates, frequency)
 
+def _specular_paths(scene: Scene, seqs: np.ndarray, pts: np.ndarray,
+                    frequency: float) -> PathSet:
+    """The unobstructed paths of one order level's candidates.
 
-def _specular_paths(scene: Scene, candidates, frequency: float) -> PathSet:
-    """Paths of the (sequence, [tx, q_1, ..., rx]) candidates that are unobstructed.
-
-    Every candidate's sub-segments go through one occlusion batch; the
-    paths come out sorted by (order, length), ties kept in candidate order.
+    ``seqs`` (M, k) holds the surface sequences and ``pts`` (M, k + 2, 3)
+    their points [tx, q_1, ..., q_k, rx].  Every sub-segment goes through
+    one occlusion batch; the paths come out sorted by length, ties kept in
+    candidate order.
     """
-    if not candidates:
-        return PathSet.concat([])
-    # batch the occlusion tests over every candidate's sub-segments
-    seg_start, seg_end, seg_owner = [], [], []
-    for ci, (_, pts) in enumerate(candidates):
-        for i in range(len(pts) - 1):
-            seg_start.append(pts[i])
-            seg_end.append(pts[i + 1])
-            seg_owner.append(ci)
-    blocked = occlusion_test_batch(scene, np.array(seg_start), np.array(seg_end))
-    bad = set(np.array(seg_owner)[blocked].tolist())
-    kept = [c for ci, c in enumerate(candidates) if ci not in bad]
-    n = len(kept)
-    surfaces = np.full((n, MAX_SPECULAR_ORDER), -1)
-    points = np.full((n, MAX_SPECULAR_ORDER, 3), np.nan)
-    length, amplitude = np.empty(n), np.empty((n, 2, 2), dtype=complex)
-    departure, arrival = np.empty((n, 3)), np.empty((n, 3))
+    m, k = seqs.shape
+    blocked = occlusion_test_batch(scene, pts[:, :-1].reshape(-1, 3), pts[:, 1:].reshape(-1, 3))
+    keep = ~blocked.reshape(m, k + 1).any(axis=1)
+    seqs, pts = seqs[keep], pts[keep]
+    seg = (pts[:, 1:] - pts[:, :-1]).reshape(-1, 3)
+    seg_len = np.sqrt(_rowdot(seg, seg)).reshape(-1, k + 1)
+    dirs = seg.reshape(-1, k + 1, 3) / seg_len[:, :, None]
+    length = seg_len[:, 0]
+    for j in range(1, k + 1):     # left to right: a reduction may pair the terms otherwise
+        length = length + seg_len[:, j]
     lam = SPEED_OF_LIGHT / frequency
-    for row, (seq, pts) in enumerate(kept):
-        surfaces[row, :len(seq)] = seq
-        points[row, :len(seq)] = pts[1:-1]
-        length[row] = sum(np.linalg.norm(pts[i + 1] - pts[i]) for i in range(len(pts) - 1))
-        m = _polarimetric_chain(pts, seq, frequency, scene)
-        amplitude[row] = (lam / (4.0 * math.pi * length[row])) * m
-        departure[row] = _unit(pts[1] - pts[0])
-        arrival[row] = _unit(pts[-1] - pts[-2])
-    paths = _pathset("specular", length, amplitude, departure, arrival, surfaces, points)
-    return paths.take(np.lexsort((length, paths.order)))
+    chain = _polarimetric_chain(scene, seqs, dirs, frequency)
+    amplitude = (lam / (4.0 * math.pi * length))[:, None, None] * chain
+    paths = _pathset("specular", length, amplitude, dirs[:, 0], dirs[:, -1], seqs, pts[:, 1:-1])
+    return paths.take(np.argsort(length, kind="stable"))
 
 
-def _reflection_points(scene: Scene, tx, rx, seqs: np.ndarray, images: np.ndarray,
-                       normals: np.ndarray, offsets: np.ndarray):
+def _reflection_points(scene: Scene, tx, rx, seqs: np.ndarray,
+                       images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Back-substitute the reflection points of one order level in batch.
 
     ``seqs`` is (M, k) surface ids and ``images[:, j]`` is tx mirrored
-    through the first j surfaces.  Returns (sequence, [tx, q_1, ..., q_k,
-    rx]) for every sequence that passes, in the order of ``seqs``.
+    through the first j surfaces.  Returns the sequences that pass, in the
+    order of ``seqs``, and their points (M', k + 2, 3), [tx, q_1, ..., q_k,
+    rx].
     """
+    normals, offsets = scene.normals, scene.offsets
     m, k = seqs.shape
     rows = np.arange(m)
     pts = np.empty((m, k + 2, 3))
@@ -413,7 +405,7 @@ def _reflection_points(scene: Scene, tx, rx, seqs: np.ndarray, images: np.ndarra
     for j in range(k):
         n, q = normals[seqs[:, j]], pts[:, j + 1]
         ok &= (_rowdot(pts[:, j] - q, n) > 1e-12) & (_rowdot(pts[:, j + 2] - q, n) > 1e-12)
-    return [(tuple(seq), list(p)) for seq, p in zip(seqs[ok].tolist(), pts[ok])]
+    return seqs[ok], pts[ok]
 
 
 def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
@@ -441,7 +433,6 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
     """
     tx, rx = _endpoints(tx, rx)
     lam = SPEED_OF_LIGHT / frequency
-    normals = np.array([s.normal for s in scene.surfaces]).reshape(-1, 3)
     scatter = np.array([s.material.scattering_coefficient for s in scene.surfaces])
 
     # candidate tiles (front side of both endpoints) with exact amplitudes;
@@ -452,7 +443,7 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
     r1 = np.linalg.norm(v1, axis=1)
     r2 = np.linalg.norm(v2, axis=1)
     valid = (r1 > 1e-9) & (r2 > 1e-9) & (scatter[sids] > 0.0)
-    n = normals[sids]
+    n = scene.normals[sids]
     cos_i = np.where(valid, -_rowdot(v1, n) / np.where(valid, r1, 1.0), 0.0)
     cos_s = np.where(valid, _rowdot(v2, n) / np.where(valid, r2, 1.0), 0.0)
     front = np.flatnonzero(valid & (cos_i > 1e-9) & (cos_s > 1e-9))

@@ -48,8 +48,6 @@ import numpy as np
 PLANARITY_TOL = 1e-6
 INTERSECT_TOL = 1e-9
 
-EARTH_RADIUS = 6371000.0
-
 
 class SceneFormatError(ValueError):
     """Scene or trajectory file does not parse or violates the schema."""
@@ -244,6 +242,8 @@ class Scene:
     Surface ids are list indices.  ``ground`` is the index of the ground
     surface when one exists (required for scenes loaded from files; optional
     for in-memory scenes so that free-space oracle setups are expressible).
+    ``normals`` (S, 3) and ``offsets`` (S,) hold each surface's unit normal
+    and plane offset by id, built once and read-only.
     """
 
     def __init__(self, surfaces: list[Surface], ground: int | None = None,
@@ -260,6 +260,9 @@ class Scene:
             lo = np.full(3, -bounding_margin)
             hi = np.full(3, bounding_margin)
         self.bounding_box = np.vstack((lo, hi))
+        self.normals = np.array([s.normal for s in self.surfaces]).reshape(-1, 3)
+        self.offsets = np.array([s.plane_offset for s in self.surfaces], dtype=float)
+        self.normals.flags.writeable = self.offsets.flags.writeable = False
         # Flattened triangle soup for vectorized occlusion tests, with the
         # plane normal e1 x e2 and longer edge of each triangle for the fan test.
         tris = [s.triangles() for s in self.surfaces]
@@ -374,6 +377,11 @@ def _self_intersects(poly: np.ndarray) -> bool:
     return False
 
 
+#: (segment, triangle) pairs per block in both occlusion kernels, which bounds
+#: their temporaries at a few MB whatever the batch size.
+_PAIR_CHUNK = 1 << 16
+
+
 def occlusion_test_batch(scene: Scene, starts, ends) -> np.ndarray:
     """Vectorized obstruction test for many segments against the whole scene.
 
@@ -395,8 +403,7 @@ def occlusion_test_batch(scene: Scene, starts, ends) -> np.ndarray:
     d = ends - starts
     seg_len = np.linalg.norm(d, axis=1)
     ok = seg_len > 0
-    # chunk over segments to bound memory at ~n_tri * chunk doubles
-    chunk = max(1, int(4e6 / max(len(tri), 1)))
+    chunk = max(1, _PAIR_CHUNK // len(tri))
     for a in range(0, n_seg, chunk):
         b = min(a + chunk, n_seg)
         idx = np.flatnonzero(ok[a:b]) + a
@@ -442,7 +449,6 @@ def occlusion_test(scene: Scene, start, end) -> bool:
 # the bands below.  A plane within 3 bands plus 2e-9 |N| of the apex leaves
 # its pairs undecided, which keeps D's sign known wherever a test decides.
 _FAN_GUARD = 128 * 2.0 ** -53
-_FAN_CHUNK = 1 << 16            # (segment, triangle) pairs per block
 
 
 def occlusion_test_fan(scene: Scene, starts, ends) -> np.ndarray:
@@ -489,7 +495,7 @@ def occlusion_test_fan(scene: Scene, starts, ends) -> np.ndarray:
     t_hit = np.where(regular, band_t, np.inf)
     t_miss = np.where(regular, -band_t, -np.inf)
     unsure = np.zeros(len(points), dtype=bool)
-    step = max(1, _FAN_CHUNK // n_tri)
+    step = max(1, _PAIR_CHUNK // n_tri)
     for lo in range(0, len(points), step):
         hi = min(lo + step, len(points))
         m = w[lo:hi] @ cols                     # D times (u, v, 1 - u - v, 1)
@@ -619,13 +625,6 @@ def save_trajectory(traj: Trajectory, path) -> None:
                        + [repr(float(x)) for x in traj.velocity[i]])
 
 
-def latlon_to_enu(lat_deg, lon_deg, origin_lat_deg, origin_lon_deg):
-    """Equirectangular projection of lat/lon (degrees) to local x/y meters."""
-    x = EARTH_RADIUS * math.cos(math.radians(origin_lat_deg)) * math.radians(lon_deg - origin_lon_deg)
-    y = EARTH_RADIUS * math.radians(lat_deg - origin_lat_deg)
-    return x, y
-
-
 def _material_from_dict(d: dict, where: str) -> Material:
     try:
         return Material(
@@ -665,7 +664,6 @@ def load_scene(path) -> Scene:
     Schema (JSON)::
 
         {
-          "origin":     {"latitude": ..., "longitude": ...},      # optional
           "materials":  [{"name", "relative_permittivity",
                           "conductivity", "scattering_coefficient",
                           "is_pec"}, ...],                        # optional

@@ -1,24 +1,35 @@
-"""Level-wise, pruned image tree against the recursive reference enumerator.
+"""Level-wise, pruned image tree and array polarimetric chain against references.
 
-The reference is the depth-first search that ``image_method_specular`` used
-before it built the image tree as arrays: every surface sequence without an
-immediate repeat is expanded (no visibility pruning), and each one's
-reflection points are back-substituted one sequence and one point-in-polygon
-test at a time.  Both sides hand their (sequence, points) candidates to the
-same ``_specular_paths`` stage (occlusion batch, polarimetric chain and the
-(order, length) sort), so what is compared is the enumeration: the path
-lists must agree in order, surface sequence and value.
+The enumeration reference is the depth-first search that
+``image_method_specular`` used before it built the image tree as arrays:
+every surface sequence without an immediate repeat is expanded (no
+visibility pruning), and each one's reflection points are back-substituted
+one sequence and one point-in-polygon test at a time.  Its candidates are
+grouped by order and each level goes to the same ``_specular_paths`` stage
+(occlusion batch, polarimetric chain and the length sort), so what is
+compared is the enumeration: the path lists must agree in order, surface
+sequence and value.
+
+The chain reference is the per-path polarimetric chain that the specular
+stage ran before it was vectorised over paths: scalar Fresnel coefficients,
+incidence-plane basis and 2x2 rotations, one bounce and one path at a time.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from v2vchan.raytracer import (MAX_SPECULAR_ORDER, TracerConfig, _endpoints, _specular_paths,
-                               image_method_specular, trace_los, trace_snapshot)
-from v2vchan.scene import DEFAULT_MATERIALS, Scene, extrude_footprint
+from v2vchan.antenna import vh_basis
+from v2vchan.raytracer import (MAX_SPECULAR_ORDER, SPEED_OF_LIGHT, PathSet, TracerConfig,
+                               _endpoints, _reflection_points, _specular_paths,
+                               fresnel_coefficients, image_method_specular, trace_los,
+                               trace_snapshot)
+from v2vchan.scene import DEFAULT_MATERIALS, Scene, Surface, extrude_footprint
 from v2vchan.scenarios import (ANTENNA_HEIGHT, EW_STREET_WIDTH, NS_STREET_WIDTH,
                                ground_surface, intersection_scene,
-                               intersection_trajectories)
+                               intersection_trajectories, pec_ground_scene,
+                               single_wall_scene)
 
 F = 5.9e9
 REL = 1e-12
@@ -63,7 +74,7 @@ def reference_specular(scene, tx, rx, max_order, frequency=F):
     n_surf = len(scene.surfaces)
     normals = [s.normal for s in scene.surfaces]
     offsets = [s.plane_offset for s in scene.surfaces]
-    candidates = []
+    candidates = []     # (sequence, [tx, q_1, ..., q_k, rx]) in lexicographic order
 
     def expand(seq, images):
         order = len(seq)
@@ -80,7 +91,60 @@ def reference_specular(scene, tx, rx, max_order, frequency=F):
             expand(seq + (sid,), images + [img])
 
     expand((), [tx])
-    return _specular_paths(scene, candidates, frequency)
+    levels = []
+    for order in range(1, max_order + 1):
+        level = [(seq, pts) for seq, pts in candidates if len(seq) == order]
+        seqs = np.array([seq for seq, _ in level], dtype=int).reshape(-1, order)
+        pts = np.array([pts for _, pts in level], dtype=float).reshape(-1, order + 2, 3)
+        levels.append(_specular_paths(scene, seqs, pts, frequency))
+    return PathSet.concat(levels)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _incidence_plane_basis(d, n):
+    """Unit vector perpendicular to the incidence plane (s-polarization axis)."""
+    s = np.cross(d, n)
+    ns = np.linalg.norm(s)
+    if ns < 1e-9:
+        # normal incidence: incidence plane undefined, any transverse axis works
+        e_v, e_h = vh_basis(d)
+        return e_h[0]
+    return s / ns
+
+
+def _pol_rotation(from_v, from_h, to_a, to_b):
+    """2x2 change of basis between two orthonormal transverse frames."""
+    return np.array([[to_a @ from_v, to_a @ from_h],
+                     [to_b @ from_v, to_b @ from_h]])
+
+
+def reference_chain(points, surfaces, frequency, scene):
+    """The 2x2 matrix mapping departure (V, H) to arrival (V, H) along one
+    path [tx, q_1, ..., q_k, rx] over ``surfaces``, spreading loss excluded."""
+    dirs = [_unit(points[i + 1] - points[i]) for i in range(len(points) - 1)]
+    e_v, e_h = vh_basis(dirs[0])
+    cur_v, cur_h = e_v[0], e_h[0]
+    m = np.eye(2, dtype=complex)
+    for b, sid in enumerate(surfaces):
+        surf = scene.surfaces[sid]
+        d_in, d_out = dirs[b], dirs[b + 1]
+        n = surf.normal
+        cos_i = abs(float(d_in @ n))
+        theta = math.acos(min(1.0, cos_i))
+        g_perp, g_par = fresnel_coefficients(surf.material, theta, frequency)
+        s_hat = _incidence_plane_basis(d_in, n)
+        p_in = np.cross(s_hat, d_in)
+        p_out = np.cross(s_hat, d_out)
+        t_in = _pol_rotation(cur_v, cur_h, s_hat, p_in)
+        m = np.diag([g_perp, g_par]) @ t_in @ m
+        ev_out, eh_out = vh_basis(d_out)
+        cur_v, cur_h = ev_out[0], eh_out[0]
+        t_out = _pol_rotation(s_hat, p_out, cur_v, cur_h).astype(complex)
+        m = t_out @ m
+    return m
 
 
 def _key(p) -> tuple:
@@ -139,13 +203,17 @@ def test_placements_straddle_the_los_flip(intersection, order3_reference):
     assert sum(p.order == 3 for paths in order3_reference for p in paths) >= len(PLACEMENTS)
 
 
-def test_order_4_courtyard_block_over_ground():
+def _courtyard():
     # a U-shaped block has two parallel facing walls, so fourth-order chains
     # between them and the ground exist
     concrete = DEFAULT_MATERIALS["concrete"]
     block = extrude_footprint([(0, 0), (40, 0), (40, 30), (30, 30), (30, 10), (10, 10),
                                (10, 30), (0, 30)], 12.0, concrete, tag="U")
-    scene = Scene(block + [ground_surface(80.0)], ground=len(block))
+    return Scene(block + [ground_surface(80.0)], ground=len(block))
+
+
+def test_order_4_courtyard_block_over_ground():
+    scene = _courtyard()
     rng = np.random.default_rng(7)
     for _ in range(3):
         tx = np.array([rng.uniform(11, 29), rng.uniform(11, 45), ANTENNA_HEIGHT])
@@ -166,3 +234,115 @@ def test_empty_scene_returns_no_paths():
     los = trace_snapshot(Scene([]), (0, 0, 1), (10, 0, 1), TracerConfig(frequency=F))
     assert [(p.kind, p.order, p.interactions, p.tile) for p in los] == [("los", 0, (), None)]
     assert los.surfaces.tolist() == [[-1] * MAX_SPECULAR_ORDER] and los.tile.tolist() == [-1]
+
+
+
+CHAIN_RTOL = 1e-13
+
+
+def _assert_chain_matches_reference(scene, tx, rx, max_order):
+    """Trace the speculars; each amplitude must equal the free-space gain
+    times the per-path reference chain, to CHAIN_RTOL of the matrix's
+    largest entry.  Returns the paths."""
+    tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
+    paths = image_method_specular(scene, tx, rx, max_order, F)
+    lam = SPEED_OF_LIGHT / F
+    for p in paths:
+        pts = [tx] + [q for _, q in p.interactions] + [rx]
+        chain = reference_chain(pts, [sid for sid, _ in p.interactions], F, scene)
+        want = lam / (4.0 * math.pi * p.length) * chain
+        assert np.abs(p.amplitude - want).max() <= CHAIN_RTOL * np.abs(want).max()
+    return paths
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["plain", "furnished"])
+def test_chain_matches_reference_on_bundled_scenes(plain):
+    scene = intersection_scene(plain=plain)
+    n = 0
+    for tx, rx in PLACEMENTS:
+        n += len(_assert_chain_matches_reference(scene, tx, rx, 3))
+    assert n >= 3 * len(PLACEMENTS)
+
+
+def test_chain_matches_reference_on_order_4_courtyard():
+    scene = _courtyard()
+    rng = np.random.default_rng(11)
+    orders = set()
+    for _ in range(3):
+        tx = np.array([rng.uniform(11, 29), rng.uniform(11, 45), ANTENNA_HEIGHT])
+        rx = np.array([rng.uniform(11, 29), rng.uniform(11, 45), rng.uniform(1.0, 3.0)])
+        orders.update(_assert_chain_matches_reference(scene, tx, rx, 4).order.tolist())
+    assert orders == {1, 2, 3, 4}
+
+
+def test_chain_matches_reference_over_pec_ground():
+    paths = _assert_chain_matches_reference(pec_ground_scene(), (0, 0, 1.5), (30, 0, 2.0), 1)
+    assert len(paths) == 1
+    # a vertical dipole over PEC sees an in-phase image: V maps onto V with a positive sign
+    assert paths.amplitude[0, 0, 0].real > 0
+
+
+def test_chain_matches_reference_at_normal_incidence():
+    # d_in is exactly anti-parallel to the wall normal, so cross(d_in, n) is
+    # zero and s_hat comes from the transverse-basis fallback
+    for material in (DEFAULT_MATERIALS["concrete"], DEFAULT_MATERIALS["metal"]):
+        paths = _assert_chain_matches_reference(single_wall_scene(material), (0, 5, 1),
+                                                (0, 10, 1), 1)
+        assert len(paths) == 1
+        d_in = paths.departure[0]
+        assert np.array_equal(np.cross(d_in, [0.0, 1.0, 0.0]), np.zeros(3))
+
+
+@pytest.mark.parametrize("scene", [pec_ground_scene(), intersection_scene(plain=True)],
+                         ids=["pec", "intersection"])
+def test_chain_matches_reference_at_grazing_incidence(scene):
+    paths = _assert_chain_matches_reference(scene, (-60, 0.3, 0.02), (60, 0.5, 0.03), 2)
+    ground = [p for p in paths if [sid for sid, _ in p.interactions] == [scene.ground]]
+    assert len(ground) == 1
+    cos_i = abs(ground[0].departure[2])
+    assert cos_i < 1e-3     # incidence beyond 89.9 degrees
+
+
+def _level_candidates(scene, tx, rx, seqs):
+    """One level's candidates over ``seqs`` through the array back-substitution."""
+    tx, rx = _endpoints(tx, rx)
+    images = np.repeat(tx[None, None, :], len(seqs), axis=0)
+    for j in range(seqs.shape[1]):
+        n, off = scene.normals[seqs[:, j]], scene.offsets[seqs[:, j]]
+        prev = images[:, -1]
+        img = prev - 2.0 * (np.sum(prev * n, axis=1) - off)[:, None] * n
+        images = np.concatenate((images, img[:, None, :]), axis=1)
+    return _reflection_points(scene, tx, rx, seqs, images)
+
+
+def _assert_empty(paths):
+    shapes = {"kind": (0,), "surfaces": (0, MAX_SPECULAR_ORDER),
+              "points": (0, MAX_SPECULAR_ORDER, 3), "tile": (0,), "length": (0,),
+              "amplitude": (0, 2, 2), "departure": (0, 3), "arrival": (0, 3)}
+    assert {name: getattr(paths, name).shape for name in shapes} == shapes
+    dtypes = {name: getattr(paths, name).dtype.kind for name in shapes}
+    assert dtypes == {"kind": "i", "surfaces": "i", "points": "f", "tile": "i", "length": "f",
+                      "amplitude": "c", "departure": "f", "arrival": "f"}
+
+
+def test_level_with_every_candidate_blocked_is_empty():
+    # a panel between the endpoints and the mirror blocks both sub-segments
+    concrete = DEFAULT_MATERIALS["concrete"]
+    mirror = Surface([(-50, 0, -50), (-50, 0, 50), (50, 0, 50), (50, 0, -50)], concrete)
+    screen = Surface([(-50, 2, -50), (50, 2, -50), (50, 2, 50), (-50, 2, 50)], concrete)
+    scene = Scene([mirror, screen])
+    seqs, pts = _level_candidates(scene, (0, 5, 1), (10, 5, 1), np.array([[0]]))
+    assert seqs.tolist() == [[0]] and pts.shape == (1, 3, 3)
+    _assert_empty(_specular_paths(scene, seqs, pts, F))
+    _assert_empty(image_method_specular(scene, (0, 5, 1), (10, 5, 1), 1, F))
+
+
+def test_level_with_every_candidate_rejected_is_empty():
+    # the reflection point of the small panel falls outside its polygon
+    concrete = DEFAULT_MATERIALS["concrete"]
+    panel = Surface([(20, 0, 0), (20, 0, 2), (22, 0, 2), (22, 0, 0)], concrete)
+    scene = Scene([panel])
+    seqs, pts = _level_candidates(scene, (0, 5, 1), (10, 5, 1), np.array([[0]]))
+    assert seqs.shape == (0, 1) and seqs.dtype.kind == "i" and pts.shape == (0, 3, 3)
+    _assert_empty(_specular_paths(scene, seqs, pts, F))
+    _assert_empty(image_method_specular(scene, (0, 5, 1), (10, 5, 1), 1, F))

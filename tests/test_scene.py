@@ -7,7 +7,7 @@ import pytest
 from v2vchan.scene import (DEFAULT_MATERIALS, GeometryError, Material,
                            MaterialReferenceError, Scene, SceneFormatError,
                            Surface, Trajectory, extrude_footprint,
-                           latlon_to_enu, load_scene, load_trajectory,
+                           load_scene, load_trajectory,
                            occlusion_test, occlusion_test_batch, save_scene,
                            save_trajectory, straight_trajectory)
 
@@ -159,6 +159,31 @@ class TestOcclusion:
         rev = occlusion_test_batch(single_wall_scene, ends, starts)
         assert np.array_equal(fwd, rev)
 
+    def test_large_batch_heap_is_bounded_and_chunk_free(self):
+        """33 300 segments against the 42 triangles of the plain intersection
+        stay within a few (segment, triangle) blocks of heap, and the result
+        does not depend on how the batch is split."""
+        import tracemalloc
+
+        from v2vchan.scenarios import intersection_scene
+
+        scene = intersection_scene(plain=True)
+        _, centers, _, _ = scene.tiles(1.0)
+        starts = np.ascontiguousarray(np.broadcast_to([-30.0, 0.0, 1.7], centers.shape))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = occlusion_test_batch(scene, starts, centers)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(centers) == 33300 and len(scene._tri) == 42
+        assert peak < 16e6, peak
+        pieces = [occlusion_test_batch(scene, starts[i:i + 700], centers[i:i + 700])
+                  for i in range(0, len(centers), 700)]
+        assert np.array_equal(got, np.concatenate(pieces))
+        assert 0 < got.sum() < len(got)
+
     def test_matches_bruteforce_triangle_oracle(self, concrete, pec):
         scene = Scene([
             big_wall(0.0, pec),
@@ -215,6 +240,16 @@ class TestSceneContainer:
         g = Surface([(-1, -1, 0), (1, -1, 0), (1, 1, 0), (-1, 1, 0)], concrete, tag="ground")
         s = Scene([g], ground=0)
         assert s.ground_plane is g
+
+    def test_plane_columns_by_surface_id(self, concrete):
+        floor = Surface([(0, 0, 0), (4, 0, 0), (4, 3, 0), (0, 3, 0)], concrete)
+        wall = Surface([(0, 5, 0), (0, 5, 2), (2, 5, 2), (2, 5, 0)], concrete)
+        s = Scene([floor, wall])
+        assert np.array_equal(s.normals, [floor.normal, wall.normal])
+        assert s.offsets.tolist() == [floor.plane_offset, wall.plane_offset]
+        assert not (s.normals.flags.writeable or s.offsets.flags.writeable)
+        empty = Scene([])
+        assert empty.normals.shape == (0, 3) and empty.offsets.shape == (0,)
 
     def test_tiles_cover_area(self, concrete):
         s = Scene([Surface([(0, 0, 0), (10, 0, 0), (10, 15, 0), (0, 15, 0)], concrete)])
@@ -412,9 +447,3 @@ class TestTrajectory:
         with pytest.raises(SceneFormatError):
             load_trajectory(p)
 
-
-def test_latlon_helper_roundtrip_scale():
-    # one degree of latitude is about 111.2 km
-    x, y = latlon_to_enu(55.0 + 1.0, 13.0, 55.0, 13.0)
-    assert x == 0.0
-    assert 110e3 < y < 112e3
