@@ -25,11 +25,12 @@ turned by their boresights, so its table is held once.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .scene import _read_table
 
 
 def vh_basis(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,27 +276,8 @@ def load_pattern(path) -> AntennaPattern:
     missing, repeated or off-grid node, a non-finite value) raises
     ValueError naming the file.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            text = f.read()
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not UTF-8 text: {e}") from e
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    expected = ["theta_deg", "phi_deg", "re_v", "im_v", "re_h", "im_h"]
-    if header is None or [c.strip() for c in header] != expected:
-        raise ValueError(f"{path}: expected header {','.join(expected)}")
-    rows = []
-    for ln, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(expected):
-            raise ValueError(f"{path}:{ln}: rows must have {len(expected)} columns")
-        try:
-            rows.append([float(c) for c in row])
-        except ValueError as e:
-            raise ValueError(f"{path}:{ln}: {e}") from e
-    arr = np.array(rows).reshape(-1, len(expected))
+    _, arr = _read_table(path, ValueError, floats=True,
+                         header=("theta_deg", "phi_deg", "re_v", "im_v", "re_h", "im_h"))
     azs, els = np.unique(arr[:, 0]), np.unique(arr[:, 1])
     n_az, n_el = len(azs), len(els)
     ia, ie = np.searchsorted(azs, arr[:, 0]), np.searchsorted(els, arr[:, 1])

@@ -2,9 +2,10 @@
 
 Runs are driven by a JSON config file; every flag mirrors a config key and
 flags win.  Exit codes: 0 on success, 2 for configuration problems (bad
-flags, missing files, invalid values), 3 for data problems (malformed scene,
-tensor, metric or label files).  The ``V2VCHAN_WORKERS`` environment variable sets the
-default worker count for tracing.
+flags, missing or unreadable files, invalid values), 3 for data problems
+(malformed scene, trajectory, tensor, metric or label files).  The
+``V2VCHAN_WORKERS`` environment variable sets the default worker count for
+tracing.
 
 Subcommands::
 
@@ -35,7 +36,7 @@ from .pipeline import (SERIES_UNITS, WORKERS_ENV, analyze_tensor,
                        synthesize_from_snapshots, trace_trajectory)
 from .raytracer import TracerConfig, dump_paths_csv, PATH_DUMP_HEADER
 from .scene import (GeometryError, MaterialReferenceError, SceneFormatError,
-                    load_scene, load_trajectory)
+                    _read_text, load_scene, load_trajectory)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,10 +118,7 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
     doc = {}
     if path:
         try:
-            with open(path) as f:
-                doc = json.load(f)
-        except FileNotFoundError as e:
-            raise ConfigError(f"config file not found: {path}") from e
+            doc = json.loads(_read_text(path, ConfigError))
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}:{e.lineno}: {e.msg}") from e
         if not isinstance(doc, dict):
@@ -320,7 +318,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(args.dir_a, args.dir_b, args.labels, cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (SceneFormatError, MaterialReferenceError, GeometryError,

@@ -52,9 +52,6 @@ class SegmentLabels:
                 and np.all(np.diff(self.times) > 0)):
             raise ValueError("label times must be non-empty, finite and strictly increasing")
 
-    def segment(self, name: str) -> np.ndarray:
-        return self.is_los if name == LOS else ~self.is_los
-
 
 @dataclass
 class ErrorStats:
@@ -90,9 +87,7 @@ def load_labels(path) -> SegmentLabels:
     """Label override file: CSV ``t_s,label`` with label LOS or NLOS and
     finite, strictly increasing times.  A malformed file raises
     SeriesFormatError."""
-    header, times, rows = _read_timed_csv(path)
-    if [c.strip() for c in header[:2]] != ["t_s", "label"]:
-        raise SeriesFormatError(f"{path}: expected header t_s,label")
+    _, times, rows = _read_timed_csv(path, header=("t_s", "label"))
     los = []
     for line, cells in rows:
         lab = cells[0].strip().upper()
@@ -121,9 +116,6 @@ def _nearest(times: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 def _align(ref: MetricSeries, other: MetricSeries) -> np.ndarray:
     """Return other's values resampled onto ref's time axis (nearest window)."""
-    if ref.times.shape == other.times.shape and np.allclose(ref.times, other.times,
-                                                            rtol=0, atol=1e-9):
-        return other.values
     if len(other.times) == 0:
         raise AlignmentError("cannot align against an empty series")
     spacing = np.min(np.diff(ref.times)) if len(ref.times) > 1 else math.inf
@@ -155,17 +147,10 @@ def error_stats(eps: MetricSeries, labels: SegmentLabels,
     if eps.values.ndim != 1:
         raise ValueError("error_stats expects a one-column series; split multi-column "
                          "series per label first")
-    mask_by_segment = {}
-    if len(labels.times) == len(eps.times) and np.allclose(labels.times, eps.times,
-                                                           rtol=0, atol=1e-9):
-        for seg in (LOS, NLOS):
-            mask_by_segment[seg] = labels.segment(seg)
-    else:
-        # nearest-label lookup when the label axis differs from the metric axis
-        is_los = labels.is_los[_nearest(labels.times, eps.times)]
-        mask_by_segment = {LOS: is_los, NLOS: ~is_los}
+    # each window takes its nearest label; on a shared axis, its own
+    is_los = labels.is_los[_nearest(labels.times, eps.times)]
     cells, omitted = {}, {}
-    for seg, mask in mask_by_segment.items():
+    for seg, mask in ((LOS, is_los), (NLOS, ~is_los)):
         x = eps.values[mask]
         x = x[np.isfinite(x)]
         if x.size == 0:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelTensor
+from .scene import _read_table
 
 DB_FLOOR_SENTINEL = -400.0
 DEFAULT_N_AVG = 185  # 57 ms / 307.2 us, about ten wavelengths of travel at 10 m/s
@@ -337,46 +338,23 @@ def series_to_csv(series: MetricSeries, path) -> None:
                 w.writerow([repr(float(t))] + [_format_value(v, db) for v in row])
 
 
-def _read_timed_csv(path) -> tuple[list[str], np.ndarray, list[tuple[int, list[str]]]]:
-    """The header, the first-column times and the (line, other cells) of
-    every row of a CSV time table; blank lines are skipped.
-
-    The file must be UTF-8 text with a header of at least two fields, one or
-    more rows as long as the header, and times that are finite and strictly
-    increasing (the nearest-window lookups bisect them); anything else
-    raises SeriesFormatError.
+def _read_timed_csv(path, header=None) -> tuple[list[str], np.ndarray, list]:
+    """The header, the first-column times and the (line, other cells) rows
+    of a CSV time table read by :func:`scene._read_table`, which raises
+    SeriesFormatError for a malformed file.  The times must be finite and
+    strictly increasing: the nearest-window lookups bisect them.
     """
-    header, times, rows = None, [], []
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            for row in reader:
-                if not row:
-                    continue
-                if header is None:
-                    header = row
-                    continue
-                where = f"{path}:{reader.line_num}"
-                if len(row) != len(header):
-                    raise SeriesFormatError(
-                        f"{where}: {len(row)} fields, the header has {len(header)}")
-                try:
-                    times.append(float(row[0]))
-                except ValueError as e:
-                    raise SeriesFormatError(f"{where}: {e}") from e
-                rows.append((reader.line_num, row[1:]))
-    except UnicodeDecodeError as e:
-        raise SeriesFormatError(f"{path}: not UTF-8 text: {e}") from e
-    except csv.Error as e:
-        raise SeriesFormatError(f"{path}: {e}") from e
-    if header is None or len(header) < 2:
-        raise SeriesFormatError(f"{path}: expected a header with a time and a value column")
-    if not rows:
-        raise SeriesFormatError(f"{path}: no rows after the header")
+    header, rows = _read_table(path, SeriesFormatError, header)
+    times = []
+    for line, cells in rows:
+        try:
+            times.append(float(cells[0]))
+        except ValueError as e:
+            raise SeriesFormatError(f"{path}:{line}: {e}") from e
     times = np.asarray(times)
     if not np.isfinite(times).all() or np.any(np.diff(times) <= 0):
         raise SeriesFormatError(f"{path}: times must be finite and strictly increasing")
-    return header, times, rows
+    return header, times, [(line, cells[1:]) for line, cells in rows]
 
 
 def series_from_csv(path, kind: str = "", unit: str = "") -> MetricSeries:

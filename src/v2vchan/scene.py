@@ -576,13 +576,48 @@ def straight_trajectory(start, heading_deg: float, speed: float, duration: float
     return Trajectory(t, pos, vel, antenna_height=antenna_height)
 
 
-def _read_text(path) -> str:
-    """The whole file as UTF-8 text; other bytes raise SceneFormatError."""
+def _read_text(path, error) -> str:
+    """The whole file as UTF-8 text; other bytes raise ``error``."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
             return f.read()
     except UnicodeDecodeError as e:
-        raise SceneFormatError(f"{path}: not UTF-8 text: {e}") from e
+        raise error(f"{path}: not UTF-8 text: {e}") from e
+
+
+def _read_table(path, error, header=None, floats=False):
+    """The header row and the ``(line, cells)`` rows of a CSV table, or with
+    ``floats`` the rows as a float array.
+
+    Every text table is read here.  The file is UTF-8; rows whose cells are
+    all blank are skipped.  The first row is the header, of at least two
+    fields, equal to ``header`` (fields stripped) when one is given; one or
+    more rows follow, each as long as the header, and with ``floats`` every
+    cell parses as a float.  Anything else raises ``error`` naming the file
+    and, for a row, its line.
+    """
+    reader = csv.reader(io.StringIO(_read_text(path, error)))
+    try:
+        rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+    except csv.Error as e:
+        raise error(f"{path}:{reader.line_num}: {e}") from e
+    names = [c.strip() for c in rows[0][1]] if rows else []
+    if len(names) < 2 or (header is not None and names != list(header)):
+        want = ",".join(header) if header else "with two or more fields"
+        raise error(f"{path}: expected header {want}")
+    if len(rows) < 2:
+        raise error(f"{path}: no rows after the header")
+    for line, cells in rows[1:]:
+        if len(cells) != len(names):
+            raise error(f"{path}:{line}: {len(cells)} fields, the header has {len(names)}")
+        if floats:
+            try:
+                cells[:] = map(float, cells)
+            except ValueError as e:
+                raise error(f"{path}:{line}: {e}") from e
+    if floats:
+        return rows[0][1], np.array([cells for _, cells in rows[1:]])
+    return rows[0][1], rows[1:]
 
 
 def load_trajectory(path, antenna_height: float | None = None) -> Trajectory:
@@ -591,23 +626,8 @@ def load_trajectory(path, antenna_height: float | None = None) -> Trajectory:
     A malformed file, or samples that :class:`Trajectory` rejects, raise
     SceneFormatError.
     """
-    rows = []
-    reader = csv.reader(io.StringIO(_read_text(path)))
-    header = next(reader, None)
-    if header is None or [c.strip() for c in header] != ["t", "x", "y", "z", "vx", "vy", "vz"]:
-        raise SceneFormatError(f"{path}: expected header t,x,y,z,vx,vy,vz")
-    for ln, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 7:
-            raise SceneFormatError(f"{path}:{ln}: rows must have 7 columns")
-        try:
-            rows.append([float(c) for c in row])
-        except ValueError as e:
-            raise SceneFormatError(f"{path}:{ln}: {e}") from e
-    if not rows:
-        raise SceneFormatError(f"{path}: no samples")
-    arr = np.asarray(rows)
+    _, arr = _read_table(path, SceneFormatError, header=("t", "x", "y", "z", "vx", "vy", "vz"),
+                         floats=True)
     h = antenna_height if antenna_height is not None else float(arr[0, 3])
     try:
         return Trajectory(arr[:, 0], arr[:, 1:4], arr[:, 4:7], antenna_height=h)
@@ -682,7 +702,7 @@ def load_scene(path) -> Scene:
     files raise SceneFormatError with line/field information.
     """
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(_read_text(path, SceneFormatError))
     except json.JSONDecodeError as e:
         raise SceneFormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     if not isinstance(doc, dict):

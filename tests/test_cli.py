@@ -384,6 +384,27 @@ class TestConfigHandling:
         bad.write_text(json.dumps(doc))
         assert main(["trace", "-c", str(bad)]) == EXIT_CONFIG
 
+    def test_non_utf8_config_exit_2(self, run_dir, capsys):
+        tmp, cfg = run_dir
+        cfg.write_bytes(b"\xff\xfe" + cfg.read_text().encode("utf-16-le"))
+        assert main(["trace", "-c", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: not UTF-8")
+
+    @pytest.mark.parametrize("argv", [["trace", "-c", "{dir}"], ["analyze", "{dir}"],
+                                      ["scene-validate", "{dir}"]])
+    def test_directory_argument_exit_2(self, tmp_path, capsys, argv):
+        assert main([a.format(dir=tmp_path) for a in argv]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_scene_is_a_directory_exit_2(self, run_dir, capsys):
+        tmp, cfg = run_dir
+        doc = json.loads(cfg.read_text())
+        doc["scene"] = str(tmp)
+        bad = tmp / "bad3.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["trace", "-c", str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_workers_env_default(self, monkeypatch):
         from v2vchan.pipeline import default_workers
         monkeypatch.setenv("V2VCHAN_WORKERS", "3")

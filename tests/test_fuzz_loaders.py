@@ -6,7 +6,9 @@ infinity or an oversized number, and (for tensors) by arbitrary header
 fields and payload lengths; metric and label CSV files the same way as
 trajectories.  Each loader must either return or raise one of
 its documented exception types, and the CLI must turn every rejected file
-into exit code 3 (data error), never a traceback.
+into exit code 3 (data error), never a traceback.  The four CSV loaders
+(trajectory, pattern, metric series, labels) also get the same six
+malformed files, since one reader decides for all of them.
 """
 
 import contextlib
@@ -18,10 +20,12 @@ import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TENSOR_HEADER
+from v2vchan.antenna import load_pattern
 from v2vchan.channel import (_HEADER_FMT, ChannelTensor, TensorFormatError,
                              load_tensor)
 from v2vchan.cli import EXIT_DATA, EXIT_OK, main
@@ -91,8 +95,9 @@ def mutated_scenes(draw):
     return text
 
 
-CSV_TOKENS = ["nan", "inf", "-inf", "1e400", "9" * 400, "", "abc", "0x10", "True",
-              "-0.01", "0.02", None]
+# "9" * 200_000 is longer than the csv module's field limit (131 072)
+CSV_TOKENS = ["nan", "inf", "-inf", "1e400", "9" * 400, "9" * 200_000, "", "abc", "0x10",
+              "True", "-0.01", "0.02", None]
 
 
 @st.composite
@@ -147,6 +152,17 @@ def _cli(*argv) -> int:
         return main(list(argv))
 
 
+def _trace_exit(work, tx_path):
+    """The exit code of ``v2vchan trace`` with ``tx_path`` as the TX trajectory."""
+    (work / "rx.csv").write_text("\n".join(",".join(r) for r in TRAJECTORY) + "\n")
+    (work / "scene.json").write_text(json.dumps({"ground": SCENE["ground"]}))
+    (work / "run.json").write_text(json.dumps({
+        "scene": str(work / "scene.json"), "tx_trajectory": str(tx_path),
+        "rx_trajectory": str(work / "rx.csv"), "output_dir": str(work / "out"),
+        "max_order": 1, "enable_diffuse": False}))
+    return _cli("trace", "-c", str(work / "run.json"))
+
+
 @FUZZ
 @given(text=mutated_scenes())
 def test_load_scene_raises_only_documented_errors(tmp_path_factory, text):
@@ -174,13 +190,7 @@ def test_load_trajectory_raises_only_documented_errors(tmp_path_factory, text):
     try:
         traj = load_trajectory(work / "tx.csv")
     except SceneFormatError:
-        (work / "rx.csv").write_text("\n".join(",".join(r) for r in TRAJECTORY) + "\n")
-        (work / "scene.json").write_text(json.dumps({"ground": SCENE["ground"]}))
-        (work / "run.json").write_text(json.dumps({
-            "scene": str(work / "scene.json"), "tx_trajectory": str(work / "tx.csv"),
-            "rx_trajectory": str(work / "rx.csv"), "output_dir": str(work / "out"),
-            "max_order": 1, "enable_diffuse": False}))
-        assert _cli("trace", "-c", str(work / "run.json")) == EXIT_DATA
+        assert _trace_exit(work, work / "tx.csv") == EXIT_DATA
     else:
         assert isinstance(traj, Trajectory)
         assert np.isfinite(traj.position).all()
@@ -244,3 +254,80 @@ def test_load_labels_raises_only_documented_errors(tmp_path_factory, text):
     else:
         assert len(labels.times) >= 1 and _valid_times(labels.times)
         assert labels.is_los.shape == labels.times.shape
+
+
+PATTERN = [["theta_deg", "phi_deg", "re_v", "im_v", "re_h", "im_h"]] + [
+    [f"{90.0 * i}", f"{-90.0 + 90.0 * j}", "1.0", "0.0", "0.0", "0.0"]
+    for i in range(4) for j in range(3)]
+
+
+def _compare_exit(work, path, labels):
+    """The exit code of ``v2vchan compare`` reading ``path`` as a metric file,
+    or as the label file when ``labels`` is set."""
+    good = _metric_dir(work / "a")
+    if labels:
+        return _cli("compare", str(good), str(good), "--labels", str(path),
+                    "-o", str(work / "rep"))
+    bad = _metric_dir(work / "b")
+    (bad / "gain.csv").write_bytes(path.read_bytes())
+    return _cli("compare", str(good), str(bad), "-o", str(work / "rep"))
+
+
+#: Each CSV loader: its valid table, the function, the documented error
+#: class, and how the CLI reads the file (None: no CLI path).
+CSV_LOADERS = {
+    "trajectory": (TRAJECTORY, load_trajectory, SceneFormatError, _trace_exit),
+    "pattern": (PATTERN, load_pattern, ValueError, None),
+    "metric": (METRIC, series_from_csv, SeriesFormatError,
+               lambda work, path: _compare_exit(work, path, labels=False)),
+    "labels": (LABELS, load_labels, SeriesFormatError,
+               lambda work, path: _compare_exit(work, path, labels=True)),
+}
+
+
+def _malformed(table, defect) -> bytes:
+    """The CSV bytes of ``table`` with one ``defect``."""
+    rows = [list(r) for r in table]
+    if defect == "header-only":
+        rows = rows[:1]
+    elif defect == "ragged-row":
+        rows[2].append("0.0")
+    elif defect == "non-numeric-cell":
+        rows[1][0] = "abc"
+    elif defect == "oversized-field":
+        rows[1][0] = "9" * 200_000
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    raw = buf.getvalue().encode()
+    if defect == "empty":
+        return b""
+    if defect == "not-utf8":
+        return raw + b"\xff\xfe,\n"
+    return raw
+
+
+@pytest.mark.parametrize("defect", ["not-utf8", "header-only", "empty", "ragged-row",
+                                    "non-numeric-cell", "oversized-field"])
+@pytest.mark.parametrize("loader", list(CSV_LOADERS))
+def test_csv_loaders_share_one_rejection_rule(tmp_path, loader, defect):
+    table, load, error, cli_exit = CSV_LOADERS[loader]
+    path = tmp_path / f"{loader}.csv"
+    path.write_bytes(_malformed(table, defect))
+    with pytest.raises(error, match=path.name):
+        load(path)
+    if cli_exit is not None:
+        assert cli_exit(tmp_path, path) == EXIT_DATA
+
+
+@pytest.mark.parametrize("loader", list(CSV_LOADERS))
+def test_csv_loaders_skip_blank_rows(tmp_path, loader):
+    table, load, _, _ = CSV_LOADERS[loader]
+    lines = [",".join(r) for r in table]
+    path = tmp_path / f"{loader}.csv"
+    path.write_text("\n".join(["", lines[0], " , ", *lines[1:], ",,"]) + "\n")
+    plain = tmp_path / f"plain_{loader}.csv"
+    plain.write_text("\n".join(lines) + "\n")
+    a, b = load(path), load(plain)
+    for name in ("t", "times", "position", "grid", "values", "is_los"):
+        if hasattr(a, name):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
