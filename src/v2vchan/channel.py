@@ -65,10 +65,6 @@ class SimConfig:
             raise ValueError("fine_dt must divide coarse_trace_dt exactly")
 
     @property
-    def delay_resolution(self) -> float:
-        return 1.0 / self.bandwidth
-
-    @property
     def max_delay(self) -> float:
         return self.n_freq_bins / self.bandwidth
 

@@ -306,7 +306,7 @@ def image_method_specular(scene: Scene, tx, rx, max_order: int,
        reflection point, so it could never pass the front-face test below;
     3. mirrors the surviving images across their new surfaces in one batch;
     4. back-substitutes the reflection points from RX to TX over the whole
-       level, with one point-in-polygon call per surface per step.
+       level, with one :meth:`Scene.contains` batch per step.
 
     A candidate survives when every reflection point lies strictly inside
     its polygon, both adjacent points are on the front side, and every
@@ -393,10 +393,8 @@ def _reflection_points(scene: Scene, tx, rx, seqs: np.ndarray,
         t = (offsets[sid] - _rowdot(n, img)) / np.where(ok, denom, 1.0)
         ok &= (t > 1e-12) & (t < 1.0 - 1e-12)
         q = img + t[:, None] * diff
-        for s in range(len(normals)):
-            on = ok & (sid == s)
-            if on.any():
-                ok[on] = scene.surfaces[s].contains(q[on], strict=True)
+        on = np.flatnonzero(ok)
+        ok[on] = scene.contains(sid[on], q[on], strict=True)
         rows, cur = rows[ok], q[ok]
         pts[rows, j] = cur
     # front-face checks: both neighbors of each bounce on the normal side
@@ -509,10 +507,35 @@ PATH_DUMP_HEADER = ["snapshot_t", "kind", "order", "length_m", "delay_s",
                     "gain_db", "n_interactions", "points"]
 
 
+#: The dump row of a path of each order after the snapshot time: kind, order,
+#: length, delay, gain in dB, order again and the interaction points.
+_DUMP_ROW = ["%s,%d,%r,%r,%.6f,%d," + ";".join(["%.6f|%.6f|%.6f"] * k) + "\n"
+             for k in range(MAX_SPECULAR_ORDER + 1)]
+
+
 def dump_paths_csv(paths: PathSet, t: float, fh) -> None:
-    """Append one CSV row per path to an open file handle."""
-    for p, g in zip(paths, paths.gain_linear().tolist()):
-        pts = ";".join(f"{q[0]:.6f}|{q[1]:.6f}|{q[2]:.6f}" for _, q in p.interactions)
-        gain_db = 10.0 * math.log10(g) if g > 0 else -math.inf
-        fh.write(f"{t!r},{p.kind},{p.order},{p.length!r},{p.delay!r},"
-                 f"{gain_db:.6f},{p.order},{pts}\n")
+    """Append one CSV row per path to an open file handle.
+
+    The rows are formatted from the columns in one pass: each row's fields,
+    then its valid interaction points, fill an object array in row order,
+    and one format string per row's order takes them.  The fields are
+    Python floats and ints, and the gain in dB comes from ``math.log10``,
+    as numpy's may round differently.
+    """
+    order = paths.order
+    n, k = len(paths), int(order.max(initial=0))
+    gain = paths.gain_linear()
+    gain_db = np.full(n, -math.inf)
+    gain_db[gain > 0] = 10.0 * np.array(list(map(math.log10, gain[gain > 0].tolist())))
+    cells = np.empty((n, 6 + 3 * k), dtype=object)
+    cells[:, 0] = np.array(KINDS, dtype=object)[paths.kind]
+    cells[:, 1] = cells[:, 5] = order
+    cells[:, 2] = paths.length
+    cells[:, 3] = paths.delay
+    cells[:, 4] = gain_db
+    cells[:, 6:] = paths.points[:, :k].reshape(n, 3 * k)
+    used = np.ones(cells.shape, dtype=bool)
+    used[:, 6:] = np.repeat(paths.surfaces[:, :k] >= 0, 3, axis=1)
+    head = f"{t!r},"
+    rows = "".join([head + _DUMP_ROW[j] for j in order.tolist()])
+    fh.write(rows % tuple(cells[used].tolist()))

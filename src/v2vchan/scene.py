@@ -33,6 +33,15 @@ hit, clear when every pair is a clear miss, and otherwise goes back
 through :func:`occlusion_test_batch`, so the result equals the exact test
 element for element.  LOS and specular sub-segments share no endpoint and
 use the exact test directly.
+
+Point in polygon
+----------------
+A scene builds one read-only edge table on construction: every surface's
+polygon edges in its own 2D frame, padded to the largest vertex count with
+NaN edges that decide nothing.  :meth:`Scene.contains` decides any mix of (point, surface id)
+pairs in one crossing-number pass over that table; the image method's
+back-substitution and the tile grid use it, and :meth:`Surface.contains`
+is its one-surface case.
 """
 
 from __future__ import annotations
@@ -194,38 +203,11 @@ class Surface:
         self._poly2d = np.column_stack(((v - v[0]) @ e_u, (v - v[0]) @ e_v))
         self._tri_idx = _ear_clip(self._poly2d)
 
-    def to_2d(self, points: np.ndarray) -> np.ndarray:
-        """Project world points (N, 3) into the surface's in-plane frame."""
-        e_u, e_v = self._frame
-        rel = np.atleast_2d(points) - self.vertices[0]
-        return np.column_stack((rel @ e_u, rel @ e_v))
-
     def contains(self, points: np.ndarray, *, strict: bool = True) -> np.ndarray:
-        """Point-in-polygon test using the crossing number, vectorized.
-
-        ``strict`` demands points strictly inside (edge hits rejected to a
-        1e-9 margin); with ``strict=False`` edge points count as inside.
-        """
-        pts = self.to_2d(points)
-        poly = self._poly2d
-        x, y = pts[:, 0], pts[:, 1]
-        inside = np.zeros(len(pts), dtype=bool)
-        on_edge = np.zeros(len(pts), dtype=bool)
-        n = len(poly)
-        for i in range(n):
-            x1, y1 = poly[i]
-            x2, y2 = poly[(i + 1) % n]
-            # distance of each point to the (finite) edge
-            ex, ey = x2 - x1, y2 - y1
-            el2 = ex * ex + ey * ey
-            tseg = np.clip(((x - x1) * ex + (y - y1) * ey) / el2, 0.0, 1.0)
-            dx, dy = x - (x1 + tseg * ex), y - (y1 + tseg * ey)
-            on_edge |= dx * dx + dy * dy < INTERSECT_TOL * INTERSECT_TOL
-            crosses = ((y1 > y) != (y2 > y)) & (x < x1 + (y - y1) * ex / np.where(ey == 0, np.inf, ey))
-            inside ^= crosses
-        if strict:
-            return inside & ~on_edge
-        return inside | on_edge
+        """Point-in-polygon test of world points (N, 3) against this surface:
+        the one-surface case of :meth:`Scene.contains`, whose rules apply."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return _contains(_edge_table([self]), np.zeros(len(pts), dtype=int), pts, strict)
 
     def triangles(self) -> np.ndarray:
         """Triangulation as an array of shape (n_tri, 3, 3)."""
@@ -273,10 +255,26 @@ class Scene:
         self._tri_area2 = np.linalg.norm(self._tri_normal, axis=1)
         self._tri_edge = np.maximum(np.linalg.norm(e1, axis=1), np.linalg.norm(e2, axis=1))
         self._tile_cache: dict[float, tuple[np.ndarray, ...]] = {}
+        self._edges = _edge_table(self.surfaces)
 
-    @property
-    def ground_plane(self) -> Surface | None:
-        return None if self.ground is None else self.surfaces[self.ground]
+    def contains(self, sids, points, *, strict: bool = True) -> np.ndarray:
+        """Point-in-polygon test of each point (N, 3) against the surface
+        whose id is in ``sids`` (N,), in one batch.
+
+        Each point is projected into its surface's in-plane frame and
+        decided by the crossing number (Haines, "Point in Polygon
+        Strategies", Graphics Gems IV, 1994) over that polygon's edges.  A
+        point within ``INTERSECT_TOL`` of an edge is rejected with
+        ``strict`` and accepted with ``strict=False``.
+        """
+        sids = np.asarray(sids, dtype=int)
+        points = np.asarray(points, dtype=float)
+        if sids.ndim != 1 or points.shape != (len(sids), 3):
+            raise ValueError(f"need surface ids (N,) and points (N, 3), not {sids.shape} "
+                             f"and {points.shape}")
+        if len(sids) and not 0 <= sids.min() <= sids.max() < len(self.surfaces):
+            raise IndexError("surface id out of range")
+        return _contains(self._edges, sids, points, strict)
 
     def tiles(self, tile_size: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Deterministic tessellation of every surface into square tiles, as one table.
@@ -297,7 +295,8 @@ class Scene:
         hit = self._tile_cache.get(key)
         if hit is not None:
             return hit
-        # an empty first part gives a scene without surfaces typed, empty columns
+        # every surface's grid cells as candidates, decided in one batch; an
+        # empty first part gives a scene without surfaces typed, empty columns
         parts = [(np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int))]
         for sid, s in enumerate(self.surfaces):
             poly = s._poly2d
@@ -309,10 +308,12 @@ class Scene:
             uu, vv = np.meshgrid(u, v, indexing="ij")
             e_u, e_v = s._frame
             centers = s.vertices[0] + np.outer(uu.ravel(), e_u) + np.outer(vv.ravel(), e_v)
-            ids = np.flatnonzero(s.contains(centers, strict=False))
             cell_area = ((hi[0] - lo[0]) / nu) * ((hi[1] - lo[1]) / nv)
-            parts.append((np.full(len(ids), sid), centers[ids], np.full(len(ids), cell_area), ids))
-        table = tuple(np.concatenate(col) for col in zip(*parts))
+            parts.append((np.full(nu * nv, sid), centers, np.full(nu * nv, cell_area),
+                          np.arange(nu * nv)))
+        sids, centers, areas, ids = (np.concatenate(col) for col in zip(*parts))
+        keep = self.contains(sids, centers, strict=False)
+        table = (sids[keep], centers[keep], areas[keep], ids[keep])
         for col in table:
             col.flags.writeable = False
         self._tile_cache[key] = table
@@ -378,8 +379,66 @@ def _self_intersects(poly: np.ndarray) -> bool:
 
 
 #: (segment, triangle) pairs per block in both occlusion kernels, which bounds
-#: their temporaries at a few MB whatever the batch size.
+#: their temporaries at a few MB whatever the batch size; the point-in-polygon
+#: kernel sizes its blocks from it.
 _PAIR_CHUNK = 1 << 16
+
+
+def _edge_table(surfaces) -> tuple[np.ndarray, ...]:
+    """The point-in-polygon table of ``surfaces``, read by :func:`_contains`.
+
+    Returns each surface's origin ``vertices[0]`` (S, 3), its in-plane frame
+    ``(e_u, e_v)`` (S, 2, 3) and its polygon edges in that frame (7, S, V),
+    V being the largest vertex count: rows x1, y1, y2, ex = x2 - x1,
+    ey = y2 - y1, ex**2 + ey**2 and ey with 0 replaced by inf.  A surface
+    with fewer vertices is padded with NaN edges, which fail every
+    comparison and so neither cross nor touch any point.
+    """
+    counts = np.array([len(s.vertices) for s in surfaces], dtype=int)
+    valid = np.arange(counts.max(initial=0)) < counts[:, None]
+    poly = np.full(valid.shape + (2,), np.nan)
+    if len(surfaces):
+        poly[valid] = np.concatenate([s._poly2d for s in surfaces])
+    nxt = poly[np.arange(len(surfaces))[:, None], (np.arange(valid.shape[1]) + 1) % counts[:, None]]
+    (x1, y1), (x2, y2) = poly.transpose(2, 0, 1), nxt.transpose(2, 0, 1)
+    ex, ey = x2 - x1, y2 - y1
+    edges = np.stack((x1, y1, y2, ex, ey, ex * ex + ey * ey, np.where(ey == 0, np.inf, ey)))
+    origin = np.array([s.vertices[0] for s in surfaces]).reshape(-1, 3)
+    frame = np.array([s._frame for s in surfaces]).reshape(-1, 2, 3)
+    for a in (origin, frame, edges):
+        a.flags.writeable = False
+    return origin, frame, edges
+
+
+def _contains(table, sids: np.ndarray, points: np.ndarray, strict: bool) -> np.ndarray:
+    """Crossing-number test of each point (N, 3) against polygon ``sids`` (N,)
+    of an :func:`_edge_table`; see :meth:`Scene.contains`.
+
+    Points go in blocks of a bounded number of (point, edge) pairs.  Each
+    point is projected as three-term row sums, then tested against every
+    edge of its polygon as the one-edge scalar test does: a squared
+    distance to the finite edge below ``INTERSECT_TOL**2`` puts it on the
+    boundary, and the half-open rule ``(y1 > y) != (y2 > y)`` with the point
+    left of the crossing counts a crossing.
+    """
+    origin, frame, edges = table
+    inside = np.zeros(len(points), dtype=bool)
+    # a (point, edge) pair holds about 17 float temporaries, four times a
+    # fan-test pair, so a block has a quarter of _PAIR_CHUNK pairs
+    step = max(1, _PAIR_CHUNK // (4 * max(1, edges.shape[2])))
+    for lo in range(0, len(points), step):
+        sid = sids[lo:lo + step]
+        rel, f = points[lo:lo + step] - origin[sid], frame[sid]
+        px = (rel[:, 0] * f[:, 0, 0] + rel[:, 1] * f[:, 0, 1] + rel[:, 2] * f[:, 0, 2])[:, None]
+        py = (rel[:, 0] * f[:, 1, 0] + rel[:, 1] * f[:, 1, 1] + rel[:, 2] * f[:, 1, 2])[:, None]
+        x1, y1, y2, ex, ey, el2, ey_div = edges[:, sid]
+        tseg = np.clip(((px - x1) * ex + (py - y1) * ey) / el2, 0.0, 1.0)
+        dx, dy = px - (x1 + tseg * ex), py - (y1 + tseg * ey)
+        on_edge = (dx * dx + dy * dy < INTERSECT_TOL * INTERSECT_TOL).any(axis=1)
+        crosses = ((y1 > py) != (y2 > py)) & (px < x1 + (py - y1) * ex / ey_div)
+        odd = np.count_nonzero(crosses, axis=1) % 2 == 1
+        inside[lo:lo + step] = odd & ~on_edge if strict else odd | on_edge
+    return inside
 
 
 def occlusion_test_batch(scene: Scene, starts, ends) -> np.ndarray:

@@ -39,7 +39,6 @@ def rand_tensor(rng, shape=(6, 2, 2, 32), domain="delay", dt=1e-4) -> ChannelTen
 class TestSimConfig:
     def test_defaults(self):
         c = SimConfig()
-        assert c.delay_resolution == pytest.approx(1 / 240e6)
         assert c.max_delay == pytest.approx(769 / 240e6)
 
     def test_fine_must_divide_coarse(self):

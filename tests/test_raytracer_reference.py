@@ -4,24 +4,32 @@ The enumeration reference is the depth-first search that
 ``image_method_specular`` used before it built the image tree as arrays:
 every surface sequence without an immediate repeat is expanded (no
 visibility pruning), and each one's reflection points are back-substituted
-one sequence and one point-in-polygon test at a time.  Its candidates are
+one sequence and one point-in-polygon test at a time, the test being the
+per-edge loop of ``conftest.reference_contains``.  Its candidates are
 grouped by order and each level goes to the same ``_specular_paths`` stage
 (occlusion batch, polarimetric chain and the length sort), so what is
 compared is the enumeration: the path lists must agree in order, surface
 sequence and value.
+
+The dump reference is the path-dump writer that formatted one
+``PropagationPath`` per row before the writer read the columns.
 
 The chain reference is the per-path polarimetric chain that the specular
 stage ran before it was vectorised over paths: scalar Fresnel coefficients,
 incidence-plane basis and 2x2 rotations, one bounce and one path at a time.
 """
 
+import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
+from conftest import l_roof_scene, reference_contains
 from v2vchan.antenna import vh_basis
 from v2vchan.raytracer import (MAX_SPECULAR_ORDER, SPEED_OF_LIGHT, PathSet, TracerConfig,
+                               dump_paths_csv,
                                _endpoints, _reflection_points, _specular_paths,
                                fresnel_coefficients, image_method_specular, trace_los,
                                trace_snapshot)
@@ -55,7 +63,7 @@ def _solve_reflection_points(scene, tx, rx, seq, images, normals, offsets):
         if not 1e-12 < t < 1.0 - 1e-12:
             return None
         q = img_j + t * (cur - img_j)
-        if not scene.surfaces[sid].contains(q[None, :], strict=True)[0]:
+        if not reference_contains(scene.surfaces[sid], q[None, :], strict=True)[0]:
             return None
         pts.append(q)
         cur = q
@@ -223,6 +231,24 @@ def test_order_4_courtyard_block_over_ground():
         _assert_same(image_method_specular(scene, tx, rx, 4, F), want)
 
 
+def test_orders_1_to_3_over_concave_roof_and_triangle():
+    # in the L block's notch, above its roof (the third placement's roof
+    # point falls in the notch) and by the triangular sign, so padded and
+    # masked edges decide paths
+    scene = l_roof_scene()
+    roof, sign = 6, 7
+    placements = [((14, 14, 1.7), (30, 12, 2.0)), ((12, 12, 10), (2, 3, 7)),
+                  ((15, 15, 8), (18, 2, 9)), ((11, 16, 9), (16, 11, 7)),
+                  ((14, -8, 2), (16, -30, 3)), ((10, 30, 1.7), (30, 10, 1.7))]
+    hit, orders = set(), set()
+    for tx, rx in placements:
+        want = reference_specular(scene, tx, rx, 3)
+        _assert_same(image_method_specular(scene, tx, rx, 3, F), want)
+        hit.update(want.surfaces.ravel().tolist())
+        orders.update(want.order.tolist())
+    assert {roof, sign} <= hit and orders == {1, 2, 3}
+
+
 def test_empty_scene_returns_no_paths():
     got = image_method_specular(Scene([]), (0, 0, 1), (10, 0, 1), 4, F)
     shapes = {"kind": (0,), "surfaces": (0, MAX_SPECULAR_ORDER),
@@ -346,3 +372,36 @@ def test_level_with_every_candidate_rejected_is_empty():
     assert seqs.shape == (0, 1) and seqs.dtype.kind == "i" and pts.shape == (0, 3, 3)
     _assert_empty(_specular_paths(scene, seqs, pts, F))
     _assert_empty(image_method_specular(scene, (0, 5, 1), (10, 5, 1), 1, F))
+
+
+def reference_dump(paths, t, fh):
+    for p, g in zip(paths, paths.gain_linear().tolist()):
+        pts = ";".join(f"{q[0]:.6f}|{q[1]:.6f}|{q[2]:.6f}" for _, q in p.interactions)
+        gain_db = 10.0 * math.log10(g) if g > 0 else -math.inf
+        fh.write(f"{t!r},{p.kind},{p.order},{p.length!r},{p.delay!r},"
+                 f"{gain_db:.6f},{p.order},{pts}\n")
+
+
+def _dumps(paths, t):
+    got, want = io.StringIO(), io.StringIO()
+    dump_paths_csv(paths, t, got)
+    reference_dump(paths, t, want)
+    return got.getvalue(), want.getvalue()
+
+
+def test_dump_matches_reference_writer():
+    # every kind, orders 0 to 4, a zero-gain row (-inf dB), an empty set and
+    # a set whose paths all have order 0
+    scene = _courtyard()
+    tx, rx = np.array([20.0, 20.0, ANTENNA_HEIGHT]), np.array([15.0, 40.0, 2.0])
+    paths = trace_snapshot(scene, tx, rx, TracerConfig(frequency=F, max_order=4))
+    assert set(paths.order.tolist()) == {0, 1, 2, 3, 4} and set(paths.kind.tolist()) == {0, 1, 2}
+    silent = paths.amplitude.copy()
+    silent[3] = 0.0
+    los = trace_los(scene, tx, rx, F)
+    cases = [(paths, 1.25), (dataclasses.replace(paths, amplitude=silent), np.float64(0.01)),
+             (PathSet.concat([]), 0.0), (PathSet.concat([los, los]), 7.5e-3)]
+    for p, t in cases:
+        got, want = _dumps(p, t)
+        assert got == want and got.count("\n") == len(p)
+    assert ",-inf," in _dumps(*cases[1])[0]

@@ -239,7 +239,7 @@ class TestSceneContainer:
     def test_ground_reference(self, concrete):
         g = Surface([(-1, -1, 0), (1, -1, 0), (1, 1, 0), (-1, 1, 0)], concrete, tag="ground")
         s = Scene([g], ground=0)
-        assert s.ground_plane is g
+        assert s.surfaces[s.ground] is g
 
     def test_plane_columns_by_surface_id(self, concrete):
         floor = Surface([(0, 0, 0), (4, 0, 0), (4, 3, 0), (0, 3, 0)], concrete)
@@ -304,7 +304,7 @@ class TestSceneIO:
         p.write_text(json.dumps(doc))
         scene = load_scene(p)
         assert len(scene.surfaces) == 2
-        assert scene.ground_plane.tag == "ground"
+        assert scene.surfaces[scene.ground].tag == "ground"
 
     def test_degenerate_polygon_rejected(self, tmp_path):
         doc = {
