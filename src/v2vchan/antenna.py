@@ -30,20 +30,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import _read_table
+from .scene import _cross, _read_table
 
 
 def vh_basis(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertical/horizontal polarization unit vectors for unit directions (N, 3)."""
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     z = np.array([0.0, 0.0, 1.0])
-    e_h = np.cross(np.broadcast_to(z, d.shape), d)
+    e_h = _cross(z, d)
     nh = np.linalg.norm(e_h, axis=1)
     degenerate = nh < 1e-9
     e_h[degenerate] = (0.0, 1.0, 0.0)
     nh = np.where(degenerate, 1.0, nh)
     e_h /= nh[:, None]
-    e_v = np.cross(d, e_h)
+    e_v = _cross(d, e_h)
     e_v /= np.linalg.norm(e_v, axis=1)[:, None]
     return e_v, e_h
 

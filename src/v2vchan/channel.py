@@ -27,6 +27,7 @@ the band before transforming, mirroring channel-sounder processing.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -315,9 +316,24 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * math.pi * i / (n - 1)) if n > 1 else np.ones(1)
 
 
-#: Values per time chunk of :func:`cir_to_ctf`; each chunk's transform and
-#: shifted copy are the only buffers beside the output.
-_CTF_CHUNK_VALUES = 1 << 16
+#: Values per time chunk of the analysis kernels: a chunk holds as many whole
+#: time rows as fit, at least one, and is the largest buffer each kernel
+#: allocates beside its output and its window-sized arrays.
+_CHUNK_VALUES = 1 << 16
+
+
+def _chunks(data: np.ndarray, lo: int = 0, hi: int | None = None):
+    """(a, b) bounds of consecutive time chunks covering rows [lo, hi) of ``data``."""
+    hi = len(data) if hi is None else hi
+    rows = max(1, _CHUNK_VALUES // max(1, data[0].size))
+    for a in range(lo, hi, rows):
+        yield a, min(a + rows, hi)
+
+
+def _upcast(chunk: np.ndarray) -> np.ndarray:
+    """``chunk`` in complex128, the precision every transform and metric
+    computes in; a no-op for complex128 input."""
+    return np.asarray(chunk, dtype=complex)
 
 
 def cir_to_ctf(tensor: ChannelTensor) -> ChannelTensor:
@@ -325,20 +341,19 @@ def cir_to_ctf(tensor: ChannelTensor) -> ChannelTensor:
 
     The resulting bin axis is fftshifted so frequencies increase and the
     carrier sits at index n_bins // 2.  The transform runs over time chunks
-    into one preallocated output; each row's DFT does not depend on the
-    chunking, so the result equals the whole-tensor transform bit for bit.
+    into one preallocated complex128 output, the shift written as two slice
+    copies; each row's DFT does not depend on the chunking, so the result
+    equals the whole-tensor transform bit for bit.
     """
     if tensor.domain != "delay":
         raise ValueError("cir_to_ctf expects a delay-domain tensor")
-    rows = max(1, _CTF_CHUNK_VALUES // tensor.data[0].size)
-    h = None
-    for a in range(0, tensor.n_time, rows):
-        chunk = np.fft.fftshift(np.fft.fft(tensor.data[a:a + rows], axis=-1), axes=-1)
-        if h is None:       # the transform's own dtype, as for the whole tensor
-            h = np.empty(tensor.data.shape, dtype=chunk.dtype)
-        h[a:a + rows] = chunk
-        del chunk           # so the next chunk's transform does not coexist with it
     n = tensor.n_bins
+    shift = n // 2
+    h = np.empty(tensor.data.shape, dtype=complex)
+    for a, b in _chunks(tensor.data):
+        spec = np.fft.fft(_upcast(tensor.data[a:b]), axis=-1)
+        h[a:b, ..., shift:] = spec[..., :n - shift]
+        h[a:b, ..., :shift] = spec[..., n - shift:]
     df = 1.0 / (n * tensor.dbin)
     return ChannelTensor(domain="frequency", data=h, t0=tensor.t0, dt=tensor.dt,
                          bin0=-(n // 2) * df, dbin=df,
@@ -360,7 +375,10 @@ def ctf_to_cir(tensor: ChannelTensor, window: str = "hann") -> ChannelTensor:
         w = np.ones(n)
     else:
         raise ValueError("window must be 'hann' or 'rect'")
-    data = np.fft.ifft(np.fft.ifftshift(tensor.data * w, axes=-1), axis=-1)
+    data = np.empty(tensor.data.shape, dtype=complex)
+    for a, b in _chunks(tensor.data):
+        data[a:b] = np.fft.ifft(np.fft.ifftshift(_upcast(tensor.data[a:b]) * w, axes=-1),
+                                axis=-1)
     db = 1.0 / (n * tensor.dbin)
     return ChannelTensor(domain="delay", data=data, t0=tensor.t0, dt=tensor.dt,
                          bin0=0.0, dbin=db,
@@ -369,16 +387,21 @@ def ctf_to_cir(tensor: ChannelTensor, window: str = "hann") -> ChannelTensor:
 
 def add_measurement_noise(tensor: ChannelTensor, noise_power_per_bin: float,
                           seed: int) -> ChannelTensor:
-    """Add circularly symmetric complex Gaussian noise, deterministic per seed."""
+    """Add circularly symmetric complex Gaussian noise, deterministic per seed.
+
+    The result is a complex128 copy.  All real parts are drawn, then all
+    imaginary parts, in time chunks from one generator, so the values do
+    not depend on the chunking.
+    """
     if noise_power_per_bin < 0:
         raise ValueError("noise power must be >= 0")
-    if noise_power_per_bin == 0:
-        return replace(tensor, data=tensor.data.copy())
-    rng = np.random.default_rng(seed)
-    scale = math.sqrt(noise_power_per_bin / 2.0)
     data = tensor.data.astype(complex)  # the one copy; noise is added in place
-    data.real += scale * rng.standard_normal(data.shape)
-    data.imag += scale * rng.standard_normal(data.shape)
+    if noise_power_per_bin > 0:
+        rng = np.random.default_rng(seed)
+        scale = math.sqrt(noise_power_per_bin / 2.0)
+        for part in (data.real, data.imag):
+            for a, b in _chunks(data):
+                part[a:b] += scale * rng.standard_normal(part[a:b].shape)
     return replace(tensor, data=data)
 
 
@@ -386,7 +409,8 @@ _HEADER_FMT = "<4sB B I I I I d d d d d"  # magic, version, domain, M_R, M_T, N_
 
 
 def save_tensor(tensor: ChannelTensor, path) -> None:
-    """Write the binary tensor format (little-endian, complex64 payload)."""
+    """Write the binary tensor format (little-endian, complex64 payload),
+    one time chunk at a time."""
     dom = 0 if tensor.domain == "delay" else 1
     header = struct.pack(_HEADER_FMT, TENSOR_MAGIC, TENSOR_VERSION, dom,
                          tensor.m_rx, tensor.m_tx, tensor.n_time, tensor.n_bins,
@@ -394,14 +418,21 @@ def save_tensor(tensor: ChannelTensor, path) -> None:
                          tensor.carrier_frequency)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(np.ascontiguousarray(tensor.data.astype(np.complex64)).tobytes())
+        for a, b in _chunks(tensor.data):
+            f.write(np.ascontiguousarray(tensor.data[a:b], dtype="<c8"))
 
 
 def load_tensor(path) -> ChannelTensor:
-    """Read the binary tensor format; any malformed file raises TensorFormatError."""
+    """Read the binary tensor format; any malformed file raises TensorFormatError.
+
+    The data keep the file's complex64 values, read into one array.  The
+    payload length is checked against the header from the file size before
+    anything is allocated.
+    """
+    size = struct.calcsize(_HEADER_FMT)
     with open(path, "rb") as f:
-        raw = f.read(struct.calcsize(_HEADER_FMT))
-        if len(raw) < struct.calcsize(_HEADER_FMT):
+        raw = f.read(size)
+        if len(raw) < size:
             raise TensorFormatError(f"{path}: truncated header")
         magic, version, dom, m_r, m_t, n_t, n_b, t0, dt, bin0, dbin, fc = struct.unpack(
             _HEADER_FMT, raw)
@@ -409,15 +440,18 @@ def load_tensor(path) -> ChannelTensor:
             raise TensorFormatError(f"{path}: bad magic {magic!r}")
         if version != TENSOR_VERSION:
             raise TensorFormatError(f"{path}: unsupported version {version}")
-        payload = f.read()
-    expected = n_t * m_r * m_t * n_b
-    if len(payload) != 8 * expected:
-        raise TensorFormatError(f"{path}: payload has {len(payload)} bytes, "
-                                f"expected {expected} complex64 values")
-    try:
-        data = np.frombuffer(payload, dtype=np.complex64).reshape(n_t, m_r, m_t, n_b)
-        return ChannelTensor(domain={0: "delay", 1: "frequency"}.get(dom, dom),
-                             data=data.astype(complex), t0=t0, dt=dt, bin0=bin0,
-                             dbin=dbin, carrier_frequency=fc)
-    except ValueError as e:
-        raise TensorFormatError(f"{path}: {e}") from e
+        expected = n_t * m_r * m_t * n_b
+        n_bytes = os.fstat(f.fileno()).st_size - size
+        if n_bytes != 8 * expected:
+            raise TensorFormatError(f"{path}: payload has {n_bytes} bytes, "
+                                    f"expected {expected} complex64 values")
+        try:
+            data = np.empty((n_t, m_r, m_t, n_b), dtype="<c8")
+            tensor = ChannelTensor(domain={0: "delay", 1: "frequency"}.get(dom, dom),
+                                   data=data, t0=t0, dt=dt, bin0=bin0,
+                                   dbin=dbin, carrier_frequency=fc)
+        except ValueError as e:
+            raise TensorFormatError(f"{path}: {e}") from e
+        if f.readinto(data) != n_bytes:
+            raise TensorFormatError(f"{path}: payload changed while it was read")
+    return tensor

@@ -2,8 +2,10 @@
 
 Runs are driven by a JSON config file; every flag mirrors a config key and
 flags win.  Exit codes: 0 on success, 2 for configuration problems (bad
-flags, missing or unreadable files, invalid values), 3 for data problems
-(malformed scene, trajectory, tensor, metric or label files).  The
+flags, missing or unreadable files, invalid values, trajectories without a
+common time span, analysis windows the tensor cannot hold), 3 for data
+problems (malformed scene, trajectory, tensor, metric or label files).  Any
+other error is a defect and raises with its traceback.  The
 ``V2VCHAN_WORKERS`` environment variable sets the default worker count for
 tracing.
 
@@ -152,6 +154,8 @@ def _load_run_inputs(cfg: RunConfig):
 
 
 def _traced_snapshots(cfg: RunConfig, scene, tx, rx):
+    if max(tx.t[0], rx.t[0]) > min(tx.t[-1], rx.t[-1]):
+        raise ConfigError(f"{cfg.tx_trajectory} and {cfg.rx_trajectory} do not overlap in time")
     return trace_trajectory(scene, tx, rx, cfg.tracer, cfg.sim.coarse_trace_dt,
                             workers=cfg.workers or None)
 
@@ -197,6 +201,14 @@ def cmd_analyze(tensor_path: str, cfg: RunConfig) -> int:
     tensor = load_tensor(tensor_path)
     if tensor.domain != "delay":
         raise TensorFormatError(f"{tensor_path}: analyze expects a delay-domain tensor")
+    if not 2 <= cfg.n_avg <= tensor.n_time:
+        raise ConfigError(f"n_avg={cfg.n_avg} must be at least 2 and at most the "
+                          f"{tensor.n_time} time steps of {tensor_path}")
+    if cfg.noise_threshold and (cfg.n_avg < met._FLOOR_MIN_DOPPLER_BINS
+                                or tensor.n_bins < met._FLOOR_MIN_BINS):
+        raise ConfigError(f"noise_threshold needs n_avg >= {met._FLOOR_MIN_DOPPLER_BINS} "
+                          f"and >= {met._FLOOR_MIN_BINS} delay bins, not n_avg="
+                          f"{cfg.n_avg} and the {tensor.n_bins} bins of {tensor_path}")
     if cfg.noise_power > 0:
         from .channel import add_measurement_noise
         tensor = add_measurement_noise(tensor, cfg.noise_power, cfg.noise_seed)
@@ -325,9 +337,6 @@ def main(argv=None) -> int:
             TensorFormatError, met.SeriesFormatError, cmp.AlignmentError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -22,11 +22,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelTensor
+from .channel import ChannelTensor, _chunks, _upcast
 from .scene import _read_table
 
 DB_FLOOR_SENTINEL = -400.0
 DEFAULT_N_AVG = 185  # 57 ms / 307.2 us, about ten wavelengths of travel at 10 m/s
+#: Fewest delay bins (APDP) and Doppler bins (DSD, = n_avg) the noise-floor
+#: estimators accept.
+_FLOOR_MIN_BINS, _FLOOR_MIN_DOPPLER_BINS = 32, 8
 
 
 class SeriesFormatError(ValueError):
@@ -82,6 +85,28 @@ def _window_times(tensor: ChannelTensor, starts: np.ndarray, n_avg: int) -> np.n
     return tensor.t0 + (starts + (n_avg - 1) / 2.0) * tensor.dt
 
 
+def _sliding(data: np.ndarray, starts: np.ndarray, n_avg: int, bufs: tuple, step):
+    """Yield the index of each window once ``bufs``, arrays of ``n_avg``
+    rows, hold its per-step values in time order.
+
+    ``step(a, b)`` returns the values of time steps [a, b), one array per
+    buffer; it is called on time chunks of ``data``.  Steps shared with the
+    previous window are moved up (one flat, forward, overlapping copy), not
+    computed again.
+    """
+    end = 0  # one past the last step the buffers hold
+    for k, s in enumerate(starts):
+        keep = max(0, end - s)
+        for buf in bufs:
+            flat, row = buf.reshape(-1), buf[0].size
+            flat[:keep * row] = flat[(n_avg - keep) * row:]
+        for a, b in _chunks(data, s + keep, s + n_avg):
+            for buf, values in zip(bufs, step(a, b)):
+                buf[a - s:b - s] = values
+        end = s + n_avg
+        yield k
+
+
 def compute_apdp(tensor: ChannelTensor, n_avg: int = DEFAULT_N_AVG,
                  stride: int | None = None) -> Apdp:
     """Mean |h|^2 over each window and over all antenna pairs, per delay bin."""
@@ -89,10 +114,12 @@ def compute_apdp(tensor: ChannelTensor, n_avg: int = DEFAULT_N_AVG,
         raise ValueError("compute_apdp expects a delay-domain tensor")
     stride = n_avg if stride is None else stride
     starts = _window_starts(tensor.n_time, n_avg, stride)
-    power = np.abs(tensor.data) ** 2
+    data = tensor.data
+    power = np.empty((n_avg,) + data.shape[1:])   # |h|^2 of one window
     vals = np.empty((len(starts), tensor.n_bins))
-    for k, s in enumerate(starts):
-        vals[k] = power[s:s + n_avg].mean(axis=(0, 1, 2))
+    for k in _sliding(data, starts, n_avg, (power,),
+                      lambda a, b: (np.abs(_upcast(data[a:b])) ** 2,)):
+        vals[k] = power.mean(axis=(0, 1, 2))
     return Apdp(values=vals, times=_window_times(tensor, starts, n_avg),
                 bins=tensor.bin_axis.copy(), n_avg=n_avg, stride=stride)
 
@@ -113,8 +140,8 @@ def estimate_noise_floor(apdp: Apdp) -> float:
     Uses the mean of the lowest-decile nonzero bins across the largest-delay
     quarter of the delay axis.  Returns 0 when that region is entirely zero.
     """
-    if apdp.values.shape[1] < 32:
-        raise ValueError("noise-floor estimation needs >= 32 delay bins")
+    if apdp.values.shape[1] < _FLOOR_MIN_BINS:
+        raise ValueError(f"noise-floor estimation needs >= {_FLOOR_MIN_BINS} delay bins")
     return _lowest_decile_mean(apdp.values[:, 3 * apdp.values.shape[1] // 4:])
 
 
@@ -123,8 +150,8 @@ def estimate_noise_floor_dsd(dsd: Dsd) -> float:
     largest |Doppler|), estimated as :func:`estimate_noise_floor` does.  With
     fewer than 8 bins those edges would be empty or the whole spectrum."""
     n = dsd.values.shape[1]
-    if n < 8:
-        raise ValueError("noise-floor estimation needs >= 8 Doppler bins")
+    if n < _FLOOR_MIN_DOPPLER_BINS:
+        raise ValueError(f"noise-floor estimation needs >= {_FLOOR_MIN_DOPPLER_BINS} Doppler bins")
     return _lowest_decile_mean(
         np.concatenate([dsd.values[:, :n // 8], dsd.values[:, -(n // 8):]], axis=1))
 
@@ -174,18 +201,28 @@ def rms_delay_spread(apdp: Apdp) -> MetricSeries:
 def compute_dsd(tensor: ChannelTensor, n_avg: int = DEFAULT_N_AVG,
                 stride: int | None = None) -> Dsd:
     """Doppler spectral density: windowed time-DFT, averaged over delay bins
-    and antenna pairs, Doppler axis centered (fftshift)."""
+    and antenna pairs, Doppler axis centered (fftshift).
+
+    Each window is transformed in blocks of its (rx, tx, bin) columns, each
+    block copied transposed so every DFT reads contiguous samples; the
+    powers land in one window-sized array laid out as the whole-window
+    transform's, and the shift is applied to the averaged vector.
+    """
     if tensor.domain != "delay":
         raise ValueError("compute_dsd expects a delay-domain tensor")
     if n_avg < 2:
         raise ValueError("n_avg must be >= 2 for a Doppler transform")
     stride = n_avg if stride is None else stride
     starts = _window_starts(tensor.n_time, n_avg, stride)
+    n_cols = tensor.data[0].size
+    power = np.empty((n_avg, n_cols))       # |DFT|^2 of one window, (Doppler, column)
     vals = np.empty((len(starts), n_avg))
     for k, s in enumerate(starts):
-        block = tensor.data[s:s + n_avg]                       # (n_avg, MR, MT, nb)
-        spec = np.fft.fftshift(np.fft.fft(block, axis=0), axes=0)
-        vals[k] = (np.abs(spec) ** 2).mean(axis=(1, 2, 3))
+        block = tensor.data[s:s + n_avg].reshape(n_avg, n_cols).T   # a view when C-ordered
+        for a, b in _chunks(block):
+            cols = np.array(block[a:b], dtype=complex, order="C")
+            power[:, a:b] = (np.abs(np.fft.fft(cols, axis=-1)) ** 2).T
+        vals[k] = np.fft.fftshift(power.mean(axis=1))
     doppler = np.fft.fftshift(np.fft.fftfreq(n_avg, d=tensor.dt))
     return Dsd(values=vals, times=_window_times(tensor, starts, n_avg),
                bins=doppler, n_avg=n_avg, stride=stride)
@@ -205,10 +242,10 @@ def eigenvalue_series(tensor: ChannelTensor, n_avg: int = DEFAULT_N_AVG,
     window-average squared Frobenius norm equals min(M_R, M_T); the
     eigenvalues of the window-averaged H H^H then sum to that constant, and
     an identity channel reports 0 dB on every eigenvalue.  The window sum of
-    H H^H over frequency bins is the Gram matrix X_t X_t^H of each time
-    step's M_R x (M_T * n_bins) block, so it is one batched matmul per
-    window, summed over the window's time steps.  Values in dB, sorted
-    descending; all-zero windows yield NaN.
+    H H^H over frequency bins is the sum of the Gram matrices X_t X_t^H of
+    the window's time steps, X_t being step t's M_R x (M_T * n_bins) block.
+    Each step's Gram matrix is computed once, in time chunks, and windows
+    sum them.  Values in dB, sorted descending; all-zero windows yield NaN.
     """
     if tensor.domain != "frequency":
         raise ValueError("eigenvalue_series expects a frequency-domain tensor")
@@ -216,10 +253,16 @@ def eigenvalue_series(tensor: ChannelTensor, n_avg: int = DEFAULT_N_AVG,
     starts = _window_starts(tensor.n_time, n_avg, stride)
     m_min = min(tensor.m_rx, tensor.m_tx)
     n_mat = n_avg * tensor.n_bins                  # channel matrices per window
+    data = tensor.data
+    grams = np.empty((n_avg, tensor.m_rx, tensor.m_rx), dtype=complex)
+
+    def gram(a, b):
+        x = _upcast(data[a:b]).reshape(b - a, tensor.m_rx, -1)
+        return (x @ np.conj(x).transpose(0, 2, 1),)
+
     vals = np.full((len(starts), m_min), np.nan)
-    for k, s in enumerate(starts):
-        x = tensor.data[s:s + n_avg].reshape(n_avg, tensor.m_rx, -1)   # a view when C-ordered
-        gram = (x @ np.conj(x).transpose(0, 2, 1)).sum(axis=0)
+    for k in _sliding(data, starts, n_avg, (grams,), gram):
+        gram = grams.sum(axis=0)
         mean_fro2 = float(np.trace(gram).real) / n_mat
         if mean_fro2 == 0.0:
             continue
@@ -244,31 +287,49 @@ def _end_elements(tensor: ChannelTensor, end: str) -> tuple[str, int]:
     return end, tensor.m_tx if end == "tx" else tensor.m_rx
 
 
-def _element(tensor: ChannelTensor, end: str, i: int) -> np.ndarray:
-    """(n_time, opposite-end elements, n_bins) samples of element ``i``."""
-    return tensor.data[:, i, :, :] if end == "rx" else tensor.data[:, :, i, :]
+def _element(chunk: np.ndarray, end: str, i: int) -> np.ndarray:
+    """(rows, opposite-end elements, n_bins) samples of element ``i`` in a
+    chunk of whole time rows."""
+    return chunk[:, i, :, :] if end == "rx" else chunk[:, :, i, :]
 
 
 def _element_power(tensor: ChannelTensor, end: str, i: int) -> np.ndarray:
     """(n_time, n_bins) power of element ``i`` summed over the opposite end."""
-    return (np.abs(_element(tensor, end, i)) ** 2).sum(axis=1)
+    out = np.empty((tensor.n_time, tensor.n_bins))
+    for a, b in _chunks(tensor.data):
+        out[a:b] = (np.abs(_element(_upcast(tensor.data[a:b]), end, i)) ** 2).sum(axis=1)
+    return out
 
 
 def _pair_correlation(tensor: ChannelTensor, end: str, i: int, j: int, p_i: np.ndarray,
                       p_j: np.ndarray, starts: np.ndarray, n_avg: int) -> np.ndarray:
     """Complex window correlation of elements ``i`` and ``j`` with powers
-    ``p_i`` and ``p_j``; NaN where every sample of a window is skipped."""
-    a, b = _element(tensor, end, i), _element(tensor, end, j)
-    num_t = ((a * np.conj(b)) if end == "rx" else (np.conj(a) * b)).sum(axis=1)
-    den_t = np.sqrt(p_i * p_j)
+    ``p_i`` and ``p_j``; NaN where every sample of a window is skipped.
+
+    Each time step's per-bin ratio of the pair product to the power product
+    is computed once, in time chunks taken as whole rows so the products
+    see the same memory layout whatever the input precision.  Each product
+    is computed as ``conj(.) *= other``, the form numpy gives a whole-tensor
+    ``a * np.conj(b)`` or ``np.conj(a) * b`` of 256 KiB or more (it reuses
+    the temporary and puts it first); with fused multiply-adds the complex
+    product rounds differently in that form.
+    """
+    ratio = np.empty((n_avg, tensor.n_bins), dtype=complex)
+    ok = np.empty((n_avg, tensor.n_bins), dtype=bool)    # both powers nonzero
+
+    def step(a, b):
+        chunk = _upcast(tensor.data[a:b])
+        x, y = _element(chunk, end, i), _element(chunk, end, j)
+        prod, other = (np.conj(y), x) if end == "rx" else (np.conj(x), y)
+        num = np.multiply(prod, other, out=prod).sum(axis=1)
+        den = np.sqrt(p_i[a:b] * p_j[a:b])
+        nonzero = den > 0
+        return np.divide(num, den, out=num, where=nonzero), nonzero
+
     vals = np.full(len(starts), np.nan, dtype=complex)
-    for k, s in enumerate(starts):
-        num = num_t[s:s + n_avg]
-        den = den_t[s:s + n_avg]
-        ok = den > 0
-        if not ok.any():
-            continue
-        vals[k] = (num[ok] / den[ok]).sum() / ok.sum()
+    for k in _sliding(tensor.data, starts, n_avg, (ratio, ok), step):
+        if ok.any():
+            vals[k] = ratio[ok].sum() / ok.sum()
     return vals
 
 

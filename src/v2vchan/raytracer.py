@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .antenna import vh_basis
-from .scene import (Material, Scene, occlusion_test, occlusion_test_batch,
+from .scene import (Material, Scene, _cross, occlusion_test, occlusion_test_batch,
                     occlusion_test_fan)
 
 SPEED_OF_LIGHT = 299792458.0
@@ -242,13 +242,13 @@ def _polarimetric_chain(scene: Scene, seqs: np.ndarray, dirs: np.ndarray,
                                         frequency)
     # s_hat, the axis perpendicular to the incidence plane; at normal
     # incidence the plane is undefined and any transverse axis works
-    s = np.cross(d_in, n)
+    s = _cross(d_in, n)
     ns = np.sqrt(_rowdot(s, s))
     normal = ns < 1e-9
     basis_in = vh_basis(d_in)
     s_hat = np.where(normal[:, None], basis_in[1], s / np.where(normal, 1.0, ns)[:, None])
-    t_in = (gamma @ _rotation(basis_in, (s_hat, np.cross(s_hat, d_in)))).reshape(p, k, 2, 2)
-    t_out = _rotation((s_hat, np.cross(s_hat, d_out)), vh_basis(d_out)).astype(complex)
+    t_in = (gamma @ _rotation(basis_in, (s_hat, _cross(s_hat, d_in)))).reshape(p, k, 2, 2)
+    t_out = _rotation((s_hat, _cross(s_hat, d_out)), vh_basis(d_out)).astype(complex)
     t_out = t_out.reshape(p, k, 2, 2)
     m = np.broadcast_to(np.eye(2, dtype=complex), (p, 2, 2))
     for b in range(k):

@@ -104,6 +104,15 @@ DEFAULT_MATERIALS = {
 }
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of 3-vectors along the last axis, broadcast as
+    ``np.cross`` is and bit-identical to it: each component is the same two
+    products and one difference, without its per-call axis handling."""
+    return np.stack((a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]), axis=-1)
+
+
 def _newell_normal(vertices: np.ndarray) -> np.ndarray:
     """Area-weighted polygon normal (right-hand rule over the vertex order)."""
     v = vertices
@@ -198,7 +207,7 @@ class Surface:
         e_u = v[1] - v[0]
         e_u = e_u - (e_u @ normal) * normal
         e_u /= np.linalg.norm(e_u)
-        e_v = np.cross(normal, e_u)
+        e_v = _cross(normal, e_u)
         self._frame = (e_u, e_v)
         self._poly2d = np.column_stack(((v - v[0]) @ e_u, (v - v[0]) @ e_v))
         self._tri_idx = _ear_clip(self._poly2d)
@@ -251,7 +260,7 @@ class Scene:
         self._tri = np.concatenate(tris) if tris else np.zeros((0, 3, 3))
         e1 = self._tri[:, 1] - self._tri[:, 0]
         e2 = self._tri[:, 2] - self._tri[:, 0]
-        self._tri_normal = np.cross(e1, e2)
+        self._tri_normal = _cross(e1, e2)
         self._tri_area2 = np.linalg.norm(self._tri_normal, axis=1)
         self._tri_edge = np.maximum(np.linalg.norm(e1, axis=1), np.linalg.norm(e2, axis=1))
         self._tile_cache: dict[float, tuple[np.ndarray, ...]] = {}
@@ -470,13 +479,13 @@ def occlusion_test_batch(scene: Scene, starts, ends) -> np.ndarray:
             continue
         o = starts[idx][:, None, :]           # (S, 1, 3)
         dd = d[idx][:, None, :]               # (S, 1, 3)
-        h = np.cross(dd, e2[None, :, :])      # (S, T, 3)
+        h = _cross(dd, e2[None, :, :])        # (S, T, 3)
         det = np.einsum("tk,stk->st", e1, h)
         near = np.abs(det) > 1e-14
         inv = np.where(near, 1.0 / np.where(near, det, 1.0), 0.0)
         svec = o - v0[None, :, :]
         u = np.einsum("stk,stk->st", svec, h) * inv
-        q = np.cross(svec, e1[None, :, :])
+        q = _cross(svec, e1[None, :, :])
         v = np.einsum("stk,stk->st", dd, q) * inv
         t = np.einsum("tk,stk->st", e2, q) * inv
         tol = INTERSECT_TOL / seg_len[idx]
@@ -538,8 +547,8 @@ def occlusion_test_fan(scene: Scene, starts, ends) -> np.ndarray:
     a = tri - apex
     normal = scene._tri_normal
     offset = np.einsum("tk,tk->t", a[:, 0], normal)
-    cols = np.concatenate((np.cross(a[:, 2], a[:, 0]), np.cross(a[:, 0], a[:, 1]),
-                           np.cross(a[:, 1], a[:, 2]), normal))
+    cols = np.concatenate((_cross(a[:, 2], a[:, 0]), _cross(a[:, 0], a[:, 1]),
+                           _cross(a[:, 1], a[:, 2]), normal))
     cols = (cols * np.tile(np.where(offset < 0, -1.0, 1.0), 4)[:, None]).T    # (3, 4T)
     offset = np.abs(offset)
     reach = np.linalg.norm(a, axis=2).max(axis=1)

@@ -172,6 +172,33 @@ class TestAnalyzeCommand:
         bad = write_tensor(tmp / "bad.v2vc", **header)
         assert main(["analyze", str(bad), "-c", str(cfg)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("n_avg", ["1", "5"])
+    def test_window_the_tensor_cannot_hold_exit_2(self, tmp_path, write_tensor, capsys, n_avg):
+        path = write_tensor(tmp_path / "t.v2vc")     # 4 time steps
+        assert main(["analyze", str(path), "--n-avg", n_avg, "-o", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: n_avg={n_avg}")
+
+    @pytest.mark.parametrize("n_avg, n_bins", [("4", 40), ("8", 16)])
+    def test_noise_threshold_the_tensor_cannot_hold_exit_2(self, tmp_path, write_tensor,
+                                                          capsys, n_avg, n_bins):
+        path = write_tensor(tmp_path / "t.v2vc", n_time=8, n_bins=n_bins)
+        assert main(["analyze", str(path), "--n-avg", n_avg, "--noise-threshold",
+                     "-o", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: noise_threshold needs")
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, write_tensor, capsys,
+                                                         monkeypatch):
+        import v2vchan.cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("defect inside the analysis")
+
+        monkeypatch.setattr(v2vchan.cli, "analyze_tensor", broken)
+        path = write_tensor(tmp_path / "t.v2vc")
+        with pytest.raises(ValueError, match="defect inside the analysis"):
+            main(["analyze", str(path), "--n-avg", "2", "-o", str(tmp_path)])
+        assert "config error" not in capsys.readouterr().err
+
     def test_series_table_matches_analyze(self, run_dir):
         tmp, cfg = run_dir
         main(["synthesize", "-c", str(cfg)])
@@ -375,6 +402,16 @@ class TestConfigHandling:
         bad = tmp / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["trace", "-c", str(bad)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["trace", "synthesize"])
+    def test_trajectories_without_common_time_exit_2(self, run_dir, capsys, command):
+        tmp, cfg = run_dir
+        text = (tmp / "rx.csv").read_text().splitlines()
+        rows = [line.split(",") for line in text[1:]]
+        late = [",".join([str(float(r[0]) + 5.0)] + r[1:]) for r in rows]
+        (tmp / "rx.csv").write_text("\n".join([text[0], *late]) + "\n")
+        assert main([command, "-c", str(cfg)]) == EXIT_CONFIG
+        assert "do not overlap in time" in capsys.readouterr().err
 
     def test_missing_scene_exit_2(self, run_dir):
         tmp, cfg = run_dir

@@ -212,6 +212,19 @@ def test_load_tensor_raises_only_documented_errors(tmp_path_factory, raw):
                             tensor.carrier_frequency]).all()
 
 
+@pytest.mark.parametrize("dims", [
+    dict(n_time=2 ** 32 - 1, m_rx=2 ** 32 - 1, m_tx=2 ** 32 - 1, n_bins=2 ** 32 - 1),
+    dict(n_time=2 ** 17, m_rx=2 ** 10, m_tx=2 ** 10, n_bins=1),     # 2**37 values
+    dict(n_time=0, m_rx=2 ** 32 - 1, m_tx=2 ** 32 - 1, n_bins=2 ** 32 - 1)])
+def test_load_tensor_checks_size_before_allocating(tmp_path, write_tensor, dims):
+    """A header promising more values than the file holds is rejected from
+    the file size, before any array of that size is allocated."""
+    path = write_tensor(tmp_path / "t.v2vc", payload=bytes(16), **dims)
+    with pytest.raises(TensorFormatError, match="payload has 16 bytes"):
+        load_tensor(path)
+    assert _cli("analyze", str(path), "-o", str(tmp_path / "out")) == EXIT_DATA
+
+
 def _metric_dir(path):
     """A directory holding every metric file ``compare`` reads, all valid."""
     path.mkdir()

@@ -6,12 +6,41 @@ import pytest
 
 from v2vchan.scene import (DEFAULT_MATERIALS, GeometryError, Material,
                            MaterialReferenceError, Scene, SceneFormatError,
-                           Surface, Trajectory, extrude_footprint,
+                           Surface, Trajectory, _cross, extrude_footprint,
                            load_scene, load_trajectory,
                            occlusion_test, occlusion_test_batch, save_scene,
                            save_trajectory, straight_trajectory)
 
 from conftest import big_wall
+
+
+def _vectors(rng, shape):
+    """Random 3-vectors with exact zeros, negative zeros, unit axes and
+    non-finite entries mixed in."""
+    v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    special = np.array([0.0, -0.0, 1.0, -1.0, np.inf, np.nan])
+    pick = rng.random(shape) < 0.2
+    v[pick] = rng.choice(special, int(pick.sum()))
+    return v
+
+
+#: Every operand shape pair ``_cross`` is called with: a surface frame, the
+#: triangle normals and fan constants, the polarimetric chain, vh_basis's
+#: vertical axis against (N, 3) directions, the (S, 1, 3) x (1, T, 3)
+#: occlusion pairs, and empty batches.
+CROSS_SHAPES = [((3,), (3,)), ((42, 3), (42, 3)), ((1, 3), (1, 3)), ((3,), (57, 3)),
+                ((64, 1, 3), (1, 42, 3)), ((0, 3), (0, 3)), ((3,), (0, 3)),
+                ((0, 1, 3), (1, 42, 3))]
+
+
+@pytest.mark.parametrize("shape_a, shape_b", CROSS_SHAPES)
+def test_cross_is_bit_identical_to_numpy(shape_a, shape_b):
+    rng = np.random.default_rng(len(shape_a) * 100 + sum(shape_b))
+    a, b = _vectors(rng, shape_a), _vectors(rng, shape_b)
+    with np.errstate(invalid="ignore"):
+        got, want = _cross(a, b), np.cross(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestMaterial:
