@@ -27,6 +27,6 @@ from .raytracer import (PathSet, PropagationPath, TracerConfig, fresnel_coeffici
                         image_method_specular, lambertian_diffuse, trace_los,
                         trace_snapshot)
 from .scene import (Material, Scene, Surface, Trajectory, extrude_footprint,
-                    load_scene, load_trajectory, occlusion_test, save_scene)
+                    load_scene, load_trajectory, occlusion_test)
 
 __version__ = "0.1.0"

@@ -24,13 +24,12 @@ turned by their boresights, so its table is held once.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import _cross, _read_table
+from .scene import _cross
 
 
 def vh_basis(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,45 +263,3 @@ def isotropic_array(n_elements: int = 1, element_spacing: float = 0.05) -> Array
         offset = np.array([(i - (n_elements - 1) / 2.0) * element_spacing, 0.0, 0.0])
         elements.append(ArrayElement(offset, isotropic_pattern(), 0.0))
     return ArrayLayout(elements)
-
-
-def load_pattern(path) -> AntennaPattern:
-    """Read a pattern CSV ``theta_deg,phi_deg,re_v,im_v,re_h,im_h``.
-
-    theta is azimuth and phi elevation.  The rows hold every node of a
-    uniform grid exactly once, in any order: azimuths ``i * 360 / n_az``
-    and elevations ``-90 + j * 180 / (n_el - 1)`` to within 1e-6 deg, with
-    n_az, n_el >= 2.  Any other file (not UTF-8, a bad header or row, a
-    missing, repeated or off-grid node, a non-finite value) raises
-    ValueError naming the file.
-    """
-    _, arr = _read_table(path, ValueError, floats=True,
-                         header=("theta_deg", "phi_deg", "re_v", "im_v", "re_h", "im_h"))
-    azs, els = np.unique(arr[:, 0]), np.unique(arr[:, 1])
-    n_az, n_el = len(azs), len(els)
-    ia, ie = np.searchsorted(azs, arr[:, 0]), np.searchsorted(els, arr[:, 1])
-    if not (n_az >= 2 and n_el >= 2 and len(arr) == n_az * n_el
-            and len(np.unique(ia * n_el + ie)) == len(arr)
-            and np.allclose(azs, np.arange(n_az) * (360.0 / n_az), rtol=0.0, atol=1e-6)
-            and np.allclose(els, np.arange(n_el) * (180.0 / (n_el - 1)) - 90.0,
-                            rtol=0.0, atol=1e-6)):
-        raise ValueError(f"{path}: rows must hold each (theta_deg, phi_deg) node of a "
-                         "uniform grid exactly once")
-    grid = np.empty((n_az, n_el, 2), dtype=complex)
-    grid[ia, ie, 0] = arr[:, 2] + 1j * arr[:, 3]
-    grid[ia, ie, 1] = arr[:, 4] + 1j * arr[:, 5]
-    try:
-        return AntennaPattern(grid)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from e
-
-
-def save_pattern(pattern: AntennaPattern, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["theta_deg", "phi_deg", "re_v", "im_v", "re_h", "im_h"])
-        for i in range(pattern.n_az):
-            for j in range(pattern.n_el):
-                v, h = pattern.grid[i, j]
-                w.writerow([i * pattern.az_step, -90.0 + j * pattern.el_step,
-                            v.real, v.imag, h.real, h.imag])

@@ -36,6 +36,7 @@ import numpy as np
 
 from .antenna import ArrayLayout
 from .raytracer import SPEED_OF_LIGHT, PathSet, _require_finite
+from .scene import _uniform_times
 
 TENSOR_MAGIC = b"V2VC"
 TENSOR_VERSION = 1
@@ -218,17 +219,9 @@ class PathInterpolator:
     """
 
     def __init__(self, coarse: list[tuple[float, PathSet]]):
-        if len(coarse) < 1:
-            raise ValueError("need at least one coarse snapshot")
-        self.times = np.array([t for t, _ in coarse])
+        self.times = _uniform_times([t for t, _ in coarse], "coarse snapshot times")
         self.snapshots = [paths for _, paths in coarse]
-        if len(self.times) > 1:
-            dt = np.diff(self.times)
-            if np.any(dt <= 0) or (dt.max() - dt.min()) > 1e-9:
-                raise ValueError("coarse snapshots must be uniformly spaced in time")
-            self.dt = float(dt[0])
-        else:
-            self.dt = 0.0
+        self.dt = float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
         self._current: tuple = (None,)
 
     def _locate(self, t: float) -> tuple[int, float]:
@@ -276,7 +269,9 @@ def synthesize_tensor(interp: PathInterpolator, tx_array: ArrayLayout,
 
     Headings may be callables of t or constants (radians).  The default time grid
     runs from the first traced snapshot in steps of ``config.fine_dt``,
-    duration / fine_dt samples in total.  Steps are synthesized one at a
+    duration / fine_dt samples in total.  Given ``times`` must be a uniform
+    grid, checked before any step is synthesized, since the tensor records
+    only its start and step.  Steps are synthesized one at a
     time from :meth:`PathInterpolator.paths_at`; paths dropped beyond the
     delay span are summed over all steps into one warning.
     """
@@ -286,7 +281,7 @@ def synthesize_tensor(interp: PathInterpolator, tx_array: ArrayLayout,
         times = interp.times[0] + np.arange(n) * config.fine_dt
         dt = config.fine_dt   # so time_axis rebuilds exactly this grid
     else:
-        times = np.asarray(times, dtype=float)
+        times = _uniform_times(times, "synthesis times")
         dt = float(times[1] - times[0]) if len(times) > 1 else config.fine_dt
 
     def heading_at(h, t):

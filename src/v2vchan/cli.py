@@ -5,9 +5,9 @@ flags win.  Exit codes: 0 on success, 2 for configuration problems (bad
 flags, missing or unreadable files, invalid values, trajectories without a
 common time span, analysis windows the tensor cannot hold), 3 for data
 problems (malformed scene, trajectory, tensor, metric or label files).  Any
-other error is a defect and raises with its traceback.  The
-``V2VCHAN_WORKERS`` environment variable sets the default worker count for
-tracing.
+other error is a defect and raises with its traceback.  ``--workers`` (the
+``workers`` key, default 1) sets the number of tracing processes; results do
+not depend on it.
 
 Subcommands::
 
@@ -34,7 +34,7 @@ from . import compare as cmp
 from . import metrics as met
 from .antenna import default_sharkfin_array
 from .channel import (SimConfig, TensorFormatError, load_tensor, save_tensor)
-from .pipeline import (SERIES_UNITS, WORKERS_ENV, analyze_tensor,
+from .pipeline import (SERIES_UNITS, analyze_tensor,
                        synthesize_from_snapshots, trace_trajectory)
 from .raytracer import TracerConfig, dump_paths_csv, PATH_DUMP_HEADER
 from .scene import (GeometryError, MaterialReferenceError, SceneFormatError,
@@ -71,13 +71,13 @@ class RunConfig:
     noise_threshold: bool = False
     noise_power: float = 0.0
     noise_seed: int = 0
-    workers: int = 0             # 0 means env default
+    workers: int = 1
 
     def __post_init__(self):
-        if self.n_avg < 1:
-            raise ConfigError("n_avg must be >= 1")
-        if self.stride < 0 or self.workers < 0:
-            raise ConfigError("stride and workers must be >= 0")
+        if self.n_avg < 1 or self.workers < 1:
+            raise ConfigError("n_avg and workers must be >= 1")
+        if self.stride < 0 or self.noise_seed < 0:
+            raise ConfigError("stride and noise_seed must be >= 0")
         if self.noise_power < 0:
             raise ConfigError("noise_power must be >= 0")
         if self.array_type not in ("sharkfin", "isotropic"):
@@ -157,7 +157,7 @@ def _traced_snapshots(cfg: RunConfig, scene, tx, rx):
     if max(tx.t[0], rx.t[0]) > min(tx.t[-1], rx.t[-1]):
         raise ConfigError(f"{cfg.tx_trajectory} and {cfg.rx_trajectory} do not overlap in time")
     return trace_trajectory(scene, tx, rx, cfg.tracer, cfg.sim.coarse_trace_dt,
-                            workers=cfg.workers or None)
+                            workers=cfg.workers)
 
 
 def cmd_trace(cfg: RunConfig) -> int:
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-c", "--config", help="JSON run config", default=None)
         p.add_argument("-o", "--output-dir", dest="output_dir", default=None)
         p.add_argument("--workers", type=int, default=None,
-                       help=f"worker processes (default ${WORKERS_ENV} or 1)")
+                       help="tracing worker processes (default 1)")
 
     p_trace = sub.add_parser("trace", help="dump ray-traced paths per coarse snapshot")
     add_common(p_trace)

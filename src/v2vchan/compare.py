@@ -2,8 +2,7 @@
 
 The error convention is reference minus candidate (measured minus simulated
 when comparing against sounder data).  Sigma is the population root mean
-square deviation about the mean (divide by n); pass ``sample_std=True`` for
-the n-1 estimator.  Reports group every metric by LOS and NLOS segments and
+square deviation about the mean (divide by n).  Reports group every metric by LOS and NLOS segments and
 render as aligned text and CSV with one row per parameter in the customary
 order: gain, delay spread, Doppler spread, eigenvalues, TX correlations,
 RX correlations.
@@ -138,11 +137,10 @@ def error_series(metric_a: MetricSeries, metric_b: MetricSeries) -> MetricSeries
 
 
 def error_stats(eps: MetricSeries, labels: SegmentLabels,
-                sample_std: bool = False, metric_name: str | None = None) -> ErrorStats:
+                metric_name: str | None = None) -> ErrorStats:
     """Per-segment mean and deviation of an error series.
 
-    Sigma follows the population definition sqrt(mean |mu - eps|^2); the
-    n-1 sample estimator is available behind ``sample_std``.
+    Sigma follows the population definition sqrt(mean |mu - eps|^2).
     """
     if eps.values.ndim != 1:
         raise ValueError("error_stats expects a one-column series; split multi-column "
@@ -159,8 +157,7 @@ def error_stats(eps: MetricSeries, labels: SegmentLabels,
         mu = float(np.mean(x))
         dev = np.abs(mu - x) ** 2
         n = x.size
-        denom = n - 1 if (sample_std and n > 1) else n
-        sigma = float(math.sqrt(dev.sum() / denom))
+        sigma = float(math.sqrt(dev.sum() / n))
         cells[seg] = (mu, sigma, n)
     return ErrorStats(metric=metric_name or eps.kind, unit=eps.unit,
                       cells=cells, omitted=omitted)

@@ -7,7 +7,6 @@ worker count.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -22,16 +21,6 @@ from .metrics import (apply_noise_threshold,
 from .raytracer import TracerConfig, trace_snapshot
 from .scene import Scene, Trajectory
 
-WORKERS_ENV = "V2VCHAN_WORKERS"
-
-
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _trace_one(args):
     scene, tx, rx, config = args
     return trace_snapshot(scene, tx, rx, config)
@@ -40,7 +29,7 @@ def _trace_one(args):
 def trace_trajectory(scene: Scene, tx_traj: Trajectory, rx_traj: Trajectory,
                      tracer: TracerConfig, coarse_dt: float,
                      t0: float | None = None, t1: float | None = None,
-                     workers: int | None = None):
+                     workers: int = 1):
     """Ray-trace at every coarse time step; returns the (t, PathSet) list."""
     lo = max(tx_traj.t[0], rx_traj.t[0]) if t0 is None else t0
     hi = min(tx_traj.t[-1], rx_traj.t[-1]) if t1 is None else t1
@@ -53,8 +42,7 @@ def trace_trajectory(scene: Scene, tx_traj: Trajectory, rx_traj: Trajectory,
         tx_pos, _ = tx_traj.at(t)
         rx_pos, _ = rx_traj.at(t)
         jobs.append((scene, tx_pos, rx_pos, tracer))
-    workers = default_workers() if workers is None else max(1, workers)
-    if workers == 1 or len(jobs) < 4:
+    if workers <= 1 or len(jobs) < 4:
         results = [_trace_one(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

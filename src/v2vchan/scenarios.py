@@ -145,4 +145,4 @@ def pec_ground_scene(extent: float = 500.0) -> Scene:
 
 def free_space_scene() -> Scene:
     """No surfaces at all: pure free-space propagation."""
-    return Scene([], bounding_margin=1e4)
+    return Scene([])

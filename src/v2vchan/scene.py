@@ -56,6 +56,7 @@ import numpy as np
 
 PLANARITY_TOL = 1e-6
 INTERSECT_TOL = 1e-9
+BOUNDING_MARGIN = 1.0      # m around the vertices in Scene.bounding_box
 
 
 class SceneFormatError(ValueError):
@@ -237,20 +238,14 @@ class Scene:
     and plane offset by id, built once and read-only.
     """
 
-    def __init__(self, surfaces: list[Surface], ground: int | None = None,
-                 bounding_margin: float = 1.0):
+    def __init__(self, surfaces: list[Surface], ground: int | None = None):
         self.surfaces = list(surfaces)
         if ground is not None and not 0 <= ground < len(self.surfaces):
             raise GeometryError("ground index out of range")
         self.ground = ground
-        if self.surfaces:
-            allv = np.vstack([s.vertices for s in self.surfaces])
-            lo = allv.min(axis=0) - bounding_margin
-            hi = allv.max(axis=0) + bounding_margin
-        else:
-            lo = np.full(3, -bounding_margin)
-            hi = np.full(3, bounding_margin)
-        self.bounding_box = np.vstack((lo, hi))
+        allv = np.vstack([s.vertices for s in self.surfaces] or [np.zeros((1, 3))])
+        self.bounding_box = np.vstack((allv.min(axis=0) - BOUNDING_MARGIN,
+                                       allv.max(axis=0) + BOUNDING_MARGIN))
         self.normals = np.array([s.normal for s in self.surfaces]).reshape(-1, 3)
         self.offsets = np.array([s.plane_offset for s in self.surfaces], dtype=float)
         self.normals.flags.writeable = self.offsets.flags.writeable = False
@@ -582,6 +577,27 @@ def occlusion_test_fan(scene: Scene, starts, ends) -> np.ndarray:
     return blocked
 
 
+def _uniform_times(times, what: str) -> np.ndarray:
+    """``times`` as a float array, checked to be a uniform time grid.
+
+    Every time grid (trajectory samples, traced snapshots, synthesis steps)
+    passes here: it must be 1-D, non-empty, finite, strictly increasing and
+    evenly spaced within 1e-9 s.  Anything else raises ValueError naming
+    ``what``.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or len(t) < 1:
+        raise ValueError(f"{what} need at least one sample in a 1-D array")
+    if not np.isfinite(t).all():
+        raise ValueError(f"{what} must be finite")
+    dt = np.diff(t)
+    if np.any(dt <= 0):
+        raise ValueError(f"{what} must be strictly increasing")
+    if len(dt) and dt.max() - dt.min() > 1e-9:
+        raise ValueError(f"{what} must be uniform within 1e-9 s")
+    return t
+
+
 @dataclass
 class Trajectory:
     """Time-ordered antenna positions and velocities, uniformly sampled."""
@@ -592,22 +608,13 @@ class Trajectory:
     antenna_height: float = 1.73
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
+        self.t = _uniform_times(self.t, "trajectory times")
         self.position = np.asarray(self.position, dtype=float)
         self.velocity = np.asarray(self.velocity, dtype=float)
-        if self.t.ndim != 1 or len(self.t) < 1:
-            raise ValueError("trajectory needs at least one sample")
         if self.position.shape != (len(self.t), 3) or self.velocity.shape != (len(self.t), 3):
             raise ValueError("position/velocity must be (N, 3)")
-        if not (np.isfinite(self.t).all() and np.isfinite(self.position).all()
-                and np.isfinite(self.velocity).all()):
-            raise ValueError("trajectory times, positions and velocities must be finite")
-        if len(self.t) > 1:
-            dt = np.diff(self.t)
-            if np.any(dt <= 0):
-                raise ValueError("trajectory times must be strictly increasing")
-            if dt.max() - dt.min() > 1e-9:
-                raise ValueError("trajectory sampling must be uniform within 1e-9 s")
+        if not (np.isfinite(self.position).all() and np.isfinite(self.velocity).all()):
+            raise ValueError("trajectory positions and velocities must be finite")
         if self.antenna_height <= 0:
             raise ValueError("antenna_height must be > 0")
 
@@ -828,40 +835,3 @@ def load_scene(path) -> Scene:
     ground_id = len(surfaces)
     surfaces.append(ground)
     return Scene(surfaces, ground=ground_id)
-
-
-def save_scene(scene: Scene, path) -> None:
-    """Write a scene as explicit surfaces; load_scene(save_scene(s)) == s."""
-    materials = {}
-    for s in scene.surfaces:
-        materials[s.material.name] = s.material
-    obstacles = []
-    ground_doc = None
-    for sid, s in enumerate(scene.surfaces):
-        entry = {
-            "tag": s.tag,
-            "material": s.material.name,
-            "surfaces": [[list(map(float, v)) for v in s.vertices]],
-        }
-        if sid == scene.ground:
-            ground_doc = {"vertices": entry["surfaces"][0], "material": s.material.name}
-        else:
-            obstacles.append(entry)
-    doc = {
-        "materials": [
-            {
-                "name": m.name,
-                "relative_permittivity": m.relative_permittivity,
-                "conductivity": m.conductivity,
-                "is_pec": m.is_pec,
-                "scattering_coefficient": m.scattering_coefficient,
-            }
-            for m in materials.values()
-        ],
-        "obstacles": obstacles,
-    }
-    if ground_doc is not None:
-        doc["ground"] = ground_doc
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")

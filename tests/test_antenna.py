@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from v2vchan.antenna import (AntennaPattern, ArrayLayout, angles_to_direction,
-                             cardioid_pattern, default_sharkfin_array,
-                             direction_to_angles, isotropic_array,
-                             isotropic_pattern, load_pattern, pattern_gain,
-                             save_pattern, vh_basis)
+                             default_sharkfin_array, direction_to_angles,
+                             isotropic_array, isotropic_pattern, pattern_gain,
+                             vh_basis)
 
 
 class TestBasis:
@@ -141,76 +140,3 @@ class TestArrayLayout:
         w = arr.world_offsets(math.pi / 2)
         assert np.allclose(w[0], [0, -0.05, 0], atol=1e-12)
         assert np.allclose(w[1], [0, 0.05, 0], atol=1e-12)
-
-
-def test_pattern_csv_round_trip(tmp_path):
-    p = cardioid_pattern(0.0, 5.0, step_deg=30.0)
-    f = tmp_path / "pat.csv"
-    save_pattern(p, f)
-    back = load_pattern(f)
-    assert back.grid.shape == p.grid.shape
-    assert np.allclose(back.grid, p.grid)
-
-
-class TestLoadPatternRejects:
-    """Malformed pattern files raise ValueError naming the file."""
-
-    HEADER = "theta_deg,phi_deg,re_v,im_v,re_h,im_h"
-
-    def _rows(self, step=90.0):
-        p = isotropic_pattern(1.0, step_deg=step)
-        return [f"{i * p.az_step!r},{-90.0 + j * p.el_step!r},1.0,0.0,0.0,0.0"
-                for i in range(p.n_az) for j in range(p.n_el)]
-
-    def _load(self, tmp_path, lines=None, raw=None):
-        f = tmp_path / "pattern.csv"
-        if raw is None:
-            raw = ("\n".join([self.HEADER, *lines]) + "\n").encode()
-        f.write_bytes(raw)
-        with pytest.raises(ValueError, match="pattern.csv") as info:
-            load_pattern(f)
-        return str(info.value)
-
-    def test_valid_rows_in_any_order_load(self, tmp_path):
-        f = tmp_path / "pattern.csv"
-        f.write_text("\n".join([self.HEADER, *reversed(self._rows())]) + "\n")
-        p = load_pattern(f)
-        assert p.grid.shape == (4, 3, 2) and np.all(p.grid[..., 0] == 1.0)
-
-    def test_missing_node(self, tmp_path):
-        rows = self._rows()
-        assert "exactly once" in self._load(tmp_path, rows[:4] + rows[5:])
-
-    def test_repeated_node(self, tmp_path):
-        rows = self._rows()
-        assert "exactly once" in self._load(tmp_path, rows[:-1] + rows[:1])
-
-    def test_header_only(self, tmp_path):
-        self._load(tmp_path, [])
-
-    def test_empty_file(self, tmp_path):
-        self._load(tmp_path, raw=b"")
-
-    def test_not_utf8(self, tmp_path):
-        raw = ("\n".join([self.HEADER, *self._rows()]) + "\n").encode() + b"\xff\xfe\n"
-        assert "UTF-8" in self._load(tmp_path, raw=raw)
-
-    @pytest.mark.parametrize("theta, phi", [(45.0, 0.0), (90.0, 10.0), (360.0, 0.0)])
-    def test_off_grid_node(self, tmp_path, theta, phi):
-        rows = self._rows()
-        rows[4] = f"{theta},{phi},1.0,0.0,0.0,0.0"
-        self._load(tmp_path, rows)
-
-    def test_grid_not_covering_the_circle(self, tmp_path):
-        # three azimuths 0, 90, 180 with no 270 would wrap 180 onto 0
-        self._load(tmp_path, [r for r in self._rows() if not r.startswith("270.0,")])
-
-    @pytest.mark.parametrize("bad", ["0.0,-90.0,1.0,0.0,0.0", "0.0,-90.0,x,0.0,0.0,0.0",
-                                     "nan,-90.0,1.0,0.0,0.0,0.0", "0.0,-90.0,inf,0.0,0.0,0.0"])
-    def test_bad_row(self, tmp_path, bad):
-        rows = self._rows()
-        rows[0] = bad
-        self._load(tmp_path, rows)
-
-    def test_single_elevation(self, tmp_path):
-        self._load(tmp_path, [f"{a},0.0,1.0,0.0,0.0,0.0" for a in (0.0, 90.0, 180.0, 270.0)])

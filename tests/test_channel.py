@@ -203,6 +203,13 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             PathInterpolator([(0.0, p), (1e-3, p), (3e-3, p)])
 
+    @pytest.mark.parametrize("times", [[math.nan, 0.01], [0.0, math.inf], [0.01, 0.0], []],
+                             ids=["nan", "inf", "decreasing", "empty"])
+    def test_bad_snapshot_times_rejected(self, times):
+        p = los_path(50.0)
+        with pytest.raises(ValueError, match="coarse snapshot times"):
+            PathInterpolator([(t, p) for t in times])
+
 
 class TestDftPair:
     def test_impulse_flat_ctf(self):
@@ -372,6 +379,29 @@ class TestSynthesizeTensor:
         assert tensor.n_time == 64
         assert tensor.dt == cfg.fine_dt
         assert np.array_equal(tensor.time_axis, coarse[0][0] + np.arange(64) * cfg.fine_dt)
+
+    @pytest.mark.parametrize("times", [
+        [0.0, 0.001, 0.009], [], [[0.0, 0.001]], [0.0, math.nan], [0.001, 0.001, 0.002],
+        [0.002, 0.001, 0.0]], ids=["uneven", "empty", "2-d", "nan", "repeated", "decreasing"])
+    def test_given_times_must_be_a_uniform_grid(self, monkeypatch, times):
+        # checked up front: no step is synthesized from a grid the tensor
+        # cannot record as a start and a step
+        def no_synthesis(*args):
+            raise AssertionError("a step was synthesized")
+        monkeypatch.setattr("v2vchan.channel._synthesize", no_synthesis)
+        p = los_path(5.0)
+        coarse = [(0.0, p), (0.01, p)]
+        with pytest.raises(ValueError, match="synthesis times"):
+            synthesize_tensor(PathInterpolator(coarse), isotropic_array(1), isotropic_array(1),
+                              SimConfig(n_freq_bins=8), times=times)
+
+    def test_given_uniform_times_are_the_time_axis(self):
+        p = los_path(5.0)
+        coarse = [(0.0, p), (0.01, p)]
+        times = 0.001 + np.arange(9) * 0.001
+        tensor = synthesize_tensor(PathInterpolator(coarse), isotropic_array(1),
+                                   isotropic_array(1), SimConfig(n_freq_bins=8), times=times)
+        assert np.allclose(tensor.time_axis, times, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("end", ["tx_heading", "rx_heading"])
     def test_non_finite_heading_rejected(self, end):

@@ -173,18 +173,17 @@ def test_default_grid_callable_headings(flip_slice):
     _assert_close(tensor.data, want)
 
 
-def test_nonuniform_times_constant_headings_final_step(flip_slice):
+def test_given_times_constant_headings_final_step(flip_slice):
     snaps, _, _, arrays = flip_slice
-    t0, t1 = snaps[0][0], snaps[-1][0]
-    rng = np.random.default_rng(5)
-    # random, a coarse boundary, and both ends of the span
-    times = np.sort(np.concatenate((rng.uniform(t0, t1, 23), [t0, snaps[2][0], t1])))
+    # eight steps per coarse interval: every coarse boundary and both ends of the span
+    times = snaps[0][0] + np.arange(33) * (SIM.coarse_trace_dt / 8)
+    assert [times[8 * k] for k in range(5)] == [t for t, _ in snaps]
     tensor = synthesize_tensor(PathInterpolator(snaps), arrays, arrays, SIM,
                                times=times, tx_heading=0.3, rx_heading=-1.2)
     want = reference_tensor(snaps, arrays, times, 0.3, -1.2)
     _assert_close(tensor.data, want)
     # the final step lands on the last snapshot itself (u == 1)
-    last = synthesize_cir(snaps[-1][1], arrays, arrays, t1, SIM, 0.3, -1.2)
+    last = synthesize_cir(snaps[-1][1], arrays, arrays, times[-1], SIM, 0.3, -1.2)
     assert np.array_equal(tensor.data[-1], last)
 
 

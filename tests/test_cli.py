@@ -1,7 +1,7 @@
+import ast
 import csv
 import json
 import math
-import os
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -394,11 +394,14 @@ class TestConfigHandling:
         assert main(["trace", "-c", str(bad)]) == EXIT_CONFIG
         assert repr(key) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["stride", "workers"])
-    def test_negative_count_exit_2(self, run_dir, key):
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("stride", -1, id="stride"), pytest.param("workers", -1, id="workers"),
+        pytest.param("workers", 0, id="workers-zero"),
+        pytest.param("noise_seed", -1, id="noise_seed")])
+    def test_negative_count_exit_2(self, run_dir, key, value):
         tmp, cfg = run_dir
         doc = json.loads(cfg.read_text())
-        doc[key] = -1
+        doc[key] = value
         bad = tmp / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["trace", "-c", str(bad)]) == EXIT_CONFIG
@@ -442,13 +445,6 @@ class TestConfigHandling:
         assert main(["trace", "-c", str(bad)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
-    def test_workers_env_default(self, monkeypatch):
-        from v2vchan.pipeline import default_workers
-        monkeypatch.setenv("V2VCHAN_WORKERS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("V2VCHAN_WORKERS", "junk")
-        assert default_workers() == 1
-
     def test_workers_flag_same_result(self, run_dir):
         tmp, cfg = run_dir
         main(["trace", "-c", str(cfg), "-o", str(tmp / "w1"), "--workers", "1"])
@@ -475,3 +471,21 @@ def test_readme_config_loads_and_keys_are_documented(tmp_path):
     # RunConfig re-declares no SimConfig or TracerConfig field
     assert {f.name for f in fields(RunConfig)} == RUN_ONLY_KEYS | {"sim", "tracer"}
     assert [k for k in sorted(RUN_ONLY_KEYS) if f"`{k}`" not in readme] == []
+
+
+def test_no_module_reads_the_environment():
+    """Runs are set by the config file and the flags alone: no module of the
+    package reads ``os.environ`` or calls ``os.getenv``."""
+    env = {"environ", "environb", "getenv", "getenvb"}
+    readers = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "v2vchan").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {node.attr} if node.value.id == "os" else set()
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {a.name for a in node.names}
+            else:
+                continue
+            if names & env:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []

@@ -126,11 +126,6 @@ class TestErrorStats:
         assert mu == pytest.approx(mu_o, rel=1e-12)
         assert sigma == pytest.approx(sigma_o, rel=1e-12)
 
-    def test_sample_std_flag(self):
-        eps = series([1.0, 3.0])
-        st = error_stats(eps, self._labels(2, [True, True]), sample_std=True)
-        assert st.cells[LOS][1] == pytest.approx(math.sqrt(2.0))
-
     def test_segmentation_partitions(self):
         rng = np.random.default_rng(2)
         vals = rng.standard_normal(30)

@@ -6,8 +6,8 @@ infinity or an oversized number, and (for tensors) by arbitrary header
 fields and payload lengths; metric and label CSV files the same way as
 trajectories.  Each loader must either return or raise one of
 its documented exception types, and the CLI must turn every rejected file
-into exit code 3 (data error), never a traceback.  The four CSV loaders
-(trajectory, pattern, metric series, labels) also get the same six
+into exit code 3 (data error), never a traceback.  The three CSV loaders
+(trajectory, metric series, labels) also get the same six
 malformed files, since one reader decides for all of them.
 """
 
@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TENSOR_HEADER
-from v2vchan.antenna import load_pattern
 from v2vchan.channel import (_HEADER_FMT, ChannelTensor, TensorFormatError,
                              load_tensor)
 from v2vchan.cli import EXIT_DATA, EXIT_OK, main
@@ -269,11 +268,6 @@ def test_load_labels_raises_only_documented_errors(tmp_path_factory, text):
         assert labels.is_los.shape == labels.times.shape
 
 
-PATTERN = [["theta_deg", "phi_deg", "re_v", "im_v", "re_h", "im_h"]] + [
-    [f"{90.0 * i}", f"{-90.0 + 90.0 * j}", "1.0", "0.0", "0.0", "0.0"]
-    for i in range(4) for j in range(3)]
-
-
 def _compare_exit(work, path, labels):
     """The exit code of ``v2vchan compare`` reading ``path`` as a metric file,
     or as the label file when ``labels`` is set."""
@@ -287,10 +281,9 @@ def _compare_exit(work, path, labels):
 
 
 #: Each CSV loader: its valid table, the function, the documented error
-#: class, and how the CLI reads the file (None: no CLI path).
+#: class, and how the CLI reads the file.
 CSV_LOADERS = {
     "trajectory": (TRAJECTORY, load_trajectory, SceneFormatError, _trace_exit),
-    "pattern": (PATTERN, load_pattern, ValueError, None),
     "metric": (METRIC, series_from_csv, SeriesFormatError,
                lambda work, path: _compare_exit(work, path, labels=False)),
     "labels": (LABELS, load_labels, SeriesFormatError,
@@ -328,8 +321,7 @@ def test_csv_loaders_share_one_rejection_rule(tmp_path, loader, defect):
     path.write_bytes(_malformed(table, defect))
     with pytest.raises(error, match=path.name):
         load(path)
-    if cli_exit is not None:
-        assert cli_exit(tmp_path, path) == EXIT_DATA
+    assert cli_exit(tmp_path, path) == EXIT_DATA
 
 
 @pytest.mark.parametrize("loader", list(CSV_LOADERS))

@@ -8,7 +8,7 @@ from v2vchan.scene import (DEFAULT_MATERIALS, GeometryError, Material,
                            MaterialReferenceError, Scene, SceneFormatError,
                            Surface, Trajectory, _cross, extrude_footprint,
                            load_scene, load_trajectory,
-                           occlusion_test, occlusion_test_batch, save_scene,
+                           occlusion_test, occlusion_test_batch,
                            save_trajectory, straight_trajectory)
 
 from conftest import big_wall
@@ -409,25 +409,43 @@ class TestSceneIO:
         with pytest.raises(SceneFormatError, match="height"):
             load_scene(p)
 
-    def test_round_trip_identity(self, tmp_path):
+    def test_explicit_surfaces_load_exactly(self, tmp_path):
+        # no footprints: every surface is given vertex by vertex, the ground too
+        brick = SCENE_DOC["materials"][0]
+        panel = [[[20, 0, 0], [21, 0, 0], [21, 0, 2], [20, 0, 2]],
+                 [[21, 0, 0], [21, 1, 0], [21, 1, 2], [21, 0, 2]],
+                 [[0.1, 0.2, 0.0], [1.0 / 3.0, 0.2, 0.0], [0.1, 0.2, math.pi]]]
+        sign = [[[30, 5, 0], [31, 5, 0], [31, 5, 1e-3]]]
+        ground = [[-50, -50, 0], [50, -50, 0], [50, 50, 0], [-50, 50, 0]]
+        doc = {"materials": [brick],
+               "obstacles": [{"tag": "panel", "material": "brick", "surfaces": panel},
+                             {"tag": "sign", "material": "metal", "surfaces": sign}],
+               "ground": {"vertices": ground, "material": "asphalt"}}
         p = tmp_path / "s.json"
-        p.write_text(json.dumps(SCENE_DOC))
+        p.write_text(json.dumps(doc))
         scene = load_scene(p)
-        q = tmp_path / "saved.json"
-        save_scene(scene, q)
-        again = load_scene(q)
-        assert len(again.surfaces) == len(scene.surfaces)
-        assert again.ground == scene.ground
-        for a, b in zip(scene.surfaces, again.surfaces):
-            assert np.array_equal(a.vertices, b.vertices)
-            assert a.material == b.material
-            assert a.tag == b.tag
+        want = [(v, f"panel:{j}", "brick") for j, v in enumerate(panel)] + [
+            (sign[0], "sign", "metal"), (ground, "ground", "asphalt")]
+        assert len(scene.surfaces) == len(want)
+        assert scene.ground == len(want) - 1
+        for s, (verts, tag, mat) in zip(scene.surfaces, want):
+            assert np.array_equal(s.vertices, np.array(verts, dtype=float))
+            assert s.tag == tag
+            assert s.material == (Material(**brick) if mat == "brick"
+                                  else DEFAULT_MATERIALS[mat])
 
 
 class TestTrajectory:
     def test_uniform_spacing_enforced(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.1, 0.3]), np.zeros((3, 3)), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("t", [[], [[0.0, 0.5]], [0.0, math.inf], [0.5, 0.0]],
+                             ids=["empty", "2-d", "inf", "decreasing"])
+    def test_bad_times_rejected(self, t):
+        n = np.asarray(t).size
+        with pytest.raises(ValueError, match="trajectory times"):
+            Trajectory(t, np.zeros((n, 3)), np.zeros((n, 3)))
 
     def test_antenna_height_positive(self):
         with pytest.raises(ValueError):
