@@ -95,8 +95,8 @@ class AntennaPattern:
             raise ValueError("pattern query angles must be finite")
         cols = tuple(np.array([[x]]) for x in (0, self.n_az, self.n_el,
                                                 self.az_step, self.el_step))
-        return _bilinear(self.planes, cols, az.reshape(1, -1), el.reshape(-1)).reshape(
-            *az.shape, 2)
+        return _bilinear(self.planes, cols, az.reshape(1, -1) % 360.0,
+                         el.reshape(-1)).reshape(*az.shape, 2)
 
 
 def _bilinear(planes: np.ndarray, cols, az: np.ndarray, el: np.ndarray) -> np.ndarray:
@@ -105,16 +105,17 @@ def _bilinear(planes: np.ndarray, cols, az: np.ndarray, el: np.ndarray) -> np.nd
     ``planes`` is a (4, K) table of node values (re V, im V, re H, im H);
     ``cols`` holds (M, 1) columns of each pattern's first node in the table,
     n_az, n_el, azimuth step and elevation step.  ``az`` (M, N) holds each
-    pattern's azimuths, ``el`` (N,) the shared elevations.  Returns (M, N, 2)
-    complex.  The index arithmetic runs once over (M, N), the four corner
-    gathers take all planes at once, and the weights apply in the order
+    pattern's azimuths, already reduced into [0, 360], ``el`` (N,) the shared
+    elevations.  Returns (M, N, 2) complex.  The index arithmetic runs once
+    over (M, N), the four corner gathers take all planes at once into two
+    (4, M, N) buffers, and the weights apply in place in the order
     ``g00 (1 - wa) (1 - we) + g10 wa (1 - we) + g01 (1 - wa) we + g11 wa we``.
     Per component these are the products and sums of the complex form, so
     nonzero results agree with it bit for bit; a zero may differ in sign
     where a node carries a negative component.
     """
     base, n_az, n_el, az_step, el_step = cols
-    fa = (az % 360.0) / az_step
+    fa = az / az_step
     fe = (np.clip(el, -90.0, 90.0) + 90.0) / el_step
     floor_a = np.floor(fa)
     ia = floor_a.astype(int) % n_az
@@ -124,11 +125,19 @@ def _bilinear(planes: np.ndarray, cols, az: np.ndarray, el: np.ndarray) -> np.nd
     i00 = base + ia * n_el + ie
     i10 = base + (ia + 1) % n_az * n_el + ie
     ua, ue = 1 - wa, 1 - we
-    planes4 = (np.take(planes, i00, axis=1) * ua * ue + np.take(planes, i10, axis=1) * wa * ue
-               + np.take(planes, i00 + 1, axis=1) * ua * we
-               + np.take(planes, i10 + 1, axis=1) * wa * we)             # (4, M, N)
+    # the indices are in the table by construction; "clip" lets take write
+    # into ``out`` without an intermediate buffer
+    acc = np.take(planes, i00, axis=1, mode="clip")                     # (4, M, N)
+    acc *= ua
+    acc *= ue
+    term = np.empty_like(acc)
+    for idx, w_a, w_e in ((i10, wa, ue), (i00 + 1, ua, we), (i10 + 1, wa, we)):
+        np.take(planes, idx, axis=1, out=term, mode="clip")
+        term *= w_a
+        term *= w_e
+        acc += term
     out = np.empty((*az.shape, 2), dtype=complex)
-    out.view(float).reshape(*az.shape, 4)[...] = np.moveaxis(planes4, 0, -1)
+    out.view(float).reshape(*az.shape, 4)[...] = np.moveaxis(acc, 0, -1)
     return out
 
 
@@ -226,15 +235,20 @@ class ArrayLayout:
 
         Returns an array of shape (n_elements, N, 2).  Element frames differ
         from the world frame by the vehicle yaw plus the element boresight
-        azimuth (elevation is passed through unchanged).  Non-finite
-        directions or heading raise ValueError.
+        azimuth (elevation is passed through unchanged).  Directions of any
+        other shape, and non-finite directions or heading, raise ValueError.
         """
         directions = np.asarray(directions, dtype=float)
+        if directions.ndim != 2 or directions.shape[1] != 3:
+            raise ValueError(f"antenna query directions must have shape (N, 3), "
+                             f"not {directions.shape}")
         if not (np.isfinite(directions).all() and math.isfinite(heading_rad)):
             raise ValueError("antenna query directions and heading must be finite")
         az, el = direction_to_angles(directions)
         az_local = (az - math.degrees(heading_rad)) - self._boresight
-        return _bilinear(self._planes, self._cols, az_local % 360.0, el)
+        az_local %= 360.0
+        az_local[az_local == 360.0] = 0.0   # a tiny negative azimuth reduces to 360
+        return _bilinear(self._planes, self._cols, az_local, el)
 
 
 def default_sharkfin_array(element_spacing: float = 0.05,

@@ -18,6 +18,19 @@ set that repeats an identity pairs its paths in delay order.  Unmatched
 paths appear or vanish hard at the coarse boundary; a path missing from the
 next snapshot keeps its last state until that boundary.
 
+A tensor is synthesized in chunks of whole coarse intervals, each from a
+window of the interpolator that holds only its own snapshots and keeps the
+full grid's times and step, so a chunk's steps come out bit for bit as in
+one pass.  The chunks run in order in-process, or on a pool of spawned
+worker processes, and their blocks are placed in step order: the tensor
+does not depend on the worker count.  Within a step, the polarimetric
+coupling g_rx^H A g_tx is summed as its four (i, j) terms.  For real,
+vertical-only patterns (the bundled shark-fin and isotropic arrays) it
+rounds exactly as the three-operand ``np.einsum``; for complex
+dual-polarized patterns numpy's complex multiply may fuse a multiply-add
+where ``np.einsum`` does not, and the two differ by a few ulps of the
+terms' magnitudes.
+
 Frequency-domain tensors store bins in increasing frequency order (carrier
 at the center bin).  ``cir_to_ctf`` is an unnormalized forward DFT and
 ``ctf_to_cir`` the matching 1/N inverse, optionally Hann-windowed across
@@ -26,11 +39,14 @@ the band before transforming, mirroring channel-sounder processing.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -59,6 +75,9 @@ class SimConfig:
 
     def __post_init__(self):
         _require_finite(self)
+        if (isinstance(self.n_freq_bins, bool)
+                or not isinstance(self.n_freq_bins, (int, np.integer))):
+            raise ValueError(f"n_freq_bins must be an integer, not {self.n_freq_bins!r}")
         if min(self.carrier_frequency, self.bandwidth, self.snapshot_dt,
                self.coarse_trace_dt, self.fine_dt) <= 0 or self.n_freq_bins < 1:
             raise ValueError("all SimConfig parameters must be positive")
@@ -143,9 +162,13 @@ def _synthesize(paths: PathSet, tx_array: ArrayLayout, rx_array: ArrayLayout,
     doa = -arr                                         # (P, 3) arrival DoA
     amp = amp * np.array([[1.0], [-1.0]])              # H flip into the DoA basis
     g_tx = tx_array.element_gains(dep, tx_heading)     # (M_T, P, 2)
-    g_rx = rx_array.element_gains(doa, rx_heading)     # (M_R, P, 2)
-    # polarimetric coupling per (rx element, tx element, path)
-    coup = np.einsum("npi,pij,mpj->nmp", np.conj(g_rx), amp, g_tx)
+    g_rx = np.conj(rx_array.element_gains(doa, rx_heading))   # (M_R, P, 2)
+    # polarimetric coupling per (rx element, tx element, path):
+    # sum over (i, j) of conj(g_rx)_i A_ij g_tx_j, in the order (0, 0), (0, 1),
+    # (1, 0), (1, 1)
+    coup = g_rx[:, None, :, 0] * amp[:, 0, 0] * g_tx[None, :, :, 0]
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+        coup += g_rx[:, None, :, i] * amp[:, i, j] * g_tx[None, :, :, j]
     # element-offset delays enter the phase only
     off_tx = tx_array.world_offsets(tx_heading)        # (M_T, 3)
     off_rx = rx_array.world_offsets(rx_heading)
@@ -154,7 +177,10 @@ def _synthesize(paths: PathSet, tx_array: ArrayLayout, rx_array: ArrayLayout,
     base = np.exp(-2j * math.pi * f * taus)            # (P,)
     ph_tx = np.exp(2j * math.pi * f * dtau_tx)         # (P, M_T)
     ph_rx = np.exp(2j * math.pi * f * dtau_rx)         # (P, M_R)
-    vals = coup * base[None, None, :] * ph_rx.T[:, None, :] * ph_tx.T[None, :, :]
+    vals = coup
+    vals *= base
+    vals *= ph_rx.T[:, None, :]
+    vals *= ph_tx.T[None, :, :]
     # accumulate with one bincount over a combined (n, m, bin) index
     pair_idx = (np.arange(m_r)[:, None, None] * m_t
                 + np.arange(m_t)[None, :, None]) * config.n_freq_bins
@@ -260,21 +286,67 @@ class PathInterpolator:
                                    where=norm > 0)
         return PathSet.concat([replace(start, **cols), held])
 
+    def window(self, lo: int, hi: int) -> PathInterpolator:
+        """This interpolator cut to snapshots lo..hi.  It evaluates every time
+        of intervals lo..hi - 1 bit for bit as this one does: it keeps this
+        one's snapshot times and step, where a step re-derived from the cut
+        times could differ by an ulp and move the interpolation fractions."""
+        sub = copy.copy(self)
+        sub.times, sub.snapshots = self.times[lo:hi + 1], self.snapshots[lo:hi + 1]
+        sub._current = (None,)
+        return sub
+
+
+#: Fine steps per synthesis chunk, at least, unless that leaves fewer than
+#: four chunks per worker.  A chunk runs on to the next coarse boundary, so
+#: each interval is matched in one chunk only.
+_CHUNK_STEPS = 64
+
+
+def _synthesize_chunk(interp: PathInterpolator, times, tx_headings, rx_headings,
+                      tx_array: ArrayLayout, rx_array: ArrayLayout, config: SimConfig,
+                      out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Fine steps k0..k1 - 1 of a tensor: their (k1 - k0, M_R, M_T,
+    n_freq_bins) block, written into ``out`` when given, and the paths
+    dropped beyond the delay span.
+
+    ``times`` and the two heading sequences are those steps' values;
+    ``interp`` needs to cover only their coarse intervals (see
+    :meth:`PathInterpolator.window`).  Steps are synthesized one at a time
+    from :meth:`PathInterpolator.paths_at`.
+    """
+    block = out if out is not None else np.empty(
+        (len(times), rx_array.size, tx_array.size, config.n_freq_bins), dtype=complex)
+    dropped = 0
+    for k, (t, h_tx, h_rx) in enumerate(zip(times, tx_headings, rx_headings)):
+        block[k], n_dropped = _synthesize(interp.paths_at(t), tx_array, rx_array, config,
+                                          h_tx, h_rx)
+        dropped += n_dropped
+    return block, dropped
+
 
 def synthesize_tensor(interp: PathInterpolator, tx_array: ArrayLayout,
                       rx_array: ArrayLayout, config: SimConfig,
                       times: np.ndarray | None = None,
-                      tx_heading=None, rx_heading=None) -> ChannelTensor:
+                      tx_heading=None, rx_heading=None, workers: int = 1) -> ChannelTensor:
     """Delay-domain tensor over a fine time grid.
 
-    Headings may be callables of t or constants (radians).  The default time grid
-    runs from the first traced snapshot in steps of ``config.fine_dt``,
-    duration / fine_dt samples in total.  Given ``times`` must be a uniform
-    grid, checked before any step is synthesized, since the tensor records
-    only its start and step.  Steps are synthesized one at a
-    time from :meth:`PathInterpolator.paths_at`; paths dropped beyond the
-    delay span are summed over all steps into one warning.
+    Headings may be callables of t or constants (radians); callables are
+    evaluated here, once per step.  The default time grid runs from the
+    first traced snapshot in steps of ``config.fine_dt``, duration / fine_dt
+    samples in total.  Given ``times`` must be a uniform grid, checked
+    before any step is synthesized, since the tensor records only its start
+    and step.
+
+    The steps are cut into chunks of whole coarse intervals, each
+    synthesized by :func:`_synthesize_chunk` from a window of ``interp``
+    holding only its own snapshots.  With ``workers`` > 1 the chunks run on
+    a process pool; the blocks are placed in step order and the result does
+    not depend on the worker count.  Paths dropped beyond the delay span are
+    summed over all steps into one warning.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, not {workers}")
     if times is None:
         span = interp.times[-1] - interp.times[0]
         n = max(1, int(round(span / config.fine_dt)))
@@ -284,16 +356,36 @@ def synthesize_tensor(interp: PathInterpolator, tx_array: ArrayLayout,
         times = _uniform_times(times, "synthesis times")
         dt = float(times[1] - times[0]) if len(times) > 1 else config.fine_dt
 
-    def heading_at(h, t):
-        return h(t) if callable(h) else float(h or 0.0)
+    def headings(h):
+        return [h(t) for t in times] if callable(h) else [float(h or 0.0)] * len(times)
+
+    # each step's coarse interval, as PathInterpolator.paths_at locates it
+    interval = np.clip(np.searchsorted(interp.times, times, side="right") - 1,
+                       0, max(len(interp.times) - 2, 0))
+    min_steps = min(_CHUNK_STEPS, -(-len(times) // (4 * workers)))
+    cuts = [0]
+    for k in np.flatnonzero(np.diff(interval)) + 1:
+        if k - cuts[-1] >= min_steps:
+            cuts.append(int(k))
+    bounds = list(zip(cuts, cuts[1:] + [len(times)]))
+    tx_h, rx_h = headings(tx_heading), headings(rx_heading)
+    # made one at a time, so that in-process a used window and the interval
+    # it matched are dropped before the next
+    jobs = ((interp.window(interval[k0], interval[k1 - 1] + 1), times[k0:k1],
+             tx_h[k0:k1], rx_h[k0:k1], tx_array, rx_array, config) for k0, k1 in bounds)
 
     data = np.empty((len(times), rx_array.size, tx_array.size, config.n_freq_bins),
                     dtype=complex)
     dropped = 0
-    for k, t in enumerate(times):
-        data[k], n_dropped = _synthesize(interp.paths_at(t), tx_array, rx_array, config,
-                                         heading_at(tx_heading, t), heading_at(rx_heading, t))
-        dropped += n_dropped
+    if workers > 1 and len(bounds) > 1:
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            blocks = pool.map(_synthesize_chunk, *zip(*jobs))
+            for (k0, k1), (block, n_dropped) in zip(bounds, blocks):
+                data[k0:k1] = block
+                dropped += n_dropped
+    else:   # in place, in order: no block beside the tensor
+        for (k0, k1), job in zip(bounds, jobs):
+            dropped += _synthesize_chunk(*job, out=data[k0:k1])[1]
     if dropped:
         warnings.warn(f"{dropped} path(s) beyond the unambiguous delay span "
                       f"{config.max_delay * 1e6:.2f} us dropped over {len(times)} time steps",

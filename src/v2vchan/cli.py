@@ -6,8 +6,8 @@ flags, missing or unreadable files, invalid values, trajectories without a
 common time span, analysis windows the tensor cannot hold), 3 for data
 problems (malformed scene, trajectory, tensor, metric or label files).  Any
 other error is a defect and raises with its traceback.  ``--workers`` (the
-``workers`` key, default 1) sets the number of tracing processes; results do
-not depend on it.
+``workers`` key, default 1) sets the number of tracing and synthesis
+processes; results do not depend on it.
 
 Subcommands::
 
@@ -185,7 +185,8 @@ def cmd_synthesize(cfg: RunConfig) -> int:
     else:
         tx_array = default_sharkfin_array()
         rx_array = default_sharkfin_array()
-    tensor = synthesize_from_snapshots(snapshots, tx, rx, tx_array, rx_array, cfg.sim)
+    tensor = synthesize_from_snapshots(snapshots, tx, rx, tx_array, rx_array, cfg.sim,
+                                       workers=cfg.workers)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "channel.v2vc"
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-c", "--config", help="JSON run config", default=None)
         p.add_argument("-o", "--output-dir", dest="output_dir", default=None)
         p.add_argument("--workers", type=int, default=None,
-                       help="tracing worker processes (default 1)")
+                       help="tracing and synthesis worker processes (default 1)")
 
     p_trace = sub.add_parser("trace", help="dump ray-traced paths per coarse snapshot")
     add_common(p_trace)

@@ -1,7 +1,8 @@
 """Pipeline glue: trace along trajectories, synthesize, analyze.
 
-Tracing parallelizes over coarse snapshots with a process pool; results are
-collected in snapshot order so the output is deterministic regardless of the
+Tracing parallelizes over coarse snapshots, and synthesis over chunks of
+coarse intervals, each with a process pool; results are collected in
+snapshot (step) order so the output is deterministic regardless of the
 worker count.
 """
 
@@ -52,12 +53,14 @@ def trace_trajectory(scene: Scene, tx_traj: Trajectory, rx_traj: Trajectory,
 
 def synthesize_from_snapshots(snapshots, tx_traj: Trajectory, rx_traj: Trajectory,
                               tx_array, rx_array, config: SimConfig,
-                              times: np.ndarray | None = None) -> ChannelTensor:
-    """Interpolate traced snapshots and synthesize the delay-domain tensor."""
+                              times: np.ndarray | None = None,
+                              workers: int = 1) -> ChannelTensor:
+    """Interpolate traced snapshots and synthesize the delay-domain tensor
+    on ``workers`` processes."""
     interp = PathInterpolator(snapshots)
     return synthesize_tensor(
         interp, tx_array, rx_array, config, times=times,
-        tx_heading=tx_traj.heading, rx_heading=rx_traj.heading)
+        tx_heading=tx_traj.heading, rx_heading=rx_traj.heading, workers=workers)
 
 
 #: Unit of every MetricSeries that :func:`analyze_tensor` returns, by name.

@@ -82,6 +82,29 @@ def test_element_gains_bit_identical(make, heading):
     assert np.array_equal(_bits(got), _bits(want))
 
 
+def test_azimuth_that_reduces_to_360():
+    """A local azimuth of -1e-15 reduces to exactly 360.0, which must land
+    on azimuth 0 as a second reduction puts it.  On a 161-node grid,
+    360 / (360 / 161) is not 161, so 360.0 taken as it is would not."""
+    pattern = cardioid_pattern(0.0, 5.0, step_deg=360.0 / 161)
+    assert pattern.n_az == 161 and 360.0 / pattern.az_step != 161
+    layout = ArrayLayout([ArrayElement(e.offset, pattern, e.boresight_az_deg)
+                          for e in default_sharkfin_array().elements])
+    front = next(e for e in layout.elements if e.boresight_az_deg == 0.0)
+    d = angles_to_direction(np.zeros(5), [-90.0, -30.0, 0.0, 45.0, 90.0])
+    az, el = direction_to_angles(d)
+    assert np.all(az == 0.0)
+    local = []
+    for heading in (math.radians(1e-15), 0.0, -2 * math.pi):
+        local.append((0.0 - math.degrees(heading)) - front.boresight_az_deg)
+        got = layout.element_gains(d, heading)
+        assert np.array_equal(_bits(got), _bits(reference_element_gains(layout, d, heading)))
+    assert local == [-1e-15, 0.0, 360.0] and -1e-15 % 360.0 == 360.0
+    for a in local:
+        got = pattern.sample(np.full(len(el), a), el)
+        assert np.array_equal(_bits(got), _bits(reference_sample(pattern, a, el)))
+
+
 def test_random_complex_pattern_matches():
     """A grid with negative and complex values; off-node queries, where no
     weight is zero, agree bit for bit."""
@@ -134,3 +157,11 @@ class TestNonFiniteQueries:
         d = np.array([[1.0, 0.0, 0.0], [math.nan, 0.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             default_sharkfin_array().element_gains(d, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (3, 4), (3,), (2, 3, 3)])
+def test_element_gains_rejects_direction_shape(shape):
+    # (3, 2) used to fail with IndexError and (3, 4) to read three columns
+    d = np.full(shape, 0.5)
+    with pytest.raises(ValueError, match=r"shape \(N, 3\)"):
+        default_sharkfin_array().element_gains(d, 0.0)

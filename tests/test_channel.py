@@ -52,6 +52,15 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"finite: {field}"):
             SimConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [16.0, 16.5, True, np.float64(16.0)])
+    def test_n_freq_bins_must_be_an_integer(self, value):
+        # a float count used to fail later, inside synthesis, with numpy's TypeError
+        with pytest.raises(ValueError, match="n_freq_bins must be an integer"):
+            SimConfig(n_freq_bins=value)
+
+    def test_numpy_integer_bins_accepted(self):
+        assert SimConfig(n_freq_bins=np.int64(16)).max_delay == 16 / 240e6
+
 
 class TestSynthesizeCir:
     def test_no_paths_zero_slice(self):
@@ -402,6 +411,13 @@ class TestSynthesizeTensor:
         tensor = synthesize_tensor(PathInterpolator(coarse), isotropic_array(1),
                                    isotropic_array(1), SimConfig(n_freq_bins=8), times=times)
         assert np.allclose(tensor.time_axis, times, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        p = los_path(5.0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            synthesize_tensor(PathInterpolator([(0.0, p), (0.01, p)]), isotropic_array(1),
+                              isotropic_array(1), SimConfig(n_freq_bins=8), workers=workers)
 
     @pytest.mark.parametrize("end", ["tx_heading", "rx_heading"])
     def test_non_finite_heading_rejected(self, end):

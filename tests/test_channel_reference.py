@@ -6,16 +6,25 @@ worked on path-set columns: every interval is matched by grouping
 (``reference_match``), every fine step builds one interpolated row per
 matched pair (``_lerp_path``), appends the rows held until the next
 boundary, and synthesizes them with ``synthesize_cir``.
+
+The per-step kernel is pinned separately against ``reference_synthesize``,
+the kernel with the three-operand ``np.einsum`` coupling that the explicit
+four-term sum replaced, and ``synthesize_tensor`` against itself at one and
+two workers.
 """
 
+import math
+import warnings
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from v2vchan.antenna import default_sharkfin_array
-from v2vchan.channel import (PathInterpolator, SimConfig, _match_paths, synthesize_cir,
-                             synthesize_tensor)
+from v2vchan.antenna import (AntennaPattern, ArrayElement, ArrayLayout,
+                             default_sharkfin_array, isotropic_array)
+from v2vchan.channel import (PathInterpolator, SimConfig, _match_paths, _synthesize,
+                             synthesize_cir, synthesize_tensor)
 from v2vchan.pipeline import trace_trajectory
 from v2vchan.raytracer import (KINDS, MAX_SPECULAR_ORDER, SPEED_OF_LIGHT, PathSet,
                                PropagationPath, TracerConfig, trace_los)
@@ -199,3 +208,133 @@ def test_paths_at_view_matches_reference(flip_slice):
             assert np.allclose(g.amplitude, w.amplitude, rtol=1e-14, atol=0)
             assert np.allclose(g.departure, w.departure, rtol=0, atol=1e-15)
             assert np.allclose(g.arrival, w.arrival, rtol=0, atol=1e-15)
+
+
+def reference_synthesize(paths: PathSet, tx_array, rx_array, config: SimConfig,
+                         tx_heading: float, rx_heading: float, magnitude: bool = False):
+    """The per-step kernel with the ``np.einsum`` coupling: the (M_R, M_T,
+    n_freq_bins) slice and the dropped-path count.  With ``magnitude`` every
+    gain and amplitude factor is its modulus and the unit phases are left
+    out, which gives each bin's sum over paths and (i, j) of
+    |conj(g_rx)_i| |A_ij| |g_tx_j|, the scale of its rounding error."""
+    taus, amp, dep, arr = paths.delay, paths.amplitude, paths.departure, paths.arrival
+    m_r, m_t, n_b = rx_array.size, tx_array.size, config.n_freq_bins
+    bins = np.rint(taus * config.bandwidth).astype(int)
+    keep = bins < n_b
+    taus, amp, dep, arr, bins = taus[keep], amp[keep], dep[keep], arr[keep], bins[keep]
+    doa = -arr
+    amp = amp * np.array([[1.0], [-1.0]])
+    g_tx = tx_array.element_gains(dep, tx_heading)
+    g_rx = np.conj(rx_array.element_gains(doa, rx_heading))
+    if magnitude:
+        g_tx, g_rx, amp = np.abs(g_tx), np.abs(g_rx), np.abs(amp)
+    vals = np.einsum("npi,pij,mpj->nmp", g_rx, amp, g_tx)
+    if not magnitude:
+        f = config.carrier_frequency
+        dtau_tx = (dep @ tx_array.world_offsets(tx_heading).T) / SPEED_OF_LIGHT
+        dtau_rx = (doa @ rx_array.world_offsets(rx_heading).T) / SPEED_OF_LIGHT
+        vals = (vals * np.exp(-2j * math.pi * f * taus)[None, None, :]
+                * np.exp(2j * math.pi * f * dtau_rx).T[:, None, :]
+                * np.exp(2j * math.pi * f * dtau_tx).T[None, :, :])
+    idx = ((np.arange(m_r)[:, None, None] * m_t + np.arange(m_t)[None, :, None]) * n_b
+           + bins[None, None, :]).ravel()
+    flat = vals.ravel()
+    acc = np.bincount(idx, weights=flat.real, minlength=m_r * m_t * n_b)
+    if not magnitude:
+        acc = acc + 1j * np.bincount(idx, weights=flat.imag, minlength=m_r * m_t * n_b)
+    return acc.reshape(m_r, m_t, n_b), int((~keep).sum())
+
+
+#: Bins to 40: the flip slice's longest paths (bin 51) are dropped.
+KERNEL_SIM = SimConfig(n_freq_bins=40, fine_dt=625e-6)
+
+
+def _kernel_cases(snaps):
+    """Path sets of the flip slice: each snapshot, an interpolated step, an
+    empty set, and a snapshot with -0.0 amplitude entries (whole matrices,
+    single entries and mixed-sign zeros)."""
+    sets = [paths for _, paths in snaps]
+    sets.append(PathInterpolator(snaps).paths_at(snaps[1][0] + 0.4 * SIM.coarse_trace_dt))
+    sets.append(sets[0].take(np.array([], dtype=int)))
+    amp = sets[2].amplitude.copy()
+    amp[::5] = complex(-0.0, -0.0)
+    amp[1::5, 0, 1] = complex(-0.0, 0.0)
+    amp[2::5, 1, 0] = complex(0.0, -0.0)
+    amp[3::5, 1, 1] = -0.0
+    sets.append(replace(sets[2], amplitude=amp))
+    return sets
+
+
+def _dual_pol_layout(seed: int) -> ArrayLayout:
+    """Three elements with random complex V and H gains on two grids."""
+    rng = np.random.default_rng(seed)
+    grids = [rng.standard_normal((n_az, n_el, 2)) + 1j * rng.standard_normal((n_az, n_el, 2))
+             for n_az, n_el in ((36, 19), (24, 13))]
+    patterns = [AntennaPattern(g) for g in grids]
+    return ArrayLayout([ArrayElement([0.0, 0.0, 0.0], patterns[0], 0.0),
+                        ArrayElement([0.05, 0.0, 0.0], patterns[1], 120.0),
+                        ArrayElement([0.1, 0.0, 0.0], patterns[0], 250.5)])
+
+
+@pytest.mark.parametrize("make", [default_sharkfin_array, lambda: isotropic_array(4)],
+                         ids=["sharkfin", "isotropic"])
+def test_kernel_matches_einsum_reference_bit_for_bit(flip_slice, make):
+    """Real, V-only patterns: the explicit sum is the einsum's arithmetic."""
+    arrays = make()
+    dropped = 0
+    for paths in _kernel_cases(flip_slice[0]):
+        for h_tx, h_rx in ((0.0, 0.0), (0.3, -1.2), (2 * math.pi, 1e-15)):
+            got, n_got = _synthesize(paths, arrays, arrays, KERNEL_SIM, h_tx, h_rx)
+            want, n_want = reference_synthesize(paths, arrays, arrays, KERNEL_SIM, h_tx, h_rx)
+            assert n_got == n_want
+            assert got.shape == want.shape == (4, 4, KERNEL_SIM.n_freq_bins)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            dropped += n_got
+    assert dropped > 0
+
+
+def test_kernel_dual_polarisation_within_bound(flip_slice):
+    """Complex V and H gains: numpy's complex multiply may fuse its
+    multiply-add where einsum does not, so bits may move.  Both results
+    round at most 8 times per term before the bin sum and once per path
+    added to a bin, so they differ by at most 2 (8 + K) eps times the
+    bin's magnitude sum, K being the paths in the bin."""
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        rx, tx = _dual_pol_layout(seed), _dual_pol_layout(seed + 10)
+        for paths in _kernel_cases(flip_slice[0]):
+            got, n_got = _synthesize(paths, tx, rx, KERNEL_SIM, 0.7, -2.1)
+            want, n_want = reference_synthesize(paths, tx, rx, KERNEL_SIM, 0.7, -2.1)
+            scale, _ = reference_synthesize(paths, tx, rx, KERNEL_SIM, 0.7, -2.1,
+                                            magnitude=True)
+            bins = np.rint(paths.delay * KERNEL_SIM.bandwidth).astype(int)
+            per_bin = np.bincount(bins[bins < KERNEL_SIM.n_freq_bins],
+                                  minlength=KERNEL_SIM.n_freq_bins)
+            assert n_got == n_want
+            assert np.all(np.abs(got - want) <= 2 * (8 + per_bin) * eps * scale)
+
+
+def test_workers_give_identical_tensor(flip_slice):
+    """Chunks of whole coarse intervals, in-process and on two spawned
+    workers, against one pass of the kernel over the whole interpolator:
+    the slice crosses three coarse boundaries and drops paths beyond the
+    delay span."""
+    snaps, tx, rx, arrays = flip_slice
+    whole = PathInterpolator(snaps)
+    times = snaps[0][0] + np.arange(64) * KERNEL_SIM.fine_dt
+    one_pass = np.stack([_synthesize(whole.paths_at(t), arrays, arrays, KERNEL_SIM,
+                                     tx.heading(t), rx.heading(t))[0] for t in times])
+    out = {}
+    for workers in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tensor = synthesize_tensor(PathInterpolator(snaps), arrays, arrays, KERNEL_SIM,
+                                       tx_heading=tx.heading, rx_heading=rx.heading,
+                                       workers=workers)
+        out[workers] = (tensor, [str(w.message) for w in caught])
+    (t1, w1), (t2, w2) = out[1], out[2]
+    assert t1.n_time == 64
+    assert np.array_equal(t1.data.view(np.uint64), one_pass.view(np.uint64))
+    assert np.array_equal(t1.data.view(np.uint64), t2.data.view(np.uint64))
+    assert (t1.t0, t1.dt) == (t2.t0, t2.dt)
+    assert len(w1) == 1 and " path(s) beyond" in w1[0] and w1 == w2

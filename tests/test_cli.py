@@ -453,6 +453,17 @@ class TestConfigHandling:
         b = {p.name: p.read_bytes() for p in (tmp / "w2" / "trace").glob("*.csv")}
         assert a == b
 
+    def test_workers_flag_same_synthesis(self, run_dir):
+        # 100 fine steps: at two workers the synthesis runs as five chunks on the pool
+        tmp, cfg = run_dir
+        out = {}
+        for workers in ("1", "2"):
+            assert main(["synthesize", "-c", str(cfg), "-o", str(tmp / workers),
+                         "--workers", workers]) == EXIT_OK
+            out[workers] = {p.name: p.read_bytes() for p in (tmp / workers).iterdir()}
+        assert sorted(out["1"]) == ["channel.v2vc", "los_labels.csv"]
+        assert out["1"] == out["2"]
+
 
 #: The config keys that belong to a run, not to SimConfig or TracerConfig.
 RUN_ONLY_KEYS = {"scene", "tx_trajectory", "rx_trajectory", "output_dir", "array_type",
