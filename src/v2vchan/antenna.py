@@ -11,15 +11,23 @@ so (e_h, e_v, d) is right-handed.  Both the ray tracer and the channel
 synthesizer use this basis.
 
 Every :class:`AntennaPattern` keeps a read-only copy of its grid and, built
-from it once, a real (4, K) gather table ``planes`` (re V, im V, re H,
-im H over its K nodes); a grid that cannot change cannot leave the table
-stale.  An :class:`ArrayLayout` stacks the tables of its distinct patterns
-and keeps each element's table offset, grid size, steps and boresight as
-(M, 1) columns, so :meth:`ArrayLayout.element_gains` interpolates all
-elements in one pass: one index computation over (elements, directions)
-and four gathers.  :meth:`AntennaPattern.sample` is the one-pattern case of
-the same kernel.  The four shark-fin elements share one cardioid pattern,
-turned by their boresights, so its table is held once.
+from it once, a real gather table ``planes`` of its live planes: of re V,
+im V, re H and im H over its K nodes, those holding any value other than
++0.0 (the bundled shark-fin and isotropic patterns have only re V).  A grid
+that cannot change cannot leave the table stale.  An :class:`ArrayLayout`
+stacks the tables of its distinct patterns over the union of their live
+planes, a pattern's missing planes as +0.0 rows, and keeps each element's
+table offset, grid size, steps and boresight as (M, 1) columns, so
+:meth:`ArrayLayout.element_gains` interpolates all elements in one pass:
+one index computation over (elements, directions) and four gathers of the
+live planes.  A plane that is not live interpolates to +0.0 at every query,
+which is what is written for it without a gather: its four corner terms
+are zeros, the g01 (1 - wa) we term is +0.0 since neither weight is ever
+negative, and a sum with a +0.0 term of zeros is +0.0.
+:meth:`AntennaPattern.sample`
+is the one-pattern case of the same kernel.  The four shark-fin elements
+share one cardioid pattern, turned by their boresights, so its table is
+held once.
 """
 
 from __future__ import annotations
@@ -67,7 +75,9 @@ class AntennaPattern:
     ``grid`` has shape (n_az, n_el, 2); azimuth wraps (the sample at 360 deg
     equals the one at 0 deg and is not stored).  Queries interpolate
     bilinearly and are exact at grid nodes.  The pattern keeps a read-only
-    copy of the grid and, from it, the gather table ``planes``.
+    copy of the grid and, from it, the gather table ``planes`` of the planes
+    listed in ``live`` (0 re V, 1 im V, 2 re H, 3 im H), those holding any
+    value other than +0.0.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -81,8 +91,11 @@ class AntennaPattern:
         self.n_az, self.n_el = g.shape[0], g.shape[1]
         self.az_step = 360.0 / self.n_az
         self.el_step = 180.0 / (self.n_el - 1)
-        # re V, im V, re H, im H, each over the nodes in (azimuth, elevation) order
-        self.planes = np.moveaxis(g.view(float).reshape(-1, 4), 1, 0).copy()
+        # re V, im V, re H, im H, each over the nodes in (azimuth, elevation) order;
+        # a -0.0 node keeps its plane live, as it can carry a sign into a result
+        planes = np.moveaxis(g.view(float).reshape(-1, 4), 1, 0)
+        self.live = tuple(np.flatnonzero(planes.view(np.uint64).any(axis=1)).tolist())
+        self.planes = planes[list(self.live)]
         self.planes.flags.writeable = False
 
     def sample(self, az_deg, el_deg) -> np.ndarray:
@@ -95,20 +108,21 @@ class AntennaPattern:
             raise ValueError("pattern query angles must be finite")
         cols = tuple(np.array([[x]]) for x in (0, self.n_az, self.n_el,
                                                 self.az_step, self.el_step))
-        return _bilinear(self.planes, cols, az.reshape(1, -1) % 360.0,
+        return _bilinear(self.planes, self.live, cols, az.reshape(1, -1) % 360.0,
                          el.reshape(-1)).reshape(*az.shape, 2)
 
 
-def _bilinear(planes: np.ndarray, cols, az: np.ndarray, el: np.ndarray) -> np.ndarray:
+def _bilinear(planes: np.ndarray, live, cols, az: np.ndarray, el: np.ndarray) -> np.ndarray:
     """Bilinear (V, H) gains of M patterns that share one gather table.
 
-    ``planes`` is a (4, K) table of node values (re V, im V, re H, im H);
-    ``cols`` holds (M, 1) columns of each pattern's first node in the table,
-    n_az, n_el, azimuth step and elevation step.  ``az`` (M, N) holds each
+    ``planes`` is an (L, K) table of node values of the L planes listed in
+    ``live`` (0 re V, 1 im V, 2 re H, 3 im H); the other planes are +0.0
+    in the result.  ``cols`` holds (M, 1) columns of each pattern's first
+    node in the table, n_az, n_el, azimuth step and elevation step.  ``az`` (M, N) holds each
     pattern's azimuths, already reduced into [0, 360], ``el`` (N,) the shared
     elevations.  Returns (M, N, 2) complex.  The index arithmetic runs once
-    over (M, N), the four corner gathers take all planes at once into two
-    (4, M, N) buffers, and the weights apply in place in the order
+    over (M, N), the four corner gathers take the live planes at once into
+    two (L, M, N) buffers, and the weights apply in place in the order
     ``g00 (1 - wa) (1 - we) + g10 wa (1 - we) + g01 (1 - wa) we + g11 wa we``.
     Per component these are the products and sums of the complex form, so
     nonzero results agree with it bit for bit; a zero may differ in sign
@@ -127,7 +141,7 @@ def _bilinear(planes: np.ndarray, cols, az: np.ndarray, el: np.ndarray) -> np.nd
     ua, ue = 1 - wa, 1 - we
     # the indices are in the table by construction; "clip" lets take write
     # into ``out`` without an intermediate buffer
-    acc = np.take(planes, i00, axis=1, mode="clip")                     # (4, M, N)
+    acc = np.take(planes, i00, axis=1, mode="clip")                     # (L, M, N)
     acc *= ua
     acc *= ue
     term = np.empty_like(acc)
@@ -136,8 +150,8 @@ def _bilinear(planes: np.ndarray, cols, az: np.ndarray, el: np.ndarray) -> np.nd
         term *= w_a
         term *= w_e
         acc += term
-    out = np.empty((*az.shape, 2), dtype=complex)
-    out.view(float).reshape(*az.shape, 4)[...] = np.moveaxis(acc, 0, -1)
+    out = np.zeros((*az.shape, 2), dtype=complex)
+    out.view(float).reshape(*az.shape, 4)[..., live] = np.moveaxis(acc, 0, -1)
     return out
 
 
@@ -194,10 +208,12 @@ class ArrayElement:
 class ArrayLayout:
     """Roof-mounted antenna array: element offsets, patterns, boresights.
 
-    Construction reads the elements once: the distinct patterns' planes go
-    into one gather table, and each element's table offset, grid shape,
-    steps and boresight into (M, 1) columns that :meth:`element_gains`
-    reads.
+    Construction reads the elements once: the distinct patterns' tables go
+    into one gather table over the union of their live planes, and each
+    element's table offset, grid shape, steps and boresight into (M, 1)
+    columns that :meth:`element_gains` reads.  ``live_pols`` lists the
+    polarisations (0 V, 1 H) in which some element's pattern has a live
+    plane; in the others every gain is +0.0.
     """
 
     elements: list[ArrayElement]
@@ -212,8 +228,16 @@ class ArrayLayout:
         distinct = list({id(e.pattern): e.pattern for e in self.elements}.values())
         starts = dict(zip(map(id, distinct),
                           np.cumsum([0] + [p.planes.shape[1] for p in distinct]).tolist()))
-        self._planes = (distinct[0].planes if len(distinct) == 1
-                        else np.concatenate([p.planes for p in distinct], axis=1))
+        self._live = tuple(sorted(set().union(*(p.live for p in distinct))))
+        self.live_pols = tuple(sorted({plane // 2 for plane in self._live}))
+        tables = []
+        for p in distinct:                  # a plane live elsewhere is +0.0 here
+            table = p.planes
+            if p.live != self._live:
+                table = np.zeros((len(self._live), p.planes.shape[1]))
+                table[[self._live.index(plane) for plane in p.live]] = p.planes
+            tables.append(table)
+        self._planes = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
         self._planes.flags.writeable = False
         rows = [(starts[id(p)], p.n_az, p.n_el, p.az_step, p.el_step)
                 for p in (e.pattern for e in self.elements)]
@@ -248,7 +272,7 @@ class ArrayLayout:
         az_local = (az - math.degrees(heading_rad)) - self._boresight
         az_local %= 360.0
         az_local[az_local == 360.0] = 0.0   # a tiny negative azimuth reduces to 360
-        return _bilinear(self._planes, self._cols, az_local, el)
+        return _bilinear(self._planes, self._live, self._cols, az_local, el)
 
 
 def default_sharkfin_array(element_spacing: float = 0.05,

@@ -24,12 +24,16 @@ full grid's times and step, so a chunk's steps come out bit for bit as in
 one pass.  The chunks run in order in-process, or on a pool of spawned
 worker processes, and their blocks are placed in step order: the tensor
 does not depend on the worker count.  Within a step, the polarimetric
-coupling g_rx^H A g_tx is summed as its four (i, j) terms.  For real,
-vertical-only patterns (the bundled shark-fin and isotropic arrays) it
-rounds exactly as the three-operand ``np.einsum``; for complex
-dual-polarized patterns numpy's complex multiply may fuse a multiply-add
-where ``np.einsum`` does not, and the two differ by a few ulps of the
-terms' magnitudes.
+coupling g_rx^H A g_tx is summed over its (i, j) terms whose receive
+polarisation i and transmit polarisation j are both live in their arrays
+(:attr:`ArrayLayout.live_pols`): one term, (V, V), for the bundled
+shark-fin and isotropic arrays.  A skipped term has a gain that is +0.0 at
+every query, so it is a complex zero; adding it could change only the sign
+of a zero entry, and the bin sums, which start at +0.0, take none.  For
+real, vertical-only patterns the sum rounds exactly as the three-operand
+``np.einsum``; for complex dual-polarized patterns numpy's complex multiply
+may fuse a multiply-add where ``np.einsum`` does not, and the two differ by
+a few ulps of the terms' magnitudes.
 
 Frequency-domain tensors store bins in increasing frequency order (carrier
 at the center bin).  ``cir_to_ctf`` is an unnormalized forward DFT and
@@ -163,12 +167,16 @@ def _synthesize(paths: PathSet, tx_array: ArrayLayout, rx_array: ArrayLayout,
     amp = amp * np.array([[1.0], [-1.0]])              # H flip into the DoA basis
     g_tx = tx_array.element_gains(dep, tx_heading)     # (M_T, P, 2)
     g_rx = np.conj(rx_array.element_gains(doa, rx_heading))   # (M_R, P, 2)
-    # polarimetric coupling per (rx element, tx element, path):
-    # sum over (i, j) of conj(g_rx)_i A_ij g_tx_j, in the order (0, 0), (0, 1),
+    # polarimetric coupling per (rx element, tx element, path): sum over the
+    # live (i, j) of conj(g_rx)_i A_ij g_tx_j, in the order (0, 0), (0, 1),
     # (1, 0), (1, 1)
-    coup = g_rx[:, None, :, 0] * amp[:, 0, 0] * g_tx[None, :, :, 0]
-    for i, j in ((0, 1), (1, 0), (1, 1)):
-        coup += g_rx[:, None, :, i] * amp[:, i, j] * g_tx[None, :, :, j]
+    terms = (g_rx[:, None, :, i] * amp[:, i, j] * g_tx[None, :, :, j]
+             for i in rx_array.live_pols for j in tx_array.live_pols)
+    coup = next(terms, None)
+    if coup is None:                                   # no pair of live polarisations
+        coup = np.zeros((m_r, m_t, len(taus)), dtype=complex)
+    for term in terms:
+        coup += term
     # element-offset delays enter the phase only
     off_tx = tx_array.world_offsets(tx_heading)        # (M_T, 3)
     off_rx = rx_array.world_offsets(rx_heading)
@@ -240,8 +248,10 @@ class PathInterpolator:
     """Evaluate the traced path set at arbitrary times between snapshots.
 
     Each coarse interval is matched once: its matched rows at both ends
-    and the rows held until the interval's end are kept as path sets.
-    Only the interval last evaluated is kept; going back rematches.
+    and the rows held until the interval's end are kept as path sets, and
+    so is the interval's path set with the start's values, whose identity
+    and point columns every step of the interval shares.  Only the
+    interval last evaluated is kept; going back rematches.
     """
 
     def __init__(self, coarse: list[tuple[float, PathSet]]):
@@ -268,7 +278,9 @@ class PathInterpolator:
         On a snapshot's own time (u == 1) this is that snapshot's set
         itself.  Inside an interval the rows are the matched pairs, with
         length, amplitude and the renormalised directions lerped and the
-        start's identity and interaction points, then the held rows.
+        start's identity and interaction points, then the held rows.  The
+        identity and point columns are the interval's, shared by its steps;
+        only the four lerped columns are new arrays.
         """
         i, u = self._locate(t)
         if u == 1.0:
@@ -276,15 +288,17 @@ class PathInterpolator:
         if self._current[0] != i:
             a, b = self.snapshots[i], self.snapshots[i + 1]
             ia, ib, held = _match_paths(a, b)
-            self._current = (i, a.take(ia), b.take(ib), a.take(held))
-        _, start, end, held = self._current
+            start, held = a.take(ia), a.take(held)
+            self._current = (i, start, b.take(ib), held, PathSet.concat([start, held]))
+        _, start, end, held, rows = self._current
         cols = {name: (1.0 - u) * getattr(start, name) + u * getattr(end, name)
                 for name in ("length", "amplitude", "departure", "arrival")}
         for name in ("departure", "arrival"):            # unit directions; 0 keeps the start
             norm = np.linalg.norm(cols[name], axis=-1, keepdims=True)
             cols[name] = np.divide(cols[name], norm, out=getattr(start, name).copy(),
                                    where=norm > 0)
-        return PathSet.concat([replace(start, **cols), held])
+        return replace(rows, **{name: np.concatenate((col, getattr(held, name)))
+                                for name, col in cols.items()})
 
     def window(self, lo: int, hi: int) -> PathInterpolator:
         """This interpolator cut to snapshots lo..hi.  It evaluates every time

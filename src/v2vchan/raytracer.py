@@ -72,7 +72,7 @@ class TracerConfig:
     max_order: int = 2
     tile_size: float = 1.0
     enable_diffuse: bool = True
-    cull_db: float = -40.0   # drop diffuse paths this far below the strongest path
+    cull_db: float = -40.0   # drop diffuse paths this far below the strongest path, <= 0
 
     def __post_init__(self):
         _require_finite(self)
@@ -82,6 +82,8 @@ class TracerConfig:
             raise ValueError(f"max_order must be in 1..{MAX_SPECULAR_ORDER}")
         if not self.tile_size > 0:
             raise ValueError("tile_size must be > 0")
+        if self.cull_db > 0:   # a floor above the strongest path would drop every diffuse path
+            raise ValueError(f"'cull_db' must be <= 0 dB, not {self.cull_db!r}")
 
 
 #: Path kinds by code.  The codes follow the names' alphabetical order, so
@@ -423,19 +425,51 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
 
     ``cull_db`` sets a power floor relative to the strongest path: the
     stronger of ``known_best_gain`` and the strongest tile returned.  Tiles
-    below it are not returned, and tiles provably below it are skipped
-    before their occlusion tests (strongest first, in chunks), so the result
-    equals the exhaustive one filtered at the floor.  With ``cull_db=None``
-    every doubly visible tile is returned.  Paths come out sorted by length,
-    ties in (surface id, tile id) order.
+    below it are not returned, and the result equals the exhaustive one
+    (every doubly visible tile) filtered at that floor.  Work on tiles that
+    cannot clear it is skipped in three steps:
+
+    1. Every tile of a block of :meth:`Scene.tile_blocks` (center c, radius
+       R, largest area A, scattering coefficient S) lies within R of c, so
+       r1 >= d1 - R and r2 >= d2 - R, d1 and d2 the distances of c from TX
+       and RX; with both cosines at most 1 its power is at most
+       S^2 A / (pi (d1 - R)^2 (d2 - R)^2) (lambda / 4 pi)^2.  A block whose
+       bound is below ``known_best_gain`` times the relative floor, the
+       lowest the floor can be, is dropped before any of its tiles is
+       evaluated.  R is widened by a part in 1e9 and 1 nm, and the bound by
+       a part in 1e6, so the rounding of the tiles' own values cannot put
+       one of them above a bound it was dropped under.
+    2. Of the tiles left, only those at or above that lowest floor are
+       sorted, strongest first.
+    3. Tiles provably below the floor reached so far are skipped before
+       their occlusion tests (in chunks), and the tiles kept before the
+       strongest one was confirmed are filtered again at the final floor.
+
+    A tile dropped in step 1 or 2 is below the final floor, which is never
+    lower than the first, so it was not in the filtered exhaustive result;
+    the tiles left keep their table order, so ties sort as they would.
+    With ``cull_db=None`` every doubly visible tile is returned.  Paths come
+    out sorted by length, ties in (surface id, tile id) order.
     """
     tx, rx = _endpoints(tx, rx)
     lam = SPEED_OF_LIGHT / frequency
     scatter = np.array([s.material.scattering_coefficient for s in scene.surfaces])
+    rel = 10.0 ** (cull_db / 10.0) if cull_db is not None else 0.0
+    floor = known_best_gain * rel
+
+    # the tiles of the blocks whose bound clears the lowest floor, by one mask
+    sids, centers, areas, tids = scene.tiles(tile_size)
+    if floor > 0.0:
+        block, b_center, b_radius, b_area, b_scatter = scene.tile_blocks(tile_size)
+        reach = b_radius * (1.0 + 1e-9) + 1e-9
+        d1 = np.maximum(np.linalg.norm(b_center - tx, axis=1) - reach, 0.0)
+        d2 = np.maximum(np.linalg.norm(b_center - rx, axis=1) - reach, 0.0)
+        bound = b_scatter ** 2 * b_area * (lam / (4.0 * math.pi)) ** 2 / math.pi * (1.0 + 1e-6)
+        rows = np.flatnonzero((bound >= floor * (d1 * d2) ** 2)[block])
+        sids, centers, areas, tids = (x[rows] for x in (sids, centers, areas, tids))
 
     # candidate tiles (front side of both endpoints) with exact amplitudes;
     # occlusion is the only unknown left
-    sids, centers, areas, tids = scene.tiles(tile_size)
     v1 = centers - tx                    # tx -> tile
     v2 = rx - centers                    # tile -> rx
     r1 = np.linalg.norm(v1, axis=1)
@@ -445,16 +479,17 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
     cos_i = np.where(valid, -_rowdot(v1, n) / np.where(valid, r1, 1.0), 0.0)
     cos_s = np.where(valid, _rowdot(v2, n) / np.where(valid, r2, 1.0), 0.0)
     front = np.flatnonzero(valid & (cos_i > 1e-9) & (cos_s > 1e-9))
+    mag = (scatter[sids[front]] * np.sqrt(cos_i[front] * cos_s[front] / math.pi)
+           * np.sqrt(areas[front]) / (r1[front] * r2[front]) * lam / (4.0 * math.pi))
+    above = mag ** 2 >= floor
+    front, mag = front[above], mag[above]
     sids, centers, tids, v1, v2, r1, r2 = (
         x[front] for x in (sids, centers, tids, v1, v2, r1, r2))
-    mag = (scatter[sids] * np.sqrt(cos_i[front] * cos_s[front] / math.pi)
-           * np.sqrt(areas[front]) / (r1 * r2) * lam / (4.0 * math.pi))
 
     # strongest candidates first so the cull floor is confirmed early
     order = np.lexsort((tids, sids, -mag))
     keep = np.zeros(len(order), dtype=bool)
     best_gain = known_best_gain
-    rel = 10.0 ** (cull_db / 10.0) if cull_db is not None else 0.0
     chunk = 1024
     pos = 0
     while pos < len(order):

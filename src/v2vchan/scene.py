@@ -57,6 +57,7 @@ import numpy as np
 PLANARITY_TOL = 1e-6
 INTERSECT_TOL = 1e-9
 BOUNDING_MARGIN = 1.0      # m around the vertices in Scene.bounding_box
+TILE_BLOCK = 4             # grid cells along each side of a Scene.tile_blocks block
 
 
 class SceneFormatError(ValueError):
@@ -258,7 +259,7 @@ class Scene:
         self._tri_normal = _cross(e1, e2)
         self._tri_area2 = np.linalg.norm(self._tri_normal, axis=1)
         self._tri_edge = np.maximum(np.linalg.norm(e1, axis=1), np.linalg.norm(e2, axis=1))
-        self._tile_cache: dict[float, tuple[np.ndarray, ...]] = {}
+        self._tile_cache: dict[float, tuple[tuple[np.ndarray, ...], ...]] = {}
         self._edges = _edge_table(self.surfaces)
 
     def contains(self, sids, points, *, strict: bool = True) -> np.ndarray:
@@ -290,38 +291,105 @@ class Scene:
         inside the polygon.  Tile ids are row-major grid indices, stable
         across calls, which path interpolation relies on when matching
         diffuse paths between snapshots.  The table is built once per tile
-        size and shared read-only between callers.  A tile size that is not
-        finite and > 0 raises ValueError.
+        size, with its :meth:`tile_blocks`, and shared read-only between
+        callers.  A tile size that is not finite and > 0 raises ValueError.
         """
+        return self._tile_tables(tile_size)[0]
+
+    def tile_blocks(self, tile_size: float) -> tuple[np.ndarray, ...]:
+        """The rows of :meth:`tiles` grouped into blocks of neighbouring tiles,
+        so that one bound can speak for a block's tiles.
+
+        A block holds the tiles of up to ``TILE_BLOCK`` x ``TILE_BLOCK``
+        neighbouring cells of one surface's grid.  Returns (block (M,),
+        center (B, 3), radius (B,), area (B,), scattering (B,)): each row's
+        block id, and for each block the center of the rectangle its cells'
+        centers span, half that rectangle's diagonal, which no tile center is
+        farther from the block center, the largest tile area and its
+        surface's scattering coefficient.  A block whose cells all lie outside
+        the polygon has no rows.
+        """
+        return self._tile_tables(tile_size)[1]
+
+    def _tile_tables(self, tile_size: float) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The (tiles, tile blocks) tables of one tile size, built on first use."""
         key = float(tile_size)
         if not (math.isfinite(key) and key > 0):
             raise ValueError(f"tile_size must be finite and > 0, not {tile_size!r}")
         hit = self._tile_cache.get(key)
         if hit is not None:
             return hit
-        # every surface's grid cells as candidates, decided in one batch; an
-        # empty first part gives a scene without surfaces typed, empty columns
-        parts = [(np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int))]
+        # every surface's grid cells as candidates, with their blocks, decided
+        # in one batch; empty first parts give a scene without surfaces typed,
+        # empty columns
+        parts = [((np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0),
+                   np.zeros(0, dtype=int), np.zeros(0, dtype=int)),
+                  (np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0)))]
+        first_block = 0
         for sid, s in enumerate(self.surfaces):
-            poly = s._poly2d
-            lo, hi = poly.min(axis=0), poly.max(axis=0)
-            nu = max(1, int(math.ceil((hi[0] - lo[0]) / tile_size)))
-            nv = max(1, int(math.ceil((hi[1] - lo[1]) / tile_size)))
-            u = lo[0] + (np.arange(nu) + 0.5) * (hi[0] - lo[0]) / nu
-            v = lo[1] + (np.arange(nv) + 0.5) * (hi[1] - lo[1]) / nv
-            uu, vv = np.meshgrid(u, v, indexing="ij")
-            e_u, e_v = s._frame
-            centers = s.vertices[0] + np.outer(uu.ravel(), e_u) + np.outer(vv.ravel(), e_v)
-            cell_area = ((hi[0] - lo[0]) / nu) * ((hi[1] - lo[1]) / nv)
-            parts.append((np.full(nu * nv, sid), centers, np.full(nu * nv, cell_area),
-                          np.arange(nu * nv)))
-        sids, centers, areas, ids = (np.concatenate(col) for col in zip(*parts))
+            parts.append(_surface_cells(s, sid, tile_size, first_block))
+            first_block += len(parts[-1][1][1])
+        blocks = [np.concatenate(col) for col in zip(*(b for _, b in parts))]
+        sids, centers, areas, ids, block = (np.concatenate(col)
+                                            for col in zip(*(c for c, _ in parts)))
+        del parts       # the candidates are held once while they are decided
         keep = self.contains(sids, centers, strict=False)
-        table = (sids[keep], centers[keep], areas[keep], ids[keep])
-        for col in table:
-            col.flags.writeable = False
-        self._tile_cache[key] = table
-        return table
+        cols = _packed([c[keep] for c in (sids, centers, areas, ids, block)] + blocks)
+        self._tile_cache[key] = tables = (tuple(cols[:4]), tuple(cols[4:]))
+        return tables
+
+
+def _packed(arrays) -> list[np.ndarray]:
+    """Read-only copies of ``arrays`` (of 8-byte items) as views of one
+    allocation.  Tables that live as long as their scene then take one
+    block of memory instead of one per column, which keeps them out of the
+    heap that tracing's short-lived arrays reuse: peak RSS is lower."""
+    buf = np.empty(sum(a.nbytes for a in arrays), dtype=np.uint8)
+    views, pos = [], 0
+    for a in arrays:
+        view = buf[pos:pos + a.nbytes].view(a.dtype).reshape(a.shape)
+        view[...] = a
+        view.flags.writeable = False
+        views.append(view)
+        pos += a.nbytes
+    return views
+
+
+def _surface_cells(s: Surface, sid: int, tile_size: float, first_block: int):
+    """One surface's grid cells and blocks for :meth:`Scene.tile_blocks`.
+
+    Returns the cells' (surface ids, centers, areas, tile ids, block ids)
+    and the blocks' (centers, radii, areas, scattering coefficients); block
+    ids start at ``first_block``.
+    """
+    poly = s._poly2d
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    nu = max(1, int(math.ceil((hi[0] - lo[0]) / tile_size)))
+    nv = max(1, int(math.ceil((hi[1] - lo[1]) / tile_size)))
+    u = lo[0] + (np.arange(nu) + 0.5) * (hi[0] - lo[0]) / nu
+    v = lo[1] + (np.arange(nv) + 0.5) * (hi[1] - lo[1]) / nv
+    e_u, e_v = s._frame
+
+    def points(uu, vv):
+        return s.vertices[0] + np.outer(uu.ravel(), e_u) + np.outer(vv.ravel(), e_v)
+
+    def spans(c):       # the first and last cell centers of each block along one axis
+        first = np.arange(0, len(c), TILE_BLOCK)
+        return c[first], c[np.minimum(first + TILE_BLOCK, len(c)) - 1]
+
+    cell_area = ((hi[0] - lo[0]) / nu) * ((hi[1] - lo[1]) / nv)
+    # a block's tile centers lie in the rectangle spanned by the centers of
+    # its first and last cells along u and along v
+    (u0, u1), (v0, v1) = spans(u), spans(v)
+    block = (np.arange(nu)[:, None] // TILE_BLOCK * len(v0)
+             + np.arange(nv) // TILE_BLOCK).ravel() + first_block
+    radius = np.hypot(*np.meshgrid((u1 - u0) / 2, (v1 - v0) / 2, indexing="ij")).ravel()
+    cells = (np.full(nu * nv, sid), points(*np.meshgrid(u, v, indexing="ij")),
+             np.full(nu * nv, cell_area), np.arange(nu * nv), block)
+    blocks = (points(*np.meshgrid((u0 + u1) / 2, (v0 + v1) / 2, indexing="ij")), radius,
+              np.full(len(radius), cell_area),
+              np.full(len(radius), s.material.scattering_coefficient))
+    return cells, blocks
 
 
 def extrude_footprint(footprint, height: float, material: Material,

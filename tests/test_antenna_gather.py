@@ -5,6 +5,12 @@ per-element loop that ``ArrayLayout.element_gains`` replaces: complex grid
 lookups and complex-by-real weights, one element at a time.  The gather
 must reproduce them bit for bit (uint64 views), across the azimuth wrap,
 at the poles and for several headings.
+
+``all_plane_bilinear`` is the gather kernel as it was before it skipped the
+planes that are +0.0 everywhere: it gathers and weights all four planes
+(re V, im V, re H, im H) of every pattern.  The live-plane kernel must
+reproduce it bit for bit, zero signs included, for patterns with every
+combination of live planes.
 """
 
 import math
@@ -43,6 +49,62 @@ def reference_element_gains(layout: ArrayLayout, directions, heading_rad) -> np.
         az_local = (az - math.degrees(heading_rad) - e.boresight_az_deg) % 360.0
         out[i] = reference_sample(e.pattern, az_local, el)
     return out
+
+
+def all_plane_bilinear(planes: np.ndarray, cols, az: np.ndarray, el: np.ndarray) -> np.ndarray:
+    """The gather kernel over a (4, K) table of all planes (re V, im V,
+    re H, im H) of the patterns; (M, N, 2) complex."""
+    base, n_az, n_el, az_step, el_step = cols
+    fa = az / az_step
+    fe = (np.clip(el, -90.0, 90.0) + 90.0) / el_step
+    floor_a = np.floor(fa)
+    ia = floor_a.astype(int) % n_az
+    ie = np.minimum(np.floor(fe).astype(int), n_el - 2)
+    wa = fa - floor_a
+    we = fe - ie
+    i00 = base + ia * n_el + ie
+    i10 = base + (ia + 1) % n_az * n_el + ie
+    ua, ue = 1 - wa, 1 - we
+    acc = np.take(planes, i00, axis=1, mode="clip")
+    acc *= ua
+    acc *= ue
+    term = np.empty_like(acc)
+    for idx, w_a, w_e in ((i10, wa, ue), (i00 + 1, ua, we), (i10 + 1, wa, we)):
+        np.take(planes, idx, axis=1, out=term, mode="clip")
+        term *= w_a
+        term *= w_e
+        acc += term
+    out = np.empty((*az.shape, 2), dtype=complex)
+    out.view(float).reshape(*az.shape, 4)[...] = np.moveaxis(acc, 0, -1)
+    return out
+
+
+def _all_planes(p: AntennaPattern) -> np.ndarray:
+    return np.moveaxis(p.grid.view(float).reshape(-1, 4), 1, 0)
+
+
+def all_plane_sample(p: AntennaPattern, az_deg, el_deg) -> np.ndarray:
+    az, el = np.broadcast_arrays(np.asarray(az_deg, dtype=float),
+                                 np.asarray(el_deg, dtype=float))
+    cols = tuple(np.array([[x]]) for x in (0, p.n_az, p.n_el, p.az_step, p.el_step))
+    return all_plane_bilinear(_all_planes(p), cols, az.reshape(1, -1) % 360.0,
+                              el.reshape(-1)).reshape(*az.shape, 2)
+
+
+def all_plane_element_gains(layout: ArrayLayout, directions, heading_rad) -> np.ndarray:
+    """``element_gains`` over a table of every distinct pattern's four planes."""
+    distinct = list({id(e.pattern): e.pattern for e in layout.elements}.values())
+    starts = dict(zip(map(id, distinct), np.cumsum([0] + [p.n_az * p.n_el for p in distinct])))
+    rows = [(starts[id(e.pattern)], e.pattern.n_az, e.pattern.n_el, e.pattern.az_step,
+             e.pattern.el_step) for e in layout.elements]
+    cols = tuple(np.array(col)[:, None] for col in zip(*rows))
+    az, el = direction_to_angles(directions)
+    bore = np.array([[e.boresight_az_deg] for e in layout.elements])
+    az_local = (az - math.degrees(heading_rad)) - bore
+    az_local %= 360.0
+    az_local[az_local == 360.0] = 0.0
+    return all_plane_bilinear(np.concatenate([_all_planes(p) for p in distinct], axis=1),
+                              cols, az_local, el)
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -165,3 +227,71 @@ def test_element_gains_rejects_direction_shape(shape):
     d = np.full(shape, 0.5)
     with pytest.raises(ValueError, match=r"shape \(N, 3\)"):
         default_sharkfin_array().element_gains(d, 0.0)
+
+
+def _grid(seed: int, planes, n_az: int = 36, n_el: int = 19) -> np.ndarray:
+    """A random grid with values in the listed planes (0 re V, 1 im V,
+    2 re H, 3 im H) and +0.0 in the others, some nodes exactly zero."""
+    rng = np.random.default_rng(seed)
+    flat = np.zeros((n_az * n_el, 4))
+    for plane in planes:
+        flat[:, plane] = rng.standard_normal(n_az * n_el)
+        flat[rng.random(n_az * n_el) < 0.1, plane] = 0.0
+    return flat.view(complex).reshape(n_az, n_el, 2)
+
+
+def _live_cases() -> dict:
+    """Patterns with every kind of live set, and the live set expected."""
+    neg_zero_h = _grid(4, (0,))
+    neg_zero_h[..., 1] = complex(-0.0, -0.0)            # H planes hold only -0.0 nodes
+    one_neg_zero = _grid(5, (0, 1))
+    one_neg_zero[3, 4, 1] = complex(-0.0, 0.0)           # a single -0.0 keeps re H live
+    return {
+        "sharkfin": (cardioid_pattern(0.0, 5.0), (0,)),
+        "isotropic": (isotropic_pattern(), (0,)),
+        "complex-v": (AntennaPattern(_grid(1, (0, 1))), (0, 1)),
+        "h-only": (AntennaPattern(_grid(2, (2, 3))), (2, 3)),
+        "dual-pol": (AntennaPattern(_grid(3, (0, 1, 2, 3))), (0, 1, 2, 3)),
+        "neg-zero-h": (AntennaPattern(neg_zero_h), (0, 2, 3)),
+        "one-neg-zero": (AntennaPattern(one_neg_zero), (0, 1, 2)),
+        "all-zero": (AntennaPattern(np.zeros((12, 7, 2), dtype=complex)), ()),
+    }
+
+
+@pytest.mark.parametrize("name", list(_live_cases()))
+def test_live_planes_match_all_plane_kernel(name):
+    pattern, live = _live_cases()[name]
+    assert pattern.live == live
+    assert pattern.planes.shape == (len(live), pattern.n_az * pattern.n_el)
+    d = _directions()
+    az, el = direction_to_angles(d)
+    rng = np.random.default_rng(6)
+    for a, e in ((az, el), (rng.uniform(-720.0, 720.0, 300), rng.uniform(-89.0, 89.0, 300))):
+        assert np.array_equal(_bits(pattern.sample(a, e)), _bits(all_plane_sample(pattern, a, e)))
+    layout = ArrayLayout([ArrayElement([0.0, 0.0, 0.0], pattern, 0.0),
+                          ArrayElement([0.05, 0.0, 0.0], pattern, 131.5)])
+    assert layout.live_pols == tuple(sorted({plane // 2 for plane in live}))
+    for heading in (0.0, -2.5, 1e-15):
+        got = layout.element_gains(d, heading)
+        assert np.array_equal(_bits(got), _bits(all_plane_element_gains(layout, d, heading)))
+
+
+@pytest.mark.parametrize("names, live_pols", [
+    (("sharkfin", "h-only"), (0, 1)), (("complex-v", "isotropic", "neg-zero-h"), (0, 1)),
+    (("isotropic", "complex-v"), (0,)), (("all-zero", "h-only", "one-neg-zero"), (0, 1)),
+    (("all-zero",), ())], ids=["v-h", "v-negzero", "v-only", "with-empty", "empty"])
+def test_layout_mixing_live_sets_matches_all_plane_kernel(names, live_pols):
+    """A layout's table covers the union of its patterns' live planes, a
+    pattern's other planes held as +0.0 rows."""
+    cases = _live_cases()
+    patterns = [cases[n][0] for n in names]
+    elements = [ArrayElement([0.02 * k, 0.0, 0.0], patterns[k % len(patterns)], 47.0 * k)
+                for k in range(2 * len(patterns))]
+    layout = ArrayLayout(elements)
+    union = tuple(sorted(set().union(*(cases[n][1] for n in names))))
+    assert layout.live_pols == live_pols
+    assert layout._planes.shape == (len(union), sum(p.n_az * p.n_el for p in patterns))
+    d = _directions()
+    for heading in (0.0, math.pi / 2, 7.0):
+        got = layout.element_gains(d, heading)
+        assert np.array_equal(_bits(got), _bits(all_plane_element_gains(layout, d, heading)))

@@ -8,15 +8,17 @@ matched pair (``_lerp_path``), appends the rows held until the next
 boundary, and synthesizes them with ``synthesize_cir``.
 
 The per-step kernel is pinned separately against ``reference_synthesize``,
-the kernel with the three-operand ``np.einsum`` coupling that the explicit
-four-term sum replaced, and ``synthesize_tensor`` against itself at one and
-two workers.
+the kernel with the three-operand ``np.einsum`` coupling over all four
+(i, j) terms that the sum over the live terms replaced, and
+``synthesize_tensor`` against itself at one and two workers.
+``reference_columns_at`` pins ``PathInterpolator.paths_at`` to the step that
+concatenated every column of the lerped start rows and the held rows.
 """
 
 import math
 import warnings
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -293,25 +295,66 @@ def test_kernel_matches_einsum_reference_bit_for_bit(flip_slice, make):
     assert dropped > 0
 
 
-def test_kernel_dual_polarisation_within_bound(flip_slice):
+def _assert_within_dual_pol_bound(paths, tx, rx):
     """Complex V and H gains: numpy's complex multiply may fuse its
     multiply-add where einsum does not, so bits may move.  Both results
     round at most 8 times per term before the bin sum and once per path
     added to a bin, so they differ by at most 2 (8 + K) eps times the
     bin's magnitude sum, K being the paths in the bin."""
     eps = np.finfo(float).eps
+    got, n_got = _synthesize(paths, tx, rx, KERNEL_SIM, 0.7, -2.1)
+    want, n_want = reference_synthesize(paths, tx, rx, KERNEL_SIM, 0.7, -2.1)
+    scale, _ = reference_synthesize(paths, tx, rx, KERNEL_SIM, 0.7, -2.1, magnitude=True)
+    bins = np.rint(paths.delay * KERNEL_SIM.bandwidth).astype(int)
+    per_bin = np.bincount(bins[bins < KERNEL_SIM.n_freq_bins], minlength=KERNEL_SIM.n_freq_bins)
+    assert n_got == n_want
+    assert np.all(np.abs(got - want) <= 2 * (8 + per_bin) * eps * scale)
+
+
+def test_kernel_dual_polarisation_within_bound(flip_slice):
     for seed in range(3):
         rx, tx = _dual_pol_layout(seed), _dual_pol_layout(seed + 10)
         for paths in _kernel_cases(flip_slice[0]):
-            got, n_got = _synthesize(paths, tx, rx, KERNEL_SIM, 0.7, -2.1)
-            want, n_want = reference_synthesize(paths, tx, rx, KERNEL_SIM, 0.7, -2.1)
-            scale, _ = reference_synthesize(paths, tx, rx, KERNEL_SIM, 0.7, -2.1,
-                                            magnitude=True)
-            bins = np.rint(paths.delay * KERNEL_SIM.bandwidth).astype(int)
-            per_bin = np.bincount(bins[bins < KERNEL_SIM.n_freq_bins],
-                                  minlength=KERNEL_SIM.n_freq_bins)
-            assert n_got == n_want
-            assert np.all(np.abs(got - want) <= 2 * (8 + per_bin) * eps * scale)
+            _assert_within_dual_pol_bound(paths, tx, rx)
+
+
+def _h_only_layout() -> ArrayLayout:
+    """Two elements with real H gains only."""
+    grid = np.zeros((24, 13, 2), dtype=complex)
+    grid[..., 1] = np.random.default_rng(21).standard_normal((24, 13))
+    pattern = AntennaPattern(grid)
+    return ArrayLayout([ArrayElement([0.0, 0.0, 0.0], pattern, 0.0),
+                        ArrayElement([0.05, 0.0, 0.0], pattern, 200.0)])
+
+
+@pytest.mark.parametrize("tx_make, rx_make", [
+    (default_sharkfin_array, lambda: _dual_pol_layout(4)),
+    (lambda: _dual_pol_layout(5), default_sharkfin_array),
+    (_h_only_layout, lambda: _dual_pol_layout(6)),
+    (lambda: _dual_pol_layout(7), _h_only_layout)],
+    ids=["v-tx-dual-rx", "dual-tx-v-rx", "h-tx-dual-rx", "dual-tx-h-rx"])
+def test_kernel_mixed_live_polarisations_within_bound(flip_slice, tx_make, rx_make):
+    """One end's array has a polarisation that is +0.0 everywhere, whose
+    coupling terms the kernel skips; the other end is dual-polarised."""
+    tx, rx = tx_make(), rx_make()
+    assert {len(tx.live_pols), len(rx.live_pols)} == {1, 2}
+    for paths in _kernel_cases(flip_slice[0]):
+        _assert_within_dual_pol_bound(paths, tx, rx)
+
+
+@pytest.mark.parametrize("tx_make, rx_make", [
+    (default_sharkfin_array, _h_only_layout), (_h_only_layout, default_sharkfin_array),
+    (_h_only_layout, _h_only_layout)], ids=["v-tx-h-rx", "h-tx-v-rx", "h-tx-h-rx"])
+def test_kernel_single_polarisation_bit_for_bit(flip_slice, tx_make, rx_make):
+    """Real single-polarisation arrays: one live term (or none, when the
+    ends share no polarisation) gives the einsum's bits, the skipped terms'
+    zeros included."""
+    tx, rx = tx_make(), rx_make()
+    for paths in _kernel_cases(flip_slice[0]):
+        got, n_got = _synthesize(paths, tx, rx, KERNEL_SIM, 0.3, -1.2)
+        want, n_want = reference_synthesize(paths, tx, rx, KERNEL_SIM, 0.3, -1.2)
+        assert n_got == n_want
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_workers_give_identical_tensor(flip_slice):
@@ -338,3 +381,36 @@ def test_workers_give_identical_tensor(flip_slice):
     assert np.array_equal(t1.data.view(np.uint64), t2.data.view(np.uint64))
     assert (t1.t0, t1.dt) == (t2.t0, t2.dt)
     assert len(w1) == 1 and " path(s) beyond" in w1[0] and w1 == w2
+
+
+def reference_columns_at(interp: PathInterpolator, t: float) -> PathSet:
+    """``paths_at`` as it built each step: the interval matched, and all
+    eight columns of the lerped start rows and of the held rows
+    concatenated."""
+    i, u = interp._locate(t)
+    if u == 1.0:
+        return interp.snapshots[i + 1]
+    a, b = interp.snapshots[i], interp.snapshots[i + 1]
+    ia, ib, held = _match_paths(a, b)
+    start, end, held = a.take(ia), b.take(ib), a.take(held)
+    cols = {name: (1.0 - u) * getattr(start, name) + u * getattr(end, name)
+            for name in ("length", "amplitude", "departure", "arrival")}
+    for name in ("departure", "arrival"):
+        norm = np.linalg.norm(cols[name], axis=-1, keepdims=True)
+        cols[name] = np.divide(cols[name], norm, out=getattr(start, name).copy(),
+                               where=norm > 0)
+    return PathSet.concat([replace(start, **cols), held])
+
+
+def test_paths_at_columns_match_reference(flip_slice):
+    """Every column, dtype and bit, at each fine step of every interval of
+    the flip slice, walked forward and then back (which rematches)."""
+    snaps = flip_slice[0]
+    interp = PathInterpolator(snaps)
+    times = snaps[0][0] + np.arange(65) * (SIM.coarse_trace_dt / 16)
+    for t in [*times, *times[::-1]]:
+        got, want = interp.paths_at(t), reference_columns_at(interp, t)
+        for f in fields(PathSet):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            assert g.dtype == w.dtype and g.shape == w.shape, f.name
+            assert g.tobytes() == w.tobytes(), f.name

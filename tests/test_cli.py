@@ -379,6 +379,19 @@ class TestConfigHandling:
         bad.write_text(json.dumps(doc))
         assert main(["trace", "-c", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["trace", "synthesize"])
+    def test_positive_cull_exit_2(self, run_dir, capsys, command):
+        # a floor above the strongest path used to drop every diffuse path
+        # and leave a plausible-looking channel
+        tmp, cfg = run_dir
+        doc = json.loads(cfg.read_text())
+        doc["cull_db"] = 10.0
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main([command, "-c", str(bad)]) == EXIT_CONFIG
+        assert "'cull_db'" in capsys.readouterr().err
+        assert not (tmp / "out").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("enable_diffuse", "false"), ("n_avg", 2.5), ("n_avg", True),
         ("carrier_frequency", math.nan), ("bandwidth", math.inf), ("noise_power", math.nan),

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from v2vchan.raytracer import (SPEED_OF_LIGHT, ComplexityError, TracerConfig, fresnel_coefficients,
-                               image_method_specular, lambertian_diffuse,
+from v2vchan.raytracer import (KINDS, SPEED_OF_LIGHT, ComplexityError, TracerConfig,
+                               fresnel_coefficients, image_method_specular, lambertian_diffuse,
                                trace_los, trace_snapshot)
 from v2vchan.scene import Material, Scene, Surface, load_scene, load_trajectory
-from v2vchan.scenarios import (canyon_scene, data_path, free_space_scene, pec_ground_scene,
-                               single_wall_scene)
+from v2vchan.scenarios import (canyon_scene, data_path, free_space_scene, intersection_scene,
+                               pec_ground_scene, single_wall_scene)
 
 from conftest import big_wall
 
@@ -327,6 +327,24 @@ class TestTracerConfig:
     def test_frequency_must_be_positive(self, frequency):
         with pytest.raises(ValueError, match="frequency must be > 0"):
             TracerConfig(frequency=frequency)
+
+    @pytest.mark.parametrize("cull_db", [5e-324, 1e-9, 10.0, 40.0])
+    def test_positive_cull_rejected(self, cull_db):
+        with pytest.raises(ValueError, match="'cull_db' must be <= 0"):
+            TracerConfig(cull_db=cull_db)
+
+    def test_positive_cull_would_drop_every_diffuse_path(self):
+        # why a floor above the strongest path is rejected: the snapshot
+        # keeps its LOS and specular paths and silently loses every diffuse one
+        scene = intersection_scene(plain=True)
+        tx, rx = (-20.0, -4.25, 1.73), (3.5, -20.0, 1.73)
+        paths = trace_snapshot(scene, tx, rx, TracerConfig(cull_db=-40.0))
+        assert np.sum(paths.kind == KINDS.index("diffuse")) == 566
+        known_best = float(trace_snapshot(scene, tx, rx, TracerConfig(enable_diffuse=False))
+                           .gain_linear().max())
+        assert len(lambertian_diffuse(scene, tx, rx, 1.0, cull_db=10.0,
+                                      known_best_gain=known_best)) == 0
+        assert TracerConfig(cull_db=0.0).cull_db == TracerConfig(cull_db=-0.0).cull_db == 0.0
 
 
 class TestPathInvariants:

@@ -17,6 +17,11 @@ The dump reference is the path-dump writer that formatted one
 The chain reference is the per-path polarimetric chain that the specular
 stage ran before it was vectorised over paths: scalar Fresnel coefficients,
 incidence-plane basis and 2x2 rotations, one bounce and one path at a time.
+
+The diffuse reference is the diffuse stage before it bounded blocks of
+tiles: it evaluates every tile of the table and sorts every front-facing
+one, so what is compared is the claim that skipping the blocks and tiles
+below the lowest floor leaves every column of the result as it was.
 """
 
 import dataclasses
@@ -26,16 +31,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import l_roof_scene, reference_contains
+from conftest import big_wall, l_roof_scene, reference_contains
 from v2vchan.antenna import vh_basis
 from v2vchan.raytracer import (MAX_SPECULAR_ORDER, SPEED_OF_LIGHT, PathSet, TracerConfig,
                                dump_paths_csv,
-                               _endpoints, _reflection_points, _specular_paths,
-                               fresnel_coefficients, image_method_specular, trace_los,
-                               trace_snapshot)
-from v2vchan.scene import DEFAULT_MATERIALS, Scene, Surface, extrude_footprint
+                               _endpoints, _pathset, _reflection_points, _rowdot,
+                               _specular_paths, fresnel_coefficients, image_method_specular,
+                               lambertian_diffuse, trace_los, trace_snapshot)
+from v2vchan.scene import (DEFAULT_MATERIALS, Scene, Surface, extrude_footprint, load_scene,
+                           occlusion_test_fan)
 from v2vchan.scenarios import (ANTENNA_HEIGHT, EW_STREET_WIDTH, NS_STREET_WIDTH,
-                               ground_surface, intersection_scene,
+                               data_path, ground_surface, intersection_scene,
                                intersection_trajectories, pec_ground_scene,
                                single_wall_scene)
 
@@ -405,3 +411,123 @@ def test_dump_matches_reference_writer():
         got, want = _dumps(p, t)
         assert got == want and got.count("\n") == len(p)
     assert ",-inf," in _dumps(*cases[1])[0]
+
+
+def reference_diffuse(scene: Scene, tx, rx, tile_size: float, frequency: float = F, *,
+                      cull_db: float | None = None, known_best_gain: float = 0.0) -> PathSet:
+    """The diffuse stage that evaluates and sorts every front-facing tile of
+    the table before its cull loop."""
+    tx, rx = _endpoints(tx, rx)
+    lam = SPEED_OF_LIGHT / frequency
+    scatter = np.array([s.material.scattering_coefficient for s in scene.surfaces])
+    sids, centers, areas, tids = scene.tiles(tile_size)
+    v1 = centers - tx
+    v2 = rx - centers
+    r1 = np.linalg.norm(v1, axis=1)
+    r2 = np.linalg.norm(v2, axis=1)
+    valid = (r1 > 1e-9) & (r2 > 1e-9) & (scatter[sids] > 0.0)
+    n = scene.normals[sids]
+    cos_i = np.where(valid, -_rowdot(v1, n) / np.where(valid, r1, 1.0), 0.0)
+    cos_s = np.where(valid, _rowdot(v2, n) / np.where(valid, r2, 1.0), 0.0)
+    front = np.flatnonzero(valid & (cos_i > 1e-9) & (cos_s > 1e-9))
+    sids, centers, tids, v1, v2, r1, r2 = (
+        x[front] for x in (sids, centers, tids, v1, v2, r1, r2))
+    mag = (scatter[sids] * np.sqrt(cos_i[front] * cos_s[front] / math.pi)
+           * np.sqrt(areas[front]) / (r1 * r2) * lam / (4.0 * math.pi))
+    order = np.lexsort((tids, sids, -mag))
+    keep = np.zeros(len(order), dtype=bool)
+    best_gain = known_best_gain
+    rel = 10.0 ** (cull_db / 10.0) if cull_db is not None else 0.0
+    chunk = 1024
+    pos = 0
+    while pos < len(order):
+        sel = order[pos:pos + chunk]
+        if cull_db is not None:
+            above = mag[sel] ** 2 >= best_gain * rel
+            if not above.any():
+                break
+            sel = sel[above]
+        sel = sel[~occlusion_test_fan(scene, tx, centers[sel])]
+        if len(sel):
+            sel = sel[~occlusion_test_fan(scene, centers[sel], rx)]
+        if len(sel):
+            keep[sel] = True
+            best_gain = max(best_gain, float(np.max(mag[sel]) ** 2))
+        pos += chunk
+    keep &= mag ** 2 >= best_gain * rel
+    length = r1 + r2
+    idx = np.flatnonzero(keep)
+    idx = idx[np.argsort(length[idx], kind="stable")]
+    v1, v2 = v1[idx], v2[idx]
+    departure = v1 / np.sqrt(_rowdot(v1, v1))[:, None]
+    arrival = v2 / np.sqrt(_rowdot(v2, v2))[:, None]
+    amplitude = mag[idx, None, None] * np.eye(2, dtype=complex)
+    return _pathset("diffuse", length[idx], amplitude, departure, arrival,
+                    sids[idx, None], centers[idx, None], tile=tids[idx])
+
+
+def _assert_same_columns(got: PathSet, want: PathSet, where=()):
+    for f in dataclasses.fields(PathSet):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        assert g.dtype == w.dtype and g.shape == w.shape, (*where, f.name)
+        assert g.tobytes() == w.tobytes(), (*where, f.name)
+
+
+#: 25 times along the criterion-7 drive, NLOS and LOS, two of them 5 ms
+#: either side of the flip; each (scene, tile size) case takes every fourth.
+DIFFUSE_TIMES = np.sort(np.concatenate((np.linspace(0.2, 5.9, 23),
+                                        LOS_FLIP_T + np.array([-0.005, 0.005]))))
+DIFFUSE_CASES = [(scene_file, tile_size) for scene_file in ("intersection_plain.json",
+                                                             "intersection.json")
+                 for tile_size in (1.0, 0.7)]
+
+
+@pytest.mark.parametrize("case", range(len(DIFFUSE_CASES)),
+                         ids=[f"{f.split('.')[0]}-{t}" for f, t in DIFFUSE_CASES])
+def test_diffuse_matches_exhaustive_reference(case):
+    """Every column bit for bit, at cull floors of -40, -10 and 0 dB and none,
+    with no known best path, the snapshot's LOS/specular best and 1000 times
+    that."""
+    scene_file, tile_size = DIFFUSE_CASES[case]
+    scene = load_scene(data_path(scene_file))
+    tx_traj, rx_traj = intersection_trajectories()
+    seen_los = set()
+    for t in DIFFUSE_TIMES[case::len(DIFFUSE_CASES)]:
+        tx, rx = tx_traj.at(t)[0], rx_traj.at(t)[0]
+        los = trace_los(scene, tx, rx, F)
+        seen_los.add(los is not None)
+        best = max(float(p.gain_linear().max(initial=0.0))
+                   for p in [image_method_specular(scene, tx, rx, 2, F)] + [los] * (los is not None))
+        runs = [(None, 0.0)] + [(c, g) for c in (-40.0, -10.0, 0.0) for g in (0.0, best, 1e3 * best)]
+        for cull_db, gain in runs:
+            got = lambertian_diffuse(scene, tx, rx, tile_size, F, cull_db=cull_db,
+                                     known_best_gain=gain)
+            want = reference_diffuse(scene, tx, rx, tile_size, F, cull_db=cull_db,
+                                     known_best_gain=gain)
+            _assert_same_columns(got, want, (t, cull_db, gain))
+    assert seen_los == {False, True}
+
+
+@pytest.mark.parametrize("tile_size", [1.0, 0.7])
+@pytest.mark.parametrize("tx, rx", [((0.3, 1.2, 0.4), (2.9, 2.0, -1.1)),
+                                    ((0.3, 30.0, 0.4), (1.1, 28.5, -0.3))],
+                         ids=["near", "far"])
+def test_diffuse_floor_on_a_tile_matches_reference(tile_size, tx, rx):
+    """The floor set to the power of one tile after another, with both ends
+    within a block radius of a scattering wall, or far from it and close
+    together so that the tiles they face square on are nearly as strong as
+    their blocks' bounds allow: the tile on the floor stays, and a bound a
+    little too tight drops tiles it should keep."""
+    scene = Scene([big_wall(0.0, DEFAULT_MATERIALS["concrete"], extent=30.0)])
+    powers = np.sort(reference_diffuse(scene, tx, rx, tile_size).gain_linear())[::-1]
+    assert len(powers) > 1000
+    for rank in (0, 2, 7, 20, 60, 150, 400, len(powers) - 1):
+        for known in (powers[0], 3.0 * powers[0]):
+            # the floor, known * 10 ** (cull_db / 10), on the rank-th tile up to rounding
+            cull_db = 10.0 * math.log10(powers[rank] / known)
+            want = reference_diffuse(scene, tx, rx, tile_size, cull_db=cull_db,
+                                     known_best_gain=known)
+            assert rank <= len(want) <= rank + 1
+            _assert_same_columns(lambertian_diffuse(scene, tx, rx, tile_size, F,
+                                                    cull_db=cull_db, known_best_gain=known),
+                                 want)

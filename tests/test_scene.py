@@ -6,10 +6,11 @@ import pytest
 
 from v2vchan.scene import (DEFAULT_MATERIALS, GeometryError, Material,
                            MaterialReferenceError, Scene, SceneFormatError,
-                           Surface, Trajectory, _cross, extrude_footprint,
+                           Surface, TILE_BLOCK, Trajectory, _cross, extrude_footprint,
                            load_scene, load_trajectory,
                            occlusion_test, occlusion_test_batch,
                            save_trajectory, straight_trajectory)
+from v2vchan.scenarios import intersection_scene
 
 from conftest import big_wall
 
@@ -297,6 +298,26 @@ class TestSceneContainer:
         assert np.allclose(centers[12:, 1], 5.0) and np.allclose(centers[:12, 2], 0.0)
         assert s.tiles(1.0)[1] is centers           # built once per tile size
         assert not centers.flags.writeable
+
+    @pytest.mark.parametrize("plain", [True, False])
+    @pytest.mark.parametrize("size", [1.0, 0.7, 2.5])
+    def test_tile_blocks_bound_their_tiles(self, plain, size):
+        scene = intersection_scene(plain=plain)
+        sids, centers, areas, ids = scene.tiles(size)
+        block, center, radius, area, scattering = scene.tile_blocks(size)
+        assert block.shape == sids.shape and center.shape == (len(radius), 3)
+        dist = np.linalg.norm(centers - center[block], axis=1)
+        assert np.all(dist <= radius[block] + 1e-12)
+        assert np.all(areas <= area[block])
+        surface_s = np.array([s.material.scattering_coefficient for s in scene.surfaces])
+        assert np.array_equal(scattering[block], surface_s[sids])
+        # a block is one surface's TILE_BLOCK x TILE_BLOCK cells at most
+        block_sid = np.zeros(len(radius), dtype=int)
+        block_sid[block] = sids
+        assert np.array_equal(block_sid[block], sids)
+        assert np.bincount(block).max() <= TILE_BLOCK ** 2
+        assert scene.tile_blocks(size)[0] is block
+        assert not any(col.flags.writeable for col in scene.tile_blocks(size))
 
     @pytest.mark.parametrize("size", [0.0, -1.0, math.inf, math.nan])
     def test_tiles_reject_bad_size(self, single_wall_scene, size):
