@@ -17,17 +17,22 @@ im V, re H and im H over its K nodes, those holding any value other than
 that cannot change cannot leave the table stale.  An :class:`ArrayLayout`
 stacks the tables of its distinct patterns over the union of their live
 planes, a pattern's missing planes as +0.0 rows, and keeps each element's
-table offset, grid size, steps and boresight as (M, 1) columns, so
-:meth:`ArrayLayout.element_gains` interpolates all elements in one pass:
-one index computation over (elements, directions) and four gathers of the
-live planes.  A plane that is not live interpolates to +0.0 at every query,
-which is what is written for it without a gather: its four corner terms
-are zeros, the g01 (1 - wa) we term is +0.0 since neither weight is ever
-negative, and a sum with a +0.0 term of zeros is +0.0.
-:meth:`AntennaPattern.sample`
-is the one-pattern case of the same kernel.  The four shark-fin elements
-share one cardioid pattern, turned by their boresights, so its table is
-held once.
+table offset, grid size, steps and boresight as (M, 1) columns, so its one
+gain kernel interpolates all elements in one pass: one index computation
+over (elements, directions) and four gathers of the live
+planes.  :meth:`ArrayLayout.element_gains` assembles the (M, N, 2) complex
+gains from the live planes' values; synthesis takes them per live
+polarisation instead, as the real plane itself where that is all that is
+live (the bundled patterns' V) and as the complex gains otherwise, so the
+common case neither fills nor conjugates a complex buffer.  A plane that is
+not live interpolates to +0.0 at every query, which is what is written for
+it without a gather: its four corner terms are zeros, the g01 (1 - wa) we
+term is +0.0 since neither weight is ever negative, and a sum with a +0.0
+term of zeros is +0.0.  :meth:`AntennaPattern.sample` is the one-pattern
+case of the same kernel.  The four shark-fin elements share one cardioid
+pattern, turned by their boresights, so its table is held once.  Azimuths
+are reduced into [0, 360] by ``np.fmod`` and a compare, bit for bit as
+numpy's ``% 360.0``.
 """
 
 from __future__ import annotations
@@ -55,10 +60,19 @@ def vh_basis(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e_v, e_h
 
 
+def _wrap360(deg: np.ndarray) -> np.ndarray:
+    """``deg % 360.0`` bit for bit, for finite arrays.  numpy's remainder
+    is the fmod remainder plus 360 where that is negative, and +0.0 for any
+    zero; here the other remainders get +0.0 added, which turns -0.0 into
+    +0.0 and changes nothing else."""
+    r = np.fmod(deg, 360.0)
+    return r + 360.0 * (r < 0.0)
+
+
 def direction_to_angles(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions (N, 3) to (azimuth deg in [0, 360), elevation deg)."""
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    az = np.degrees(np.arctan2(d[:, 1], d[:, 0])) % 360.0
+    az = _wrap360(np.degrees(np.arctan2(d[:, 1], d[:, 0])))
     el = np.degrees(np.arcsin(np.clip(d[:, 2], -1.0, 1.0)))
     return az, el
 
@@ -108,36 +122,37 @@ class AntennaPattern:
             raise ValueError("pattern query angles must be finite")
         cols = tuple(np.array([[x]]) for x in (0, self.n_az, self.n_el,
                                                 self.az_step, self.el_step))
-        return _bilinear(self.planes, self.live, cols, az.reshape(1, -1) % 360.0,
-                         el.reshape(-1)).reshape(*az.shape, 2)
+        acc = _bilinear(self.planes, cols, _wrap360(az.reshape(1, -1)), el.reshape(-1))
+        return _complex_gains(acc, self.live)[0].reshape(*az.shape, 2)
 
 
-def _bilinear(planes: np.ndarray, live, cols, az: np.ndarray, el: np.ndarray) -> np.ndarray:
-    """Bilinear (V, H) gains of M patterns that share one gather table.
+def _bilinear(planes: np.ndarray, cols, az: np.ndarray, el: np.ndarray) -> np.ndarray:
+    """Bilinear values of the live planes of M patterns that share one
+    gather table.
 
-    ``planes`` is an (L, K) table of node values of the L planes listed in
-    ``live`` (0 re V, 1 im V, 2 re H, 3 im H); the other planes are +0.0
-    in the result.  ``cols`` holds (M, 1) columns of each pattern's first
-    node in the table, n_az, n_el, azimuth step and elevation step.  ``az`` (M, N) holds each
-    pattern's azimuths, already reduced into [0, 360], ``el`` (N,) the shared
-    elevations.  Returns (M, N, 2) complex.  The index arithmetic runs once
-    over (M, N), the four corner gathers take the live planes at once into
+    ``planes`` is an (L, K) table of node values of L planes.  ``cols``
+    holds (M, 1) columns of each pattern's first node in the table, n_az,
+    n_el, azimuth step and elevation step.  ``az`` (M, N) holds each
+    pattern's azimuths, already reduced into [0, 360], ``el`` (N,) the
+    shared elevations.  Returns (L, M, N) real.  The index arithmetic runs
+    once over (M, N), the four corner gathers take the planes at once into
     two (L, M, N) buffers, and the weights apply in place in the order
     ``g00 (1 - wa) (1 - we) + g10 wa (1 - we) + g01 (1 - wa) we + g11 wa we``.
     Per component these are the products and sums of the complex form, so
     nonzero results agree with it bit for bit; a zero may differ in sign
-    where a node carries a negative component.
+    where a node carries a negative component.  Since az <= 360, an
+    azimuth index wraps with a compare-and-subtract, not an integer modulo.
     """
     base, n_az, n_el, az_step, el_step = cols
     fa = az / az_step
     fe = (np.clip(el, -90.0, 90.0) + 90.0) / el_step
     floor_a = np.floor(fa)
-    ia = floor_a.astype(int) % n_az
+    ia = np.where(floor_a >= n_az, floor_a - n_az, floor_a).astype(int)
     ie = np.minimum(np.floor(fe).astype(int), n_el - 2)
     wa = fa - floor_a
     we = fe - ie
     i00 = base + ia * n_el + ie
-    i10 = base + (ia + 1) % n_az * n_el + ie
+    i10 = i00 + n_el - n_az * n_el * (ia == n_az - 1)     # the next azimuth, wrapped
     ua, ue = 1 - wa, 1 - we
     # the indices are in the table by construction; "clip" lets take write
     # into ``out`` without an intermediate buffer
@@ -150,8 +165,15 @@ def _bilinear(planes: np.ndarray, live, cols, az: np.ndarray, el: np.ndarray) ->
         term *= w_a
         term *= w_e
         acc += term
-    out = np.zeros((*az.shape, 2), dtype=complex)
-    out.view(float).reshape(*az.shape, 4)[..., live] = np.moveaxis(acc, 0, -1)
+    return acc
+
+
+def _complex_gains(acc: np.ndarray, live) -> np.ndarray:
+    """(M, N, 2) complex (V, H) gains from the (L, M, N) values of the L
+    planes listed in ``live`` (0 re V, 1 im V, 2 re H, 3 im H), +0.0 in the
+    other planes."""
+    out = np.zeros((*acc.shape[1:], 2), dtype=complex)
+    out.view(float).reshape(*acc.shape[1:], 4)[..., list(live)] = np.moveaxis(acc, 0, -1)
     return out
 
 
@@ -211,7 +233,7 @@ class ArrayLayout:
     Construction reads the elements once: the distinct patterns' tables go
     into one gather table over the union of their live planes, and each
     element's table offset, grid shape, steps and boresight into (M, 1)
-    columns that :meth:`element_gains` reads.  ``live_pols`` lists the
+    columns that the gain kernel reads.  ``live_pols`` lists the
     polarisations (0 V, 1 H) in which some element's pattern has a live
     plane; in the others every gain is +0.0.
     """
@@ -262,6 +284,20 @@ class ArrayLayout:
         azimuth (elevation is passed through unchanged).  Directions of any
         other shape, and non-finite directions or heading, raise ValueError.
         """
+        return _complex_gains(self._planes_at(directions, heading_rad), self._live)
+
+    def _gains(self, directions: np.ndarray, heading_rad: float) -> list[np.ndarray]:
+        """The gains of :meth:`element_gains`, one (n_elements, N) array per
+        polarisation in ``live_pols``: its real plane when that is all that
+        is live, else its complex gains as :meth:`element_gains` has them."""
+        acc = self._planes_at(directions, heading_rad)
+        full = _complex_gains(acc, self._live) if any(q % 2 for q in self._live) else None
+        return [full[..., pol] if 2 * pol + 1 in self._live else acc[self._live.index(2 * pol)]
+                for pol in self.live_pols]
+
+    def _planes_at(self, directions: np.ndarray, heading_rad: float) -> np.ndarray:
+        """The (L, n_elements, N) values of the table's live planes toward
+        world directions (N, 3); see :meth:`element_gains`."""
         directions = np.asarray(directions, dtype=float)
         if directions.ndim != 2 or directions.shape[1] != 3:
             raise ValueError(f"antenna query directions must have shape (N, 3), "
@@ -269,10 +305,9 @@ class ArrayLayout:
         if not (np.isfinite(directions).all() and math.isfinite(heading_rad)):
             raise ValueError("antenna query directions and heading must be finite")
         az, el = direction_to_angles(directions)
-        az_local = (az - math.degrees(heading_rad)) - self._boresight
-        az_local %= 360.0
+        az_local = _wrap360((az - math.degrees(heading_rad)) - self._boresight)
         az_local[az_local == 360.0] = 0.0   # a tiny negative azimuth reduces to 360
-        return _bilinear(self._planes, self._live, self._cols, az_local, el)
+        return _bilinear(self._planes, self._cols, az_local, el)
 
 
 def default_sharkfin_array(element_spacing: float = 0.05,

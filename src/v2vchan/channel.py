@@ -12,8 +12,9 @@ their (kind, surfaces, tile) identity, once per interval, and at every fine
 step (one at a time) linearly interpolating length, amplitude and the
 renormalised directions; delay, hence phase, follows from the length.
 Interaction points are not interpolated; synthesis never reads them.
-Matching is a join on that identity.  The tracer emits each identity at
-most once per snapshot, so a match pairs one path with one; a hand-built
+Matching is a join on that identity, numbered in the lexicographic order of
+its integer columns by one ``np.lexsort``.  The tracer emits each identity
+at most once per snapshot, so a match pairs one path with one; a hand-built
 set that repeats an identity pairs its paths in delay order.  Unmatched
 paths appear or vanish hard at the coarse boundary; a path missing from the
 next snapshot keeps its last state until that boundary.
@@ -29,11 +30,17 @@ polarisation i and transmit polarisation j are both live in their arrays
 (:attr:`ArrayLayout.live_pols`): one term, (V, V), for the bundled
 shark-fin and isotropic arrays.  A skipped term has a gain that is +0.0 at
 every query, so it is a complex zero; adding it could change only the sign
-of a zero entry, and the bin sums, which start at +0.0, take none.  For
-real, vertical-only patterns the sum rounds exactly as the three-operand
-``np.einsum``; for complex dual-polarized patterns numpy's complex multiply
-may fuse a multiply-add where ``np.einsum`` does not, and the two differ by
-a few ulps of the terms' magnitudes.
+of a zero entry, and the bin sums, which start at +0.0, take none.  The
+gains come per live polarisation, real where only the real plane is live
+(so are neither conjugated nor stored with an imaginary part), and only the
+H row of A that a live term reads is sign-flipped into the DoA basis.  A
+real factor scales both parts as its complex form with a zero imaginary
+part does, and a flip or a zero part can change only the sign of a zero, so
+the slices keep their bits.  For real, vertical-only patterns the sum rounds
+exactly as the three-operand ``np.einsum``; for complex dual-polarized
+patterns numpy's complex multiply may fuse a multiply-add where
+``np.einsum`` does not, and the two differ by a few ulps of the terms'
+magnitudes.
 
 Frequency-domain tensors store bins in increasing frequency order (carrier
 at the center bin).  ``cir_to_ctf`` is an unnormalized forward DFT and
@@ -164,14 +171,14 @@ def _synthesize(paths: PathSet, tx_array: ArrayLayout, rx_array: ArrayLayout,
     if dropped:
         taus, amp, dep, arr, bins = taus[keep], amp[keep], dep[keep], arr[keep], bins[keep]
     doa = -arr                                         # (P, 3) arrival DoA
-    amp = amp * np.array([[1.0], [-1.0]])              # H flip into the DoA basis
-    g_tx = tx_array.element_gains(dep, tx_heading)     # (M_T, P, 2)
-    g_rx = np.conj(rx_array.element_gains(doa, rx_heading))   # (M_R, P, 2)
+    g_tx = tx_array._gains(dep, tx_heading)            # (M_T, P) per live polarisation
+    g_rx = [np.conj(g) if g.dtype == complex else g for g in rx_array._gains(doa, rx_heading)]
     # polarimetric coupling per (rx element, tx element, path): sum over the
     # live (i, j) of conj(g_rx)_i A_ij g_tx_j, in the order (0, 0), (0, 1),
-    # (1, 0), (1, 1)
-    terms = (g_rx[:, None, :, i] * amp[:, i, j] * g_tx[None, :, :, j]
-             for i in rx_array.live_pols for j in tx_array.live_pols)
+    # (1, 0), (1, 1), the H row of A sign-flipped into the DoA basis
+    terms = (g_r[:, None, :] * (-amp[:, i, j] if i else amp[:, i, j]) * g_t[None, :, :]
+             for i, g_r in zip(rx_array.live_pols, g_rx)
+             for j, g_t in zip(tx_array.live_pols, g_tx))
     coup = next(terms, None)
     if coup is None:                                   # no pair of live polarisations
         coup = np.zeros((m_r, m_t, len(taus)), dtype=complex)
@@ -189,15 +196,14 @@ def _synthesize(paths: PathSet, tx_array: ArrayLayout, rx_array: ArrayLayout,
     vals *= base
     vals *= ph_rx.T[:, None, :]
     vals *= ph_tx.T[None, :, :]
-    # accumulate with one bincount over a combined (n, m, bin) index
+    # accumulate over a combined (n, m, bin) index: np.add.at adds in index
+    # order, so each bin sums its paths in row order from +0.0, as one
+    # bincount per component would
     pair_idx = (np.arange(m_r)[:, None, None] * m_t
                 + np.arange(m_t)[None, :, None]) * config.n_freq_bins
-    flat_idx = (pair_idx + bins[None, None, :]).ravel()
-    flat_vals = vals.ravel()
-    size = m_r * m_t * config.n_freq_bins
-    acc = (np.bincount(flat_idx, weights=flat_vals.real, minlength=size)
-           + 1j * np.bincount(flat_idx, weights=flat_vals.imag, minlength=size))
-    return acc.reshape(m_r, m_t, config.n_freq_bins), dropped
+    acc = np.zeros((m_r, m_t, config.n_freq_bins), dtype=complex)
+    np.add.at(acc.reshape(-1), (pair_idx + bins[None, None, :]).ravel(), vals.ravel())
+    return acc, dropped
 
 
 def synthesize_cir(paths: PathSet, tx_array: ArrayLayout,
@@ -232,9 +238,14 @@ def _match_paths(a: PathSet, b: PathSet) -> tuple[np.ndarray, np.ndarray, np.nda
     synthesis.
     """
     keys = np.concatenate([np.column_stack((p.kind, p.surfaces, p.tile)) for p in (a, b)])
-    _, ident = np.unique(keys, axis=0, return_inverse=True)
+    # number the identities in the lexicographic order of the key columns,
+    # as np.unique(keys, axis=0) would: sort, then count the rows that differ
+    # from the one before
+    order = np.lexsort(keys.T[::-1])
+    ident = np.empty(len(keys), dtype=int)
+    ident[order] = np.cumsum(np.r_[0, (keys[order[1:]] != keys[order[:-1]]).any(axis=1)])
     ranked = []
-    for p, k in zip((a, b), np.split(ident.reshape(-1), [len(a)])):
+    for p, k in zip((a, b), np.split(ident, [len(a)])):
         rows = np.lexsort((p.delay, k))
         k = k[rows]
         rank = np.arange(len(k)) - np.searchsorted(k, k)
@@ -345,12 +356,14 @@ def synthesize_tensor(interp: PathInterpolator, tx_array: ArrayLayout,
                       tx_heading=None, rx_heading=None, workers: int = 1) -> ChannelTensor:
     """Delay-domain tensor over a fine time grid.
 
-    Headings may be callables of t or constants (radians); callables are
-    evaluated here, once per step.  The default time grid runs from the
-    first traced snapshot in steps of ``config.fine_dt``, duration / fine_dt
-    samples in total.  Given ``times`` must be a uniform grid, checked
-    before any step is synthesized, since the tensor records only its start
-    and step.
+    Headings may be constants (radians) or callables such as
+    :meth:`Trajectory.heading`: a callable is called once, with the array of
+    all step times, and returns one heading per step, or one for all of
+    them (another shape raises ValueError).  The default time grid runs
+    from the first traced snapshot in steps of ``config.fine_dt``,
+    duration / fine_dt samples in total.  Given ``times`` must be a uniform
+    grid, checked before any step is synthesized, since the tensor records
+    only its start and step.
 
     The steps are cut into chunks of whole coarse intervals, each
     synthesized by :func:`_synthesize_chunk` from a window of ``interp``
@@ -370,9 +383,6 @@ def synthesize_tensor(interp: PathInterpolator, tx_array: ArrayLayout,
         times = _uniform_times(times, "synthesis times")
         dt = float(times[1] - times[0]) if len(times) > 1 else config.fine_dt
 
-    def headings(h):
-        return [h(t) for t in times] if callable(h) else [float(h or 0.0)] * len(times)
-
     # each step's coarse interval, as PathInterpolator.paths_at locates it
     interval = np.clip(np.searchsorted(interp.times, times, side="right") - 1,
                        0, max(len(interp.times) - 2, 0))
@@ -382,7 +392,10 @@ def synthesize_tensor(interp: PathInterpolator, tx_array: ArrayLayout,
         if k - cuts[-1] >= min_steps:
             cuts.append(int(k))
     bounds = list(zip(cuts, cuts[1:] + [len(times)]))
-    tx_h, rx_h = headings(tx_heading), headings(rx_heading)
+    # a callable's result of another shape than the times' raises ValueError
+    tx_h, rx_h = (np.broadcast_to(np.asarray(h(times) if callable(h) else float(h or 0.0),
+                                             dtype=float), times.shape).tolist()
+                  for h in (tx_heading, rx_heading))
     # made one at a time, so that in-process a used window and the interval
     # it matched are dropped before the next
     jobs = ((interp.window(interval[k0], interval[k1 - 1] + 1), times[k0:k1],

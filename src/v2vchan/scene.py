@@ -116,15 +116,18 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _newell_normal(vertices: np.ndarray) -> np.ndarray:
-    """Area-weighted polygon normal (right-hand rule over the vertex order)."""
+    """Area-weighted polygon normal (right-hand rule over the vertex order).
+
+    Coordinates near the float limit overflow to an inf or NaN component
+    without a warning; :class:`Surface` rejects such a normal."""
     v = vertices
     nxt = np.roll(v, -1, axis=0)
-    n = np.array([
-        np.sum((v[:, 1] - nxt[:, 1]) * (v[:, 2] + nxt[:, 2])),
-        np.sum((v[:, 2] - nxt[:, 2]) * (v[:, 0] + nxt[:, 0])),
-        np.sum((v[:, 0] - nxt[:, 0]) * (v[:, 1] + nxt[:, 1])),
-    ])
-    return n
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([
+            np.sum((v[:, 1] - nxt[:, 1]) * (v[:, 2] + nxt[:, 2])),
+            np.sum((v[:, 2] - nxt[:, 2]) * (v[:, 0] + nxt[:, 0])),
+            np.sum((v[:, 0] - nxt[:, 0]) * (v[:, 1] + nxt[:, 1])),
+        ])
 
 
 def _ear_clip(poly2d: np.ndarray) -> list[tuple[int, int, int]]:
@@ -700,12 +703,25 @@ class Trajectory:
         vel = (1 - u) * self.velocity[i] + u * self.velocity[i + 1]
         return pos, vel
 
-    def heading(self, t: float) -> float:
-        """Vehicle yaw in radians (atan2 of horizontal velocity); 0 when parked."""
-        _, vel = self.at(t)
-        if np.hypot(vel[0], vel[1]) < 1e-12:
-            return 0.0
-        return math.atan2(vel[1], vel[0])
+    def heading(self, t):
+        """Vehicle yaw in radians (atan2 of horizontal velocity); 0 when parked.
+
+        ``t`` is a time, giving a float, or an array of times, giving an
+        array of the same shape whose entries equal the one-time calls'.
+        The velocities are interpolated as :meth:`at` does, for all times
+        at once.
+        """
+        times = np.asarray(t, dtype=float)
+        flat = times.reshape(-1)
+        if len(self.t) == 1 or np.any((flat < self.t[0] - 1e-12) | (flat > self.t[-1] + 1e-12)):
+            vel = np.array([self.at(x)[1] for x in flat.tolist()]).reshape(-1, 3)   # at() raises
+        else:
+            i = np.clip(np.searchsorted(self.t, flat, side="right") - 1, 0, len(self.t) - 2)
+            u = np.clip((flat - self.t[i]) / (self.t[i + 1] - self.t[i]), 0.0, 1.0)[:, None]
+            vel = (1 - u) * self.velocity[i] + u * self.velocity[i + 1]
+        moving = (np.hypot(vel[:, 0], vel[:, 1]) >= 1e-12).tolist()
+        yaw = [math.atan2(y, x) if m else 0.0 for m, x, y in zip(moving, *vel[:, :2].T.tolist())]
+        return yaw[0] if times.ndim == 0 else np.reshape(yaw, times.shape)
 
 
 def straight_trajectory(start, heading_deg: float, speed: float, duration: float,

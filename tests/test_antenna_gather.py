@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from v2vchan.antenna import (AntennaPattern, ArrayElement, ArrayLayout,
+from v2vchan.antenna import (AntennaPattern, ArrayElement, ArrayLayout, _wrap360,
                              angles_to_direction, cardioid_pattern,
                              default_sharkfin_array, direction_to_angles,
                              isotropic_pattern)
@@ -295,3 +295,90 @@ def test_layout_mixing_live_sets_matches_all_plane_kernel(names, live_pols):
     for heading in (0.0, math.pi / 2, 7.0):
         got = layout.element_gains(d, heading)
         assert np.array_equal(_bits(got), _bits(all_plane_element_gains(layout, d, heading)))
+
+
+def _pol_layouts() -> dict:
+    """Layouts whose gains the kernel returns real (V only, real-valued),
+    complex (V only with im V, H only) or both (dual-polarised), each with
+    the reference it is pinned to."""
+    cases = _live_cases()
+
+    def two(name):
+        pattern = cases[name][0]
+        return ArrayLayout([ArrayElement([0.0, 0.0, 0.0], pattern, 0.0),
+                            ArrayElement([0.05, 0.0, 0.0], pattern, 131.5)])
+
+    return {"sharkfin": (default_sharkfin_array(), reference_element_gains),
+            "mixed": (_mixed_layout(), reference_element_gains),
+            "complex-v": (two("complex-v"), all_plane_element_gains),
+            "h-only": (two("h-only"), all_plane_element_gains),
+            "dual-pol": (two("dual-pol"), all_plane_element_gains),
+            "v-and-h": (ArrayLayout([ArrayElement([0.0, 0.0, 0.0], cases["sharkfin"][0], 10.0),
+                                     ArrayElement([0.05, 0.0, 0.0], cases["h-only"][0], 0.0)]),
+                        all_plane_element_gains)}
+
+
+def _wrap_directions(layout: ArrayLayout, heading: float) -> np.ndarray:
+    """``_directions`` plus directions whose local azimuth at some element
+    lies a few 1e-14 deg below 0, so that it reduces to 360."""
+    offsets = np.array([-1e-15, -1e-14, -3e-14, -6e-14])
+    az = (np.array([[e.boresight_az_deg] for e in layout.elements]) + math.degrees(heading)
+          + offsets).ravel()
+    el = np.resize([0.0, 30.0, -60.0], len(az))
+    return np.concatenate((_directions(), angles_to_direction(az, el)))
+
+
+@pytest.mark.parametrize("name", list(_pol_layouts()))
+@pytest.mark.parametrize("heading", [0.0, -0.0, 2 * math.pi, 1e6, -1e6])
+def test_gain_kernel_per_polarisation_bit_identical(name, heading):
+    """The kernel gives one (M, N) array per live polarisation, real when
+    only its real plane is live; with +0.0 in the planes it leaves out, and
+    in the polarisations that are not live, they are the reference gains
+    bit for bit, and so is ``element_gains`` that assembles them."""
+    layout, reference = _pol_layouts()[name]
+    d = _wrap_directions(layout, heading)
+    want = reference(layout, d, heading)
+    az, _ = direction_to_angles(d)
+    bore = np.array([[e.boresight_az_deg] for e in layout.elements])
+    if heading == 0.0:                   # the reduction to 360 is exercised
+        assert np.any(((az - math.degrees(heading)) - bore) % 360.0 == 360.0)
+    gains = layout._gains(d, heading)
+    assert len(gains) == len(layout.live_pols)
+    for pol in range(2):
+        if pol not in layout.live_pols:
+            assert not _bits(want[..., pol]).any()
+            continue
+        g = gains[layout.live_pols.index(pol)]
+        assert g.shape == (layout.size, len(d))
+        if 2 * pol + 1 in layout._live:
+            assert g.dtype == complex
+            assert np.array_equal(_bits(g), _bits(want[..., pol]))
+        else:
+            assert g.dtype == float
+            assert np.array_equal(_bits(g), _bits(want[..., pol].real))
+            assert not _bits(want[..., pol].imag).any()
+    assert np.array_equal(_bits(layout.element_gains(d, heading)), _bits(want))
+
+
+@pytest.mark.parametrize("name", ["sharkfin", "dual-pol"])
+def test_sample_reduces_large_and_signed_zero_azimuths(name):
+    pattern = _live_cases()[name][0]
+    az = np.array([0.0, -0.0, 360.0, -360.0, 720.0, -1e-15, -1e-14, 1e6, -1e6,
+                   5.7e7 + 0.25, -5.7e7 - 0.25])
+    el = np.resize([0.0, 12.5, -89.0, 45.0], len(az))
+    assert np.array_equal(_bits(pattern.sample(az, el)),
+                          _bits(all_plane_sample(pattern, az, el)))
+
+
+def test_wrap360_is_numpy_remainder():
+    """The fmod reduction gives ``% 360.0`` bit for bit: -0.0 and negative
+    multiples of 360 to +0.0, tiny negatives to 360.0, large angles exactly."""
+    rng = np.random.default_rng(11)
+    x = np.concatenate((rng.uniform(-1e7, 1e7, 2000), rng.uniform(-720.0, 720.0, 2000),
+                        [0.0, -0.0, 360.0, -360.0, -720.0, 720.0, -1e-15, 1e-15, -5e-324,
+                         359.99999999999994, -359.99999999999994, 5.7e7, -5.7e7]))
+    assert np.array_equal(_bits(_wrap360(x)), _bits(x % 360.0))
+    d = np.array([[1.0, -0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, -0.0, 0.0], [1.0, -1e-300, 0.0],
+                  [0.0, -1.0, 0.0]])
+    az, _ = direction_to_angles(d)
+    assert np.array_equal(_bits(az), _bits(np.degrees(np.arctan2(d[:, 1], d[:, 0])) % 360.0))

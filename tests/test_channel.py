@@ -428,6 +428,42 @@ class TestSynthesizeTensor:
             synthesize_tensor(PathInterpolator(coarse), isotropic_array(1), isotropic_array(1),
                               cfg, **{end: math.nan})
 
+    def test_heading_callable_called_once_with_all_times(self):
+        cfg = SimConfig(n_freq_bins=8)
+        p = los_path(5.0)
+        coarse = [(k * cfg.coarse_trace_dt, p) for k in range(3)]
+        calls = []
+
+        def heading(t):
+            calls.append(np.array(t, dtype=float))
+            return 0.1 * calls[-1]
+
+        tensor = synthesize_tensor(PathInterpolator(coarse), isotropic_array(2),
+                                   isotropic_array(2), cfg, tx_heading=heading,
+                                   rx_heading=heading)
+        assert len(calls) == 2 and tensor.n_time == 200
+        for t in calls:
+            assert np.array_equal(t, tensor.time_axis)
+
+    @pytest.mark.parametrize("bad", [lambda t: np.zeros(len(t) - 1),
+                                     lambda t: np.zeros((len(t), 1))], ids=["short", "column"])
+    def test_heading_callable_of_wrong_shape_rejected(self, bad):
+        cfg = SimConfig(n_freq_bins=8)
+        p = los_path(5.0)
+        coarse = [(k * cfg.coarse_trace_dt, p) for k in range(2)]
+        with pytest.raises(ValueError):     # numpy words the broadcast error
+            synthesize_tensor(PathInterpolator(coarse), isotropic_array(1), isotropic_array(1),
+                              cfg, rx_heading=bad)
+
+    def test_heading_callable_of_one_value_is_a_constant(self):
+        cfg = SimConfig(n_freq_bins=8)
+        p = los_path(5.0)
+        coarse = [(k * cfg.coarse_trace_dt, p) for k in range(2)]
+        arr = isotropic_array(2)
+        one = synthesize_tensor(PathInterpolator(coarse), arr, arr, cfg, rx_heading=lambda t: 0.7)
+        const = synthesize_tensor(PathInterpolator(coarse), arr, arr, cfg, rx_heading=0.7)
+        assert np.array_equal(one.data.view(np.uint64), const.data.view(np.uint64))
+
     def _dropping_run(self):
         cfg = SimConfig(n_freq_bins=64)
         near = los_path(20 * SPEED_OF_LIGHT / cfg.bandwidth)

@@ -169,6 +169,71 @@ def test_array_join_matches_object_join(flip_slice):
     assert reference_match(a, b) == ([0], [0], [1])
 
 
+def unique_join(a: PathSet, b: PathSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_match_paths`` as it numbered the identities with
+    ``np.unique(keys, axis=0)``, which sorts the key rows as signed ints."""
+    keys = np.concatenate([np.column_stack((p.kind, p.surfaces, p.tile)) for p in (a, b)])
+    _, ident = np.unique(keys, axis=0, return_inverse=True)
+    ranked = []
+    for p, k in zip((a, b), np.split(ident.reshape(-1), [len(a)])):
+        rows = np.lexsort((p.delay, k))
+        k = k[rows]
+        rank = np.arange(len(k)) - np.searchsorted(k, k)
+        ranked.append((rows, k * (len(keys) + 1) + rank))
+    (rows_a, code_a), (rows_b, code_b) = ranked
+    _, ja, jb = np.intersect1d(code_a, code_b, assume_unique=True, return_indices=True)
+    return rows_a[ja], rows_b[jb], np.delete(rows_a, ja)
+
+
+def _identity_rows(rng, n: int, pool: np.ndarray) -> PathSet:
+    """``n`` rows whose identities are drawn from ``pool`` (rows of kind,
+    MAX_SPECULAR_ORDER surface ids and tile), so identities repeat within
+    a set and across sets, with random delays."""
+    ident = pool[rng.integers(0, len(pool), n)]
+    dirs = rng.standard_normal((n, 3))
+    return PathSet(kind=ident[:, 0], surfaces=ident[:, 1:-1],
+                   points=np.full((n, MAX_SPECULAR_ORDER, 3), np.nan), tile=ident[:, -1],
+                   length=rng.uniform(10.0, 500.0, n),
+                   amplitude=np.ones((n, 2, 2), dtype=complex),
+                   departure=dirs, arrival=-dirs)
+
+
+def _identity_pool(rng, n: int) -> np.ndarray:
+    """Identities of all three kinds: LOS, specular surface sequences padded
+    with -1 and diffuse tiles with ids up to 2**40."""
+    pool = np.full((n, MAX_SPECULAR_ORDER + 2), -1, dtype=int)
+    pool[:, 0] = rng.integers(0, len(KINDS), n)
+    order = rng.integers(1, MAX_SPECULAR_ORDER + 1, n)
+    for r in np.flatnonzero(pool[:, 0] == KINDS.index("specular")):
+        pool[r, 1:1 + order[r]] = rng.integers(0, 40, order[r])
+    diffuse = pool[:, 0] == KINDS.index("diffuse")
+    pool[diffuse, 1] = rng.integers(0, 40, diffuse.sum())
+    pool[diffuse, -1] = rng.integers(0, 2 ** 40, diffuse.sum())
+    return pool
+
+
+@pytest.mark.parametrize("n_a, n_b, n_pool", [
+    (0, 0, 5), (0, 30, 5), (30, 0, 5), (1, 1, 1), (60, 50, 4), (200, 230, 40),
+    (300, 310, 2000)])
+def test_sort_join_matches_unique_join(n_a, n_b, n_pool):
+    """The lexsort numbering of the identities gives the rows, order and
+    dtypes of the np.unique join: empty sides, identities repeated within a
+    set, -1 surface padding, every kind and tile ids above 2**32."""
+    rng = np.random.default_rng(n_a * 1000 + n_b + n_pool)
+    pool = _identity_pool(rng, n_pool)
+    for _ in range(5):
+        a, b = _identity_rows(rng, n_a, pool), _identity_rows(rng, n_b, pool)
+        for got, want in zip(_match_paths(a, b), unique_join(a, b)):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+
+def test_sort_join_matches_unique_join_on_traced_sets(flip_slice):
+    for a, b in _join_cases(flip_slice[0]):
+        for got, want in zip(_match_paths(a, b), unique_join(a, b)):
+            assert got.tolist() == want.tolist()
+
+
 def _assert_close(got: np.ndarray, want: np.ndarray):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= TOL * np.abs(want).max()

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,9 +83,12 @@ class TestSurface:
             Surface([(0, 0, 0), (1, 0, 0), (1, np.nan, 0), (0, 1, 0)], concrete)
 
     def test_rejects_overflowing_area(self, concrete):
-        # finite vertices whose cross products overflow give an inf or NaN normal
-        with pytest.raises(GeometryError, match="overflowing"):
-            Surface([(0, 0, 0), (1e308, 0, 0), (1e308, 1e308, 0), (0, 1e308, 0)], concrete)
+        # finite vertices whose cross products overflow give an inf or NaN
+        # normal, rejected without a RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="overflowing"):
+                Surface([(0, 0, 0), (1e308, 0, 0), (1e308, 1e308, 0), (0, 1e308, 0)], concrete)
 
     def test_rejects_nonplanar(self, concrete):
         with pytest.raises(GeometryError):
@@ -487,6 +491,52 @@ class TestTrajectory:
         assert np.allclose(pos, [2.5, 0, 1.5])
         assert np.allclose(vel, [10, 0, 0])
         assert np.isclose(tr.heading(0.25), 0.0)
+
+    @staticmethod
+    def _turn_and_park() -> Trajectory:
+        """East, a turn north, parked for four samples (the fifth moves only
+        vertically), then west."""
+        vel = np.array([[10, 0, 0], [10, 0, 0], [7, 7, 0], [0, 10, 0], [0, 0, 0], [0, 0, 0],
+                        [0, 0, 0], [0, 0, 0], [-1e-13, 0, 1], [-5, 1e-9, 0], [-10, -3, 0],
+                        [-10, 0, 0]], dtype=float)
+        return Trajectory(np.arange(12) * 0.5, np.cumsum(vel * 0.5, axis=0), vel)
+
+    @staticmethod
+    def reference_heading(tr: Trajectory, t: float) -> float:
+        """``Trajectory.heading`` of one time, as a scalar lerp."""
+        i = min(int(np.searchsorted(tr.t, t, side="right")) - 1, len(tr.t) - 2)
+        i = max(i, 0)
+        u = min(max((t - tr.t[i]) / (tr.t[i + 1] - tr.t[i]), 0.0), 1.0)
+        vel = (1 - u) * tr.velocity[i] + u * tr.velocity[i + 1]
+        if np.hypot(vel[0], vel[1]) < 1e-12:
+            return 0.0
+        return math.atan2(vel[1], vel[0])
+
+    def test_heading_of_times_equals_one_call_per_time(self):
+        tr = self._turn_and_park()
+        times = np.concatenate((np.linspace(0.0, 5.5, 397), tr.t, [-1e-13, 5.5 + 1e-13]))
+        got = tr.heading(times)
+        one_by_one = [tr.heading(t) for t in times]
+        assert all(type(h) is float for h in one_by_one)
+        assert got.shape == times.shape and got.dtype == float
+        assert np.array_equal(got.view(np.uint64), np.array(one_by_one).view(np.uint64))
+        want = np.array([self.reference_heading(tr, t) for t in times])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        parked = (times >= 2.0) & (times <= 4.0)
+        assert np.all(got[parked] == 0.0) and np.all(got[times <= 0.5] == 0.0)
+        assert np.all(got[(times > 1.0) & (times < 2.0)] > 0.0)
+        grid = times[:410].reshape(41, 10)
+        assert np.array_equal(tr.heading(grid), got[:410].reshape(41, 10))
+
+    @pytest.mark.parametrize("t", [-0.01, 5.51, [0.0, 2.0, 5.6], [-1.0, 1.0]])
+    def test_heading_outside_span_raises(self, t):
+        with pytest.raises(ValueError, match="outside trajectory span"):
+            self._turn_and_park().heading(t)
+
+    def test_heading_of_one_sample_trajectory(self):
+        tr = Trajectory(np.array([1.0]), np.zeros((1, 3)), np.array([[0.0, -2.0, 0.0]]))
+        assert tr.heading(1.0) == -math.pi / 2
+        assert tr.heading(np.array([1.0, 1.0])).tolist() == [-math.pi / 2] * 2
 
     def test_csv_round_trip(self, tmp_path):
         tr = straight_trajectory((1, 2, 1.73), 90.0, 10.0, 2.0, 0.5)
