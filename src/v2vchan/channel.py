@@ -450,24 +450,34 @@ def _upcast(chunk: np.ndarray) -> np.ndarray:
     return np.asarray(chunk, dtype=complex)
 
 
+def _ctf_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The shifted complex128 DFT along the bins of a chunk of delay rows,
+    written into ``out`` (a new C-ordered array when None), the shift as
+    two slice copies.  Each row's DFT does not depend on the chunking, so
+    any chunk equals the same rows of the whole-tensor transform bit for bit.
+    """
+    n = rows.shape[-1]
+    shift = n // 2
+    spec = np.fft.fft(_upcast(rows), axis=-1)
+    out = np.empty(spec.shape, dtype=complex) if out is None else out
+    out[..., shift:] = spec[..., :n - shift]
+    out[..., :shift] = spec[..., n - shift:]
+    return out
+
+
 def cir_to_ctf(tensor: ChannelTensor) -> ChannelTensor:
     """Delay -> frequency via an unnormalized forward DFT along the bin axis.
 
     The resulting bin axis is fftshifted so frequencies increase and the
     carrier sits at index n_bins // 2.  The transform runs over time chunks
-    into one preallocated complex128 output, the shift written as two slice
-    copies; each row's DFT does not depend on the chunking, so the result
-    equals the whole-tensor transform bit for bit.
+    (:func:`_ctf_rows`) into one preallocated complex128 output.
     """
     if tensor.domain != "delay":
         raise ValueError("cir_to_ctf expects a delay-domain tensor")
     n = tensor.n_bins
-    shift = n // 2
     h = np.empty(tensor.data.shape, dtype=complex)
     for a, b in _chunks(tensor.data):
-        spec = np.fft.fft(_upcast(tensor.data[a:b]), axis=-1)
-        h[a:b, ..., shift:] = spec[..., :n - shift]
-        h[a:b, ..., :shift] = spec[..., n - shift:]
+        _ctf_rows(tensor.data[a:b], out=h[a:b])
     df = 1.0 / (n * tensor.dbin)
     return ChannelTensor(domain="frequency", data=h, t0=tensor.t0, dt=tensor.dt,
                          bin0=-(n // 2) * df, dbin=df,
@@ -541,7 +551,8 @@ def load_tensor(path) -> ChannelTensor:
 
     The data keep the file's complex64 values, read into one array.  The
     payload length is checked against the header from the file size before
-    anything is allocated.
+    anything is allocated, and every value must be finite; the check scans
+    the payload's float32 parts chunk by chunk.
     """
     size = struct.calcsize(_HEADER_FMT)
     with open(path, "rb") as f:
@@ -568,4 +579,8 @@ def load_tensor(path) -> ChannelTensor:
             raise TensorFormatError(f"{path}: {e}") from e
         if f.readinto(data) != n_bytes:
             raise TensorFormatError(f"{path}: payload changed while it was read")
+    for a, b in _chunks(data):
+        if not np.isfinite(data[a:b].view("<f4")).all():
+            raise TensorFormatError(f"{path}: non-finite payload value in time steps "
+                                    f"{a} to {b - 1}")
     return tensor

@@ -7,6 +7,17 @@ emitted as NaN in memory and as empty fields in CSV exports, never as 0, so
 they cannot contaminate error statistics downstream.  A linear 0 in dB
 columns exports as the -400 dB floor sentinel.
 
+The eigenvalues and antenna correlations are frequency-domain metrics.
+One per-step kernel computes every value they need from a chunk of CTF
+rows: the Gram matrices for the eigenvalues, and each element's power and
+each pair's per-bin ratio and its validity for the correlations.  One
+sliding pass feeds it: :func:`frequency_metrics` transforms each chunk of a
+delay tensor once and never holds the CTF, while
+:func:`eigenvalue_series`, :func:`correlation_matrix_series` and
+:func:`antenna_correlation` read the rows of a frequency-domain tensor.
+Both routes give the same bits, since a step's values depend only on its
+own row.
+
 Measurement emulation: :func:`estimate_noise_floor` estimates the per-bin
 noise level from the signal-free region of a profile and
 :func:`apply_noise_threshold` zeroes every bin below that level plus 3 dB,
@@ -22,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelTensor, _chunks, _upcast
+from .channel import ChannelTensor, _chunks, _ctf_rows, _upcast
 from .scene import _read_table
 
 DB_FLOOR_SENTINEL = -400.0
@@ -234,6 +245,119 @@ def rms_doppler_spread(dsd: Dsd) -> MetricSeries:
     return MetricSeries(kind="doppler_spread", times=dsd.times.copy(), values=vals, unit="Hz")
 
 
+def _element(chunk: np.ndarray, end: str, i: int) -> np.ndarray:
+    """(rows, opposite-end elements, n_bins) samples of element ``i`` in a
+    chunk of whole time rows."""
+    return chunk[:, i, :, :] if end == "rx" else chunk[:, :, i, :]
+
+
+def _pairs(n_el: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n_el) for j in range(i + 1, n_el)]
+
+
+def _step_values(x: np.ndarray, gram: bool, ends) -> list[np.ndarray]:
+    """Per-step values of the frequency-domain metrics for the CTF rows
+    ``x``, (rows, M_R, M_T, n_bins) complex128 in C order.
+
+    With ``gram`` set, first the Gram matrices X_t X_t^H, X_t being step
+    t's M_R x (M_T * n_bins) block, as one batched product.  Then for each
+    ``(end, pairs)`` of ``ends`` the (rows, pairs, n_bins) per-bin ratio of
+    each pair's product, summed over the opposite end, to the geometric mean
+    of the two element powers, and where that mean is nonzero (a ratio is
+    read only there).  Each product is computed as ``conj(.) *= other``, the
+    form numpy gives a whole-tensor ``a * np.conj(b)`` or ``np.conj(a) * b``
+    of 256 KiB or more (it reuses the temporary and puts it first); with
+    fused multiply-adds the complex product rounds differently in that
+    form.  Every value of a step depends only on that step's row.
+    """
+    out = []
+    if gram:
+        g = x.reshape(len(x), x.shape[1], -1)
+        out.append(g @ np.conj(g).transpose(0, 2, 1))
+    for end, pairs in ends:
+        power = {i: (np.abs(_element(x, end, i)) ** 2).sum(axis=1)
+                 for i in {i for pair in pairs for i in pair}}
+        ratio = np.empty((len(x), len(pairs), x.shape[-1]), dtype=complex)
+        ok = np.empty(ratio.shape, dtype=bool)
+        for p, (i, j) in enumerate(pairs):
+            xi, xj = _element(x, end, i), _element(x, end, j)
+            prod, other = (np.conj(xj), xi) if end == "rx" else (np.conj(xi), xj)
+            num = np.multiply(prod, other, out=prod).sum(axis=1)
+            den = np.sqrt(power[i] * power[j])
+            nonzero = den > 0
+            ratio[:, p] = np.divide(num, den, out=num, where=nonzero)
+            ok[:, p] = nonzero
+        out += [ratio, ok]
+    return out
+
+
+def _frequency_series(tensor: ChannelTensor, n_avg: int, stride: int | None, gram: bool,
+                      ends, magnitudes: bool = True) -> list[MetricSeries]:
+    """Series of the frequency-domain metrics from one sliding pass of
+    :func:`_step_values` over the CTF rows of ``tensor``: a delay-domain
+    tensor's rows are transformed chunk by chunk (:func:`channel._ctf_rows`),
+    a frequency-domain tensor's are read as they are.
+
+    Gives the eigenvalue series when ``gram`` is set (a window sums its
+    steps' Gram matrices), then per ``(end, pairs)`` of ``ends`` one column
+    per pair of the correlation, |rho| when ``magnitudes`` is set (a window
+    averages a pair's ratios where its ``ok`` is set, NaN where none is).
+    """
+    stride = n_avg if stride is None else stride
+    starts = _window_starts(tensor.n_time, n_avg, stride)
+    data, rows = tensor.data, _ctf_rows if tensor.domain == "delay" else _upcast
+    m_min, n_mat = min(tensor.m_rx, tensor.m_tx), n_avg * tensor.n_bins
+    bufs = [np.empty((n_avg, tensor.m_rx, tensor.m_rx), dtype=complex)] if gram else []
+    for _, pairs in ends:
+        shape = (n_avg, len(pairs), tensor.n_bins)
+        bufs += [np.empty(shape, dtype=complex), np.empty(shape, dtype=bool)]
+    eig = np.full((len(starts), m_min), np.nan)
+    corr = [np.full((len(pairs), len(starts)), np.nan, dtype=complex) for _, pairs in ends]
+    for k in _sliding(data, starts, n_avg, bufs,
+                      lambda a, b: _step_values(rows(data[a:b]), gram, ends)):
+        if gram:
+            total = bufs[0].sum(axis=0)
+            mean_fro2 = float(np.trace(total).real) / n_mat
+        if gram and mean_fro2 != 0.0:
+            r = (m_min / mean_fro2) * total / n_mat
+            lam = np.linalg.eigvalsh(r)[::-1][:m_min]
+            lam = np.maximum(lam, 0.0)
+            lam[lam < lam.max() * 1e-12] = 0.0  # numerical zeros -> -inf dB sentinel
+            with np.errstate(divide="ignore"):
+                eig[k] = 10.0 * np.log10(lam)
+        for vals, ratio, ok in zip(corr, bufs[gram::2], bufs[gram + 1::2]):
+            for p in range(len(vals)):
+                if ok[:, p].any():
+                    vals[p, k] = ratio[:, p][ok[:, p]].sum() / ok[:, p].sum()
+    times = _window_times(tensor, starts, n_avg)
+    series = []
+    if gram:
+        series.append(MetricSeries(kind="eigenvalues", times=times, values=eig, unit="dB",
+                                   labels=tuple(f"lambda_{i + 1}" for i in range(m_min))))
+    for (end, pairs), vals in zip(ends, corr):
+        series.append(MetricSeries(
+            kind=f"correlation_{end}", times=times.copy(), unit="",
+            values=np.column_stack([np.abs(v) if magnitudes else v for v in vals]),
+            labels=tuple(f"rho_{i + 1}{j + 1}" for i, j in pairs)))
+    return series
+
+
+def frequency_metrics(tensor: ChannelTensor, n_avg: int = DEFAULT_N_AVG,
+                      stride: int | None = None) -> list[MetricSeries]:
+    """Eigenvalues and both ends' correlation magnitudes of a delay-domain
+    tensor, from one sliding pass that transforms each time step once and
+    never holds the CTF.
+
+    Returns the series of ``eigenvalue_series(cir_to_ctf(tensor))``, then
+    of ``correlation_matrix_series`` for 'tx' and 'rx', bit for bit: each
+    step's values depend only on its own row's DFT.
+    """
+    if tensor.domain != "delay":
+        raise ValueError("frequency_metrics expects a delay-domain tensor")
+    return _frequency_series(tensor, n_avg, stride, True,
+                             (("tx", _pairs(tensor.m_tx)), ("rx", _pairs(tensor.m_rx))))
+
+
 def eigenvalue_series(tensor: ChannelTensor, n_avg: int = DEFAULT_N_AVG,
                       stride: int | None = None) -> MetricSeries:
     """Eigenvalues of the window-averaged H H^H of the normalized channel.
@@ -249,32 +373,7 @@ def eigenvalue_series(tensor: ChannelTensor, n_avg: int = DEFAULT_N_AVG,
     """
     if tensor.domain != "frequency":
         raise ValueError("eigenvalue_series expects a frequency-domain tensor")
-    stride = n_avg if stride is None else stride
-    starts = _window_starts(tensor.n_time, n_avg, stride)
-    m_min = min(tensor.m_rx, tensor.m_tx)
-    n_mat = n_avg * tensor.n_bins                  # channel matrices per window
-    data = tensor.data
-    grams = np.empty((n_avg, tensor.m_rx, tensor.m_rx), dtype=complex)
-
-    def gram(a, b):
-        x = _upcast(data[a:b]).reshape(b - a, tensor.m_rx, -1)
-        return (x @ np.conj(x).transpose(0, 2, 1),)
-
-    vals = np.full((len(starts), m_min), np.nan)
-    for k in _sliding(data, starts, n_avg, (grams,), gram):
-        gram = grams.sum(axis=0)
-        mean_fro2 = float(np.trace(gram).real) / n_mat
-        if mean_fro2 == 0.0:
-            continue
-        r = (m_min / mean_fro2) * gram / n_mat
-        lam = np.linalg.eigvalsh(r)[::-1][:m_min]
-        lam = np.maximum(lam, 0.0)
-        lam[lam < lam.max() * 1e-12] = 0.0  # numerical zeros -> -inf dB sentinel
-        with np.errstate(divide="ignore"):
-            vals[k] = 10.0 * np.log10(lam)
-    labels = tuple(f"lambda_{i + 1}" for i in range(m_min))
-    return MetricSeries(kind="eigenvalues", times=_window_times(tensor, starts, n_avg),
-                        values=vals, unit="dB", labels=labels)
+    return _frequency_series(tensor, n_avg, stride, True, ())[0]
 
 
 def _end_elements(tensor: ChannelTensor, end: str) -> tuple[str, int]:
@@ -285,52 +384,6 @@ def _end_elements(tensor: ChannelTensor, end: str) -> tuple[str, int]:
     if end not in ("tx", "rx"):
         raise ValueError("end must be 'tx' or 'rx'")
     return end, tensor.m_tx if end == "tx" else tensor.m_rx
-
-
-def _element(chunk: np.ndarray, end: str, i: int) -> np.ndarray:
-    """(rows, opposite-end elements, n_bins) samples of element ``i`` in a
-    chunk of whole time rows."""
-    return chunk[:, i, :, :] if end == "rx" else chunk[:, :, i, :]
-
-
-def _element_power(tensor: ChannelTensor, end: str, i: int) -> np.ndarray:
-    """(n_time, n_bins) power of element ``i`` summed over the opposite end."""
-    out = np.empty((tensor.n_time, tensor.n_bins))
-    for a, b in _chunks(tensor.data):
-        out[a:b] = (np.abs(_element(_upcast(tensor.data[a:b]), end, i)) ** 2).sum(axis=1)
-    return out
-
-
-def _pair_correlation(tensor: ChannelTensor, end: str, i: int, j: int, p_i: np.ndarray,
-                      p_j: np.ndarray, starts: np.ndarray, n_avg: int) -> np.ndarray:
-    """Complex window correlation of elements ``i`` and ``j`` with powers
-    ``p_i`` and ``p_j``; NaN where every sample of a window is skipped.
-
-    Each time step's per-bin ratio of the pair product to the power product
-    is computed once, in time chunks taken as whole rows so the products
-    see the same memory layout whatever the input precision.  Each product
-    is computed as ``conj(.) *= other``, the form numpy gives a whole-tensor
-    ``a * np.conj(b)`` or ``np.conj(a) * b`` of 256 KiB or more (it reuses
-    the temporary and puts it first); with fused multiply-adds the complex
-    product rounds differently in that form.
-    """
-    ratio = np.empty((n_avg, tensor.n_bins), dtype=complex)
-    ok = np.empty((n_avg, tensor.n_bins), dtype=bool)    # both powers nonzero
-
-    def step(a, b):
-        chunk = _upcast(tensor.data[a:b])
-        x, y = _element(chunk, end, i), _element(chunk, end, j)
-        prod, other = (np.conj(y), x) if end == "rx" else (np.conj(x), y)
-        num = np.multiply(prod, other, out=prod).sum(axis=1)
-        den = np.sqrt(p_i[a:b] * p_j[a:b])
-        nonzero = den > 0
-        return np.divide(num, den, out=num, where=nonzero), nonzero
-
-    vals = np.full(len(starts), np.nan, dtype=complex)
-    for k in _sliding(tensor.data, starts, n_avg, (ratio, ok), step):
-        if ok.any():
-            vals[k] = ratio[ok].sum() / ok.sum()
-    return vals
 
 
 def antenna_correlation(tensor: ChannelTensor, end: str, i: int, j: int,
@@ -350,30 +403,18 @@ def antenna_correlation(tensor: ChannelTensor, end: str, i: int, j: int,
         raise ValueError("element indices must differ")
     if not (0 <= i < n_el and 0 <= j < n_el):
         raise ValueError("element index out of range")
-    stride = n_avg if stride is None else stride
-    starts = _window_starts(tensor.n_time, n_avg, stride)
-    vals = _pair_correlation(tensor, end, i, j, _element_power(tensor, end, i),
-                             _element_power(tensor, end, j), starts, n_avg)
-    return MetricSeries(kind=f"correlation_{end}", times=_window_times(tensor, starts, n_avg),
-                        values=vals if complex_values else np.abs(vals), unit="",
-                        labels=(f"rho_{i + 1}{j + 1}",))
+    series = _frequency_series(tensor, n_avg, stride, False, ((end, [(i, j)]),), False)[0]
+    vals = series.values[:, 0].copy()
+    return replace(series, values=vals if complex_values else np.abs(vals))
 
 
 def correlation_matrix_series(tensor: ChannelTensor, end: str,
                               n_avg: int = DEFAULT_N_AVG,
                               stride: int | None = None) -> MetricSeries:
     """|rho| for every element pair of one end, one column per pair; each
-    element's power is computed once and shared by its pairs."""
+    element's power is computed once per time step and shared by its pairs."""
     end, n_el = _end_elements(tensor, end)
-    stride = n_avg if stride is None else stride
-    starts = _window_starts(tensor.n_time, n_avg, stride)
-    power = [_element_power(tensor, end, i) for i in range(n_el)]
-    pairs = [(i, j) for i in range(n_el) for j in range(i + 1, n_el)]
-    cols = [np.abs(_pair_correlation(tensor, end, i, j, power[i], power[j], starts, n_avg))
-            for i, j in pairs]
-    return MetricSeries(kind=f"correlation_{end}", times=_window_times(tensor, starts, n_avg),
-                        values=np.column_stack(cols), unit="",
-                        labels=tuple(f"rho_{i + 1}{j + 1}" for i, j in pairs))
+    return _frequency_series(tensor, n_avg, stride, False, ((end, _pairs(n_el)),))[0]
 
 
 def _format_value(v: float, db_column: bool) -> str:

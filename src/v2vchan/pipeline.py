@@ -12,12 +12,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .channel import (ChannelTensor, PathInterpolator, SimConfig, cir_to_ctf,
-                      synthesize_tensor)
-from .metrics import (apply_noise_threshold,
-                      channel_gain, compute_apdp, compute_dsd,
-                      correlation_matrix_series, eigenvalue_series,
-                      estimate_noise_floor, estimate_noise_floor_dsd,
+# cir_to_ctf, correlation_matrix_series and eigenvalue_series are re-exported:
+# perfbench's tracer hooks them by name in this module.
+from .channel import (ChannelTensor, PathInterpolator, SimConfig,  # noqa: F401
+                      cir_to_ctf, synthesize_tensor)
+from .metrics import (apply_noise_threshold, channel_gain,  # noqa: F401
+                      compute_apdp, compute_dsd, correlation_matrix_series,
+                      eigenvalue_series, estimate_noise_floor,
+                      estimate_noise_floor_dsd, frequency_metrics,
                       rms_delay_spread, rms_doppler_spread)
 from .raytracer import TracerConfig, trace_snapshot
 from .scene import Scene, Trajectory
@@ -80,6 +82,11 @@ def analyze_tensor(tensor: ChannelTensor, n_avg: int, stride: int | None = None,
     set, the measurement-style noise thresholding (floor plus 3 dB) is
     applied to the APDP and DSD before gain and spreads, each profile with
     its own estimated floor.
+
+    The eigenvalues and correlations come from one sliding pass over the
+    delay tensor (:func:`metrics.frequency_metrics`) that transforms each
+    time chunk to the frequency domain once and never holds the CTF, so
+    beside the tensor only chunk- and window-sized buffers are live.
     """
     if tensor.domain != "delay":
         raise ValueError("analyze_tensor expects a delay-domain tensor")
@@ -88,9 +95,6 @@ def analyze_tensor(tensor: ChannelTensor, n_avg: int, stride: int | None = None,
     if threshold:
         apdp = apply_noise_threshold(apdp, estimate_noise_floor(apdp))
         dsd = apply_noise_threshold(dsd, estimate_noise_floor_dsd(dsd))
-    ctf = cir_to_ctf(tensor)
     series = (channel_gain(apdp), rms_delay_spread(apdp), rms_doppler_spread(dsd),
-              eigenvalue_series(ctf, n_avg=n_avg, stride=stride),
-              correlation_matrix_series(ctf, "tx", n_avg=n_avg, stride=stride),
-              correlation_matrix_series(ctf, "rx", n_avg=n_avg, stride=stride))
+              *frequency_metrics(tensor, n_avg=n_avg, stride=stride))
     return {**{s.kind: s for s in series}, "apdp": apdp, "dsd": dsd}

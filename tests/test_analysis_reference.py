@@ -23,7 +23,7 @@ from v2vchan import channel
 from v2vchan.channel import (_HEADER_FMT, TENSOR_MAGIC, TENSOR_VERSION, ChannelTensor,
                              add_measurement_noise, cir_to_ctf, ctf_to_cir, hann_window,
                              save_tensor)
-from v2vchan.metrics import (Apdp, Dsd, _element_power, _pair_correlation,
+from v2vchan.metrics import (Apdp, Dsd, _pairs, _step_values,
                              _window_starts, _window_times, antenna_correlation,
                              apply_noise_threshold, channel_gain, compute_apdp, compute_dsd,
                              correlation_matrix_series, eigenvalue_series,
@@ -101,6 +101,17 @@ def reference_pair_correlation(tensor, end, i, j, starts, n_avg):
             continue
         vals[k] = (num[ok] / den[ok]).sum() / ok.sum()
     return vals
+
+
+def reference_pair_ratio(tensor, end, i, j):
+    """Per-step ratio of a pair's product to its power product, formed from
+    whole-tensor products as :func:`reference_pair_correlation` forms it,
+    and where that power product is nonzero."""
+    a, b = _reference_element(tensor, end, i), _reference_element(tensor, end, j)
+    num = ((a * np.conj(b)) if end == "rx" else (np.conj(a) * b)).sum(axis=1)
+    den = np.sqrt(reference_element_power(tensor, end, i) * reference_element_power(tensor, end, j))
+    ok = den > 0
+    return num[ok] / den[ok], ok
 
 
 def reference_correlations(tensor, end, n_avg, stride=None):
@@ -237,12 +248,19 @@ def test_frequency_metrics_equal_reference(chunk_rows, n_time, n_avg, stride):
 
 @pytest.mark.parametrize("end", ["tx", "rx"])
 def test_pair_correlation_equals_reference(chunk_rows, end):
+    """The per-step kernel's (ratio, ok) of each pair, run chunk by chunk,
+    and the windows ``antenna_correlation`` forms from them."""
     t = _tensor("frequency", random_data(3, (40, 4, 4, NB)))
     starts = _window_starts(40, 6, 2)
-    for i, j in [(0, 1), (0, 3), (2, 3)]:
-        p_i, p_j = _element_power(t, end, i), _element_power(t, end, j)
-        assert_bits(p_i, reference_element_power(t, end, i))
-        assert_bits(_pair_correlation(t, end, i, j, p_i, p_j, starts, 6),
+    pairs = [(0, 1), (0, 3), (2, 3)]
+    steps = [_step_values(t.data[a:b], False, ((end, pairs),))
+             for a, b in channel._chunks(t.data)]
+    ratio, ok = (np.concatenate(parts) for parts in zip(*steps))
+    for p, (i, j) in enumerate(pairs):
+        want_ratio, want_ok = reference_pair_ratio(t, end, i, j)
+        assert np.array_equal(ok[:, p], want_ok)
+        assert_bits(ratio[:, p][ok[:, p]], want_ratio)
+        assert_bits(antenna_correlation(t, end, i, j, 6, 2, complex_values=True).values,
                     reference_pair_correlation(t, end, i, j, starts, 6))
 
 
@@ -275,6 +293,27 @@ def test_analysis_equals_reference(chunk_rows, threshold, stride):
     want = reference_analysis(t, 8, stride, threshold)
     for name, values in want.items():
         assert_bits(got[name].values, values)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["c128", "c64"])
+@pytest.mark.parametrize("n_time, n_avg, stride", WINDOWS)
+def test_analysis_equals_public_ctf_metrics(chunk_rows, dtype, n_time, n_avg, stride):
+    """The one pass of ``analyze_tensor`` over the delay tensor gives what the
+    public frequency-domain functions give on ``cir_to_ctf`` of it, bit for
+    bit, so the two routes cannot drift apart."""
+    t = _tensor("delay", random_data(10, (n_time, 4, 4, NB), dtype))
+    got = analyze_tensor(t, n_avg, stride)
+    ctf = cir_to_ctf(t)
+    want = eigenvalue_series(ctf, n_avg, stride)
+    assert_bits(got["eigenvalues"].values, want.values)
+    assert_bits(got["eigenvalues"].times, want.times)
+    for end in ("tx", "rx"):
+        series, want = got[f"correlation_{end}"], correlation_matrix_series(ctf, end, n_avg, stride)
+        assert_bits(series.values, want.values)
+        assert series.labels == want.labels
+        for col, (i, j) in enumerate(_pairs(4)):
+            rho = antenna_correlation(ctf, end, i, j, n_avg, stride, complex_values=True)
+            assert_bits(np.ascontiguousarray(series.values[:, col]), np.abs(rho.values))
 
 
 # --- complex64 input is analysed as its complex128 copy ----------------------------
@@ -310,9 +349,10 @@ def test_complex64_input_equals_its_complex128_copy(chunk_rows, tmp_path):
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 def test_analysis_heap_is_bounded(dtype):
-    """Beside the tensor, ``analyze_tensor`` holds the CTF (one complex128
-    tensor) and only window- and chunk-sized buffers, so its extra heap stays
-    within 1.25 times the tensor's complex128 size."""
+    """Beside the tensor, ``analyze_tensor`` holds only window- and
+    chunk-sized buffers (it never holds the CTF), so at 600 steps and n_avg
+    91 its extra heap stays within a quarter of the tensor's complex128
+    size."""
     data = random_data(9, (600, 4, 4, 193), dtype)
     t = _tensor("delay", data)
     tracemalloc.start()
@@ -323,4 +363,4 @@ def test_analysis_heap_is_bounded(dtype):
     finally:
         tracemalloc.stop()
     size = data.size * 16
-    assert peak <= 1.25 * size, (peak / size, peak, size)
+    assert peak <= 0.25 * size, (peak / size, peak, size)

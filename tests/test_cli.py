@@ -172,6 +172,22 @@ class TestAnalyzeCommand:
         bad = write_tensor(tmp / "bad.v2vc", **header)
         assert main(["analyze", str(bad), "-c", str(cfg)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)],
+                             ids=["nan", "inf", "-inf", "nan-imag"])
+    @pytest.mark.parametrize("where", [(0, 0, 0, 0), (17, 1, 0, 33), (39, 1, 1, 63)],
+                             ids=["first", "middle", "last"])
+    def test_non_finite_payload_exit_3(self, tmp_path, write_tensor, capsys, value, where):
+        """One NaN or inf value anywhere in the payload is a data error,
+        not an empty or infinite metric cell."""
+        payload = np.ones((40, 2, 2, 64), dtype=np.complex64)
+        payload[where] = value
+        path = write_tensor(tmp_path / "t.v2vc", payload=payload.tobytes(),
+                            n_time=40, m_rx=2, m_tx=2, n_bins=64)
+        out = tmp_path / "out"
+        assert main(["analyze", str(path), "--n-avg", "8", "-o", str(out)]) == EXIT_DATA
+        assert "non-finite payload value" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_avg", ["1", "5"])
     def test_window_the_tensor_cannot_hold_exit_2(self, tmp_path, write_tensor, capsys, n_avg):
         path = write_tensor(tmp_path / "t.v2vc")     # 4 time steps

@@ -209,6 +209,7 @@ def test_load_tensor_raises_only_documented_errors(tmp_path_factory, raw):
         assert min(tensor.data.shape) >= 1 and tensor.dt > 0 and tensor.dbin > 0
         assert np.isfinite([tensor.t0, tensor.dt, tensor.bin0, tensor.dbin,
                             tensor.carrier_frequency]).all()
+        assert np.isfinite(tensor.data).all()
 
 
 @pytest.mark.parametrize("dims", [
