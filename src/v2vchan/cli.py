@@ -156,6 +156,13 @@ def _load_run_inputs(cfg: RunConfig):
 def _traced_snapshots(cfg: RunConfig, scene, tx, rx):
     if max(tx.t[0], rx.t[0]) > min(tx.t[-1], rx.t[-1]):
         raise ConfigError(f"{cfg.tx_trajectory} and {cfg.rx_trajectory} do not overlap in time")
+    if cfg.tracer.enable_diffuse:
+        # counted before any worker starts, without building the tile table
+        # that every trace job would then carry
+        try:
+            scene.tile_cells(cfg.tracer.tile_size)
+        except ValueError as e:
+            raise ConfigError(f"{cfg.scene}: {e}") from e
     return trace_trajectory(scene, tx, rx, cfg.tracer, cfg.sim.coarse_trace_dt,
                             workers=cfg.workers)
 

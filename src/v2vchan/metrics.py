@@ -302,6 +302,7 @@ def _frequency_series(tensor: ChannelTensor, n_avg: int, stride: int | None, gra
     steps' Gram matrices), then per ``(end, pairs)`` of ``ends`` one column
     per pair of the correlation, |rho| when ``magnitudes`` is set (a window
     averages a pair's ratios where its ``ok`` is set, NaN where none is).
+    An end of one element has no pairs, and its values are (windows, 0).
     """
     stride = n_avg if stride is None else stride
     starts = _window_starts(tensor.n_time, n_avg, stride)
@@ -337,7 +338,7 @@ def _frequency_series(tensor: ChannelTensor, n_avg: int, stride: int | None, gra
     for (end, pairs), vals in zip(ends, corr):
         series.append(MetricSeries(
             kind=f"correlation_{end}", times=times.copy(), unit="",
-            values=np.column_stack([np.abs(v) if magnitudes else v for v in vals]),
+            values=np.ascontiguousarray((np.abs(vals) if magnitudes else vals).T),
             labels=tuple(f"rho_{i + 1}{j + 1}" for i, j in pairs)))
     return series
 
@@ -412,7 +413,8 @@ def correlation_matrix_series(tensor: ChannelTensor, end: str,
                               n_avg: int = DEFAULT_N_AVG,
                               stride: int | None = None) -> MetricSeries:
     """|rho| for every element pair of one end, one column per pair; each
-    element's power is computed once per time step and shared by its pairs."""
+    element's power is computed once per time step and shared by its pairs.
+    An end of one element gives no columns."""
     end, n_el = _end_elements(tensor, end)
     return _frequency_series(tensor, n_avg, stride, False, ((end, _pairs(n_el)),))[0]
 
@@ -426,7 +428,8 @@ def _format_value(v: float, db_column: bool) -> str:
 
 
 def series_to_csv(series: MetricSeries, path) -> None:
-    """Write ``t_s,value`` (or one column per label); missing values empty."""
+    """Write ``t_s,value`` (or one column per label, so only ``t_s`` for a
+    series without columns); missing values empty."""
     db = series.unit == "dB"
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -446,7 +449,7 @@ def _read_timed_csv(path, header=None) -> tuple[list[str], np.ndarray, list]:
     SeriesFormatError for a malformed file.  The times must be finite and
     strictly increasing: the nearest-window lookups bisect them.
     """
-    header, rows = _read_table(path, SeriesFormatError, header)
+    header, rows = _read_table(path, SeriesFormatError, header, min_fields=1)
     times = []
     for line, cells in rows:
         try:
@@ -460,8 +463,9 @@ def _read_timed_csv(path, header=None) -> tuple[list[str], np.ndarray, list]:
 
 
 def series_from_csv(path, kind: str = "", unit: str = "") -> MetricSeries:
-    """Read a :func:`series_to_csv` file; empty fields read as NaN.  A
-    malformed file raises SeriesFormatError."""
+    """Read a :func:`series_to_csv` file; empty fields read as NaN, and a
+    file of ``t_s`` alone as a series without columns.  A malformed file
+    raises SeriesFormatError."""
     header, times, rows = _read_timed_csv(path)
     vals = []
     for line, cells in rows:

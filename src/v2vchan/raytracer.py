@@ -43,8 +43,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .antenna import vh_basis
-from .scene import (Material, Scene, _cross, occlusion_test, occlusion_test_batch,
-                    occlusion_test_fan)
+from .scene import (Material, Scene, _cross, _fan_planes, occlusion_test, occlusion_test_batch,
+                    occlusion_test_blocks, occlusion_test_fan)
 
 SPEED_OF_LIGHT = 299792458.0
 VACUUM_PERMITTIVITY = 8.8541878128e-12
@@ -408,6 +408,58 @@ def _reflection_points(scene: Scene, tx, rx, seqs: np.ndarray,
     return seqs[ok], pts[ok]
 
 
+#: Tiles per occlusion batch of :func:`lambertian_diffuse`'s strongest-first loop.
+_CHUNK = 1024
+
+
+def _diffuse_blocks(scene: Scene, ends, planes, tile_size: float, lam: float,
+                    floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1 and 2 of :func:`lambertian_diffuse` for the ``ends`` (TX, RX),
+    whose fans have the ``planes`` of :func:`~v2vchan.scene._fan_planes`,
+    at the lowest floor ``floor`` (a power) and wavelength ``lam``.
+
+    Returns, for each block of :meth:`Scene.tile_blocks`, whether any of
+    its tiles can be returned (live, (B,)), and whether its tiles need the
+    fan test from TX and from RX ((2, B)).
+    """
+    _, center, radius, area, sid, corners, count = scene.tile_blocks(tile_size)
+    scatter = np.array([s.material.scattering_coefficient for s in scene.surfaces])[sid]
+    reach = radius * (1.0 + 1e-9) + 1e-9
+    # the heights' widening: |c| + R + X
+    scale = (np.sqrt(np.einsum("bk,bk->b", center, center)) + reach
+             + float(np.linalg.norm(np.abs(scene.bounding_box).max(axis=0))))
+    dist, near, height = [], [], []
+    for end in ends:
+        rel = center - end
+        dist.append(np.sqrt(np.einsum("bk,bk->b", rel, rel)))
+        near.append(np.maximum(dist[-1] - reach, 0.0))
+        height.append((scene.normals @ end - scene.offsets)[sid]
+                      + 1e-9 * (1.0 + float(np.linalg.norm(end)) + scale))
+    cosine = [np.divide(h, d, out=np.ones_like(h), where=(h > 0.0) & (h < d))
+              for h, d in zip(height, near)]
+    bound = (scatter ** 2 * area * (lam / (4.0 * math.pi)) ** 2 / math.pi * (1.0 + 1e-6)
+             * cosine[0] * cosine[1])
+    live = ((height[0] > 0.0) & (height[1] > 0.0) & (scatter > 0.0)
+            & (bound >= floor * (near[0] * near[1]) ** 2))
+
+    # blocks hidden from an end drop out; those clear from it skip its fan
+    # tests.  A block is worth its four corners when it holds more tiles,
+    # and a pass when its blocks hold more tiles than one chunk of the
+    # per-tile loop, which tests them in one fan call anyway
+    fan = np.ones((2, len(live)), dtype=bool)
+    cand = np.flatnonzero(live & (count > 4))
+    for k, end in enumerate(ends):
+        if count[cand].sum() <= _CHUNK:
+            break
+        hidden, clear = occlusion_test_blocks(scene, end, corners[cand],
+                                              dist[k][cand] - reach[cand],
+                                              dist[k][cand] + reach[cand], k == 1, planes[k])
+        live[cand[hidden]] = False
+        fan[k, cand[clear]] = False
+        cand = cand[~hidden]
+    return live, fan
+
+
 def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
                        frequency: float = 5.9e9, *, cull_db: float | None = None,
                        known_best_gain: float = 0.0) -> PathSet:
@@ -427,29 +479,54 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
     stronger of ``known_best_gain`` and the strongest tile returned.  Tiles
     below it are not returned, and the result equals the exhaustive one
     (every doubly visible tile) filtered at that floor.  Work on tiles that
-    cannot clear it is skipped in three steps:
+    cannot be returned is skipped in four steps:
 
     1. Every tile of a block of :meth:`Scene.tile_blocks` (center c, radius
        R, largest area A, scattering coefficient S) lies within R of c, so
        r1 >= d1 - R and r2 >= d2 - R, d1 and d2 the distances of c from TX
-       and RX; with both cosines at most 1 its power is at most
-       S^2 A / (pi (d1 - R)^2 (d2 - R)^2) (lambda / 4 pi)^2.  A block whose
-       bound is below ``known_best_gain`` times the relative floor, the
-       lowest the floor can be, is dropped before any of its tiles is
-       evaluated.  R is widened by a part in 1e9 and 1 nm, and the bound by
-       a part in 1e6, so the rounding of the tiles' own values cannot put
-       one of them above a bound it was dropped under.
-    2. Of the tiles left, only those at or above that lowest floor are
+       and RX.  Every tile also lies in its surface's plane (unit normal n,
+       offset o), so cos_i = h1 / r1 and cos_s = h2 / r2, where h1 = n.tx - o
+       and h2 = n.rx - o are the heights of the ends over that plane, the
+       same for every tile of the surface.  Its power is therefore at most
+       S^2 A / (pi (d1 - R)^2 (d2 - R)^2) (lambda / 4 pi)^2 times
+       min(1, h1 / (d1 - R)) min(1, h2 / (d2 - R)).  A block is dropped
+       before any of its tiles is evaluated when that bound is below
+       ``known_best_gain`` times the relative floor, the lowest the floor
+       can be, when either height is <= 0 (its tiles fail the front-side
+       test), or when S = 0.  R is widened by a part in 1e9 and 1 nm, and
+       the bound by a part in 1e6, so the rounding of the tiles' own values
+       cannot put one of them above a bound it was dropped under.  Each
+       height is widened by 1 nm plus a part in 1e9 of |end| + |c| + R + X,
+       X the norm of the scene's largest vertex coordinates: a tile's
+       computed n.(end - p) differs from the computed height by its center's
+       distance from the plane (the rounding of ``v0 + u e_u + v e_v`` and
+       of ``o``, a few u (|v0| + |p|): 0 on the axis-aligned bundled
+       scenes, up to 3e-14 m on tilted 10 m quads 50 m from the origin)
+       and by the rounding of :func:`_rowdot` and of the height itself, a
+       few u (|end| + |p| + |o|); every such length is below |end| + 4X,
+       and u = 2**-53 is seven orders below a part in 1e9.
+    2. Of the blocks left, those holding more tiles than their four corners
+       are tested for visibility as a whole from TX, then from RX
+       (:func:`~v2vchan.scene.occlusion_test_blocks`, the fan test at the
+       block's corners, at distances widened as R is), when together they
+       hold more tiles than one chunk of step 4.  A block hidden from
+       either end is dropped; the tiles of a block clear from one end skip
+       that end's fan test.  Other blocks' tiles take the per-tile test.
+    3. Of the tiles left, only those at or above the lowest floor are
        sorted, strongest first.
-    3. Tiles provably below the floor reached so far are skipped before
+    4. Tiles provably below the floor reached so far are skipped before
        their occlusion tests (in chunks), and the tiles kept before the
        strongest one was confirmed are filtered again at the final floor.
 
-    A tile dropped in step 1 or 2 is below the final floor, which is never
-    lower than the first, so it was not in the filtered exhaustive result;
-    the tiles left keep their table order, so ties sort as they would.
-    With ``cull_db=None`` every doubly visible tile is returned.  Paths come
-    out sorted by length, ties in (surface id, tile id) order.
+    A tile dropped in step 1 or 3 is below the final floor, which is never
+    lower than the first, or faces away from an end, so it was not in the
+    filtered exhaustive result, and one dropped in step 2 is not visible.
+    The result is the visible tiles at or above the final floor, which is
+    set by the strongest visible tile whatever the chunks hold, so dropping
+    tiles does not move it; the tiles left keep their table order, so ties
+    sort as they would.  With ``cull_db=None`` every doubly visible tile is
+    returned.  Paths come out sorted by length, ties in (surface id, tile
+    id) order.
     """
     tx, rx = _endpoints(tx, rx)
     lam = SPEED_OF_LIGHT / frequency
@@ -457,19 +534,15 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
     rel = 10.0 ** (cull_db / 10.0) if cull_db is not None else 0.0
     floor = known_best_gain * rel
 
-    # the tiles of the blocks whose bound clears the lowest floor, by one mask
-    sids, centers, areas, tids = scene.tiles(tile_size)
-    if floor > 0.0:
-        block, b_center, b_radius, b_area, b_scatter = scene.tile_blocks(tile_size)
-        reach = b_radius * (1.0 + 1e-9) + 1e-9
-        d1 = np.maximum(np.linalg.norm(b_center - tx, axis=1) - reach, 0.0)
-        d2 = np.maximum(np.linalg.norm(b_center - rx, axis=1) - reach, 0.0)
-        bound = b_scatter ** 2 * b_area * (lam / (4.0 * math.pi)) ** 2 / math.pi * (1.0 + 1e-6)
-        rows = np.flatnonzero((bound >= floor * (d1 * d2) ** 2)[block])
-        sids, centers, areas, tids = (x[rows] for x in (sids, centers, areas, tids))
+    planes = [_fan_planes(scene, end) for end in (tx, rx)]
+    live, fan = _diffuse_blocks(scene, (tx, rx), planes, tile_size, lam, floor)
 
     # candidate tiles (front side of both endpoints) with exact amplitudes;
     # occlusion is the only unknown left
+    sids, centers, areas, tids = scene.tiles(tile_size)
+    block = scene.tile_blocks(tile_size)[0]
+    rows = np.flatnonzero(live[block])
+    sids, centers, areas, tids, blk = (x[rows] for x in (sids, centers, areas, tids, block))
     v1 = centers - tx                    # tx -> tile
     v2 = rx - centers                    # tile -> rx
     r1 = np.linalg.norm(v1, axis=1)
@@ -483,29 +556,38 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
            * np.sqrt(areas[front]) / (r1[front] * r2[front]) * lam / (4.0 * math.pi))
     above = mag ** 2 >= floor
     front, mag = front[above], mag[above]
-    sids, centers, tids, v1, v2, r1, r2 = (
-        x[front] for x in (sids, centers, tids, v1, v2, r1, r2))
+    sids, centers, tids, v1, v2, r1, r2, blk = (
+        x[front] for x in (sids, centers, tids, v1, v2, r1, r2, blk))
+    fan = fan[:, blk]
+
+    def unblocked(sel, toward_rx):
+        """``sel`` without the tiles whose segment (TX -> tile, or tile -> RX
+        with ``toward_rx``) the fan test finds blocked, testing only those
+        whose block needs it."""
+        t = fan[int(toward_rx), sel]
+        p = centers[sel[t]]
+        blocked = np.zeros(len(sel), dtype=bool)
+        blocked[t] = (occlusion_test_fan(scene, p, rx, planes[1]) if toward_rx
+                      else occlusion_test_fan(scene, tx, p, planes[0]))
+        return sel[~blocked]
 
     # strongest candidates first so the cull floor is confirmed early
     order = np.lexsort((tids, sids, -mag))
     keep = np.zeros(len(order), dtype=bool)
     best_gain = known_best_gain
-    chunk = 1024
     pos = 0
     while pos < len(order):
-        sel = order[pos:pos + chunk]
+        sel = order[pos:pos + _CHUNK]
         if cull_db is not None:
             above = mag[sel] ** 2 >= best_gain * rel
             if not above.any():
                 break  # everything further down is weaker still
             sel = sel[above]
-        sel = sel[~occlusion_test_fan(scene, tx, centers[sel])]
-        if len(sel):
-            sel = sel[~occlusion_test_fan(scene, centers[sel], rx)]
+        sel = unblocked(unblocked(sel, False), True)
         if len(sel):
             keep[sel] = True
             best_gain = max(best_gain, float(np.max(mag[sel]) ** 2))
-        pos += chunk
+        pos += _CHUNK
     # tiles kept before the strongest one was confirmed may sit below the floor
     keep &= mag ** 2 >= best_gain * rel
 

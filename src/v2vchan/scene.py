@@ -34,6 +34,12 @@ through :func:`occlusion_test_batch`, so the result equals the exact test
 element for element.  LOS and specular sub-segments share no endpoint and
 use the exact test directly.
 
+:func:`occlusion_test_blocks` decides whole blocks of tiles for the fan at
+once: the fan's values are affine in the far endpoint, so their extremes
+over a block's rectangle are at its four corners, and a block is hidden
+(one triangle a guarded hit at every corner) or clear (every triangle a
+guarded miss at every corner) or left to the per-tile test.
+
 Point in polygon
 ----------------
 A scene builds one read-only edge table on construction: every surface's
@@ -58,6 +64,7 @@ PLANARITY_TOL = 1e-6
 INTERSECT_TOL = 1e-9
 BOUNDING_MARGIN = 1.0      # m around the vertices in Scene.bounding_box
 TILE_BLOCK = 4             # grid cells along each side of a Scene.tile_blocks block
+MAX_TILE_CELLS = 10 ** 7   # grid cells Scene.tiles lays at most (about 0.6 GB of candidates)
 
 
 class SceneFormatError(ValueError):
@@ -295,9 +302,24 @@ class Scene:
         across calls, which path interpolation relies on when matching
         diffuse paths between snapshots.  The table is built once per tile
         size, with its :meth:`tile_blocks`, and shared read-only between
-        callers.  A tile size that is not finite and > 0 raises ValueError.
+        callers.  A tile size that :meth:`tile_cells` refuses raises
+        ValueError before anything is allocated.
         """
         return self._tile_tables(tile_size)[0]
+
+    def tile_cells(self, tile_size: float) -> int:
+        """The number of grid cells :meth:`tiles` lays at ``tile_size``,
+        counted from each polygon's in-plane extent without building or
+        caching any table.  A tile size that is not finite and > 0, or that
+        lays more than ``MAX_TILE_CELLS`` cells, raises ValueError."""
+        key = float(tile_size)
+        if not (math.isfinite(key) and key > 0):
+            raise ValueError(f"tile_size must be finite and > 0, not {tile_size!r}")
+        cells = sum((math.prod(_grid_shape(s, key).tolist()) for s in self.surfaces), 0.0)
+        if cells > MAX_TILE_CELLS:
+            raise ValueError(f"tile_size {tile_size!r} lays {cells:.3g} grid cells on the "
+                             f"scene, more than {MAX_TILE_CELLS}")
+        return int(cells)
 
     def tile_blocks(self, tile_size: float) -> tuple[np.ndarray, ...]:
         """The rows of :meth:`tiles` grouped into blocks of neighbouring tiles,
@@ -305,29 +327,33 @@ class Scene:
 
         A block holds the tiles of up to ``TILE_BLOCK`` x ``TILE_BLOCK``
         neighbouring cells of one surface's grid.  Returns (block (M,),
-        center (B, 3), radius (B,), area (B,), scattering (B,)): each row's
-        block id, and for each block the center of the rectangle its cells'
-        centers span, half that rectangle's diagonal, which no tile center is
-        farther from the block center, the largest tile area and its
-        surface's scattering coefficient.  A block whose cells all lie outside
-        the polygon has no rows.
+        center (B, 3), radius (B,), area (B,), surface (B,), corners
+        (B, 4, 3), count (B,)): each row's block id, and for each block the
+        center of the rectangle its cells' centers span, half that
+        rectangle's diagonal, which no tile center is farther from the block
+        center, the largest tile area, its surface's id, the rectangle's
+        four corners and the number of rows it holds.  The corners are the
+        centers of the block's corner cells, computed as the tile centers
+        are, so every tile center of the block is a convex combination of
+        them up to the rounding of the centers.  A block whose cells all lie
+        outside the polygon has no rows.
         """
         return self._tile_tables(tile_size)[1]
 
     def _tile_tables(self, tile_size: float) -> tuple[tuple[np.ndarray, ...], ...]:
         """The (tiles, tile blocks) tables of one tile size, built on first use."""
         key = float(tile_size)
-        if not (math.isfinite(key) and key > 0):
-            raise ValueError(f"tile_size must be finite and > 0, not {tile_size!r}")
         hit = self._tile_cache.get(key)
         if hit is not None:
             return hit
+        self.tile_cells(key)
         # every surface's grid cells as candidates, with their blocks, decided
         # in one batch; empty first parts give a scene without surfaces typed,
         # empty columns
         parts = [((np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0),
                    np.zeros(0, dtype=int), np.zeros(0, dtype=int)),
-                  (np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0)))]
+                  (np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0, dtype=int),
+                   np.zeros((0, 4, 3))))]
         first_block = 0
         for sid, s in enumerate(self.surfaces):
             parts.append(_surface_cells(s, sid, tile_size, first_block))
@@ -337,7 +363,9 @@ class Scene:
                                             for col in zip(*(c for c, _ in parts)))
         del parts       # the candidates are held once while they are decided
         keep = self.contains(sids, centers, strict=False)
-        cols = _packed([c[keep] for c in (sids, centers, areas, ids, block)] + blocks)
+        block = block[keep]
+        cols = _packed([c[keep] for c in (sids, centers, areas, ids)] + [block] + blocks
+                       + [np.bincount(block, minlength=first_block)])
         self._tile_cache[key] = tables = (tuple(cols[:4]), tuple(cols[4:]))
         return tables
 
@@ -362,13 +390,12 @@ def _surface_cells(s: Surface, sid: int, tile_size: float, first_block: int):
     """One surface's grid cells and blocks for :meth:`Scene.tile_blocks`.
 
     Returns the cells' (surface ids, centers, areas, tile ids, block ids)
-    and the blocks' (centers, radii, areas, scattering coefficients); block
+    and the blocks' (centers, radii, areas, surface ids, corners); block
     ids start at ``first_block``.
     """
     poly = s._poly2d
     lo, hi = poly.min(axis=0), poly.max(axis=0)
-    nu = max(1, int(math.ceil((hi[0] - lo[0]) / tile_size)))
-    nv = max(1, int(math.ceil((hi[1] - lo[1]) / tile_size)))
+    nu, nv = (int(n) for n in _grid_shape(s, tile_size))
     u = lo[0] + (np.arange(nu) + 0.5) * (hi[0] - lo[0]) / nu
     v = lo[1] + (np.arange(nv) + 0.5) * (hi[1] - lo[1]) / nv
     e_u, e_v = s._frame
@@ -389,10 +416,19 @@ def _surface_cells(s: Surface, sid: int, tile_size: float, first_block: int):
     radius = np.hypot(*np.meshgrid((u1 - u0) / 2, (v1 - v0) / 2, indexing="ij")).ravel()
     cells = (np.full(nu * nv, sid), points(*np.meshgrid(u, v, indexing="ij")),
              np.full(nu * nv, cell_area), np.arange(nu * nv), block)
+    corners = np.stack([points(*np.meshgrid(uu, vv, indexing="ij"))
+                        for uu, vv in ((u0, v0), (u1, v0), (u0, v1), (u1, v1))], axis=1)
     blocks = (points(*np.meshgrid((u0 + u1) / 2, (v0 + v1) / 2, indexing="ij")), radius,
-              np.full(len(radius), cell_area),
-              np.full(len(radius), s.material.scattering_coefficient))
+              np.full(len(radius), cell_area), np.full(len(radius), sid), corners)
     return cells, blocks
+
+
+def _grid_shape(s: Surface, tile_size: float) -> np.ndarray:
+    """The (nu, nv) grid cells of ``s`` at ``tile_size``, as floats that may
+    be inf: its in-plane extent over the tile size, rounded up, at least 1."""
+    poly = s._poly2d
+    with np.errstate(over="ignore"):
+        return np.maximum(1.0, np.ceil((poly.max(axis=0) - poly.min(axis=0)) / tile_size))
 
 
 def extrude_footprint(footprint, height: float, material: Material,
@@ -585,13 +621,15 @@ def occlusion_test(scene: Scene, start, end) -> bool:
 _FAN_GUARD = 128 * 2.0 ** -53
 
 
-def occlusion_test_fan(scene: Scene, starts, ends) -> np.ndarray:
+def occlusion_test_fan(scene: Scene, starts, ends, planes=None) -> np.ndarray:
     """:func:`occlusion_test_batch` for segments that share one endpoint.
 
     One of ``starts`` and ``ends`` is a single point (3,), the apex, and the
     other holds the segments' other endpoints (N, 3).  The result equals
     ``occlusion_test_batch`` on those segments element for element; the
-    module docstring says how.
+    module docstring says how.  ``planes`` may hold the apex's
+    :func:`_fan_planes`, for a caller that tests several batches from one
+    apex.
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
@@ -600,34 +638,16 @@ def occlusion_test_fan(scene: Scene, starts, ends) -> np.ndarray:
     if apex.shape != (3,):
         raise ValueError("one of starts and ends must be a single point")
     blocked = np.zeros(len(points), dtype=bool)
-    tri = scene._tri
-    n_tri = len(tri)
+    n_tri = len(scene._tri)
     if n_tri == 0 or len(points) == 0:
         return blocked
     w = points - apex
     length = np.linalg.norm(w, axis=1)
     ok = length > 0                 # as in occlusion_test_batch: empty or NaN segments are clear
     tol = INTERSECT_TOL / np.where(ok, length, 1.0)
-    # per-fan triangle constants, each triangle turned to face the apex:
-    # edge-plane normals through the apex, plane normal N and offset N.(v0 - apex)
-    a = tri - apex
-    normal = scene._tri_normal
-    offset = np.einsum("tk,tk->t", a[:, 0], normal)
-    cols = np.concatenate((_cross(a[:, 2], a[:, 0]), _cross(a[:, 0], a[:, 1]),
-                           _cross(a[:, 1], a[:, 2]), normal))
-    cols = (cols * np.tile(np.where(offset < 0, -1.0, 1.0), 4)[:, None]).T    # (3, 4T)
-    offset = np.abs(offset)
-    reach = np.linalg.norm(a, axis=2).max(axis=1)
-    edge, area2 = scene._tri_edge, scene._tri_area2
-    wmax = length[ok].max(initial=0.0)
-    band_t = _FAN_GUARD * edge ** 2 * ((2.0 if toward_apex else 1.0) * wmax + 2.0 * reach)
-    band_bary = _FAN_GUARD * wmax * (reach ** 2 + reach * edge + edge ** 2
-                                     + (wmax * edge if toward_apex else 0.0))
-    regular = offset > 3.0 * band_t + 2e-9 * area2 + 3e-14
-    bary_hit = np.where(regular, band_bary, np.inf)
-    bary_miss = np.where(regular, -(band_bary + 2e-12 * wmax * area2), -np.inf)
-    t_hit = np.where(regular, band_t, np.inf)
-    t_miss = np.where(regular, -band_t, -np.inf)
+    cols, offset, reach = _fan_planes(scene, apex) if planes is None else planes
+    bary_hit, bary_miss, t_hit, t_miss = _fan_bands(scene, offset, reach,
+                                                    length[ok].max(initial=0.0), toward_apex)
     unsure = np.zeros(len(points), dtype=bool)
     step = max(1, _PAIR_CHUNK // n_tri)
     for lo in range(0, len(points), step):
@@ -646,6 +666,106 @@ def occlusion_test_fan(scene: Scene, starts, ends) -> np.ndarray:
         blocked[idx] = (occlusion_test_batch(scene, points[idx], apexes) if toward_apex
                         else occlusion_test_batch(scene, apexes, points[idx]))
     return blocked
+
+
+def _fan_planes(scene: Scene, apex: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-apex triangle constants of :func:`occlusion_test_fan`: the
+    (3, 4T) columns whose products with ``w = point - apex`` are D u, D v,
+    D (1 - u - v) and D, each triangle turned to face the apex, the offsets
+    N . (v0 - apex) (T,) and the largest distances from the apex to each
+    triangle's vertices (T,)."""
+    # edge-plane normals through the apex, plane normal N and offset N.(v0 - apex)
+    a = scene._tri - apex
+    normal = scene._tri_normal
+    offset = np.einsum("tk,tk->t", a[:, 0], normal)
+    cols = np.concatenate((_cross(a[:, 2], a[:, 0]), _cross(a[:, 0], a[:, 1]),
+                           _cross(a[:, 1], a[:, 2]), normal))
+    cols = (cols * np.tile(np.where(offset < 0, -1.0, 1.0), 4)[:, None]).T    # (3, 4T)
+    return cols, np.abs(offset), np.linalg.norm(a, axis=2).max(axis=1)
+
+
+def _fan_bands(scene: Scene, offset: np.ndarray, reach: np.ndarray, wmax: float,
+               toward_apex: bool) -> tuple[np.ndarray, ...]:
+    """The guarded thresholds (bary_hit, bary_miss, t_hit, t_miss) (T,) of a
+    hit and a miss in :func:`occlusion_test_fan` for segments no longer
+    than ``wmax``; infinite for a triangle whose plane passes too close to
+    the apex to decide."""
+    edge, area2 = scene._tri_edge, scene._tri_area2
+    band_t = _FAN_GUARD * edge ** 2 * ((2.0 if toward_apex else 1.0) * wmax + 2.0 * reach)
+    band_bary = _FAN_GUARD * wmax * (reach ** 2 + reach * edge + edge ** 2
+                                     + (wmax * edge if toward_apex else 0.0))
+    regular = offset > 3.0 * band_t + 2e-9 * area2 + 3e-14
+    return (np.where(regular, band_bary, np.inf),
+            np.where(regular, -(band_bary + 2e-12 * wmax * area2), -np.inf),
+            np.where(regular, band_t, np.inf),
+            np.where(regular, -band_t, -np.inf))
+
+
+def occlusion_test_blocks(scene: Scene, apex, corners, near, far, toward_apex: bool = False,
+                          planes=None) -> tuple[np.ndarray, np.ndarray]:
+    """Decide whole blocks of fan segments at once, from their corners.
+
+    Block b holds segments between ``apex`` (3,) and points that are convex
+    combinations of its ``corners[b]`` (4, 3) up to the rounding of
+    :meth:`Scene.tiles` centers, at distances from the apex in
+    [``near[b]``, ``far[b]``]; the segments run toward the apex with
+    ``toward_apex``.  ``planes`` may hold the apex's :func:`_fan_planes`.
+    Returns (hidden (B,), clear (B,)): :func:`occlusion_test_fan`, and so
+    :func:`occlusion_test_batch`, finds every segment of a hidden block
+    blocked and every segment of a clear block unblocked.  A block that is
+    neither is undecided; so is every block with ``near`` at most 1e-6 m.
+
+    The fan's per-point values ``w @ cols`` are affine in the far endpoint,
+    so at any point of the block each lies between its smallest and its
+    largest value at the four corners, widened by a guard.  A block is
+    hidden when one triangle passes the fan's hit test at that worst case
+    (every edge term and the plane term above their bands) and clear when
+    every triangle fails it there (one edge term, or the plane term, below
+    the miss band).  The plane term is ``(1 - tol) D - offset`` with
+    ``tol = INTERSECT_TOL / |w|``, which is not affine; it is bounded with
+    ``tol`` at ``near`` or ``far``, whichever gives the larger (for a miss)
+    or smaller (for a hit) value.  The bands are the fan's at
+    ``W = max(far)``, which holds every |w| of the call.
+
+    Guard, for each column of length |col| (for an edge term, the longest
+    of the triangle's three), with u = 2**-53 and X the norm of the largest
+    vertex coordinates of the scene (the bounding box), so that every
+    vertex, tile center and block corner lies within 4X of the origin and
+    the apex within W + 4X:
+      - the fan's value at a point and at a corner each round by at most
+        4u |w| |col| (the difference ``w`` and a three-term product);
+      - a tile center and the same combination of the corners differ by at
+        most 45u X, the rounding of ``v0 + u e_u + v e_v`` at both;
+      - the plane term's own factor, product and difference, at most
+        u |N| (4W + 5X), as |offset| <= |N| (W + 5X).
+    That is below 62u (W + X) |col|; the guard is 128u (W + X) |col|.
+    """
+    apex = np.asarray(apex, dtype=float)
+    n_blk, n_tri = len(corners), len(scene._tri)
+    if n_tri == 0 or n_blk == 0:
+        return np.zeros(n_blk, dtype=bool), np.ones(n_blk, dtype=bool)
+    cols, offset, reach = _fan_planes(scene, apex) if planes is None else planes
+    bary_hit, bary_miss, t_hit, t_miss = _fan_bands(scene, offset, reach, float(np.max(far)),
+                                                    toward_apex)
+    # per (block, triangle): the corner extremes of each edge term and of the
+    # plane term, and the guard, an edge's taken for the triangle's longest
+    extent = float(np.linalg.norm(np.abs(scene.bounding_box).max(axis=0)))
+    norm = np.linalg.norm(cols, axis=0).reshape(4, n_tri)
+    scale = _FAN_GUARD * (far + extent)[:, None]
+    guard_edge, guard_plane = scale * norm[:3].max(axis=0), scale * norm[3]
+    m = ((corners.transpose(1, 0, 2) - apex).reshape(-1, 3) @ cols).reshape(4, n_blk, 4, n_tri)
+    lo, hi = m.min(axis=0), m.max(axis=0)
+    tol_near, tol_far = (INTERSECT_TOL / np.maximum(x, 1e-6)[:, None] for x in (near, far))
+    # hidden: one triangle hit at every point; clear: every triangle missed
+    plane_lo, plane_hi = lo[:, 3] - guard_plane, hi[:, 3] + guard_plane
+    hit = ((lo[:, :3].min(axis=1) - guard_edge > bary_hit)
+           & ((1.0 - tol_near) * plane_lo - offset > t_hit))
+    miss = ((hi[:, :3].min(axis=1) + guard_edge < bary_miss)
+            | (plane_hi - np.where(plane_hi >= 0.0, tol_far, tol_near) * plane_hi - offset
+               < t_miss))
+    hidden, clear = hit.any(axis=1), miss.all(axis=1)
+    decided = near > 1e-6
+    return hidden & decided, clear & decided & ~hidden
 
 
 def _uniform_times(times, what: str) -> np.ndarray:
@@ -744,16 +864,16 @@ def _read_text(path, error) -> str:
         raise error(f"{path}: not UTF-8 text: {e}") from e
 
 
-def _read_table(path, error, header=None, floats=False):
+def _read_table(path, error, header=None, floats=False, min_fields=2):
     """The header row and the ``(line, cells)`` rows of a CSV table, or with
     ``floats`` the rows as a float array.
 
     Every text table is read here.  The file is UTF-8; rows whose cells are
-    all blank are skipped.  The first row is the header, of at least two
-    fields, equal to ``header`` (fields stripped) when one is given; one or
-    more rows follow, each as long as the header, and with ``floats`` every
-    cell parses as a float.  Anything else raises ``error`` naming the file
-    and, for a row, its line.
+    all blank are skipped.  The first row is the header, of at least
+    ``min_fields`` fields, equal to ``header`` (fields stripped) when one is
+    given; one or more rows follow, each as long as the header, and with
+    ``floats`` every cell parses as a float.  Anything else raises ``error``
+    naming the file and, for a row, its line.
     """
     reader = csv.reader(io.StringIO(_read_text(path, error)))
     try:
@@ -761,8 +881,8 @@ def _read_table(path, error, header=None, floats=False):
     except csv.Error as e:
         raise error(f"{path}:{reader.line_num}: {e}") from e
     names = [c.strip() for c in rows[0][1]] if rows else []
-    if len(names) < 2 or (header is not None and names != list(header)):
-        want = ",".join(header) if header else "with two or more fields"
+    if len(names) < min_fields or (header is not None and names != list(header)):
+        want = ",".join(header) if header else f"with {min_fields} or more fields"
         raise error(f"{path}: expected header {want}")
     if len(rows) < 2:
         raise error(f"{path}: no rows after the header")

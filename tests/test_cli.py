@@ -82,6 +82,32 @@ class TestTraceCommand:
         assert first == second
 
 
+    @pytest.mark.parametrize("command", ["trace", "synthesize"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_too_small_tile_size_exit_2_before_tracing(self, run_dir, capsys, monkeypatch,
+                                                       command, workers):
+        """A tile size that would lay more grid cells than the cap is
+        refused from the count, before any tracing (and so any pool)
+        starts, and without building the tile table."""
+        import v2vchan.cli
+
+        def tracing(*args, **kwargs):
+            raise AssertionError("tracing started")
+
+        monkeypatch.setattr(v2vchan.cli, "trace_trajectory", tracing)
+        tmp, cfg = run_dir
+        doc = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps({**doc, "enable_diffuse": True, "tile_size": 1e-9}))
+        assert main([command, "-c", str(cfg), "--workers", str(workers)]) == EXIT_CONFIG
+        assert "grid cells" in capsys.readouterr().err
+
+    def test_small_tile_size_without_diffuse_is_not_counted(self, run_dir):
+        tmp, cfg = run_dir
+        doc = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps({**doc, "tile_size": 1e-9}))
+        assert main(["trace", "-c", str(cfg)]) == EXIT_OK
+
+
 class TestSynthesizeCommand:
     def test_tensor_written_with_header(self, run_dir):
         tmp, cfg = run_dir
@@ -222,6 +248,24 @@ class TestAnalyzeCommand:
         assert list(results) == [*SERIES_UNITS, "apdp", "dsd"]
         for name, unit in SERIES_UNITS.items():
             assert (results[name].kind, results[name].unit) == (name, unit)
+
+
+    def test_single_element_ends_analyze_and_compare(self, tmp_path, write_tensor):
+        """A 1 x 1 tensor: both correlation files hold only their times, and
+        comparing two such directories reports no row for either end."""
+        path = write_tensor(tmp_path / "t.v2vc")
+        for out in ("mA", "mB"):
+            assert main(["analyze", str(path), "--n-avg", "2", "-o",
+                         str(tmp_path / out)]) == EXIT_OK
+        for end in ("tx", "rx"):
+            lines = (tmp_path / "mA" / f"correlation_{end}.csv").read_text().splitlines()
+            assert lines[0] == "t_s" and len(lines) == 3
+        rep = tmp_path / "rep"
+        assert main(["compare", str(tmp_path / "mA"), str(tmp_path / "mB"),
+                     "-o", str(rep)]) == EXIT_OK
+        names = {r[0] for r in list(csv.reader((rep / "report.csv").open()))[1:]}
+        assert {"gain", "delay_spread", "doppler_spread"} <= names
+        assert not any("rho" in n for n in names)
 
 
 class TestCompareCommand:

@@ -368,6 +368,25 @@ class TestAntennaCorrelation:
         assert s.labels == ("rho_12", "rho_13", "rho_14", "rho_23", "rho_24", "rho_34")
 
 
+    @pytest.mark.parametrize("m_rx, m_tx", [(1, 1), (1, 3), (3, 1)])
+    def test_single_element_end_has_no_columns(self, m_rx, m_tx):
+        """An end of one element has no pairs: its correlation series has
+        no columns, the other end's is as on its own, and the analysis runs."""
+        from v2vchan.pipeline import analyze_tensor
+        rng = np.random.default_rng(12)
+        h = rng.standard_normal((20, m_rx, m_tx, 16)) + 1j * rng.standard_normal(
+            (20, m_rx, m_tx, 16))
+        results = analyze_tensor(delay_tensor(h), n_avg=5)
+        assert results["eigenvalues"].values.shape == (4, 1)
+        for end, n_el in (("tx", m_tx), ("rx", m_rx)):
+            corr = results[f"correlation_{end}"]
+            assert corr.values.shape == (4, n_el * (n_el - 1) // 2)
+            want = correlation_matrix_series(cir_to_ctf(delay_tensor(h)), end, n_avg=5)
+            assert corr.labels == want.labels
+            assert corr.values.tobytes() == want.values.tobytes()
+            assert want.values.flags.c_contiguous
+
+
 class TestScaleInvariance:
     def test_spreads_and_correlations_invariant_gain_shifts(self):
         rng = np.random.default_rng(10)
@@ -427,6 +446,16 @@ class TestCsvExport:
         assert back.labels == ("lambda_1", "lambda_2")
         assert back.values[0, 1] == 2.0
         assert np.isnan(back.values[1, 1])
+
+    def test_no_column_round_trip(self, tmp_path):
+        s = MetricSeries(kind="correlation_tx", times=np.array([0.0, 0.1]),
+                         values=np.zeros((2, 0)), unit="")
+        p = tmp_path / "c.csv"
+        series_to_csv(s, p)
+        assert p.read_text().splitlines() == ["t_s", "0.0", "0.1"]
+        back = series_from_csv(p, kind="correlation_tx")
+        assert back.values.shape == (2, 0) and back.labels == ()
+        assert back.times.tolist() == [0.0, 0.1]
 
     def test_profile_grid(self, tmp_path):
         apdp = apdp_from(np.ones((3, 4)))

@@ -19,9 +19,11 @@ stage ran before it was vectorised over paths: scalar Fresnel coefficients,
 incidence-plane basis and 2x2 rotations, one bounce and one path at a time.
 
 The diffuse reference is the diffuse stage before it bounded blocks of
-tiles: it evaluates every tile of the table and sorts every front-facing
-one, so what is compared is the claim that skipping the blocks and tiles
-below the lowest floor leaves every column of the result as it was.
+tiles: it evaluates every tile of the table, sorts every front-facing one
+and fan-tests each, so what is compared is the claim that skipping the
+blocks below the lowest floor or facing away from an end, the blocks hidden
+from an end and the fan tests of blocks clear from it leaves every column of
+the result as it was.
 """
 
 import dataclasses
@@ -34,12 +36,12 @@ import pytest
 from conftest import big_wall, l_roof_scene, reference_contains
 from v2vchan.antenna import vh_basis
 from v2vchan.raytracer import (MAX_SPECULAR_ORDER, SPEED_OF_LIGHT, PathSet, TracerConfig,
-                               dump_paths_csv,
+                               dump_paths_csv, _diffuse_blocks,
                                _endpoints, _pathset, _reflection_points, _rowdot,
                                _specular_paths, fresnel_coefficients, image_method_specular,
                                lambertian_diffuse, trace_los, trace_snapshot)
-from v2vchan.scene import (DEFAULT_MATERIALS, Scene, Surface, extrude_footprint, load_scene,
-                           occlusion_test_fan)
+from v2vchan.scene import (DEFAULT_MATERIALS, Scene, Surface, _fan_planes, extrude_footprint,
+                           load_scene, occlusion_test_blocks, occlusion_test_fan)
 from v2vchan.scenarios import (ANTENNA_HEIGHT, EW_STREET_WIDTH, NS_STREET_WIDTH,
                                data_path, ground_surface, intersection_scene,
                                intersection_trajectories, pec_ground_scene,
@@ -474,25 +476,29 @@ def _assert_same_columns(got: PathSet, want: PathSet, where=()):
 
 
 #: 25 times along the criterion-7 drive, NLOS and LOS, two of them 5 ms
-#: either side of the flip; each (scene, tile size) case takes every fourth.
+#: either side of the flip.  Each (scene, tile size) case at 1 m and 0.7 m
+#: takes every fourth; at 0.3 m, with 11 times the tiles, every eighth.
 DIFFUSE_TIMES = np.sort(np.concatenate((np.linspace(0.2, 5.9, 23),
                                         LOS_FLIP_T + np.array([-0.005, 0.005]))))
-DIFFUSE_CASES = [(scene_file, tile_size) for scene_file in ("intersection_plain.json",
-                                                             "intersection.json")
-                 for tile_size in (1.0, 0.7)]
+DIFFUSE_CASES = [("intersection_plain.json", 1.0, DIFFUSE_TIMES[0::4]),
+                 ("intersection_plain.json", 0.7, DIFFUSE_TIMES[1::4]),
+                 ("intersection.json", 1.0, DIFFUSE_TIMES[2::4]),
+                 ("intersection.json", 0.7, DIFFUSE_TIMES[3::4]),
+                 ("intersection_plain.json", 0.3, DIFFUSE_TIMES[2::8]),
+                 ("intersection.json", 0.3, DIFFUSE_TIMES[6::8])]
 
 
 @pytest.mark.parametrize("case", range(len(DIFFUSE_CASES)),
-                         ids=[f"{f.split('.')[0]}-{t}" for f, t in DIFFUSE_CASES])
+                         ids=[f"{f.split('.')[0]}-{t}" for f, t, _ in DIFFUSE_CASES])
 def test_diffuse_matches_exhaustive_reference(case):
     """Every column bit for bit, at cull floors of -40, -10 and 0 dB and none,
     with no known best path, the snapshot's LOS/specular best and 1000 times
     that."""
-    scene_file, tile_size = DIFFUSE_CASES[case]
+    scene_file, tile_size, times = DIFFUSE_CASES[case]
     scene = load_scene(data_path(scene_file))
     tx_traj, rx_traj = intersection_trajectories()
     seen_los = set()
-    for t in DIFFUSE_TIMES[case::len(DIFFUSE_CASES)]:
+    for t in times:
         tx, rx = tx_traj.at(t)[0], rx_traj.at(t)[0]
         los = trace_los(scene, tx, rx, F)
         seen_los.add(los is not None)
@@ -531,3 +537,133 @@ def test_diffuse_floor_on_a_tile_matches_reference(tile_size, tx, rx):
             _assert_same_columns(lambertian_diffuse(scene, tx, rx, tile_size, F,
                                                     cull_db=cull_db, known_best_gain=known),
                                  want)
+
+
+def _tile_rows(scene, tile_size, paths):
+    """The rows of ``scene.tiles(tile_size)`` of the diffuse ``paths``."""
+    sids, _, _, tids = scene.tiles(tile_size)
+    key = sids * (1 << 32) + tids
+    rows = np.searchsorted(key, paths.surfaces[:, 0] * (1 << 32) + paths.tile)
+    assert np.array_equal(key[rows], paths.surfaces[:, 0] * (1 << 32) + paths.tile)
+    return rows
+
+
+def _block_endpoints():
+    """(tx, rx) pairs on the plain intersection: seeded random ones, some
+    inside a block (behind its walls), and the edge cases of the block
+    bounds: an end in the plane of two walls and of the ground, and 1e-12 m
+    either side; an end grazing the ground from far away; an end within a
+    block radius of a wall."""
+    rng = np.random.default_rng(18)
+    rx = np.array([3.5, -40.0, ANTENNA_HEIGHT])
+    lo, hi = [-60, -60, 0.01], [60, 60, 20]
+    out = [(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(4)]
+    out.append((np.array([30.0, 30.0, 5.0]), rx))              # inside block_ne
+    for dy in (0.0, 1e-12, -1e-12):                              # walls at y = -8.5
+        out.append((np.array([-30.0, -8.5 + dy, ANTENNA_HEIGHT]), rx))
+        out.append((np.array([-3.0, 20.0, dy]), rx))             # the ground plane
+    out.append((np.array([-58.0, -4.0, 0.01]), np.array([4.0, 58.0, 0.02])))   # grazing
+    out.append((np.array([20.3, -8.3, 2.1]), rx))              # 0.2 m from a wall ...
+    out.append((np.array([20.3, -8.5 + 5e-10, 2.1]), np.array([15.0, 0.0, 1.5])))  # 0.5 nm
+    return out
+
+
+@pytest.mark.parametrize("tile_size", [1.0, 0.7])
+def test_dropped_blocks_hold_no_kept_tile(tile_size):
+    """No block that the height bound or block visibility drops holds a
+    tile of the exhaustive result at the floor, and no tile of a block
+    found clear from an end is blocked from it, at the edge-case endpoints
+    of ``_block_endpoints`` and floors from 0 to the strongest tile."""
+    scene = intersection_scene(plain=True)
+    block = scene.tile_blocks(tile_size)[0]
+    centers = scene.tiles(tile_size)[1]
+    lam = SPEED_OF_LIGHT / F
+    dropped = skipped = 0
+    for tx, rx in _block_endpoints():
+        every = reference_diffuse(scene, tx, rx, tile_size)     # every doubly visible tile
+        rows, gain = _tile_rows(scene, tile_size, every), every.gain_linear()
+        ranked = np.sort(gain)[::-1]
+        floors = [0.0] + [float(ranked[k]) for k in (0, 3, 30, len(gain) // 2) if k < len(gain)]
+        for floor in floors:
+            ends = _endpoints(tx, rx)
+            live, (fan_tx, fan_rx) = _diffuse_blocks(
+                scene, ends, [_fan_planes(scene, end) for end in ends], tile_size, lam, floor)
+            assert live[block[rows[gain >= floor]]].all(), (tx, rx, floor)
+            dropped += np.count_nonzero(~live)
+        for fan, toward_rx, end in ((fan_tx, False, tx), (fan_rx, True, rx)):
+            clear = np.flatnonzero(live[block] & ~fan[block])
+            hit = (occlusion_test_fan(scene, centers[clear], end) if toward_rx
+                   else occlusion_test_fan(scene, end, centers[clear]))
+            assert not hit.any(), (tx, rx, toward_rx)
+            skipped += len(clear)
+        _assert_same_columns(lambertian_diffuse(scene, tx, rx, tile_size, F), every, (tx, rx))
+        best = float(gain.max(initial=0.0))
+        _assert_same_columns(lambertian_diffuse(scene, tx, rx, tile_size, F, cull_db=-10.0,
+                                                known_best_gain=best),
+                             reference_diffuse(scene, tx, rx, tile_size, F, cull_db=-10.0,
+                                               known_best_gain=best), (tx, rx, best))
+    assert dropped and skipped
+
+
+def _shadow_scene():
+    """A scattering wall in the plane y = 0 (x in [-15, 15], z in [0, 10])
+    over the ground, a panel at y = 5 that shades part of it, a poster in
+    the wall's own plane and a sticker 1 nm in front of it.  From
+    ``SHADOW_TX`` the panel's edges cast their shadows through tile centers
+    on block corners: at 1 m tiles the wall's blocks span the cell centers
+    x in ..., [-2.5, 0.5], [1.5, 4.5], ... and z in [0.5, 3.5], [4.5, 7.5],
+    [8.5, 9.5], and the shadows of the panel's edges x = -9 and 2.5 and
+    z = 2.25 and 6.25 fall on x = -18.5 and 4.5 and z = -0.5 and 7.5; its
+    diagonal's shadow crosses blocks."""
+    concrete, metal = DEFAULT_MATERIALS["concrete"], DEFAULT_MATERIALS["metal"]
+    wall = Surface([(-15, 0, 0), (15, 0, 0), (15, 0, 10), (-15, 0, 10)], concrete, tag="wall")
+    panel = Surface([(-9, 5, 2.25), (2.5, 5, 2.25), (2.5, 5, 6.25), (-9, 5, 6.25)], metal,
+                    tag="panel")
+    poster = Surface([(-5, 0, 2), (5, 0, 2), (5, 0, 4), (-5, 0, 4)], concrete, tag="poster")
+    sticker = Surface([(6, 1e-9, 1), (9, 1e-9, 1), (9, 1e-9, 5), (6, 1e-9, 5)], concrete,
+                      tag="sticker")
+    return Scene([wall, panel, poster, sticker, ground_surface(40.0)], ground=4)
+
+
+SHADOW_TX = (0.5, 10.0, 5.0)
+
+
+@pytest.mark.parametrize("tile_size", [1.0, 0.5])
+@pytest.mark.parametrize("tx, rx", [
+    (SHADOW_TX, (0.0, 12.0, 2.0)),
+    ((0.5, 10.0, 5.0), (-2.0, 9.0, 6.0)),
+    ((-20.0, 0.0, 5.0), (0.0, 12.0, 2.0)),           # TX in the wall's plane ...
+    ((-20.0, 1e-12, 5.0), (0.0, 12.0, 2.0)),         # ... and 1e-12 m either side
+    ((-20.0, -1e-12, 5.0), (0.0, 12.0, 2.0)),
+    ((38.0, 0.3, 0.5), (-38.0, 0.2, 0.4)),           # grazing the wall from far away
+    ((38.0, 12.0, 1e-12), (-30.0, 20.0, 0.0)),       # in the ground's plane
+], ids=["shadow", "shadow-near", "in-plane", "plane+", "plane-", "grazing", "ground"])
+def test_diffuse_block_edge_cases_match_reference(tx, rx, tile_size):
+    """Blocks that straddle the shadow of a triangle edge or a shared
+    diagonal, tiles on block corners, an apex in a block's plane and
+    occluders in the block's own plane, bit for bit at several floors."""
+    scene = _shadow_scene()
+    every = reference_diffuse(scene, tx, rx, tile_size)
+    best = float(every.gain_linear().max(initial=0.0))
+    for cull_db, gain in ((None, 0.0), (-40.0, 0.0), (-40.0, best), (-6.0, best), (0.0, best)):
+        _assert_same_columns(lambertian_diffuse(scene, tx, rx, tile_size, F, cull_db=cull_db,
+                                                known_best_gain=gain),
+                             reference_diffuse(scene, tx, rx, tile_size, F, cull_db=cull_db,
+                                               known_best_gain=gain), (cull_db, gain))
+
+
+def test_shadow_scene_puts_blocks_in_every_class():
+    """From ``SHADOW_TX`` the wall has blocks in the panel's shadow, blocks
+    clear of it and blocks its shadow edges cross, and a shadow edge runs
+    through a tile center on a block corner."""
+    scene = _shadow_scene()
+    _, _, radius, _, surface, corners, count = scene.tile_blocks(1.0)
+    wall = np.flatnonzero((surface == 0) & (count > 4))
+    d = np.linalg.norm(corners[wall].mean(axis=1) - SHADOW_TX, axis=1)
+    hidden, clear = occlusion_test_blocks(scene, np.array(SHADOW_TX), corners[wall],
+                                          d - radius[wall], d + radius[wall])
+    assert hidden.any() and clear.any() and (~hidden & ~clear).any()
+    corner_tile = np.array([4.5, 0.0, 7.5])
+    assert np.any(np.all(corners[wall] == corner_tile, axis=2))
+    # the segment to that tile passes through the panel's corner vertex
+    assert np.allclose((np.array(SHADOW_TX) + corner_tile) / 2, (2.5, 5.0, 6.25))

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from v2vchan.scene import (DEFAULT_MATERIALS, GeometryError, Material,
+from v2vchan.scene import (DEFAULT_MATERIALS, GeometryError, MAX_TILE_CELLS, Material,
                            MaterialReferenceError, Scene, SceneFormatError,
                            Surface, TILE_BLOCK, Trajectory, _cross, extrude_footprint,
                            load_scene, load_trajectory,
@@ -13,7 +14,7 @@ from v2vchan.scene import (DEFAULT_MATERIALS, GeometryError, Material,
                            save_trajectory, straight_trajectory)
 from v2vchan.scenarios import intersection_scene
 
-from conftest import big_wall
+from conftest import big_wall, l_roof_scene
 
 
 def _vectors(rng, shape):
@@ -308,20 +309,65 @@ class TestSceneContainer:
     def test_tile_blocks_bound_their_tiles(self, plain, size):
         scene = intersection_scene(plain=plain)
         sids, centers, areas, ids = scene.tiles(size)
-        block, center, radius, area, scattering = scene.tile_blocks(size)
+        block, center, radius, area, surface, corners, count = scene.tile_blocks(size)
         assert block.shape == sids.shape and center.shape == (len(radius), 3)
+        assert surface.shape == count.shape == radius.shape
+        assert corners.shape == (len(radius), 4, 3)
         dist = np.linalg.norm(centers - center[block], axis=1)
         assert np.all(dist <= radius[block] + 1e-12)
         assert np.all(areas <= area[block])
-        surface_s = np.array([s.material.scattering_coefficient for s in scene.surfaces])
-        assert np.array_equal(scattering[block], surface_s[sids])
         # a block is one surface's TILE_BLOCK x TILE_BLOCK cells at most
-        block_sid = np.zeros(len(radius), dtype=int)
-        block_sid[block] = sids
-        assert np.array_equal(block_sid[block], sids)
-        assert np.bincount(block).max() <= TILE_BLOCK ** 2
+        assert np.array_equal(surface[block], sids)
+        assert np.array_equal(count, np.bincount(block, minlength=len(count)))
+        assert count.max() <= TILE_BLOCK ** 2
+        # the corners span the rectangle: its center is their mean, its half
+        # diagonal half of the distance between opposite corners
+        assert np.allclose(corners.mean(axis=1), center, rtol=0, atol=1e-9)
+        assert np.allclose(np.linalg.norm(corners[:, 3] - corners[:, 0], axis=1) / 2, radius,
+                           rtol=0, atol=1e-9)
+        # every tile center is a convex combination of its block's corners:
+        # (s, t) in [0, 1]^2 along the rectangle's two sides
+        c0, c1, c2 = (corners[block, k] for k in range(3))
+        for side in (c1 - c0, c2 - c0):
+            span = np.einsum("ij,ij->i", side, side)
+            st = np.einsum("ij,ij->i", centers - c0, side) / np.where(span > 0, span, 1.0)
+            assert np.all((st >= -1e-9) & (st <= 1 + 1e-9))
+        off_plane = np.einsum("ij,ij->i", centers, scene.normals[sids]) - scene.offsets[sids]
+        assert np.abs(off_plane).max() < 1e-11
         assert scene.tile_blocks(size)[0] is block
         assert not any(col.flags.writeable for col in scene.tile_blocks(size))
+
+    def test_tile_cells_count_the_grid(self, concrete):
+        floor = Surface([(0, 0, 0), (10, 0, 0), (10, 15, 0), (0, 15, 0)], concrete)
+        wall = Surface([(0, 5, 0), (0, 5, 2), (2, 5, 2), (2, 5, 0)], concrete)
+        s = Scene([floor, wall])
+        assert s.tile_cells(1.0) == 150 + 4
+        assert s.tile_cells(0.7) == 15 * 22 + 3 * 3
+        # the cap lies between 2500 x 3750 + 500 x 500 cells and 1.01e7
+        assert s.tile_cells(4e-3) == 2500 * 3750 + 500 * 500
+        with pytest.raises(ValueError, match="1.01e\\+07 grid cells"):
+            s.tile_cells(3.9e-3)
+        assert not s._tile_cache               # counted, not built
+        assert s.tile_cells(1.0) == len(s.tiles(1.0)[0])
+        # a concave roof lays cells outside its polygon, which hold no tile
+        roof = l_roof_scene()
+        assert roof.tile_cells(1.0) > len(roof.tiles(1.0)[0])
+
+    @pytest.mark.parametrize("size", [1e-9, 1e-300])
+    def test_tile_size_too_small_is_refused_before_allocating(self, single_wall_scene, size):
+        """A 2 km wall at 1 nm tiles is 4e24 grid cells: refused from the
+        count, with no table built and no large allocation."""
+        tracemalloc.start()
+        try:
+            for refuse in (single_wall_scene.tile_cells, single_wall_scene.tiles):
+                with pytest.raises(ValueError, match=f"grid cells on the scene, more than "
+                                                     f"{MAX_TILE_CELLS}"):
+                    refuse(size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert not single_wall_scene._tile_cache
 
     @pytest.mark.parametrize("size", [0.0, -1.0, math.inf, math.nan])
     def test_tiles_reject_bad_size(self, single_wall_scene, size):

@@ -6,6 +6,9 @@ a shared triangle edge or a vertex, an apex in a wall's plane, grazing
 segments, segments ending on a surface and a sliver triangle whose
 determinant sits at the 1e-14 threshold.  The segments it sends back to
 the exact test are counted through the module's ``occlusion_test_batch``.
+
+``occlusion_test_blocks`` must never call a block of tiles hidden when one
+of its tiles is unblocked, nor clear when one is blocked.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 import v2vchan.scene as scene_mod
 from v2vchan.scenarios import intersection_scene, intersection_trajectories
 from v2vchan.scene import (Material, Scene, Surface, extrude_footprint, occlusion_test_batch,
-                           occlusion_test_fan)
+                           occlusion_test_blocks, occlusion_test_fan)
 
 MAT = Material("m", 4.0, 0.01, False, 0.5)
 
@@ -182,3 +185,64 @@ def test_random_scenes_points_on_vertices_edges_and_planes():
         for apex in (rng.normal(0, 8, 3), verts[i[0]], on_edges[0], in_planes[0],
                      t0[0] + 3.0 * (t0[1] - t0[0]) - 2.0 * (t0[2] - t0[0])):
             check_fan(scene, apex, pts)
+
+
+def check_blocks(scene, apex, tile_size, oracle=exact):
+    """``occlusion_test_blocks`` at every block of the tile table, in both
+    orientations, against ``oracle`` on every tile; returns the number of
+    blocks with rows found hidden and clear."""
+    _, centers, _, _ = scene.tiles(tile_size)
+    block, center, radius, _, _, corners, count = scene.tile_blocks(tile_size)
+    reach = radius * (1.0 + 1e-9) + 1e-9
+    dist = np.linalg.norm(center - apex, axis=1)
+    rows = count > 0
+    found = np.zeros(2, dtype=int)
+    for toward in (False, True):
+        hidden, clear = occlusion_test_blocks(scene, apex, corners, dist - reach, dist + reach,
+                                              toward)
+        assert not (hidden & clear).any()
+        blocked = oracle(scene, apex, centers, toward)
+        assert blocked[hidden[block]].all(), (apex, toward)
+        assert not blocked[clear[block]].any(), (apex, toward)
+        found += np.count_nonzero(hidden & rows), np.count_nonzero(clear & rows)
+    return found
+
+
+def fan(scene, apex, points, toward_apex):
+    """The fan test, which the tests above hold equal to the exact one."""
+    return (occlusion_test_fan(scene, points, apex) if toward_apex
+            else occlusion_test_fan(scene, apex, points))
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["plain", "full"])
+def test_blocks_on_bundled_scenes(plain):
+    """Drive positions, and apexes in two walls' plane (y = -8.5) and the
+    ground's and 1e-12 m either side, grazing the ground from far away,
+    0.2 m from a wall (within a block radius) and inside a block."""
+    scene = intersection_scene(plain)
+    tx, rx = intersection_trajectories()
+    apexes = [traj.at(t)[0] for t in (0.5, 3.0, 4.5) for traj in (tx, rx)]
+    for d in (0.0, 1e-12, -1e-12):
+        apexes += [np.array([-30.0, -8.5 + d, 1.73]), np.array([-3.0, 20.0, d])]
+    apexes += [np.array([-58.0, -4.0, 0.01]), np.array([20.3, -8.3, 2.1]),
+               np.array([20.3, -8.5 + 5e-10, 2.1]), np.array([30.0, 30.0, 5.0])]
+    found = sum(check_blocks(scene, apex, 1.0, fan) for apex in apexes)
+    assert found.min() > 100
+
+
+def test_blocks_in_shadows_and_planes():
+    """Blocks on a wall behind a panel whose shadow edges cross them, with a
+    coplanar poster, a sticker 1 nm in front of the wall and the ground,
+    from apexes that see it square on, in its plane and 1e-12 m either
+    side, and grazing; exact oracle."""
+    wall = rect(-15.0, 15.0, 0.0, 0.0, 10.0)
+    panel = rect(-9.0, 2.5, 5.0, 2.25, 6.25)
+    poster = rect(-5.0, 5.0, 0.0, 2.0, 4.0)
+    sticker = rect(6.0, 9.0, 1e-9, 1.0, 5.0)
+    ground = Surface([(-40, -40, 0), (40, -40, 0), (40, 40, 0), (-40, 40, 0)], MAT)
+    scene = Scene([wall, panel, poster, sticker, ground])
+    found = np.zeros(2, dtype=int)
+    for apex in ([0.5, 10.0, 5.0], [0.5, -10.0, 5.0], [-20.0, 0.0, 5.0], [-20.0, 1e-12, 5.0],
+                 [-20.0, -1e-12, 5.0], [38.0, 0.3, 0.5], [0.0, 12.0, 1e-12]):
+        found += check_blocks(scene, np.array(apex), 1.0)
+    assert found.min() > 10
