@@ -22,9 +22,10 @@ next snapshot keeps its last state until that boundary.
 A tensor is synthesized in chunks of whole coarse intervals, each from a
 window of the interpolator that holds only its own snapshots and keeps the
 full grid's times and step, so a chunk's steps come out bit for bit as in
-one pass.  The chunks run in order in-process, or on a pool of spawned
-worker processes, and their blocks are placed in step order: the tensor
-does not depend on the worker count.  Within a step, the polarimetric
+one pass.  The chunks run as jobs of :func:`_run_jobs`, the job runner
+tracing shares: in order in process, writing into the tensor, or on a pool
+of spawned worker processes, whose blocks are placed in step order.  The
+tensor does not depend on the worker count.  Within a step, the polarimetric
 coupling g_rx^H A g_tx is summed over its (i, j) terms whose receive
 polarisation i and transmit polarisation j are both live in their arrays
 (:attr:`ArrayLayout.live_pols`): one term, (V, V), for the bundled
@@ -51,6 +52,7 @@ the band before transforming, mirroring channel-sounder processing.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import os
 import struct
@@ -62,7 +64,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .antenna import ArrayLayout
-from .raytracer import SPEED_OF_LIGHT, PathSet, _require_finite
+from .raytracer import DEFAULT_CARRIER, SPEED_OF_LIGHT, PathSet, _require_finite
 from .scene import _uniform_times
 
 TENSOR_MAGIC = b"V2VC"
@@ -77,7 +79,7 @@ class TensorFormatError(ValueError):
 class SimConfig:
     """Sounder and sampling parameters for channel synthesis."""
 
-    carrier_frequency: float = 5.9e9   # 5.6e9 matches the measurement campaign
+    carrier_frequency: float = DEFAULT_CARRIER   # 5.6e9 matches the measurement campaign
     bandwidth: float = 240e6
     n_freq_bins: int = 769
     snapshot_dt: float = 307.2e-6      # sounder snapshot interval
@@ -278,10 +280,17 @@ class PathInterpolator:
             return -1, 1.0
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
             raise ValueError(f"time {t} outside the traced span")
-        i = min(int(np.searchsorted(self.times, t, side="right")) - 1, len(self.times) - 2)
-        i = max(i, 0)
+        i = int(self._intervals(t))
         u = (t - self.times[i]) / self.dt
         return i, min(max(u, 0.0), 1.0)
+
+    def _intervals(self, t):
+        """The coarse interval i that evaluates each time of ``t`` (a time or
+        an array): the one it lies in, interval 0 before the span and the
+        last from the last snapshot on.  Counting the inner snapshot times
+        at or before ``t`` gives that index with no clipping (0 for one or
+        two snapshots)."""
+        return np.searchsorted(self.times[1:-1], t, side="right")
 
     def paths_at(self, t: float) -> PathSet:
         """The path set at time ``t``.
@@ -320,6 +329,26 @@ class PathInterpolator:
         sub.times, sub.snapshots = self.times[lo:hi + 1], self.snapshots[lo:hi + 1]
         sub._current = (None,)
         return sub
+
+
+def _run_jobs(fn, jobs, workers: int):
+    """Yield ``fn(*job)`` for each tuple of ``jobs``, in job order.
+
+    At one worker the jobs run in this process, taken from ``jobs`` one at a
+    time, so a job's inputs are dropped before the next job is made.  Above
+    one, the jobs run one per task on ``workers`` processes started with
+    ``spawn`` whatever the platform's default: each imports the package
+    afresh, so ``fn`` must be a module-level function, and it, every job and
+    every result are pickled.  Callers pass at most one worker per job, so a
+    single job never starts a pool.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, not {workers}")
+    if workers == 1:
+        yield from itertools.starmap(fn, jobs)
+        return
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        yield from pool.map(fn, *zip(*jobs))
 
 
 #: Fine steps per synthesis chunk, at least, unless that leaves fewer than
@@ -365,15 +394,14 @@ def synthesize_tensor(interp: PathInterpolator, tx_array: ArrayLayout,
     grid, checked before any step is synthesized, since the tensor records
     only its start and step.
 
-    The steps are cut into chunks of whole coarse intervals, each
-    synthesized by :func:`_synthesize_chunk` from a window of ``interp``
-    holding only its own snapshots.  With ``workers`` > 1 the chunks run on
-    a process pool; the blocks are placed in step order and the result does
-    not depend on the worker count.  Paths dropped beyond the delay span are
-    summed over all steps into one warning.
+    The steps are cut into chunks of whole coarse intervals, at least four
+    per worker, each synthesized by :func:`_synthesize_chunk` from a window
+    of ``interp`` holding only its own snapshots and run by
+    :func:`_run_jobs`.  In process a chunk writes straight into its slice of
+    the tensor; on ``workers`` > 1 processes its block is returned and
+    placed.  The result does not depend on the worker count.  Paths dropped
+    beyond the delay span are summed over all steps into one warning.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, not {workers}")
     if times is None:
         span = interp.times[-1] - interp.times[0]
         n = max(1, int(round(span / config.fine_dt)))
@@ -383,36 +411,32 @@ def synthesize_tensor(interp: PathInterpolator, tx_array: ArrayLayout,
         times = _uniform_times(times, "synthesis times")
         dt = float(times[1] - times[0]) if len(times) > 1 else config.fine_dt
 
-    # each step's coarse interval, as PathInterpolator.paths_at locates it
-    interval = np.clip(np.searchsorted(interp.times, times, side="right") - 1,
-                       0, max(len(interp.times) - 2, 0))
-    min_steps = min(_CHUNK_STEPS, -(-len(times) // (4 * workers)))
+    interval = interp._intervals(times)
+    # max: _run_jobs rejects workers < 1
+    min_steps = min(_CHUNK_STEPS, -(-len(times) // (4 * max(workers, 1))))
     cuts = [0]
     for k in np.flatnonzero(np.diff(interval)) + 1:
         if k - cuts[-1] >= min_steps:
             cuts.append(int(k))
     bounds = list(zip(cuts, cuts[1:] + [len(times)]))
+    workers = min(workers, len(bounds))
     # a callable's result of another shape than the times' raises ValueError
     tx_h, rx_h = (np.broadcast_to(np.asarray(h(times) if callable(h) else float(h or 0.0),
                                              dtype=float), times.shape).tolist()
                   for h in (tx_heading, rx_heading))
-    # made one at a time, so that in-process a used window and the interval
-    # it matched are dropped before the next
-    jobs = ((interp.window(interval[k0], interval[k1 - 1] + 1), times[k0:k1],
-             tx_h[k0:k1], rx_h[k0:k1], tx_array, rx_array, config) for k0, k1 in bounds)
-
     data = np.empty((len(times), rx_array.size, tx_array.size, config.n_freq_bins),
                     dtype=complex)
+    # made one at a time, so that in process a used window and the interval
+    # it matched are dropped before the next, and each chunk is given its
+    # slice of the tensor, where a returned block would sit beside it
+    jobs = ((interp.window(interval[k0], interval[k1 - 1] + 1), times[k0:k1],
+             tx_h[k0:k1], rx_h[k0:k1], tx_array, rx_array, config,
+             data[k0:k1] if workers == 1 else None) for k0, k1 in bounds)
     dropped = 0
-    if workers > 1 and len(bounds) > 1:
-        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-            blocks = pool.map(_synthesize_chunk, *zip(*jobs))
-            for (k0, k1), (block, n_dropped) in zip(bounds, blocks):
-                data[k0:k1] = block
-                dropped += n_dropped
-    else:   # in place, in order: no block beside the tensor
-        for (k0, k1), job in zip(bounds, jobs):
-            dropped += _synthesize_chunk(*job, out=data[k0:k1])[1]
+    for (block, n_dropped), (k0, k1) in zip(_run_jobs(_synthesize_chunk, jobs, workers),
+                                            bounds):
+        data[k0:k1] = block   # numpy skips the copy of a slice onto itself
+        dropped += n_dropped
     if dropped:
         warnings.warn(f"{dropped} path(s) beyond the unambiguous delay span "
                       f"{config.max_delay * 1e6:.2f} us dropped over {len(times)} time steps",

@@ -7,7 +7,7 @@ common time span, analysis windows the tensor cannot hold), 3 for data
 problems (malformed scene, trajectory, tensor, metric or label files).  Any
 other error is a defect and raises with its traceback.  ``--workers`` (the
 ``workers`` key, default 1) sets the number of tracing and synthesis
-processes; results do not depend on it.
+processes, started with ``spawn`` above one; results do not depend on it.
 
 Subcommands::
 
@@ -33,9 +33,9 @@ import numpy as np
 from . import compare as cmp
 from . import metrics as met
 from .antenna import default_sharkfin_array
-from .channel import (SimConfig, TensorFormatError, load_tensor, save_tensor)
-from .pipeline import (SERIES_UNITS, analyze_tensor,
-                       synthesize_from_snapshots, trace_trajectory)
+from .channel import (PathInterpolator, SimConfig, TensorFormatError, load_tensor,
+                      save_tensor, synthesize_tensor)
+from .pipeline import SERIES_UNITS, analyze_tensor, trace_trajectory
 from .raytracer import TracerConfig, dump_paths_csv, PATH_DUMP_HEADER
 from .scene import (GeometryError, MaterialReferenceError, SceneFormatError,
                     _read_text, load_scene, load_trajectory)
@@ -192,8 +192,9 @@ def cmd_synthesize(cfg: RunConfig) -> int:
     else:
         tx_array = default_sharkfin_array()
         rx_array = default_sharkfin_array()
-    tensor = synthesize_from_snapshots(snapshots, tx, rx, tx_array, rx_array, cfg.sim,
-                                       workers=cfg.workers)
+    tensor = synthesize_tensor(PathInterpolator(snapshots), tx_array, rx_array, cfg.sim,
+                               tx_heading=tx.heading, rx_heading=rx.heading,
+                               workers=cfg.workers)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "channel.v2vc"

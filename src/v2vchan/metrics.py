@@ -464,8 +464,10 @@ def _read_timed_csv(path, header=None) -> tuple[list[str], np.ndarray, list]:
 
 def series_from_csv(path, kind: str = "", unit: str = "") -> MetricSeries:
     """Read a :func:`series_to_csv` file; empty fields read as NaN, and a
-    file of ``t_s`` alone as a series without columns.  A malformed file
-    raises SeriesFormatError."""
+    file of ``t_s`` alone as a series without columns.  A single value
+    column named ``value`` reads as a 1-D series; any other column name is
+    kept as the one label of a 2-D series.  A malformed file raises
+    SeriesFormatError."""
     header, times, rows = _read_timed_csv(path)
     vals = []
     for line, cells in rows:
@@ -474,7 +476,7 @@ def series_from_csv(path, kind: str = "", unit: str = "") -> MetricSeries:
         except ValueError as e:
             raise SeriesFormatError(f"{path}:{line}: {e}") from e
     vals = np.asarray(vals)
-    if vals.shape[1] == 1:
+    if [c.strip() for c in header[1:]] == ["value"]:
         vals = vals[:, 0]
     return MetricSeries(kind=kind, times=times, values=vals,
                         unit=unit, labels=tuple(header[1:]) if vals.ndim == 2 else ())

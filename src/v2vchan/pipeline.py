@@ -1,68 +1,58 @@
 """Pipeline glue: trace along trajectories, synthesize, analyze.
 
-Tracing parallelizes over coarse snapshots, and synthesis over chunks of
-coarse intervals, each with a process pool; results are collected in
-snapshot (step) order so the output is deterministic regardless of the
-worker count.
+Tracing runs over contiguous runs of coarse snapshots, and synthesis
+(:func:`channel.synthesize_tensor`) over chunks of coarse intervals, both
+as jobs of :func:`channel._run_jobs`: in process at one worker, on spawned
+worker processes above one.  Results are collected in snapshot (step)
+order, so the output does not depend on the worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
-# cir_to_ctf, correlation_matrix_series and eigenvalue_series are re-exported:
-# perfbench's tracer hooks them by name in this module.
-from .channel import (ChannelTensor, PathInterpolator, SimConfig,  # noqa: F401
-                      cir_to_ctf, synthesize_tensor)
+# cir_to_ctf, correlation_matrix_series, eigenvalue_series and
+# synthesize_tensor are re-exported: perfbench's tracer hooks them by name in
+# this module.
+from .channel import ChannelTensor, _run_jobs, cir_to_ctf, synthesize_tensor  # noqa: F401
 from .metrics import (apply_noise_threshold, channel_gain,  # noqa: F401
                       compute_apdp, compute_dsd, correlation_matrix_series,
                       eigenvalue_series, estimate_noise_floor,
                       estimate_noise_floor_dsd, frequency_metrics,
                       rms_delay_spread, rms_doppler_spread)
-from .raytracer import TracerConfig, trace_snapshot
+from .raytracer import PathSet, TracerConfig, trace_snapshot
 from .scene import Scene, Trajectory
 
-def _trace_one(args):
-    scene, tx, rx, config = args
-    return trace_snapshot(scene, tx, rx, config)
+
+def _trace_run(scene: Scene, positions, tracer: TracerConfig) -> list[PathSet]:
+    """The path sets of a run of snapshots, one per (tx, rx) position pair.
+    :func:`trace_snapshot` is looked up in this module, so a hook on
+    ``pipeline.trace_snapshot`` sees every snapshot traced in process."""
+    return [trace_snapshot(scene, tx, rx, tracer) for tx, rx in positions]
 
 
 def trace_trajectory(scene: Scene, tx_traj: Trajectory, rx_traj: Trajectory,
                      tracer: TracerConfig, coarse_dt: float,
                      t0: float | None = None, t1: float | None = None,
                      workers: int = 1):
-    """Ray-trace at every coarse time step; returns the (t, PathSet) list."""
+    """Ray-trace at every coarse time step; returns the (t, PathSet) list.
+
+    The snapshots are cut into contiguous runs, at least four per worker,
+    each one job of :func:`channel._run_jobs` on ``workers`` processes.  A
+    worker unpickles the scene, and builds its tile table, once per run, so
+    a run holds many snapshots.
+    """
     lo = max(tx_traj.t[0], rx_traj.t[0]) if t0 is None else t0
     hi = min(tx_traj.t[-1], rx_traj.t[-1]) if t1 is None else t1
     if hi < lo:
         raise ValueError("trajectories do not overlap in time")
     n = int(round((hi - lo) / coarse_dt)) + 1
     times = lo + np.arange(n) * coarse_dt
-    jobs = []
-    for t in times:
-        tx_pos, _ = tx_traj.at(t)
-        rx_pos, _ = rx_traj.at(t)
-        jobs.append((scene, tx_pos, rx_pos, tracer))
-    if workers <= 1 or len(jobs) < 4:
-        results = [_trace_one(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trace_one, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
-    return [(float(t), paths) for t, paths in zip(times, results)]
-
-
-def synthesize_from_snapshots(snapshots, tx_traj: Trajectory, rx_traj: Trajectory,
-                              tx_array, rx_array, config: SimConfig,
-                              times: np.ndarray | None = None,
-                              workers: int = 1) -> ChannelTensor:
-    """Interpolate traced snapshots and synthesize the delay-domain tensor
-    on ``workers`` processes."""
-    interp = PathInterpolator(snapshots)
-    return synthesize_tensor(
-        interp, tx_array, rx_array, config, times=times,
-        tx_heading=tx_traj.heading, rx_heading=rx_traj.heading, workers=workers)
+    positions = [(tx_traj.at(t)[0], rx_traj.at(t)[0]) for t in times]
+    size = -(-n // (4 * max(workers, 1)))   # max: _run_jobs rejects workers < 1
+    jobs = [(scene, positions[k:k + size], tracer) for k in range(0, n, size)]
+    paths = [p for run in _run_jobs(_trace_run, jobs, min(workers, len(jobs))) for p in run]
+    return [(float(t), p) for t, p in zip(times, paths)]
 
 
 #: Unit of every MetricSeries that :func:`analyze_tensor` returns, by name.

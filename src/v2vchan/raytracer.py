@@ -49,6 +49,9 @@ from .scene import (Material, Scene, _cross, _fan_planes, occlusion_test, occlus
 SPEED_OF_LIGHT = 299792458.0
 VACUUM_PERMITTIVITY = 8.8541878128e-12
 
+#: Default carrier frequency in Hz (the 5.9 GHz ITS band), of tracing and synthesis.
+DEFAULT_CARRIER = 5.9e9
+
 MAX_SPECULAR_ORDER = 4
 
 
@@ -68,7 +71,7 @@ def _require_finite(config) -> None:
 class TracerConfig:
     """Knobs for :func:`trace_snapshot`."""
 
-    frequency: float = 5.9e9
+    frequency: float = DEFAULT_CARRIER
     max_order: int = 2
     tile_size: float = 1.0
     enable_diffuse: bool = True
@@ -269,7 +272,7 @@ def _endpoints(tx, rx) -> tuple[np.ndarray, np.ndarray]:
     return tx, rx
 
 
-def trace_los(scene: Scene, tx, rx, frequency: float = 5.9e9) -> PathSet | None:
+def trace_los(scene: Scene, tx, rx, frequency: float = DEFAULT_CARRIER) -> PathSet | None:
     """The free-space line-of-sight path as a one-row set, or None when obstructed."""
     tx, rx = _endpoints(tx, rx)
     d = float(np.linalg.norm(rx - tx))
@@ -293,7 +296,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def image_method_specular(scene: Scene, tx, rx, max_order: int,
-                          frequency: float = 5.9e9) -> PathSet:
+                          frequency: float = DEFAULT_CARRIER) -> PathSet:
     """All geometrically valid specular paths of order 1..max_order.
 
     The image tree is built one order level at a time, as arrays over every
@@ -461,7 +464,7 @@ def _diffuse_blocks(scene: Scene, ends, planes, tile_size: float, lam: float,
 
 
 def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
-                       frequency: float = 5.9e9, *, cull_db: float | None = None,
+                       frequency: float = DEFAULT_CARRIER, *, cull_db: float | None = None,
                        known_best_gain: float = 0.0) -> PathSet:
     """Single-bounce Lambertian diffuse paths from every doubly visible tile.
 

@@ -10,8 +10,9 @@ from v2vchan.channel import (ChannelTensor, PathInterpolator, SimConfig,
                              TensorFormatError, _match_paths, add_measurement_noise,
                              cir_to_ctf, ctf_to_cir, hann_window,
                              load_tensor, save_tensor, synthesize_cir, synthesize_tensor)
-from v2vchan.raytracer import SPEED_OF_LIGHT, PathSet, trace_los
-from v2vchan.scenarios import free_space_scene
+from v2vchan.pipeline import trace_trajectory
+from v2vchan.raytracer import SPEED_OF_LIGHT, PathSet, TracerConfig, trace_los
+from v2vchan.scenarios import free_space_scene, intersection_trajectories
 
 F = 5.9e9
 LAM = SPEED_OF_LIGHT / F
@@ -413,11 +414,18 @@ class TestSynthesizeTensor:
         assert np.allclose(tensor.time_axis, times, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, workers):
-        p = los_path(5.0)
+    @pytest.mark.parametrize("stage", ["synthesize", "trace"])
+    def test_workers_below_one_rejected(self, stage, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            synthesize_tensor(PathInterpolator([(0.0, p), (0.01, p)]), isotropic_array(1),
-                              isotropic_array(1), SimConfig(n_freq_bins=8), workers=workers)
+            if stage == "synthesize":
+                p = los_path(5.0)
+                synthesize_tensor(PathInterpolator([(0.0, p), (0.01, p)]), isotropic_array(1),
+                                  isotropic_array(1), SimConfig(n_freq_bins=8),
+                                  workers=workers)
+            else:
+                tx, rx = intersection_trajectories()
+                trace_trajectory(free_space_scene(), tx, rx, TracerConfig(), 0.01,
+                                 t0=1.0, t1=1.1, workers=workers)
 
     @pytest.mark.parametrize("end", ["tx_heading", "rx_heading"])
     def test_non_finite_heading_rejected(self, end):

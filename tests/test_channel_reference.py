@@ -448,6 +448,26 @@ def test_workers_give_identical_tensor(flip_slice):
     assert len(w1) == 1 and " path(s) beyond" in w1[0] and w1 == w2
 
 
+def test_trace_workers_give_identical_paths(flip_slice):
+    """Nine snapshots across the flip, traced in process and as runs on two
+    spawned workers (five runs of at most two snapshots), give the same
+    times and the same bits in every PathSet column."""
+    _, tx, rx, _ = flip_slice
+    tracer = TracerConfig(max_order=2, tile_size=1.0, enable_diffuse=True, cull_db=-40.0)
+    out = {workers: trace_trajectory(intersection_scene(plain=True), tx, rx, tracer,
+                                     SIM.coarse_trace_dt, t0=4.02, t1=4.10, workers=workers)
+           for workers in (1, 2)}
+    assert len(out[1]) == 9
+    assert [t for t, _ in out[1]] == [t for t, _ in out[2]]
+    for (_, a), (_, b) in zip(out[1], out[2]):
+        for f in fields(PathSet):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x.dtype == y.dtype and x.shape == y.shape
+            if x.dtype.kind in "fc":
+                x, y = x.view(np.uint64), y.view(np.uint64)
+            assert np.array_equal(x, y), f.name
+
+
 def reference_columns_at(interp: PathInterpolator, t: float) -> PathSet:
     """``paths_at`` as it built each step: the interval matched, and all
     eight columns of the lerped start rows and of the held rows

@@ -260,12 +260,27 @@ class TestAnalyzeCommand:
         for end in ("tx", "rx"):
             lines = (tmp_path / "mA" / f"correlation_{end}.csv").read_text().splitlines()
             assert lines[0] == "t_s" and len(lines) == 3
+        assert self._report_rows(tmp_path) == ["gain", "delay_spread", "doppler_spread",
+                                               "lambda_1"]
+
+    def test_two_element_ends_report_rows(self, tmp_path, write_tensor):
+        """A 2 x 2 tensor: the one-column correlation files keep their
+        column names, so the report names and orders their rows."""
+        path = write_tensor(tmp_path / "t.v2vc", m_rx=2, m_tx=2)
+        for out in ("mA", "mB"):
+            assert main(["analyze", str(path), "--n-avg", "2", "-o",
+                         str(tmp_path / out)]) == EXIT_OK
+        assert self._report_rows(tmp_path) == ["gain", "delay_spread", "doppler_spread",
+                                               "lambda_1", "lambda_2",
+                                               "tx_rho_12", "rx_rho_12"]
+
+    @staticmethod
+    def _report_rows(tmp_path) -> list[str]:
+        """The metric names of ``compare mA mB``'s report rows, in order."""
         rep = tmp_path / "rep"
         assert main(["compare", str(tmp_path / "mA"), str(tmp_path / "mB"),
                      "-o", str(rep)]) == EXIT_OK
-        names = {r[0] for r in list(csv.reader((rep / "report.csv").open()))[1:]}
-        assert {"gain", "delay_spread", "doppler_spread"} <= names
-        assert not any("rho" in n for n in names)
+        return [r[0] for r in list(csv.reader((rep / "report.csv").open()))[1:]]
 
 
 class TestCompareCommand:
