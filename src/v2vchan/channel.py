@@ -331,24 +331,34 @@ class PathInterpolator:
         return sub
 
 
-def _run_jobs(fn, jobs, workers: int):
-    """Yield ``fn(*job)`` for each tuple of ``jobs``, in job order.
-
-    At one worker the jobs run in this process, taken from ``jobs`` one at a
-    time, so a job's inputs are dropped before the next job is made.  Above
-    one, the jobs run one per task on ``workers`` processes started with
-    ``spawn`` whatever the platform's default: each imports the package
-    afresh, so ``fn`` must be a module-level function, and it, every job and
-    every result are pickled.  Callers pass at most one worker per job, so a
-    single job never starts a pool.
-    """
+def _job_count(workers: int) -> int:
+    """The number of jobs to cut work into for ``workers`` processes: four
+    per worker, so that a slow job is made up by the others' next ones.
+    Both callers of :func:`_run_jobs` call it before doing any work, so it
+    is where ``workers`` below 1 is rejected."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
+    return 4 * workers
+
+
+def _run_jobs(fn, jobs, workers: int):
+    """``fn(*job)`` for each tuple of ``jobs``, as an iterator in job order.
+
+    At one worker the jobs run in this process as the iterator is advanced,
+    taken from ``jobs`` one at a time, so a job's inputs are dropped before
+    the next job is made.  Above one, the jobs run one per task on
+    ``workers`` processes started with ``spawn`` whatever the platform's
+    default: each imports the package afresh, so ``fn`` must be a
+    module-level function, and it, every job and every result are pickled.
+    Callers pass at most one worker per job, so a single job never starts a
+    pool.
+    """
     if workers == 1:
-        yield from itertools.starmap(fn, jobs)
-        return
-    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-        yield from pool.map(fn, *zip(*jobs))
+        return itertools.starmap(fn, jobs)
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+    results = pool.map(fn, *zip(*jobs))
+    pool.shutdown(wait=False)   # its workers exit once the submitted jobs are done
+    return results
 
 
 #: Fine steps per synthesis chunk, at least, unless that leaves fewer than
@@ -412,8 +422,7 @@ def synthesize_tensor(interp: PathInterpolator, tx_array: ArrayLayout,
         dt = float(times[1] - times[0]) if len(times) > 1 else config.fine_dt
 
     interval = interp._intervals(times)
-    # max: _run_jobs rejects workers < 1
-    min_steps = min(_CHUNK_STEPS, -(-len(times) // (4 * max(workers, 1))))
+    min_steps = min(_CHUNK_STEPS, -(-len(times) // _job_count(workers)))
     cuts = [0]
     for k in np.flatnonzero(np.diff(interval)) + 1:
         if k - cuts[-1] >= min_steps:

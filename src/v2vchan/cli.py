@@ -30,11 +30,11 @@ from typing import get_type_hints
 
 import numpy as np
 
+from . import channel as chan
 from . import compare as cmp
 from . import metrics as met
 from .antenna import default_sharkfin_array
-from .channel import (PathInterpolator, SimConfig, TensorFormatError, load_tensor,
-                      save_tensor, synthesize_tensor)
+from .channel import SimConfig, TensorFormatError, load_tensor, save_tensor
 from .pipeline import SERIES_UNITS, analyze_tensor, trace_trajectory
 from .raytracer import TracerConfig, dump_paths_csv, PATH_DUMP_HEADER
 from .scene import (GeometryError, MaterialReferenceError, SceneFormatError,
@@ -192,9 +192,9 @@ def cmd_synthesize(cfg: RunConfig) -> int:
     else:
         tx_array = default_sharkfin_array()
         rx_array = default_sharkfin_array()
-    tensor = synthesize_tensor(PathInterpolator(snapshots), tx_array, rx_array, cfg.sim,
-                               tx_heading=tx.heading, rx_heading=rx.heading,
-                               workers=cfg.workers)
+    tensor = chan.synthesize_tensor(chan.PathInterpolator(snapshots), tx_array, rx_array,
+                                    cfg.sim, tx_heading=tx.heading, rx_heading=rx.heading,
+                                    workers=cfg.workers)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "channel.v2vc"

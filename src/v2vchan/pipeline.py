@@ -14,7 +14,8 @@ import numpy as np
 # cir_to_ctf, correlation_matrix_series, eigenvalue_series and
 # synthesize_tensor are re-exported: perfbench's tracer hooks them by name in
 # this module.
-from .channel import ChannelTensor, _run_jobs, cir_to_ctf, synthesize_tensor  # noqa: F401
+from .channel import (ChannelTensor, _job_count, _run_jobs, cir_to_ctf,  # noqa: F401
+                      synthesize_tensor)
 from .metrics import (apply_noise_threshold, channel_gain,  # noqa: F401
                       compute_apdp, compute_dsd, correlation_matrix_series,
                       eigenvalue_series, estimate_noise_floor,
@@ -31,27 +32,37 @@ def _trace_run(scene: Scene, positions, tracer: TracerConfig) -> list[PathSet]:
     return [trace_snapshot(scene, tx, rx, tracer) for tx, rx in positions]
 
 
+#: Snapshots per tracing job, at least: a trace shorter than two of these
+#: runs in process, since a spawned worker takes a few tenths of a second to
+#: start, about as long as tracing one such run takes.
+_RUN_SNAPSHOTS = 32
+
+
 def trace_trajectory(scene: Scene, tx_traj: Trajectory, rx_traj: Trajectory,
                      tracer: TracerConfig, coarse_dt: float,
                      t0: float | None = None, t1: float | None = None,
                      workers: int = 1):
     """Ray-trace at every coarse time step; returns the (t, PathSet) list.
 
-    The snapshots are cut into contiguous runs, at least four per worker,
-    each one job of :func:`channel._run_jobs` on ``workers`` processes.  A
-    worker unpickles the scene, and builds its tile table, once per run, so
-    a run holds many snapshots.
+    The snapshots are cut into contiguous runs of about equal length, four
+    per worker or, if fewer, as many of at least ``_RUN_SNAPSHOTS`` as fit,
+    each one job of :func:`channel._run_jobs` on ``workers`` processes.
+    Before a pool starts, the scene's tile table is built here once, so
+    every job's pickled scene carries it and no worker rebuilds it.
     """
     lo = max(tx_traj.t[0], rx_traj.t[0]) if t0 is None else t0
     hi = min(tx_traj.t[-1], rx_traj.t[-1]) if t1 is None else t1
     if hi < lo:
         raise ValueError("trajectories do not overlap in time")
     n = int(round((hi - lo) / coarse_dt)) + 1
+    size = -(-n // max(1, min(_job_count(workers), n // _RUN_SNAPSHOTS)))
     times = lo + np.arange(n) * coarse_dt
     positions = [(tx_traj.at(t)[0], rx_traj.at(t)[0]) for t in times]
-    size = -(-n // (4 * max(workers, 1)))   # max: _run_jobs rejects workers < 1
     jobs = [(scene, positions[k:k + size], tracer) for k in range(0, n, size)]
-    paths = [p for run in _run_jobs(_trace_run, jobs, min(workers, len(jobs))) for p in run]
+    workers = min(workers, len(jobs))
+    if workers > 1 and tracer.enable_diffuse:
+        scene.tiles(tracer.tile_size)
+    paths = [p for run in _run_jobs(_trace_run, jobs, workers) for p in run]
     return [(float(t), p) for t, p in zip(times, paths)]
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from v2vchan import channel, pipeline
 from v2vchan.antenna import isotropic_array
 from v2vchan.channel import (ChannelTensor, PathInterpolator, SimConfig,
                              TensorFormatError, _match_paths, add_measurement_noise,
@@ -421,11 +422,29 @@ class TestSynthesizeTensor:
                 p = los_path(5.0)
                 synthesize_tensor(PathInterpolator([(0.0, p), (0.01, p)]), isotropic_array(1),
                                   isotropic_array(1), SimConfig(n_freq_bins=8),
+                                  tx_heading=lambda t: pytest.fail("heading before check"),
                                   workers=workers)
             else:
                 tx, rx = intersection_trajectories()
                 trace_trajectory(free_space_scene(), tx, rx, TracerConfig(), 0.01,
                                  t0=1.0, t1=1.1, workers=workers)
+
+    @pytest.mark.parametrize("extra, pooled", [(-1, False), (0, True)])
+    def test_trace_pool_only_from_two_runs(self, monkeypatch, extra, pooled):
+        """At two workers a trace shorter than two runs of ``_RUN_SNAPSHOTS``
+        snapshots stays in process, and one of two runs starts a pool."""
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("pool started")
+        monkeypatch.setattr(channel, "ProcessPoolExecutor", no_pool)
+        n = 2 * pipeline._RUN_SNAPSHOTS + extra
+        tx, rx = intersection_trajectories()
+        trace = lambda: trace_trajectory(free_space_scene(), tx, rx, TracerConfig(), 0.01,
+                                         t0=1.0, t1=1.0 + (n - 1) * 0.01, workers=2)
+        if pooled:
+            with pytest.raises(RuntimeError, match="pool started"):
+                trace()
+        else:
+            assert len(trace()) == n
 
     @pytest.mark.parametrize("end", ["tx_heading", "rx_heading"])
     def test_non_finite_heading_rejected(self, end):

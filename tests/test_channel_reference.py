@@ -23,6 +23,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from v2vchan import pipeline
 from v2vchan.antenna import (AntennaPattern, ArrayElement, ArrayLayout,
                              default_sharkfin_array, isotropic_array)
 from v2vchan.channel import (PathInterpolator, SimConfig, _match_paths, _synthesize,
@@ -448,10 +449,12 @@ def test_workers_give_identical_tensor(flip_slice):
     assert len(w1) == 1 and " path(s) beyond" in w1[0] and w1 == w2
 
 
-def test_trace_workers_give_identical_paths(flip_slice):
+def test_trace_workers_give_identical_paths(flip_slice, monkeypatch):
     """Nine snapshots across the flip, traced in process and as runs on two
-    spawned workers (five runs of at most two snapshots), give the same
-    times and the same bits in every PathSet column."""
+    spawned workers (five runs of at most two snapshots, each pickled with
+    the scene's tile table), give the same times and the same bits in every
+    PathSet column."""
+    monkeypatch.setattr(pipeline, "_RUN_SNAPSHOTS", 1)
     _, tx, rx, _ = flip_slice
     tracer = TracerConfig(max_order=2, tile_size=1.0, enable_diffuse=True, cull_db=-40.0)
     out = {workers: trace_trajectory(intersection_scene(plain=True), tx, rx, tracer,
