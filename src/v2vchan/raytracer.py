@@ -11,11 +11,13 @@ paths are one :class:`PathSet`, the representation channel synthesis reads.
 Specular paths stay arrays from the image tree to the :class:`PathSet`.
 Each order level is a pair of arrays, surface sequences (M, k) and points
 [tx, q_1, ..., q_k, rx] (M, k + 2, 3): :func:`_reflection_points` fills
-and filters them, and :func:`_specular_paths` runs one occlusion batch
-over the level's sub-segments, the polarimetric chain and a stable length
+and filters them.  Then :func:`_specular_paths` takes every level at
+once, whatever the order: one occlusion batch over all sub-segments, one
+polarimetric chain over all paths left and one stable (order, length)
 sort.  The chain loops over the bounce index only, each step a batch over
-paths, and every reflection coefficient comes from one array Fresnel
-kernel, of which :func:`fresnel_coefficients` is the one-row case.
+the paths with that many bounces, and every reflection coefficient comes
+from one array Fresnel kernel, of which :func:`fresnel_coefficients` is
+the one-row case.
 
 Polarimetric bookkeeping
 ------------------------
@@ -228,36 +230,41 @@ def _rotation(frm, to) -> np.ndarray:
     return np.stack([np.stack([_rowdot(a, f) for f in frm], axis=1) for a in to], axis=1)
 
 
-def _polarimetric_chain(scene: Scene, seqs: np.ndarray, dirs: np.ndarray,
+def _polarimetric_chain(scene: Scene, sids: np.ndarray, dirs: np.ndarray, order: np.ndarray,
                         frequency: float) -> np.ndarray:
     """Accumulate basis rotations and Fresnel matrices along specular paths.
 
-    ``seqs`` (P, k) holds each path's surface ids and ``dirs`` (P, k + 1, 3)
-    its unit segment directions, TX to RX.  Returns the (P, 2, 2) matrices
+    ``order`` (P,) holds each path's bounce count k, ``sids`` (B,) every
+    path's k surface ids and ``dirs`` (B + P, 3) its k + 1 unit segment
+    directions, TX to RX, path after path.  Returns the (P, 2, 2) matrices
     mapping departure (V, H) to arrival (V, H), excluding spreading loss.
-    Each bounce's matrices are built in one batch over every (path, bounce);
-    only their products loop, over the bounce index.
+    Every bounce's matrices are built in one batch over all (path, bounce)
+    pairs, and the transverse bases once per segment, since a bounce's
+    ``d_out`` is the next one's ``d_in``.  Only the products loop, over the
+    bounce index b, each step over the paths of more than b bounces.
     """
-    p, k = seqs.shape
-    sid = seqs.ravel()
-    d_in, d_out, n = dirs[:, :-1].reshape(-1, 3), dirs[:, 1:].reshape(-1, 3), scene.normals[sid]
+    first = np.cumsum(order) - order                        # each path's first bounce
+    into = np.arange(len(sids)) + np.repeat(np.arange(len(order)), order)  # d_in's row
+    d_in, d_out, n = dirs[into], dirs[into + 1], scene.normals[sids]
     theta = np.arccos(np.minimum(1.0, np.abs(_rowdot(d_in, n))))
-    gamma = np.zeros((p * k, 2, 2), dtype=complex)
-    gamma[:, [0, 1], [0, 1]] = _fresnel([s.material for s in scene.surfaces], sid, theta,
+    gamma = np.zeros((len(sids), 2, 2), dtype=complex)
+    gamma[:, [0, 1], [0, 1]] = _fresnel([s.material for s in scene.surfaces], sids, theta,
                                         frequency)
     # s_hat, the axis perpendicular to the incidence plane; at normal
     # incidence the plane is undefined and any transverse axis works
     s = _cross(d_in, n)
     ns = np.sqrt(_rowdot(s, s))
     normal = ns < 1e-9
-    basis_in = vh_basis(d_in)
-    s_hat = np.where(normal[:, None], basis_in[1], s / np.where(normal, 1.0, ns)[:, None])
-    t_in = (gamma @ _rotation(basis_in, (s_hat, _cross(s_hat, d_in)))).reshape(p, k, 2, 2)
-    t_out = _rotation((s_hat, _cross(s_hat, d_out)), vh_basis(d_out)).astype(complex)
-    t_out = t_out.reshape(p, k, 2, 2)
-    m = np.broadcast_to(np.eye(2, dtype=complex), (p, 2, 2))
-    for b in range(k):
-        m = t_out[:, b] @ (t_in[:, b] @ m)
+    e_v, e_h = vh_basis(dirs)
+    s_hat = np.where(normal[:, None], e_h[into], s / np.where(normal, 1.0, ns)[:, None])
+    t_in = gamma @ _rotation((e_v[into], e_h[into]), (s_hat, _cross(s_hat, d_in)))
+    t_out = _rotation((s_hat, _cross(s_hat, d_out)), (e_v[into + 1], e_h[into + 1]))
+    t_out = t_out.astype(complex)
+    m = np.tile(np.eye(2, dtype=complex), (len(order), 1, 1))
+    for b in range(int(order.max(initial=0))):
+        on = np.flatnonzero(order > b)
+        rows = first[on] + b
+        m[on] = t_out[rows] @ (t_in[rows] @ m[on])
     return m
 
 
@@ -313,10 +320,13 @@ def image_method_specular(scene: Scene, tx, rx, max_order: int,
     4. back-substitutes the reflection points from RX to TX over the whole
        level, with one :meth:`Scene.contains` batch per step.
 
-    A candidate survives when every reflection point lies strictly inside
-    its polygon, both adjacent points are on the front side, and every
-    sub-segment is unobstructed.  Paths come out sorted by (order, length),
-    ties in lexicographic order of the surface sequence.
+    The candidates of every level then go to :func:`_specular_paths` in one
+    call, so a snapshot makes one occlusion batch and one polarimetric
+    chain whatever ``max_order`` is.  A candidate survives when every
+    reflection point lies strictly inside its polygon, both adjacent points
+    are on the front side, and every sub-segment is unobstructed.  Paths
+    come out sorted by (order, length), ties in lexicographic order of the
+    surface sequence.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -342,35 +352,53 @@ def image_method_specular(scene: Scene, tx, rx, max_order: int,
         prev, n = images[parent, -1], normals[sid]
         img = prev - 2.0 * (_rowdot(prev, n) - offsets[sid])[:, None] * n
         images = np.concatenate((images[parent], img[:, None, :]), axis=1)
-        levels.append(_specular_paths(scene, *_reflection_points(scene, tx, rx, seqs, images),
-                                      frequency))
-    return PathSet.concat(levels)
+        levels.append(_reflection_points(scene, tx, rx, seqs, images))
+    return _specular_paths(scene, levels, frequency)
 
 
-def _specular_paths(scene: Scene, seqs: np.ndarray, pts: np.ndarray,
-                    frequency: float) -> PathSet:
-    """The unobstructed paths of one order level's candidates.
+def _specular_paths(scene: Scene, levels, frequency: float) -> PathSet:
+    """The unobstructed paths of every order level's candidates, as one set.
 
-    ``seqs`` (M, k) holds the surface sequences and ``pts`` (M, k + 2, 3)
-    their points [tx, q_1, ..., q_k, rx].  Every sub-segment goes through
-    one occlusion batch; the paths come out sorted by length, ties kept in
-    candidate order.
+    ``levels`` holds one pair per order k = 1, 2, ...: the surface sequences
+    (M, k) and their points [tx, q_1, ..., q_k, rx] (M, k + 2, 3).  The
+    sub-segments of every candidate go through one occlusion batch, the
+    paths left of every order through one polarimetric chain, and one
+    stable sort puts them in (order, length) order, ties kept in candidate
+    order.  Each length is its segments' sum, left to right.
     """
-    m, k = seqs.shape
-    blocked = occlusion_test_batch(scene, pts[:, :-1].reshape(-1, 3), pts[:, 1:].reshape(-1, 3))
-    keep = ~blocked.reshape(m, k + 1).any(axis=1)
-    seqs, pts = seqs[keep], pts[keep]
-    seg = (pts[:, 1:] - pts[:, :-1]).reshape(-1, 3)
-    seg_len = np.sqrt(_rowdot(seg, seg)).reshape(-1, k + 1)
-    dirs = seg.reshape(-1, k + 1, 3) / seg_len[:, :, None]
-    length = seg_len[:, 0]
-    for j in range(1, k + 1):     # left to right: a reduction may pair the terms otherwise
-        length = length + seg_len[:, j]
+    empty = [np.zeros((0, 3))]
+    blocked = occlusion_test_batch(
+        scene, np.concatenate(empty + [pts[:, :-1].reshape(-1, 3) for _, pts in levels]),
+        np.concatenate(empty + [pts[:, 1:].reshape(-1, 3) for _, pts in levels]))
+    n = sum(len(seqs) for seqs, _ in levels)
+    surfaces = np.full((n, MAX_SPECULAR_ORDER), -1)
+    points = np.full((n, MAX_SPECULAR_ORDER, 3), np.nan)
+    seg, pos, p = list(empty), 0, 0
+    for seqs, pts in levels:
+        m, k = seqs.shape
+        keep = ~blocked[pos:pos + m * (k + 1)].reshape(m, k + 1).any(axis=1)
+        pos += m * (k + 1)
+        seqs, pts = seqs[keep], pts[keep]
+        surfaces[p:p + len(seqs), :k] = seqs
+        points[p:p + len(seqs), :k] = pts[:, 1:-1]
+        seg.append((pts[:, 1:] - pts[:, :-1]).reshape(-1, 3))
+        p += len(seqs)
+    surfaces, points, seg = surfaces[:p], points[:p], np.concatenate(seg)
+    order = np.count_nonzero(surfaces >= 0, axis=1)
+    seg_len = np.sqrt(_rowdot(seg, seg))
+    dirs = seg / seg_len[:, None]
+    first = np.cumsum(order + 1) - order - 1                # each path's first segment
+    length = seg_len[first]
+    # left to right, one term at a time: a reduction may pair the terms otherwise
+    for j in range(1, int(order.max(initial=0)) + 1):
+        on = np.flatnonzero(order >= j)
+        length[on] = length[on] + seg_len[first[on] + j]
     lam = SPEED_OF_LIGHT / frequency
-    chain = _polarimetric_chain(scene, seqs, dirs, frequency)
+    chain = _polarimetric_chain(scene, surfaces[surfaces >= 0], dirs, order, frequency)
     amplitude = (lam / (4.0 * math.pi * length))[:, None, None] * chain
-    paths = _pathset("specular", length, amplitude, dirs[:, 0], dirs[:, -1], seqs, pts[:, 1:-1])
-    return paths.take(np.argsort(length, kind="stable"))
+    paths = _pathset("specular", length, amplitude, dirs[first], dirs[first + order],
+                     surfaces, points)
+    return paths.take(np.lexsort((length, order)))
 
 
 def _reflection_points(scene: Scene, tx, rx, seqs: np.ndarray,

@@ -6,10 +6,16 @@ every surface sequence without an immediate repeat is expanded (no
 visibility pruning), and each one's reflection points are back-substituted
 one sequence and one point-in-polygon test at a time, the test being the
 per-edge loop of ``conftest.reference_contains``.  Its candidates are
-grouped by order and each level goes to the same ``_specular_paths`` stage
-(occlusion batch, polarimetric chain and the length sort), so what is
-compared is the enumeration: the path lists must agree in order, surface
-sequence and value.
+grouped into order levels, which go in one call to the same
+``_specular_paths`` stage (occlusion batch, polarimetric chain and the
+sort), so what is compared is the enumeration: the path lists must agree
+in order, surface sequence and value.
+
+The stage reference is the path stage that ran once per order level before
+one call took every level: an occlusion batch, a polarimetric chain and a
+stable length sort per level, the levels then concatenated.  Given the
+levels ``image_method_specular`` builds, the one-call stage must return the
+same bytes in all eight ``PathSet`` columns.
 
 The dump reference is the path-dump writer that formatted one
 ``PropagationPath`` per row before the writer read the columns.
@@ -34,14 +40,17 @@ import numpy as np
 import pytest
 
 from conftest import big_wall, l_roof_scene, reference_contains
+from v2vchan import raytracer
 from v2vchan.antenna import vh_basis
 from v2vchan.raytracer import (MAX_SPECULAR_ORDER, SPEED_OF_LIGHT, PathSet, TracerConfig,
-                               dump_paths_csv, _diffuse_blocks,
-                               _endpoints, _pathset, _reflection_points, _rowdot,
-                               _specular_paths, fresnel_coefficients, image_method_specular,
-                               lambertian_diffuse, trace_los, trace_snapshot)
-from v2vchan.scene import (DEFAULT_MATERIALS, Scene, Surface, _fan_planes, extrude_footprint,
-                           load_scene, occlusion_test_blocks, occlusion_test_fan)
+                               dump_paths_csv, _diffuse_blocks, _endpoints, _fresnel,
+                               _pathset, _polarimetric_chain, _reflection_points, _rotation,
+                               _rowdot, _specular_paths, fresnel_coefficients,
+                               image_method_specular, lambertian_diffuse, trace_los,
+                               trace_snapshot)
+from v2vchan.scene import (DEFAULT_MATERIALS, Scene, Surface, _cross, _fan_planes,
+                           extrude_footprint, load_scene, occlusion_test_batch,
+                           occlusion_test_blocks, occlusion_test_fan)
 from v2vchan.scenarios import (ANTENNA_HEIGHT, EW_STREET_WIDTH, NS_STREET_WIDTH,
                                data_path, ground_surface, intersection_scene,
                                intersection_trajectories, pec_ground_scene,
@@ -112,8 +121,8 @@ def reference_specular(scene, tx, rx, max_order, frequency=F):
         level = [(seq, pts) for seq, pts in candidates if len(seq) == order]
         seqs = np.array([seq for seq, _ in level], dtype=int).reshape(-1, order)
         pts = np.array([pts for _, pts in level], dtype=float).reshape(-1, order + 2, 3)
-        levels.append(_specular_paths(scene, seqs, pts, frequency))
-    return PathSet.concat(levels)
+        levels.append((seqs, pts))
+    return _specular_paths(scene, levels, frequency)
 
 
 def _unit(v):
@@ -239,17 +248,19 @@ def test_order_4_courtyard_block_over_ground():
         _assert_same(image_method_specular(scene, tx, rx, 4, F), want)
 
 
+L_ROOF_PLACEMENTS = [((14, 14, 1.7), (30, 12, 2.0)), ((12, 12, 10), (2, 3, 7)),
+                     ((15, 15, 8), (18, 2, 9)), ((11, 16, 9), (16, 11, 7)),
+                     ((14, -8, 2), (16, -30, 3)), ((10, 30, 1.7), (30, 10, 1.7))]
+
+
 def test_orders_1_to_3_over_concave_roof_and_triangle():
     # in the L block's notch, above its roof (the third placement's roof
     # point falls in the notch) and by the triangular sign, so padded and
     # masked edges decide paths
     scene = l_roof_scene()
     roof, sign = 6, 7
-    placements = [((14, 14, 1.7), (30, 12, 2.0)), ((12, 12, 10), (2, 3, 7)),
-                  ((15, 15, 8), (18, 2, 9)), ((11, 16, 9), (16, 11, 7)),
-                  ((14, -8, 2), (16, -30, 3)), ((10, 30, 1.7), (30, 10, 1.7))]
     hit, orders = set(), set()
-    for tx, rx in placements:
+    for tx, rx in L_ROOF_PLACEMENTS:
         want = reference_specular(scene, tx, rx, 3)
         _assert_same(image_method_specular(scene, tx, rx, 3, F), want)
         hit.update(want.surfaces.ravel().tolist())
@@ -367,7 +378,7 @@ def test_level_with_every_candidate_blocked_is_empty():
     scene = Scene([mirror, screen])
     seqs, pts = _level_candidates(scene, (0, 5, 1), (10, 5, 1), np.array([[0]]))
     assert seqs.tolist() == [[0]] and pts.shape == (1, 3, 3)
-    _assert_empty(_specular_paths(scene, seqs, pts, F))
+    _assert_empty(_specular_paths(scene, [(seqs, pts)], F))
     _assert_empty(image_method_specular(scene, (0, 5, 1), (10, 5, 1), 1, F))
 
 
@@ -378,8 +389,183 @@ def test_level_with_every_candidate_rejected_is_empty():
     scene = Scene([panel])
     seqs, pts = _level_candidates(scene, (0, 5, 1), (10, 5, 1), np.array([[0]]))
     assert seqs.shape == (0, 1) and seqs.dtype.kind == "i" and pts.shape == (0, 3, 3)
-    _assert_empty(_specular_paths(scene, seqs, pts, F))
+    _assert_empty(_specular_paths(scene, [(seqs, pts)], F))
     _assert_empty(image_method_specular(scene, (0, 5, 1), (10, 5, 1), 1, F))
+
+
+def reference_level_chain(scene, seqs, dirs, frequency):
+    """The polarimetric chain of one order level as the per-level stage ran
+    it: ``seqs`` (P, k) surface ids and ``dirs`` (P, k + 1, 3) unit segment
+    directions."""
+    p, k = seqs.shape
+    sid = seqs.ravel()
+    d_in, d_out, n = dirs[:, :-1].reshape(-1, 3), dirs[:, 1:].reshape(-1, 3), scene.normals[sid]
+    theta = np.arccos(np.minimum(1.0, np.abs(_rowdot(d_in, n))))
+    gamma = np.zeros((p * k, 2, 2), dtype=complex)
+    gamma[:, [0, 1], [0, 1]] = _fresnel([s.material for s in scene.surfaces], sid, theta,
+                                        frequency)
+    s = _cross(d_in, n)
+    ns = np.sqrt(_rowdot(s, s))
+    normal = ns < 1e-9
+    basis_in = vh_basis(d_in)
+    s_hat = np.where(normal[:, None], basis_in[1], s / np.where(normal, 1.0, ns)[:, None])
+    t_in = (gamma @ _rotation(basis_in, (s_hat, _cross(s_hat, d_in)))).reshape(p, k, 2, 2)
+    t_out = _rotation((s_hat, _cross(s_hat, d_out)), vh_basis(d_out)).astype(complex)
+    t_out = t_out.reshape(p, k, 2, 2)
+    m = np.broadcast_to(np.eye(2, dtype=complex), (p, 2, 2))
+    for b in range(k):
+        m = t_out[:, b] @ (t_in[:, b] @ m)
+    return m
+
+
+def reference_level_paths(scene, seqs, pts, frequency=F):
+    """The unobstructed paths of one order level, sorted by length, as the
+    per-level stage returned them: ``seqs`` (M, k), ``pts`` (M, k + 2, 3)."""
+    m, k = seqs.shape
+    blocked = occlusion_test_batch(scene, pts[:, :-1].reshape(-1, 3), pts[:, 1:].reshape(-1, 3))
+    keep = ~blocked.reshape(m, k + 1).any(axis=1)
+    seqs, pts = seqs[keep], pts[keep]
+    seg = (pts[:, 1:] - pts[:, :-1]).reshape(-1, 3)
+    seg_len = np.sqrt(_rowdot(seg, seg)).reshape(-1, k + 1)
+    dirs = seg.reshape(-1, k + 1, 3) / seg_len[:, :, None]
+    length = seg_len[:, 0]
+    for j in range(1, k + 1):
+        length = length + seg_len[:, j]
+    lam = SPEED_OF_LIGHT / frequency
+    chain = reference_level_chain(scene, seqs, dirs, frequency)
+    amplitude = (lam / (4.0 * math.pi * length))[:, None, None] * chain
+    paths = _pathset("specular", length, amplitude, dirs[:, 0], dirs[:, -1], seqs, pts[:, 1:-1])
+    return paths.take(np.argsort(length, kind="stable"))
+
+
+def _specular_and_levels(monkeypatch, scene, tx, rx, max_order):
+    """``image_method_specular``'s paths and the order levels it handed the
+    path stage, which must be called once."""
+    seen = []
+    monkeypatch.setattr(raytracer, "_specular_paths",
+                        lambda *args: seen.append(args[1]) or _specular_paths(*args))
+    got = image_method_specular(scene, tx, rx, max_order, F)
+    assert len(seen) == 1
+    return got, seen[0]
+
+
+def _assert_stage_bytes(monkeypatch, scene, tx, rx, max_order):
+    """Every column of ``image_method_specular`` byte for byte as the
+    per-level stage gives it on the same levels.  Returns the paths and
+    the levels."""
+    got, levels = _specular_and_levels(monkeypatch, scene, tx, rx, max_order)
+    want = PathSet.concat([reference_level_paths(scene, seqs, pts) for seqs, pts in levels])
+    _assert_same_columns(got, want, (tuple(np.ravel(tx)), tuple(np.ravel(rx)), max_order))
+    return got, levels
+
+
+@pytest.mark.parametrize("case", range(len(PLACEMENTS)))
+def test_stage_matches_per_level_stage_bytes(intersection, monkeypatch, case):
+    tx, rx = PLACEMENTS[case]
+    for order in (1, 2, 3):
+        _assert_stage_bytes(monkeypatch, intersection, tx, rx, order)
+
+
+def test_stage_matches_per_level_stage_bytes_on_order_4_courtyard(monkeypatch):
+    scene = _courtyard()
+    rng = np.random.default_rng(7)
+    orders = set()
+    for _ in range(3):
+        tx = np.array([rng.uniform(11, 29), rng.uniform(11, 45), ANTENNA_HEIGHT])
+        rx = np.array([rng.uniform(11, 29), rng.uniform(11, 45), rng.uniform(1.0, 3.0)])
+        orders.update(_assert_stage_bytes(monkeypatch, scene, tx, rx, 4)[0].order.tolist())
+    assert orders == {1, 2, 3, 4}
+
+
+def test_stage_matches_per_level_stage_bytes_over_concave_roof(monkeypatch):
+    scene = l_roof_scene()
+    orders = set()
+    for tx, rx in L_ROOF_PLACEMENTS:
+        orders.update(_assert_stage_bytes(monkeypatch, scene, tx, rx, 3)[0].order.tolist())
+    assert orders == {1, 2, 3}
+
+
+def _corridor():
+    """Two facing walls at y = 0 and y = 10 and, 1 m in front of each, a
+    panel facing its wall.  Between ``CORRIDOR_TX`` and ``CORRIDOR_RX`` the
+    panels block both first-order paths and neither second-order one, and
+    neither end sees a panel's front."""
+    concrete = DEFAULT_MATERIALS["concrete"]
+
+    def quad(y, x0, x1, z0, z1, facing):
+        corners = [(x0, y, z0), (x1, y, z0), (x1, y, z1), (x0, y, z1)]
+        surface = Surface(corners, concrete)
+        return surface if surface.normal[1] * facing > 0 else Surface(corners[::-1], concrete)
+
+    return Scene([quad(0, -50, 50, -50, 50, 1), quad(10, -50, 50, -50, 50, -1),
+                  quad(1, 7, 13, 0, 4, -1), quad(9, 7, 13, 0, 4, 1)])
+
+
+CORRIDOR_TX, CORRIDOR_RX = (0.0, 5.0, 1.0), (20.0, 5.0, 3.0)
+
+
+def test_order_with_every_candidate_blocked_beside_one_that_survives(monkeypatch):
+    got, levels = _assert_stage_bytes(monkeypatch, _corridor(), CORRIDOR_TX, CORRIDOR_RX, 2)
+    assert [seqs.tolist() for seqs, _ in levels] == [[[0], [1]], [[0, 1], [1, 0]]]
+    assert got.order.tolist() == [2, 2]
+    assert got.surfaces[:, :2].tolist() == [[0, 1], [1, 0]]
+
+
+def test_tree_that_stops_before_max_order(monkeypatch):
+    # one wall: no order-2 sequence exists, so the tree stops after order 1
+    scene = single_wall_scene(DEFAULT_MATERIALS["concrete"])
+    got, levels = _assert_stage_bytes(monkeypatch, scene, (0, 5, 1), (10, 5, 1), 4)
+    assert [seqs.shape for seqs, _ in levels] == [(1, 1)]
+    assert got.order.tolist() == [1]
+
+
+def test_stage_without_any_candidate_is_empty(monkeypatch):
+    got, levels = _specular_and_levels(monkeypatch, Scene([]), (0, 0, 1), (10, 0, 1), 4)
+    assert levels == []
+    _assert_empty(got)
+    _assert_empty(_specular_paths(Scene([]), [], F))
+    scene = _corridor()
+    no_candidates = [(np.zeros((0, k), dtype=int), np.zeros((0, k + 2, 3))) for k in (1, 2, 3)]
+    _assert_empty(_specular_paths(scene, no_candidates, F))
+
+
+def test_chain_rows_do_not_depend_on_the_batch():
+    """A path's chain from a batch of one has the bits of its row in a batch
+    of every order, whatever kernel numpy's matmul takes for each stack."""
+    scene = _courtyard()
+    tx, rx = np.array([20.0, 20.0, ANTENNA_HEIGHT]), np.array([15.0, 40.0, 2.0])
+    paths = image_method_specular(scene, tx, rx, 4, F)
+    assert set(paths.order.tolist()) == {1, 2, 3, 4} and len(paths) > 10
+    order = paths.order
+    sids = [paths.surfaces[i, :k] for i, k in enumerate(order.tolist())]
+    seg = [np.diff(np.vstack((tx, paths.points[i, :k], rx)), axis=0)
+           for i, k in enumerate(order.tolist())]
+    dirs = [d / np.sqrt(_rowdot(d, d))[:, None] for d in seg]
+    batch = _polarimetric_chain(scene, np.concatenate(sids), np.concatenate(dirs), order, F)
+    lam = SPEED_OF_LIGHT / F
+    for i in range(len(paths)):
+        one = _polarimetric_chain(scene, sids[i], dirs[i], order[i:i + 1], F)
+        assert one.tobytes() == batch[i:i + 1].tobytes(), i
+        amplitude = (lam / (4.0 * math.pi * paths.length[i:i + 1]))[:, None, None] * one
+        assert amplitude.tobytes() == paths.amplitude[i:i + 1].tobytes(), i
+
+
+@pytest.mark.parametrize("max_order", [1, 2, 3, 4])
+def test_one_occlusion_batch_and_one_chain_per_call(intersection, monkeypatch, max_order):
+    calls = {"occlusion_test_batch": 0, "_polarimetric_chain": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(raytracer, name, wrapper)
+
+    counted("occlusion_test_batch", occlusion_test_batch)
+    counted("_polarimetric_chain", _polarimetric_chain)
+    tx, rx = PLACEMENTS[0]
+    paths = image_method_specular(intersection, tx, rx, max_order, F)
+    assert set(paths.order.tolist()) == set(range(1, max_order + 1))
+    assert calls == {"occlusion_test_batch": 1, "_polarimetric_chain": 1}
 
 
 def reference_dump(paths, t, fh):
