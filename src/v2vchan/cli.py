@@ -21,6 +21,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -285,6 +286,7 @@ def cmd_scene_validate(path: str) -> int:
     return EXIT_OK
 
 
+@functools.cache    # one parser per process; parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="v2vchan", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)

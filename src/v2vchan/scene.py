@@ -48,6 +48,24 @@ NaN edges that decide nothing.  :meth:`Scene.contains` decides any mix of (point
 pairs in one crossing-number pass over that table; the image method's
 back-substitution and the tile grid use it, and :meth:`Surface.contains`
 is its one-surface case.
+
+Construction
+------------
+Surfaces are built in one batched numpy pass: :func:`load_scene` builds
+every surface of a file at once, after the whole file has been read and
+checked, :func:`extrude_footprint` builds a building's walls and roof at
+once, and ``Surface(...)`` is the one-polygon case.  The pass groups the
+polygons by vertex count, without padding, and gives each polygon the bits
+that one-polygon arithmetic gives it: each Newell component is summed along
+the polygon's own contiguous vertex axis, and every dot product and norm is
+a stacked ``(1, 3) @ (3, 1)`` matrix product, the BLAS dot that ``@`` and
+``np.linalg.norm`` use on two 3-vectors (``einsum``, ``.sum(axis=1)`` and
+``norm(axis=1)`` round some rows differently).  Each polygon then needs, in
+this order, three or more vertices of dimension 3, finite vertices, a
+finite non-zero area, its vertices within ``PLANARITY_TOL`` of its plane,
+distinct first two vertices (the first edge sets the in-plane frame) and a
+triangulation by ear clipping; the first polygon, in order, that fails
+raises GeometryError.
 """
 
 from __future__ import annotations
@@ -122,24 +140,11 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]), axis=-1)
 
 
-def _newell_normal(vertices: np.ndarray) -> np.ndarray:
-    """Area-weighted polygon normal (right-hand rule over the vertex order).
-
-    Coordinates near the float limit overflow to an inf or NaN component
-    without a warning; :class:`Surface` rejects such a normal."""
-    v = vertices
-    nxt = np.roll(v, -1, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([
-            np.sum((v[:, 1] - nxt[:, 1]) * (v[:, 2] + nxt[:, 2])),
-            np.sum((v[:, 2] - nxt[:, 2]) * (v[:, 0] + nxt[:, 0])),
-            np.sum((v[:, 0] - nxt[:, 0]) * (v[:, 1] + nxt[:, 1])),
-        ])
-
-
-def _ear_clip(poly2d: np.ndarray) -> list[tuple[int, int, int]]:
+def _ear_clip(poly2d) -> list[tuple[int, int, int]]:
     """Triangulate a simple 2D polygon (CCW) by ear clipping.
 
+    ``poly2d`` holds the (x, y) points as an (n, 2) array or as a list of
+    pairs of floats, which index faster and give the same comparisons.
     Returns index triples into ``poly2d``.  O(n^2), fine for the small
     polygons (walls, roofs, footprints) this simulator deals with.
     """
@@ -193,36 +198,7 @@ class Surface:
     """
 
     def __init__(self, vertices, material: Material, tag: str = ""):
-        v = np.asarray(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 3:
-            raise GeometryError(f"surface {tag!r}: need >= 3 vertices of dimension 3")
-        if not np.isfinite(v).all():
-            raise GeometryError(f"surface {tag!r}: vertices must be finite")
-        n = _newell_normal(v)
-        area2 = np.linalg.norm(n)
-        if not 0.0 < area2 < math.inf:   # NaN or inf when the coordinates overflow
-            raise GeometryError(f"surface {tag!r}: zero or overflowing polygon area")
-        normal = n / area2
-        offset = float(normal @ v[0])
-        dev = np.abs(v @ normal - offset)
-        if dev.max() > PLANARITY_TOL:
-            raise GeometryError(
-                f"surface {tag!r}: vertices deviate from plane by {dev.max():.2e} m"
-            )
-        self.vertices = v
-        self.material = material
-        self.tag = tag
-        self.normal = normal
-        self.plane_offset = offset
-        self.area = 0.5 * area2
-        # In-plane orthonormal frame for 2D point-in-polygon tests.
-        e_u = v[1] - v[0]
-        e_u = e_u - (e_u @ normal) * normal
-        e_u /= np.linalg.norm(e_u)
-        e_v = _cross(normal, e_u)
-        self._frame = (e_u, e_v)
-        self._poly2d = np.column_stack(((v - v[0]) @ e_u, (v - v[0]) @ e_v))
-        self._tri_idx = _ear_clip(self._poly2d)
+        _build_surfaces([(vertices, material, tag)], into=[self])
 
     def contains(self, points: np.ndarray, *, strict: bool = True) -> np.ndarray:
         """Point-in-polygon test of world points (N, 3) against this surface:
@@ -237,6 +213,64 @@ class Surface:
     def __repr__(self):
         return (f"Surface(tag={self.tag!r}, material={self.material.name!r}, "
                 f"n_vertices={len(self.vertices)}, area={self.area:.3g})")
+
+
+#: What a fault code of :func:`_build_surfaces` reports after the surface's tag.
+_FAULTS = ("", "need >= 3 vertices of dimension 3", "vertices must be finite",
+           "zero or overflowing polygon area", "vertices deviate from plane by {:.2e} m",
+           "first two vertices coincide")
+
+
+def _build_surfaces(specs, into=None) -> list[Surface]:
+    """The :class:`Surface` of each (vertices, material, tag) in ``specs``,
+    built in one batched pass (module docstring, "Construction"); ``into``
+    holds the surfaces to fill, new ones by default.  The first faulty
+    surface in order raises GeometryError naming it, as building the
+    surfaces one at a time would."""
+    verts = [np.asarray(p, dtype=float) for p, _, _ in specs]
+    out = [Surface.__new__(Surface) for _ in verts] if into is None else into
+    faults = [(1, 0.0)] * len(verts)        # (fault code, plane deviation) of each surface
+    groups: dict[int, list[int]] = {}       # surface indices by vertex count
+    for i, v in enumerate(verts):
+        if v.ndim == 2 and v.shape[1] == 3 and len(v) >= 3:
+            groups.setdefault(len(v), []).append(i)
+
+    def dot(a, b):      # row by row, as the BLAS dot of two 3-vectors
+        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+    for idx in groups.values():
+        v = np.stack([verts[i] for i in idx])
+        nxt = np.concatenate((v[:, 1:], v[:, :1]), axis=1)
+        with np.errstate(all="ignore"):     # a faulty row's NaN and inf stay in that row
+            # Newell's normal, each component summed along one polygon's vertices
+            n = np.stack([np.sum((v[..., a] - nxt[..., a]) * (v[..., b] + nxt[..., b]), axis=1)
+                          for a, b in ((1, 2), (2, 0), (0, 1))], axis=1)
+            area2 = np.sqrt(dot(n, n))
+            normal = n / area2[:, None]
+            offset = dot(normal, v[:, 0])
+            dev = np.abs((v @ normal[:, :, None])[..., 0] - offset[:, None]).max(axis=1)
+            # in-plane orthonormal frame for 2D point-in-polygon tests
+            e_u = v[:, 1] - v[:, 0]
+            e_u = e_u - dot(e_u, normal)[:, None] * normal
+            length = np.sqrt(dot(e_u, e_u))
+            e_u /= length[:, None]
+            e_v = _cross(normal, e_u)
+            rel = v - v[:, :1]
+            poly = np.stack(((rel @ e_u[:, :, None])[..., 0], (rel @ e_v[:, :, None])[..., 0]),
+                            axis=2)
+        fault = np.stack((~np.isfinite(v).all(axis=(1, 2)), ~((area2 > 0) & (area2 < np.inf)),
+                          dev > PLANARITY_TOL, ~(length > 0)))
+        code = np.where(fault.any(axis=0), fault.argmax(axis=0) + 2, 0)
+        for k, i in enumerate(idx):
+            faults[i] = (code[k], dev[k])
+            vars(out[i]).update(vertices=v[k], material=specs[i][1], tag=specs[i][2],
+                                normal=normal[k], plane_offset=float(offset[k]),
+                                area=0.5 * area2[k], _frame=(e_u[k], e_v[k]), _poly2d=poly[k])
+    for s, (code, dev), (_, _, tag) in zip(out, faults, specs):
+        if code:
+            raise GeometryError(f"surface {tag!r}: " + _FAULTS[code].format(dev))
+        s._tri_idx = _ear_clip(s._poly2d.tolist())
+    return out
 
 
 class Scene:
@@ -439,6 +473,11 @@ def extrude_footprint(footprint, height: float, material: Material,
     interior, plus a roof facing up.  Consecutive walls share their common
     vertical edge exactly.
     """
+    return _build_surfaces([(p, material, t) for p, t in _extrusion(footprint, height, tag)])
+
+
+def _extrusion(footprint, height: float, tag: str) -> list[tuple[np.ndarray, str]]:
+    """The (polygon, tag) of each wall and the roof of :func:`extrude_footprint`."""
     fp = np.asarray(footprint, dtype=float)
     if fp.ndim != 2 or fp.shape[1] != 2 or len(fp) < 3:
         raise GeometryError("footprint needs >= 3 two-dimensional vertices")
@@ -453,18 +492,10 @@ def extrude_footprint(footprint, height: float, material: Material,
     if area2 < 0:
         fp = fp[::-1]
     n = len(fp)
-    walls = []
-    for i in range(n):
-        p0, p1 = fp[i], fp[(i + 1) % n]
-        verts = [
-            (p0[0], p0[1], 0.0),
-            (p1[0], p1[1], 0.0),
-            (p1[0], p1[1], height),
-            (p0[0], p0[1], height),
-        ]
-        walls.append(Surface(verts, material, tag=f"{tag}:wall{i}"))
-    roof = Surface(np.column_stack((fp, np.full(n, height))), material, tag=f"{tag}:roof")
-    return walls + [roof]
+    roof, base = (np.column_stack((fp, np.full(n, z))) for z in (height, 0.0))
+    # wall i runs from corner i to corner i + 1 at the ground and back at the roof
+    walls = np.stack((base, np.roll(base, -1, axis=0), np.roll(roof, -1, axis=0), roof), axis=1)
+    return list(zip([*walls, roof], [f"{tag}:wall{i}" for i in range(n)] + [f"{tag}:roof"]))
 
 
 def _self_intersects(poly: np.ndarray) -> bool:
@@ -997,7 +1028,8 @@ def load_scene(path) -> Scene:
             raise MaterialReferenceError(f"{where}: unknown material {name!r}")
         return materials[name]
 
-    surfaces: list[Surface] = []
+    # the whole file is read and checked first, then every surface is built in one pass
+    specs = []      # (vertices, material, tag) of each surface
     for i, fp in enumerate(_json(doc.get("footprints", []), list, f"{path}: footprints")):
         where = f"{path}: footprints[{i}]"
         _json(fp, dict, where)
@@ -1008,7 +1040,7 @@ def load_scene(path) -> Scene:
         except KeyError as e:
             raise SceneFormatError(f"{where}: missing field {e}") from e
         tag = _json(fp.get("tag", f"footprint{i}"), str, f"{where}: tag")
-        surfaces.extend(extrude_footprint(poly, height, mat, tag=tag))
+        specs += [(p, mat, t) for p, t in _extrusion(poly, height, tag)]
     for i, ob in enumerate(_json(doc.get("obstacles", []), list, f"{path}: obstacles")):
         where = f"{path}: obstacles[{i}]"
         _json(ob, dict, where)
@@ -1018,24 +1050,22 @@ def load_scene(path) -> Scene:
         except KeyError as e:
             raise SceneFormatError(f"{where}: missing field {e}") from e
         tag = _json(ob.get("tag", f"obstacle{i}"), str, f"{where}: tag")
-        for j, poly in enumerate(polys):
-            sub_tag = tag if len(polys) == 1 else f"{tag}:{j}"
-            surfaces.append(Surface(_floats(poly, f"{where}: surfaces[{j}]"), mat, tag=sub_tag))
+        specs += [(_floats(poly, f"{where}: surfaces[{j}]"), mat,
+                   tag if len(polys) == 1 else f"{tag}:{j}") for j, poly in enumerate(polys)]
 
     if "ground" not in doc:
         raise SceneFormatError(f"{path}: missing required field 'ground'")
     g = _json(doc["ground"], dict, f"{path}: ground")
     gmat = resolve(g.get("material", "asphalt"), f"{path}: ground")
     if "vertices" in g:
-        ground = Surface(_floats(g["vertices"], f"{path}: ground"), gmat, tag="ground")
+        ground = _floats(g["vertices"], f"{path}: ground")
     elif "extent" in g:
         extent = _floats(g["extent"], f"{path}: ground")
-        if extent.shape != (4,):
-            raise SceneFormatError(f"{path}: ground extent must be [xmin, ymin, xmax, ymax]")
+        if extent.shape != (4,) or not (extent[0] < extent[2] and extent[1] < extent[3]):
+            raise SceneFormatError(f"{path}: ground extent must be [xmin, ymin, xmax, ymax] "
+                                   "with xmin < xmax and ymin < ymax")
         x0, y0, x1, y1 = extent
-        ground = Surface([(x0, y0, 0), (x1, y0, 0), (x1, y1, 0), (x0, y1, 0)], gmat, tag="ground")
+        ground = [(x0, y0, 0), (x1, y0, 0), (x1, y1, 0), (x0, y1, 0)]
     else:
         raise SceneFormatError(f"{path}: ground needs 'extent' or 'vertices'")
-    ground_id = len(surfaces)
-    surfaces.append(ground)
-    return Scene(surfaces, ground=ground_id)
+    return Scene(_build_surfaces(specs + [(ground, gmat, "ground")]), ground=len(specs))

@@ -588,3 +588,43 @@ def test_no_module_reads_the_environment():
             if names & env:
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys, tmp_path):
+    """Repeated ``main`` calls in one process share one parser: it is built
+    on the first call, and bad flags, ``--help`` and the flags of one call
+    leave nothing behind for the next."""
+    import argparse
+
+    import v2vchan.cli as cli
+
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        builds.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli.build_parser.cache_clear()
+    scene = str(data_path("intersection_plain.json"))
+    assert main(["scene-validate", scene]) == EXIT_OK
+    assert main(["scene-validate", scene]) == EXIT_OK
+    assert builds == ["v2vchan"]
+    assert main(["trace", "--workers", "many"]) == EXIT_CONFIG
+    assert main(["warp"]) == EXIT_CONFIG
+    assert main([]) == EXIT_CONFIG
+    capsys.readouterr()
+    assert main(["--help"]) == EXIT_OK
+    assert "scene-validate" in capsys.readouterr().out
+    assert main(["analyze", "--help"]) == EXIT_OK
+    assert "--n-avg" in capsys.readouterr().out
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda path, cfg: seen.append(cfg) or EXIT_OK)
+    assert main(["analyze", "t.v2vc", "--n-avg", "7", "--stride", "3", "-o",
+                 str(tmp_path)]) == EXIT_OK
+    assert main(["analyze", "t.v2vc"]) == EXIT_OK
+    assert [(c.n_avg, c.stride, c.output_dir) for c in seen] == [
+        (7, 3, str(tmp_path)), (RunConfig().n_avg, 0, "out")]
+    assert main(["scene-validate", scene]) == EXIT_OK
+    assert builds == ["v2vchan"]

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from v2vchan.scene import (DEFAULT_MATERIALS, GeometryError, MAX_TILE_CELLS, Material,
-                           MaterialReferenceError, Scene, SceneFormatError,
-                           Surface, TILE_BLOCK, Trajectory, _cross, extrude_footprint,
-                           load_scene, load_trajectory,
+                           MaterialReferenceError, PLANARITY_TOL, Scene, SceneFormatError,
+                           Surface, TILE_BLOCK, Trajectory, _cross, _ear_clip,
+                           extrude_footprint, load_scene, load_trajectory,
                            occlusion_test, occlusion_test_batch,
                            save_trajectory, straight_trajectory)
+from v2vchan import scenarios
 from v2vchan.scenarios import intersection_scene
 
 from conftest import big_wall, l_roof_scene
@@ -611,3 +612,242 @@ class TestTrajectory:
         with pytest.raises(SceneFormatError):
             load_trajectory(p)
 
+
+
+# --- construction: the batched pass against the per-surface constructor ---
+
+def reference_surface(vertices, material, tag=""):
+    """The per-surface constructor that ``Surface`` ran before construction
+    was batched, kept as the oracle of every attribute it derives."""
+    s = Surface.__new__(Surface)
+    v = np.asarray(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 3:
+        raise GeometryError(f"surface {tag!r}: need >= 3 vertices of dimension 3")
+    if not np.isfinite(v).all():
+        raise GeometryError(f"surface {tag!r}: vertices must be finite")
+    nxt = np.roll(v, -1, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.array([np.sum((v[:, 1] - nxt[:, 1]) * (v[:, 2] + nxt[:, 2])),
+                      np.sum((v[:, 2] - nxt[:, 2]) * (v[:, 0] + nxt[:, 0])),
+                      np.sum((v[:, 0] - nxt[:, 0]) * (v[:, 1] + nxt[:, 1]))])
+    area2 = np.linalg.norm(n)
+    if not 0.0 < area2 < math.inf:
+        raise GeometryError(f"surface {tag!r}: zero or overflowing polygon area")
+    normal = n / area2
+    offset = float(normal @ v[0])
+    dev = np.abs(v @ normal - offset)
+    if dev.max() > PLANARITY_TOL:
+        raise GeometryError(f"surface {tag!r}: vertices deviate from plane by {dev.max():.2e} m")
+    s.vertices, s.material, s.tag = v, material, tag
+    s.normal, s.plane_offset, s.area = normal, offset, 0.5 * area2
+    e_u = v[1] - v[0]
+    e_u = e_u - (e_u @ normal) * normal
+    e_u /= np.linalg.norm(e_u)
+    e_v = _cross(normal, e_u)
+    s._frame = (e_u, e_v)
+    s._poly2d = np.column_stack(((v - v[0]) @ e_u, (v - v[0]) @ e_v))
+    s._tri_idx = _ear_clip(s._poly2d)
+    return s
+
+
+def reference_extrusion(footprint, height, material, tag):
+    """``extrude_footprint``'s walls and roof as it built them one at a time."""
+    fp = np.asarray(footprint, dtype=float)
+    if np.sum(fp[:, 0] * np.roll(fp[:, 1], -1) - np.roll(fp[:, 0], -1) * fp[:, 1]) < 0:
+        fp = fp[::-1]
+    n = len(fp)
+    walls = [reference_surface([(p0[0], p0[1], 0.0), (p1[0], p1[1], 0.0), (p1[0], p1[1], height),
+                                (p0[0], p0[1], height)], material, f"{tag}:wall{i}")
+             for i, (p0, p1) in enumerate(zip(fp, np.roll(fp, -1, axis=0)))]
+    return walls + [reference_surface(np.column_stack((fp, np.full(n, height))), material,
+                                      f"{tag}:roof")]
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_surface(got, want):
+    assert type(got.area) is type(want.area) and type(got.plane_offset) is float
+    for name in ("vertices", "normal", "plane_offset", "area"):
+        assert _same_bytes(getattr(got, name), getattr(want, name)), (want.tag, name)
+    assert all(_same_bytes(g, w) for g, w in zip(got._frame, want._frame)), want.tag
+    assert len(got._frame) == 2 and _same_bytes(got._poly2d, want._poly2d), want.tag
+    assert got._tri_idx == want._tri_idx, want.tag
+    assert (got.material, got.tag) == (want.material, want.tag)
+
+
+def assert_same_scene(got: Scene, tile_sizes=(1.0, 0.7)):
+    """Every surface of ``got`` and every array its scene derives equal, byte
+    for byte, those of the scene of reference surfaces on the same vertices."""
+    want = Scene([reference_surface(s.vertices, s.material, s.tag) for s in got.surfaces],
+                 ground=got.ground)
+    for g, w in zip(got.surfaces, want.surfaces, strict=True):
+        assert_same_surface(g, w)
+    for name in ("normals", "offsets", "_tri", "_tri_normal", "_tri_area2", "_tri_edge",
+                 "bounding_box"):
+        assert _same_bytes(getattr(got, name), getattr(want, name)), name
+    assert all(_same_bytes(g, w) for g, w in zip(got._edges, want._edges, strict=True))
+    for size in tile_sizes:
+        for g, w in ((got.tiles(size), want.tiles(size)),
+                     (got.tile_blocks(size), want.tile_blocks(size))):
+            assert all(_same_bytes(a, b) for a, b in zip(g, w, strict=True)), size
+
+
+def _random_polygons(seed, count):
+    """Seeded star-shaped polygons of 3-8 vertices, tilted by a random rotation
+    and moved by up to 1e3 m, with vertices counter-clockwise or clockwise."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(3, 9))
+        angle = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        radius = rng.uniform(0.5, 1.0, n) * 10.0 ** rng.uniform(-1.0, 2.5)
+        flat = np.column_stack((radius * np.cos(angle), radius * np.sin(angle), np.zeros(n)))
+        rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        poly = flat @ rotation.T + rng.uniform(-1e3, 1e3, 3)
+        out.append(poly if rng.random() < 0.5 else poly[::-1])
+    return out
+
+
+def _scene_file(tmp_path, doc):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _outcome(build):
+    """What ``build()`` gives: the surface, or the GeometryError it raises."""
+    try:
+        return build()
+    except GeometryError as e:
+        return e
+
+
+@pytest.mark.filterwarnings("error")
+class TestConstruction:
+    @pytest.mark.parametrize("name", ["intersection.json", "intersection_plain.json"])
+    def test_bundled_scenes(self, name):
+        from v2vchan.scenarios import data_path
+        assert_same_scene(load_scene(data_path(name)))
+
+    # the oracle scenes span kilometres, so they are tiled 25 times coarser
+    @pytest.mark.parametrize("build, scale", [
+        (lambda: intersection_scene(plain=True), 1.0),
+        (lambda: intersection_scene(plain=False), 1.0), (l_roof_scene, 1.0),
+        (lambda: scenarios.canyon_scene(14.0), 25.0), (scenarios.single_wall_scene, 25.0),
+        (scenarios.pec_ground_scene, 25.0)],
+        ids=["plain", "furnished", "l_roof", "canyon", "single_wall", "pec_ground"])
+    def test_scenario_scenes(self, build, scale):
+        assert_same_scene(build(), tile_sizes=(scale, 0.7 * scale))
+
+    def test_random_tilted_polygons(self, concrete, tmp_path):
+        polygons = _random_polygons(21, 400)
+        accepted = []
+        for i, poly in enumerate(polygons):
+            got = _outcome(lambda: Surface(poly, concrete, tag=f"p{i}"))
+            want = _outcome(lambda: reference_surface(poly, concrete, tag=f"p{i}"))
+            if isinstance(want, GeometryError):
+                assert isinstance(got, GeometryError) and str(got) == str(want)
+            else:
+                assert_same_surface(got, want)
+                accepted.append(poly)
+        assert len(accepted) > 0.9 * len(polygons)
+        # every accepted polygon again in one file, so in one batched pass
+        doc = {"obstacles": [{"tag": f"p{i}", "material": "concrete", "surfaces": [p.tolist()]}
+                             for i, p in enumerate(accepted)],
+               "ground": {"extent": [-2e3, -2e3, 2e3, 2e3]}}
+        scene = load_scene(_scene_file(tmp_path, doc))
+        assert len(scene.surfaces) == len(accepted) + 1
+        assert_same_scene(scene, tile_sizes=(50.0,))
+
+    def test_concave_footprint(self, concrete):
+        # a U-shaped block, given clockwise
+        fp = [(0, 0), (0, 30), (10, 30), (10, 10), (30, 10), (30, 30), (40, 30), (40, 0)]
+        got = extrude_footprint(fp, 12.5, concrete, tag="u")
+        want = reference_extrusion(fp, 12.5, concrete, "u")
+        assert len(got) == len(want) == 9
+        for g, w in zip(got, want):
+            assert_same_surface(g, w)
+        assert_same_scene(Scene(got))
+
+    def test_triangles_quads_and_pentagons_in_one_file(self, tmp_path):
+        doc = {"footprints": [{"tag": "tri", "polygon": [[0, 0], [8, 0], [3, 6]],
+                               "height": 4.0, "material": "concrete"},
+                              {"tag": "penta", "polygon": [[20, 0], [26, 1], [27, 7], [22, 9],
+                                                           [18, 5]],
+                               "height": 9.5, "material": "glass"}],
+               "obstacles": [{"tag": "sign", "material": "metal",
+                              "surfaces": [[[30, 5, 0], [31, 5, 0], [31, 5, 1e-3]],
+                                           [[30, 6, 0], [32, 6, 0], [32.5, 6, 1], [31, 6, 2],
+                                            [29.5, 6, 1]],
+                                           [[33, 0, 0], [33, 2, 0], [33, 2, 2], [33, 0, 2]]]}],
+               "ground": {"extent": [-40, -40, 40, 40]}}
+        scene = load_scene(_scene_file(tmp_path, doc))
+        counts = sorted({len(s.vertices) for s in scene.surfaces})
+        assert counts == [3, 4, 5]
+        assert_same_scene(scene)
+        for s, w in zip(scene.surfaces[:9],
+                        reference_extrusion([[0, 0], [8, 0], [3, 6]], 4.0,
+                                            DEFAULT_MATERIALS["concrete"], "tri")
+                        + reference_extrusion(doc["footprints"][1]["polygon"], 9.5,
+                                              DEFAULT_MATERIALS["glass"], "penta")):
+            assert_same_surface(s, w)
+
+    #: One faulty surface each, with the fault today's constructor reports.
+    FAULTS = {
+        "too_few_vertices": [[0, 0, 0], [1, 0, 0]],
+        "non_finite": [[0, 0, 0], [1, 0, 0], [1, math.nan, 0], [0, 1, 0]],
+        "zero_area": [[0, 0, 0], [1, 0, 0], [2, 0, 0]],
+        "overflowing_area": [[0, 0, 0], [1e308, 0, 0], [1e308, 1e308, 0], [0, 1e308, 0]],
+        "non_planar": [[0, 0, 0], [1, 0, 0], [1, 1, 0.1], [0, 1, 0]],
+        "ear_clip": [[1, 0, 0], [0, 0, 0], [0, 1, 0], [1, 0, 0]],   # first vertex repeated
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_keeps_type_and_message(self, fault, concrete, tmp_path):
+        poly = self.FAULTS[fault]
+        with pytest.raises(GeometryError) as want:
+            reference_surface(poly, concrete, tag="bad")
+        with pytest.raises(GeometryError) as got:
+            Surface(poly, concrete, tag="bad")
+        assert str(got.value) == str(want.value)
+        # among good surfaces of every kind, before and after it
+        doc = {"footprints": [{"tag": "b", "polygon": [[0, 0], [5, 0], [5, 5]], "height": 3.0,
+                               "material": "concrete"}],
+               "obstacles": [{"tag": "ok", "material": "concrete",
+                              "surfaces": [[[9, 0, 0], [9, 1, 0], [9, 1, 1], [9, 0, 1]]]},
+                             {"tag": "bad", "material": "concrete", "surfaces": [poly]}],
+               "ground": {"extent": [-50, -50, 50, 50]}}
+        with pytest.raises(GeometryError) as loaded:
+            load_scene(_scene_file(tmp_path, doc))
+        assert str(loaded.value) == str(want.value)
+
+    def test_first_two_vertices_coinciding_is_rejected(self, concrete, tmp_path):
+        poly = [[0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 1, 0]]
+        with pytest.raises(GeometryError, match="'corner': first two vertices coincide"):
+            Surface(poly, concrete, tag="corner")
+        doc = {"obstacles": [{"tag": "corner", "material": "concrete", "surfaces": [poly]}],
+               "ground": {"extent": [-5, -5, 5, 5]}}
+        with pytest.raises(GeometryError, match="'corner': first two vertices coincide"):
+            load_scene(_scene_file(tmp_path, doc))
+
+    @pytest.mark.parametrize("extent", [[10, -10, -10, 10], [-10, 10, 10, -10],
+                                        [-10, -10, -10, 10], [-10, -10, 10, math.nan]])
+    def test_reversed_or_empty_ground_extent_is_rejected(self, extent, tmp_path):
+        path = _scene_file(tmp_path, {"ground": {"extent": extent}})
+        with pytest.raises(SceneFormatError, match=r"xmin < xmax and ymin < ymax"):
+            load_scene(path)
+
+    def test_first_fault_in_file_order_is_reported(self, concrete, tmp_path):
+        bad = {name: {"tag": name, "material": "concrete", "surfaces": [poly]}
+               for name, poly in self.FAULTS.items()}
+        for first, second in (("non_planar", "zero_area"), ("zero_area", "non_planar"),
+                              ("ear_clip", "non_finite"), ("non_finite", "ear_clip")):
+            doc = {"obstacles": [bad[first], bad[second]], "ground": {"extent": [-5, -5, 5, 5]}}
+            with pytest.raises(GeometryError) as want:
+                reference_surface(self.FAULTS[first], concrete, tag=first)
+            with pytest.raises(GeometryError) as got:
+                load_scene(_scene_file(tmp_path, doc))
+            assert str(got.value) == str(want.value)
