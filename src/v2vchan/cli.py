@@ -265,9 +265,7 @@ def cmd_compare(dir_a: str, dir_b: str, labels_path: str | None, cfg: RunConfig)
                                            values=eps.values[:, c], unit=eps.unit)
                 stats[prefix + col] = cmp.error_stats(col_eps, lab,
                                                       metric_name=prefix + col)
-    cmp.save_report(stats, out / "report.txt", out / "report.csv")
-    text, _ = cmp.render_report(stats)
-    print(text)
+    print(cmp.save_report(stats, out / "report.txt", out / "report.csv"))
     return EXIT_OK
 
 

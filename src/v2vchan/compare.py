@@ -202,7 +202,9 @@ def render_report(stats: dict[str, ErrorStats]) -> tuple[str, list[list]]:
     return "\n".join(lines) + "\n", rows_csv
 
 
-def save_report(stats: dict[str, ErrorStats], text_path, csv_path) -> None:
+def save_report(stats: dict[str, ErrorStats], text_path, csv_path) -> str:
+    """Write :func:`render_report`'s table to ``text_path`` and its rows to
+    ``csv_path``; returns the table's text."""
     text, rows = render_report(stats)
     with open(text_path, "w") as f:
         f.write(text)
@@ -210,4 +212,4 @@ def save_report(stats: dict[str, ErrorStats], text_path, csv_path) -> None:
         w = csv.writer(f)
         w.writerow(["metric", "segment", "mu", "sigma", "n"])
         w.writerows(rows)
-
+    return text

@@ -57,7 +57,7 @@ def trace_trajectory(scene: Scene, tx_traj: Trajectory, rx_traj: Trajectory,
     n = int(round((hi - lo) / coarse_dt)) + 1
     size = -(-n // max(1, min(_job_count(workers), n // _RUN_SNAPSHOTS)))
     times = lo + np.arange(n) * coarse_dt
-    positions = [(tx_traj.at(t)[0], rx_traj.at(t)[0]) for t in times]
+    positions = list(zip(tx_traj.at(times)[0], rx_traj.at(times)[0]))
     jobs = [(scene, positions[k:k + size], tracer) for k in range(0, n, size)]
     workers = min(workers, len(jobs))
     if workers > 1 and tracer.enable_diffuse:

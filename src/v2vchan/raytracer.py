@@ -439,8 +439,10 @@ def _reflection_points(scene: Scene, tx, rx, seqs: np.ndarray,
     return seqs[ok], pts[ok]
 
 
-#: Tiles per occlusion batch of :func:`lambertian_diffuse`'s strongest-first loop.
-_CHUNK = 1024
+#: Tiles that the blocks left after step 1 of :func:`lambertian_diffuse` must
+#: hold between them before :func:`_diffuse_blocks` tests them for visibility
+#: as whole blocks; fewer go straight to the per-tile fan test.
+_BLOCK_PASS_TILES = 1024
 
 
 def _diffuse_blocks(scene: Scene, ends, planes, tile_size: float, lam: float,
@@ -454,7 +456,7 @@ def _diffuse_blocks(scene: Scene, ends, planes, tile_size: float, lam: float,
     fan test from TX and from RX ((2, B)).
     """
     _, center, radius, area, sid, corners, count = scene.tile_blocks(tile_size)
-    scatter = np.array([s.material.scattering_coefficient for s in scene.surfaces])[sid]
+    scatter = scene.scattering[sid]
     reach = radius * (1.0 + 1e-9) + 1e-9
     # the heights' widening: |c| + R + X
     scale = (np.sqrt(np.einsum("bk,bk->b", center, center)) + reach
@@ -475,12 +477,11 @@ def _diffuse_blocks(scene: Scene, ends, planes, tile_size: float, lam: float,
 
     # blocks hidden from an end drop out; those clear from it skip its fan
     # tests.  A block is worth its four corners when it holds more tiles,
-    # and a pass when its blocks hold more tiles than one chunk of the
-    # per-tile loop, which tests them in one fan call anyway
+    # and a pass when its blocks hold more than _BLOCK_PASS_TILES tiles
     fan = np.ones((2, len(live)), dtype=bool)
     cand = np.flatnonzero(live & (count > 4))
     for k, end in enumerate(ends):
-        if count[cand].sum() <= _CHUNK:
+        if count[cand].sum() <= _BLOCK_PASS_TILES:
             break
         hidden, clear = occlusion_test_blocks(scene, end, corners[cand],
                                               dist[k][cand] - reach[cand],
@@ -510,7 +511,8 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
     stronger of ``known_best_gain`` and the strongest tile returned.  Tiles
     below it are not returned, and the result equals the exhaustive one
     (every doubly visible tile) filtered at that floor.  Work on tiles that
-    cannot be returned is skipped in four steps:
+    cannot be returned is skipped in three steps, and a fourth decides the
+    tiles left:
 
     1. Every tile of a block of :meth:`Scene.tile_blocks` (center c, radius
        R, largest area A, scattering coefficient S) lies within R of c, so
@@ -540,28 +542,27 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
        are tested for visibility as a whole from TX, then from RX
        (:func:`~v2vchan.scene.occlusion_test_blocks`, the fan test at the
        block's corners, at distances widened as R is), when together they
-       hold more tiles than one chunk of step 4.  A block hidden from
+       hold more than ``_BLOCK_PASS_TILES`` tiles.  A block hidden from
        either end is dropped; the tiles of a block clear from one end skip
        that end's fan test.  Other blocks' tiles take the per-tile test.
-    3. Of the tiles left, only those at or above the lowest floor are
-       sorted, strongest first.
-    4. Tiles provably below the floor reached so far are skipped before
-       their occlusion tests (in chunks), and the tiles kept before the
-       strongest one was confirmed are filtered again at the final floor.
+    3. Of the tiles left, only those that face both ends and are at or
+       above the lowest floor are kept.
+    4. Every tile left takes one fan test from TX, and the tiles it leaves
+       one from RX, one call per end.  The stronger of ``known_best_gain``
+       and the strongest unblocked tile sets the final floor, and one mask
+       keeps the unblocked tiles at or above it.
 
-    A tile dropped in step 1 or 3 is below the final floor, which is never
-    lower than the first, or faces away from an end, so it was not in the
-    filtered exhaustive result, and one dropped in step 2 is not visible.
-    The result is the visible tiles at or above the final floor, which is
-    set by the strongest visible tile whatever the chunks hold, so dropping
-    tiles does not move it; the tiles left keep their table order, so ties
-    sort as they would.  With ``cull_db=None`` every doubly visible tile is
-    returned.  Paths come out sorted by length, ties in (surface id, tile
-    id) order.
+    A tile dropped in step 1 or 3 is below the lowest floor, so below the
+    final one, or faces away from an end, and one dropped in step 2 is not
+    visible: none is in the filtered exhaustive result.  Nor could one set
+    the final floor, as a visible tile below the lowest floor is weaker
+    than ``known_best_gain``.  The tiles left keep their table order, so
+    ties sort as they would.  With ``cull_db=None`` every doubly visible
+    tile is returned.  Paths come out sorted by length, ties in (surface
+    id, tile id) order.
     """
     tx, rx = _endpoints(tx, rx)
     lam = SPEED_OF_LIGHT / frequency
-    scatter = np.array([s.material.scattering_coefficient for s in scene.surfaces])
     rel = 10.0 ** (cull_db / 10.0) if cull_db is not None else 0.0
     floor = known_best_gain * rel
 
@@ -578,12 +579,12 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
     v2 = rx - centers                    # tile -> rx
     r1 = np.linalg.norm(v1, axis=1)
     r2 = np.linalg.norm(v2, axis=1)
-    valid = (r1 > 1e-9) & (r2 > 1e-9) & (scatter[sids] > 0.0)
+    valid = (r1 > 1e-9) & (r2 > 1e-9)
     n = scene.normals[sids]
     cos_i = np.where(valid, -_rowdot(v1, n) / np.where(valid, r1, 1.0), 0.0)
     cos_s = np.where(valid, _rowdot(v2, n) / np.where(valid, r2, 1.0), 0.0)
     front = np.flatnonzero(valid & (cos_i > 1e-9) & (cos_s > 1e-9))
-    mag = (scatter[sids[front]] * np.sqrt(cos_i[front] * cos_s[front] / math.pi)
+    mag = (scene.scattering[sids[front]] * np.sqrt(cos_i[front] * cos_s[front] / math.pi)
            * np.sqrt(areas[front]) / (r1[front] * r2[front]) * lam / (4.0 * math.pi))
     above = mag ** 2 >= floor
     front, mag = front[above], mag[above]
@@ -591,39 +592,17 @@ def lambertian_diffuse(scene: Scene, tx, rx, tile_size: float,
         x[front] for x in (sids, centers, tids, v1, v2, r1, r2, blk))
     fan = fan[:, blk]
 
-    def unblocked(sel, toward_rx):
-        """``sel`` without the tiles whose segment (TX -> tile, or tile -> RX
-        with ``toward_rx``) the fan test finds blocked, testing only those
-        whose block needs it."""
-        t = fan[int(toward_rx), sel]
-        p = centers[sel[t]]
+    # step 4: the fan test from TX, then from RX, of the tiles whose block needs it
+    sel = np.arange(len(mag))
+    for k in (0, 1):
+        t = fan[k, sel]
         blocked = np.zeros(len(sel), dtype=bool)
-        blocked[t] = (occlusion_test_fan(scene, p, rx, planes[1]) if toward_rx
-                      else occlusion_test_fan(scene, tx, p, planes[0]))
-        return sel[~blocked]
-
-    # strongest candidates first so the cull floor is confirmed early
-    order = np.lexsort((tids, sids, -mag))
-    keep = np.zeros(len(order), dtype=bool)
-    best_gain = known_best_gain
-    pos = 0
-    while pos < len(order):
-        sel = order[pos:pos + _CHUNK]
-        if cull_db is not None:
-            above = mag[sel] ** 2 >= best_gain * rel
-            if not above.any():
-                break  # everything further down is weaker still
-            sel = sel[above]
-        sel = unblocked(unblocked(sel, False), True)
-        if len(sel):
-            keep[sel] = True
-            best_gain = max(best_gain, float(np.max(mag[sel]) ** 2))
-        pos += _CHUNK
-    # tiles kept before the strongest one was confirmed may sit below the floor
-    keep &= mag ** 2 >= best_gain * rel
-
+        blocked[t] = (occlusion_test_fan(scene, centers[sel[t]], rx, planes[1]) if k
+                      else occlusion_test_fan(scene, tx, centers[sel[t]], planes[0]))
+        sel = sel[~blocked]
+    best_gain = max(known_best_gain, float(np.max(mag[sel], initial=0.0) ** 2))
+    idx = sel[mag[sel] ** 2 >= best_gain * rel]
     length = r1 + r2
-    idx = np.flatnonzero(keep)
     idx = idx[np.argsort(length[idx], kind="stable")]
     v1, v2 = v1[idx], v2[idx]
     departure = v1 / np.sqrt(_rowdot(v1, v1))[:, None]

@@ -269,7 +269,10 @@ def _build_surfaces(specs, into=None) -> list[Surface]:
     for s, (code, dev), (_, _, tag) in zip(out, faults, specs):
         if code:
             raise GeometryError(f"surface {tag!r}: " + _FAULTS[code].format(dev))
-        s._tri_idx = _ear_clip(s._poly2d.tolist())
+        try:
+            s._tri_idx = _ear_clip(s._poly2d.tolist())
+        except GeometryError as e:
+            raise GeometryError(f"surface {tag!r}: {e}") from None
     return out
 
 
@@ -279,8 +282,9 @@ class Scene:
     Surface ids are list indices.  ``ground`` is the index of the ground
     surface when one exists (required for scenes loaded from files; optional
     for in-memory scenes so that free-space oracle setups are expressible).
-    ``normals`` (S, 3) and ``offsets`` (S,) hold each surface's unit normal
-    and plane offset by id, built once and read-only.
+    ``normals`` (S, 3), ``offsets`` (S,) and ``scattering`` (S,) hold each
+    surface's unit normal, plane offset and Lambertian scattering coefficient
+    by id, built once and read-only.
     """
 
     def __init__(self, surfaces: list[Surface], ground: int | None = None):
@@ -293,7 +297,10 @@ class Scene:
                                        allv.max(axis=0) + BOUNDING_MARGIN))
         self.normals = np.array([s.normal for s in self.surfaces]).reshape(-1, 3)
         self.offsets = np.array([s.plane_offset for s in self.surfaces], dtype=float)
-        self.normals.flags.writeable = self.offsets.flags.writeable = False
+        self.scattering = np.array([s.material.scattering_coefficient for s in self.surfaces],
+                                   dtype=float)
+        for a in (self.normals, self.offsets, self.scattering):
+            a.flags.writeable = False
         # Flattened triangle soup for vectorized occlusion tests, with the
         # plane normal e1 x e2 and longer edge of each triangle for the fan test.
         tris = [s.triangles() for s in self.surfaces]
@@ -840,36 +847,46 @@ class Trajectory:
         if self.antenna_height <= 0:
             raise ValueError("antenna_height must be > 0")
 
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Linearly interpolated (position, velocity) at time t (no extrapolation)."""
-        if t < self.t[0] - 1e-12 or t > self.t[-1] + 1e-12:
-            raise ValueError(f"time {t} outside trajectory span [{self.t[0]}, {self.t[-1]}]")
+    def at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Linearly interpolated (position, velocity) at time t (no extrapolation).
+
+        ``t`` is a time, giving two (3,) arrays, or an array of times, giving
+        two arrays of its shape plus a last axis of 3, whose rows equal the
+        one-time calls'.  A time outside the span raises ValueError naming
+        the first such time.
+        """
+        times = np.asarray(t, dtype=float)
+        lo, hi = self.t[0] - 1e-12, self.t[-1] + 1e-12
+        if times.ndim == 0:
+            x = float(times)
+            bad = [x] if x < lo or x > hi else []
+        else:
+            bad = times[(times < lo) | (times > hi)]
+        if len(bad):
+            raise ValueError(f"time {bad[0]} outside trajectory span [{self.t[0]}, {self.t[-1]}]")
         if len(self.t) == 1:
-            return self.position[0].copy(), self.velocity[0].copy()
-        i = min(int(np.searchsorted(self.t, t, side="right")) - 1, len(self.t) - 2)
-        i = max(i, 0)
-        u = (t - self.t[i]) / (self.t[i + 1] - self.t[i])
-        u = min(max(u, 0.0), 1.0)
-        pos = (1 - u) * self.position[i] + u * self.position[i + 1]
-        vel = (1 - u) * self.velocity[i] + u * self.velocity[i + 1]
-        return pos, vel
+            return tuple(np.broadcast_to(a[0], times.shape + (3,)).copy()
+                         for a in (self.position, self.velocity))
+        # each time's segment i and weight u; one time's in Python scalars,
+        # which round as the arrays do at a quarter of their fixed cost
+        if times.ndim == 0:
+            i = min(max(int(np.searchsorted(self.t, x, side="right")) - 1, 0), len(self.t) - 2)
+            u = min(max((x - self.t[i]) / (self.t[i + 1] - self.t[i]), 0.0), 1.0)
+        else:
+            i = np.clip(np.searchsorted(self.t, times, side="right") - 1, 0, len(self.t) - 2)
+            u = np.clip((times - self.t[i]) / (self.t[i + 1] - self.t[i]), 0.0, 1.0)[..., None]
+        return ((1 - u) * self.position[i] + u * self.position[i + 1],
+                (1 - u) * self.velocity[i] + u * self.velocity[i + 1])
 
     def heading(self, t):
         """Vehicle yaw in radians (atan2 of horizontal velocity); 0 when parked.
 
         ``t`` is a time, giving a float, or an array of times, giving an
         array of the same shape whose entries equal the one-time calls'.
-        The velocities are interpolated as :meth:`at` does, for all times
-        at once.
+        The velocities come from one :meth:`at` call.
         """
         times = np.asarray(t, dtype=float)
-        flat = times.reshape(-1)
-        if len(self.t) == 1 or np.any((flat < self.t[0] - 1e-12) | (flat > self.t[-1] + 1e-12)):
-            vel = np.array([self.at(x)[1] for x in flat.tolist()]).reshape(-1, 3)   # at() raises
-        else:
-            i = np.clip(np.searchsorted(self.t, flat, side="right") - 1, 0, len(self.t) - 2)
-            u = np.clip((flat - self.t[i]) / (self.t[i + 1] - self.t[i]), 0.0, 1.0)[:, None]
-            vel = (1 - u) * self.velocity[i] + u * self.velocity[i + 1]
+        vel = self.at(times.reshape(-1))[1]
         moving = (np.hypot(vel[:, 0], vel[:, 1]) >= 1e-12).tolist()
         yaw = [math.atan2(y, x) if m else 0.0 for m, x, y in zip(moving, *vel[:, :2].T.tolist())]
         return yaw[0] if times.ndim == 0 else np.reshape(yaw, times.shape)

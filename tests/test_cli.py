@@ -291,10 +291,12 @@ class TestCompareCommand:
         main(["analyze", str(tmp / "out" / "channel.v2vc"), "-c", str(cfg), "-o", str(out)])
         return tmp, cfg, out
 
-    def test_self_compare_all_zero(self, run_dir):
+    def test_self_compare_all_zero(self, run_dir, capsys):
         tmp, cfg, out = self._metrics(run_dir, "mA")
         rep = tmp / "rep"
+        capsys.readouterr()
         assert main(["compare", str(out), str(out), "-o", str(rep)]) == EXIT_OK
+        assert capsys.readouterr().out == (rep / "report.txt").read_text() + "\n"
         rows = list(csv.reader((rep / "report.csv").open()))[1:]
         assert rows, "report should have rows"
         for name, seg, mu, sigma, n in rows:

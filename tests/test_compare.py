@@ -181,7 +181,8 @@ class TestReport:
 
     def test_csv_round_trip(self, tmp_path):
         stats = self._stats()
-        save_report(stats, tmp_path / "r.txt", tmp_path / "r.csv")
+        text = save_report(stats, tmp_path / "r.txt", tmp_path / "r.csv")
+        assert text == (tmp_path / "r.txt").read_text() == render_report(stats)[0]
         with open(tmp_path / "r.csv", newline="") as f:
             header, *rows = csv.reader(f)
         assert header == ["metric", "segment", "mu", "sigma", "n"]

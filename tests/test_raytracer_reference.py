@@ -28,8 +28,9 @@ The diffuse reference is the diffuse stage before it bounded blocks of
 tiles: it evaluates every tile of the table, sorts every front-facing one
 and fan-tests each, so what is compared is the claim that skipping the
 blocks below the lowest floor or facing away from an end, the blocks hidden
-from an end and the fan tests of blocks clear from it leaves every column of
-the result as it was.
+from an end and the fan tests of blocks clear from it, and testing the tiles
+left in one pass per end instead of in strongest-first batches, leaves every
+column of the result as it was.
 """
 
 import dataclasses
@@ -723,6 +724,43 @@ def test_diffuse_floor_on_a_tile_matches_reference(tile_size, tx, rx):
             _assert_same_columns(lambertian_diffuse(scene, tx, rx, tile_size, F,
                                                     cull_db=cull_db, known_best_gain=known),
                                  want)
+
+
+@pytest.fixture(scope="module")
+def fine_plain_nlos():
+    """The plain intersection, to be tiled at 0.3 m, and the ends of an NLOS
+    snapshot of the criterion-7 drive, with its strongest specular gain."""
+    scene = load_scene(data_path("intersection_plain.json"))
+    tx_traj, rx_traj = intersection_trajectories()
+    tx, rx = tx_traj.at(2.5)[0], rx_traj.at(2.5)[0]
+    assert trace_los(scene, tx, rx, F) is None
+    return scene, tx, rx, float(image_method_specular(scene, tx, rx, 2, F).gain_linear().max())
+
+
+def test_diffuse_fan_tests_once_per_end(fine_plain_nlos, monkeypatch):
+    """Thousands of tiles above the snapshot's floor take at most one fan
+    call from TX and one from RX, whatever their number."""
+    scene, tx, rx, best = fine_plain_nlos
+    ends = []
+
+    def counted(scene, starts, ends_, planes=None):
+        ends.append("rx" if np.ndim(starts) == 2 else "tx")
+        return occlusion_test_fan(scene, starts, ends_, planes)
+
+    monkeypatch.setattr(raytracer, "occlusion_test_fan", counted)
+    paths = lambertian_diffuse(scene, tx, rx, 0.3, F, cull_db=-40.0, known_best_gain=best)
+    assert len(paths) > 1024        # so more tiles than that were left to fan-test
+    assert ends.count("tx") <= 1 and ends.count("rx") <= 1
+
+
+@pytest.mark.parametrize("cull_db", [-3.0, -40.0])
+def test_diffuse_floor_set_by_a_tile_matches_reference(fine_plain_nlos, cull_db):
+    """With no known path the strongest visible tile sets the floor, among
+    more than 1024 candidates."""
+    scene, tx, rx, _ = fine_plain_nlos
+    assert len(reference_diffuse(scene, tx, rx, 0.3)) > 1024
+    _assert_same_columns(lambertian_diffuse(scene, tx, rx, 0.3, F, cull_db=cull_db),
+                         reference_diffuse(scene, tx, rx, 0.3, F, cull_db=cull_db))
 
 
 def _tile_rows(scene, tile_size, paths):

@@ -585,6 +585,54 @@ class TestTrajectory:
         assert tr.heading(1.0) == -math.pi / 2
         assert tr.heading(np.array([1.0, 1.0])).tolist() == [-math.pi / 2] * 2
 
+    @staticmethod
+    def reference_at(tr: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """``Trajectory.at`` of one time, as a scalar lerp."""
+        if len(tr.t) == 1:
+            return tr.position[0].copy(), tr.velocity[0].copy()
+        i = min(int(np.searchsorted(tr.t, t, side="right")) - 1, len(tr.t) - 2)
+        i = max(i, 0)
+        u = min(max((t - tr.t[i]) / (tr.t[i + 1] - tr.t[i]), 0.0), 1.0)
+        return ((1 - u) * tr.position[i] + u * tr.position[i + 1],
+                (1 - u) * tr.velocity[i] + u * tr.velocity[i + 1])
+
+    def test_at_of_times_equals_scalar_lerp(self):
+        rng = np.random.default_rng(22)
+        trajectories = [self._turn_and_park(),
+                        straight_trajectory((-55.0, -4.25, 1.73), 37.0, 13.9, 6.0, 0.01),
+                        Trajectory(3.0 + 0.25 * np.arange(40), rng.normal(0.0, 50.0, (40, 3)),
+                                   rng.normal(0.0, 5.0, (40, 3)))]
+        for tr in trajectories:
+            lo, hi = tr.t[0], tr.t[-1]
+            times = np.concatenate((np.linspace(lo, hi, 301), tr.t, rng.uniform(lo, hi, 200),
+                                    [lo - 1e-13, lo + 1e-13, hi - 1e-13, hi + 1e-13]))
+            pos, vel = tr.at(times)
+            assert pos.shape == vel.shape == (len(times), 3)
+            for k, t in enumerate(times.tolist()):
+                for got, one, want in zip((pos[k], vel[k]), tr.at(t), self.reference_at(tr, t)):
+                    assert one.shape == (3,)
+                    assert got.tobytes() == one.tobytes() == want.tobytes(), t
+            grid_pos, grid_vel = tr.at(times[:300].reshape(30, 10))
+            assert np.array_equal(grid_pos, pos[:300].reshape(30, 10, 3))
+            assert np.array_equal(grid_vel, vel[:300].reshape(30, 10, 3))
+
+    def test_at_of_one_sample_trajectory(self):
+        tr = Trajectory(np.array([1.0]), np.array([[4.0, 5.0, 1.5]]), np.array([[0.0, -2.0, 0.0]]))
+        pos, vel = tr.at(1.0)
+        assert pos.tolist() == [4.0, 5.0, 1.5] and vel.tolist() == [0.0, -2.0, 0.0]
+        pos, vel = tr.at(np.array([1.0, 1.0 + 1e-13]))
+        assert pos.tolist() == [[4.0, 5.0, 1.5]] * 2 and vel.tolist() == [[0.0, -2.0, 0.0]] * 2
+        pos[0] = 0.0
+        assert tr.position[0].tolist() == [4.0, 5.0, 1.5]
+        with pytest.raises(ValueError, match=r"time 1.5 outside trajectory span \[1.0, 1.0\]"):
+            tr.at([1.0, 1.5])
+
+    @pytest.mark.parametrize("t", [-0.01, 5.51, [0.0, 2.0, 5.6, 7.0], [-1.0, 1.0]])
+    def test_at_outside_span_raises(self, t):
+        first = next(x for x in np.ravel(t) if not 0.0 <= x <= 5.5)
+        with pytest.raises(ValueError, match=rf"time {first} outside trajectory span"):
+            self._turn_and_park().at(t)
+
     def test_csv_round_trip(self, tmp_path):
         tr = straight_trajectory((1, 2, 1.73), 90.0, 10.0, 2.0, 0.5)
         p = tmp_path / "t.csv"
@@ -725,6 +773,13 @@ def _outcome(build):
         return e
 
 
+def _tagged(error, tag) -> str:
+    """The message of ``reference_surface``'s ``error`` as the batched pass
+    reports it: every fault, an ear-clipping one too, names its surface."""
+    prefix = f"surface {tag!r}: "
+    return str(error) if str(error).startswith(prefix) else prefix + str(error)
+
+
 @pytest.mark.filterwarnings("error")
 class TestConstruction:
     @pytest.mark.parametrize("name", ["intersection.json", "intersection_plain.json"])
@@ -749,7 +804,7 @@ class TestConstruction:
             got = _outcome(lambda: Surface(poly, concrete, tag=f"p{i}"))
             want = _outcome(lambda: reference_surface(poly, concrete, tag=f"p{i}"))
             if isinstance(want, GeometryError):
-                assert isinstance(got, GeometryError) and str(got) == str(want)
+                assert isinstance(got, GeometryError) and str(got) == _tagged(want, f"p{i}")
             else:
                 assert_same_surface(got, want)
                 accepted.append(poly)
@@ -812,7 +867,7 @@ class TestConstruction:
             reference_surface(poly, concrete, tag="bad")
         with pytest.raises(GeometryError) as got:
             Surface(poly, concrete, tag="bad")
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == _tagged(want.value, "bad")
         # among good surfaces of every kind, before and after it
         doc = {"footprints": [{"tag": "b", "polygon": [[0, 0], [5, 0], [5, 5]], "height": 3.0,
                                "material": "concrete"}],
@@ -822,7 +877,7 @@ class TestConstruction:
                "ground": {"extent": [-50, -50, 50, 50]}}
         with pytest.raises(GeometryError) as loaded:
             load_scene(_scene_file(tmp_path, doc))
-        assert str(loaded.value) == str(want.value)
+        assert str(loaded.value) == _tagged(want.value, "bad")
 
     def test_first_two_vertices_coinciding_is_rejected(self, concrete, tmp_path):
         poly = [[0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 1, 0]]
@@ -850,4 +905,4 @@ class TestConstruction:
                 reference_surface(self.FAULTS[first], concrete, tag=first)
             with pytest.raises(GeometryError) as got:
                 load_scene(_scene_file(tmp_path, doc))
-            assert str(got.value) == str(want.value)
+            assert str(got.value) == _tagged(want.value, first)
