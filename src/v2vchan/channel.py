@@ -57,7 +57,7 @@ import math
 import os
 import struct
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
@@ -463,18 +463,54 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * math.pi * i / (n - 1)) if n > 1 else np.ones(1)
 
 
-#: Values per time chunk of the analysis kernels: a chunk holds as many whole
-#: time rows as fit, at least one, and is the largest buffer each kernel
-#: allocates beside its output and its window-sized arrays.
+#: Values per time chunk of the transforms and kernels: a chunk holds as
+#: many whole time rows as fit, at least one, and bounds the values in flight
+#: beside each kernel's output and window-sized arrays.  A pass that
+#: :func:`_each_chunk` splits over two threads keeps that bound across both,
+#: each thread working on half a chunk at a time.
 _CHUNK_VALUES = 1 << 16
 
 
-def _chunks(data: np.ndarray, lo: int = 0, hi: int | None = None):
-    """(a, b) bounds of consecutive time chunks covering rows [lo, hi) of ``data``."""
+def _chunks(data: np.ndarray, lo: int = 0, hi: int | None = None, values: int | None = None):
+    """(a, b) bounds of consecutive chunks covering rows [lo, hi) of
+    ``data``, each as many whole rows as hold ``values`` values (by default
+    ``_CHUNK_VALUES``), and at least one."""
     hi = len(data) if hi is None else hi
-    rows = max(1, _CHUNK_VALUES // max(1, data[0].size))
+    values = _CHUNK_VALUES if values is None else values
+    rows = max(1, values // max(1, data[0].size))
     for a in range(lo, hi, rows):
         yield a, min(a + rows, hi)
+
+
+def _each_chunk(fn, data: np.ndarray, lo: int = 0, hi: int | None = None) -> None:
+    """``fn(a, b)`` for chunk bounds covering rows [lo, hi) of ``data``.
+
+    Rows that fit one chunk, or a row too large for two to fit, run in this
+    thread on :func:`_chunks` bounds.  Otherwise the rows are cut into
+    half-size chunks: this thread takes every other one, starting with the
+    first, and one helper thread takes the rest, so at most one chunk's
+    worth of values is in flight.  ``fn`` must write only its own rows (or
+    columns) and call nothing that depends on the thread it runs on; the
+    helper is gone when this returns, whether ``fn`` raised or not, and an
+    exception raised on either thread propagates with the helper's pending
+    chunks cancelled.
+    """
+    hi = len(data) if hi is None else hi
+    half = _CHUNK_VALUES // 2
+    if (hi - lo) * data[0].size <= _CHUNK_VALUES or data[0].size > half:
+        for a, b in _chunks(data, lo, hi):
+            fn(a, b)
+        return
+    bounds = list(_chunks(data, lo, hi, half))
+    pool = ThreadPoolExecutor(1)
+    try:
+        helper = [pool.submit(fn, a, b) for a, b in bounds[1::2]]
+        for a, b in bounds[::2]:
+            fn(a, b)
+        for future in helper:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _upcast(chunk: np.ndarray) -> np.ndarray:
@@ -548,10 +584,10 @@ def add_measurement_noise(tensor: ChannelTensor, noise_power_per_bin: float,
 
     The result is a complex128 copy.  All real parts are drawn, then all
     imaginary parts, in time chunks from one generator, so the values do
-    not depend on the chunking.
+    not depend on the chunking.  The power must be finite and >= 0.
     """
-    if noise_power_per_bin < 0:
-        raise ValueError("noise power must be >= 0")
+    if not 0 <= noise_power_per_bin < math.inf:
+        raise ValueError(f"noise power must be finite and >= 0, not {noise_power_per_bin}")
     data = tensor.data.astype(complex)  # the one copy; noise is added in place
     if noise_power_per_bin > 0:
         rng = np.random.default_rng(seed)

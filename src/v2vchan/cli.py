@@ -8,6 +8,8 @@ problems (malformed scene, trajectory, tensor, metric or label files).  Any
 other error is a defect and raises with its traceback.  ``--workers`` (the
 ``workers`` key, default 1) sets the number of tracing and synthesis
 processes, started with ``spawn`` above one; results do not depend on it.
+``analyze`` does not read it: its larger passes run on two threads anyway
+(see :mod:`v2vchan.metrics`).
 
 Subcommands::
 

@@ -18,6 +18,15 @@ delay tensor once and never holds the CTF, while
 Both routes give the same bits, since a step's values depend only on its
 own row.
 
+The APDP, the DSD and that sliding pass compute in chunks of
+``channel._CHUNK_VALUES`` values (time rows, or the DSD's window columns)
+through :func:`channel._each_chunk`: a pass larger than one chunk is cut
+into half-size chunks that the calling thread and one helper thread take in
+turn, numpy's FFTs and ufunc loops releasing the GIL, so at most one chunk
+is in flight; a pass that fits one chunk starts no thread.  No option sets
+this, and since every value depends only on its own row or column, the
+output does not depend on the split.
+
 Measurement emulation: :func:`estimate_noise_floor` estimates the per-bin
 noise level from the signal-free region of a profile and
 :func:`apply_noise_threshold` zeroes every bin below that level plus 3 dB,
@@ -33,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelTensor, _chunks, _ctf_rows, _upcast
+from .channel import ChannelTensor, _ctf_rows, _each_chunk, _upcast
 from .scene import _read_table
 
 DB_FLOOR_SENTINEL = -400.0
@@ -101,7 +110,9 @@ def _sliding(data: np.ndarray, starts: np.ndarray, n_avg: int, bufs: tuple, step
     rows, hold its per-step values in time order.
 
     ``step(a, b)`` returns the values of time steps [a, b), one array per
-    buffer; it is called on time chunks of ``data``.  Steps shared with the
+    buffer; it is called on time chunks of ``data`` by
+    :func:`channel._each_chunk`, so possibly on two threads at once, each
+    call writing only its own rows of the buffers.  Steps shared with the
     previous window are moved up (one flat, forward, overlapping copy), not
     computed again.
     """
@@ -111,9 +122,11 @@ def _sliding(data: np.ndarray, starts: np.ndarray, n_avg: int, bufs: tuple, step
         for buf in bufs:
             flat, row = buf.reshape(-1), buf[0].size
             flat[:keep * row] = flat[(n_avg - keep) * row:]
-        for a, b in _chunks(data, s + keep, s + n_avg):
+
+        def fill(a, b):
             for buf, values in zip(bufs, step(a, b)):
                 buf[a - s:b - s] = values
+        _each_chunk(fill, data, s + keep, s + n_avg)
         end = s + n_avg
         yield k
 
@@ -168,9 +181,10 @@ def estimate_noise_floor_dsd(dsd: Dsd) -> float:
 
 
 def apply_noise_threshold(profile, noise_floor: float):
-    """Zero every bin below noise_floor + 3 dB; works on Apdp and Dsd alike."""
-    if noise_floor < 0:
-        raise ValueError("noise floor must be >= 0")
+    """Zero every bin below noise_floor + 3 dB; works on Apdp and Dsd alike.
+    The floor must be finite and >= 0."""
+    if not 0 <= noise_floor < math.inf:
+        raise ValueError(f"noise floor must be finite and >= 0, not {noise_floor}")
     thr = noise_floor * 10.0 ** 0.3
     vals = np.where(profile.values >= thr, profile.values, 0.0)
     return replace(profile, values=vals)
@@ -230,9 +244,11 @@ def compute_dsd(tensor: ChannelTensor, n_avg: int = DEFAULT_N_AVG,
     vals = np.empty((len(starts), n_avg))
     for k, s in enumerate(starts):
         block = tensor.data[s:s + n_avg].reshape(n_avg, n_cols).T   # a view when C-ordered
-        for a, b in _chunks(block):
+
+        def fill(a, b):
             cols = np.array(block[a:b], dtype=complex, order="C")
             power[:, a:b] = (np.abs(np.fft.fft(cols, axis=-1)) ** 2).T
+        _each_chunk(fill, block)
         vals[k] = np.fft.fftshift(power.mean(axis=1))
     doppler = np.fft.fftshift(np.fft.fftfreq(n_avg, d=tensor.dt))
     return Dsd(values=vals, times=_window_times(tensor, starts, n_avg),

@@ -852,16 +852,16 @@ class Trajectory:
 
         ``t`` is a time, giving two (3,) arrays, or an array of times, giving
         two arrays of its shape plus a last axis of 3, whose rows equal the
-        one-time calls'.  A time outside the span raises ValueError naming
-        the first such time.
+        one-time calls'.  A time outside the span, NaN included, raises
+        ValueError naming the first such time.
         """
         times = np.asarray(t, dtype=float)
         lo, hi = self.t[0] - 1e-12, self.t[-1] + 1e-12
         if times.ndim == 0:
             x = float(times)
-            bad = [x] if x < lo or x > hi else []
+            bad = [] if lo <= x <= hi else [x]
         else:
-            bad = times[(times < lo) | (times > hi)]
+            bad = times[~((times >= lo) & (times <= hi))]
         if len(bad):
             raise ValueError(f"time {bad[0]} outside trajectory span [{self.t[0]}, {self.t[-1]}]")
         if len(self.t) == 1:

@@ -305,6 +305,12 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_measurement_noise(rand_tensor(np.random.default_rng(8)), -1.0, 0)
 
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_rejected(self, power):
+        """A NaN power used to return a noise-free copy."""
+        with pytest.raises(ValueError, match=f"noise power must be finite and >= 0, not {power}"):
+            add_measurement_noise(rand_tensor(np.random.default_rng(8)), power, 0)
+
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     def test_equals_complex_noise_sum(self, dtype):
         t = rand_tensor(np.random.default_rng(11), (5, 2, 3, 16))

@@ -97,6 +97,12 @@ class TestNoiseThreshold:
         out = apply_noise_threshold(d, 0.01)
         assert out.values[0, 1] == 0.0
 
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -1.0])
+    def test_invalid_floor_rejected(self, floor):
+        """A NaN floor used to zero every bin, so the gain read -inf."""
+        with pytest.raises(ValueError, match=f"noise floor must be finite and >= 0, not {floor}"):
+            apply_noise_threshold(apdp_from([[1.0, 2.0]]), floor)
+
 
 class TestNoiseFloorEstimate:
     def test_constant_apdp(self):

@@ -575,7 +575,9 @@ class TestTrajectory:
         grid = times[:410].reshape(41, 10)
         assert np.array_equal(tr.heading(grid), got[:410].reshape(41, 10))
 
-    @pytest.mark.parametrize("t", [-0.01, 5.51, [0.0, 2.0, 5.6], [-1.0, 1.0]])
+    # a NaN time is outside every span; it used to give a 0.0 heading
+    @pytest.mark.parametrize("t", [-0.01, 5.51, [0.0, 2.0, 5.6], [-1.0, 1.0], math.nan,
+                                   [[0.25], [math.nan]]])
     def test_heading_outside_span_raises(self, t):
         with pytest.raises(ValueError, match="outside trajectory span"):
             self._turn_and_park().heading(t)
@@ -627,7 +629,9 @@ class TestTrajectory:
         with pytest.raises(ValueError, match=r"time 1.5 outside trajectory span \[1.0, 1.0\]"):
             tr.at([1.0, 1.5])
 
-    @pytest.mark.parametrize("t", [-0.01, 5.51, [0.0, 2.0, 5.6, 7.0], [-1.0, 1.0]])
+    # a NaN time is outside every span; it used to give NaN positions
+    @pytest.mark.parametrize("t", [-0.01, 5.51, [0.0, 2.0, 5.6, 7.0], [-1.0, 1.0], math.nan,
+                                   [0.0, math.nan, 7.0], [[0.25], [math.nan]]])
     def test_at_outside_span_raises(self, t):
         first = next(x for x in np.ravel(t) if not 0.0 <= x <= 5.5)
         with pytest.raises(ValueError, match=rf"time {first} outside trajectory span"):
