@@ -79,7 +79,7 @@ class TensorFormatError(ValueError):
 class SimConfig:
     """Sounder and sampling parameters for channel synthesis."""
 
-    carrier_frequency: float = DEFAULT_CARRIER   # 5.6e9 matches the measurement campaign
+    carrier_frequency: float = DEFAULT_CARRIER   # 5.9 GHz ITS band; the campaign used 5.6e9
     bandwidth: float = 240e6
     n_freq_bins: int = 769
     snapshot_dt: float = 307.2e-6      # sounder snapshot interval
@@ -278,7 +278,7 @@ class PathInterpolator:
         path set is snapshot i + 1's (i == -1 for a single snapshot)."""
         if len(self.times) == 1:
             return -1, 1.0
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
+        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:   # NaN fails too
             raise ValueError(f"time {t} outside the traced span")
         i = int(self._intervals(t))
         u = (t - self.times[i]) / self.dt

@@ -49,7 +49,14 @@ def trace_trajectory(scene: Scene, tx_traj: Trajectory, rx_traj: Trajectory,
     each one job of :func:`channel._run_jobs` on ``workers`` processes.
     Before a pool starts, the scene's tile table is built here once, so
     every job's pickled scene carries it and no worker rebuilds it.
+    A ``coarse_dt`` that is not finite and > 0, or a non-finite ``t0`` or
+    ``t1``, raises ValueError before any work.
     """
+    if not (np.isfinite(coarse_dt) and coarse_dt > 0):
+        raise ValueError(f"coarse_dt must be finite and > 0, not {coarse_dt}")
+    for name, t in (("t0", t0), ("t1", t1)):
+        if t is not None and not np.isfinite(t):
+            raise ValueError(f"{name} must be finite, not {t}")
     lo = max(tx_traj.t[0], rx_traj.t[0]) if t0 is None else t0
     hi = min(tx_traj.t[-1], rx_traj.t[-1]) if t1 is None else t1
     if hi < lo:

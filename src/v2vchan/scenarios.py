@@ -1,4 +1,4 @@
-"""Built-in scenes: the synthetic four-way intersection plus oracle setups.
+"""Built-in scenes: the bundled four-way intersection plus oracle setups.
 
 The intersection approximates the measured urban crossroads: perpendicular
 street canyons 17 m (east-west) and 14 m (north-south) wide, four building
@@ -9,6 +9,13 @@ the line of sight clears exactly once, at about t = 4 s into the 6 s run.
 
 The clutter dimensions are assumptions, not survey data: cars are
 4.5 x 1.8 x 1.5 m, posts 0.2 m wide and 8 m tall.
+
+The bundled files ``data/intersection_plain.json``, ``data/intersection.json``
+and ``data/{tx,rx}_trajectory.csv`` are the scenario's only definition: the
+library functions below load them, as the CLI does.  Change the scenario by
+editing those files and check the scenes with ``v2vchan scene-validate``.
+The constants below describe those files; the tests check them against
+the files.
 """
 
 from __future__ import annotations
@@ -16,16 +23,12 @@ from __future__ import annotations
 import importlib.resources
 from pathlib import Path
 
-from .scene import (DEFAULT_MATERIALS, Material, Scene, Surface, Trajectory,
-                    extrude_footprint, straight_trajectory)
+from .scene import (DEFAULT_MATERIALS, Material, Scene, Surface, Trajectory, load_scene,
+                    load_trajectory)
 
 EW_STREET_WIDTH = 17.0
 NS_STREET_WIDTH = 14.0
-BUILDING_HEIGHT = 15.0
-BLOCK_SIZE = 45.0
 GROUND_EXTENT = 60.0
-APPROACH_SPEED = 10.0
-RUN_DURATION = 6.0
 ANTENNA_HEIGHT = 1.73
 
 
@@ -41,73 +44,19 @@ def ground_surface(extent: float = GROUND_EXTENT,
     return Surface([(-e, -e, 0), (e, -e, 0), (e, e, 0), (-e, e, 0)], m, tag="ground")
 
 
-def _box_surfaces(center, size, height_range, material, tag) -> list[Surface]:
-    """Axis-aligned box (walls + top) used for parked cars."""
-    cx, cy = center
-    hx, hy = size[0] / 2.0, size[1] / 2.0
-    z0, z1 = height_range
-    fp = [(cx - hx, cy - hy), (cx + hx, cy - hy), (cx + hx, cy + hy), (cx - hx, cy + hy)]
-    out = []
-    for i in range(4):
-        p0, p1 = fp[i], fp[(i + 1) % 4]
-        out.append(Surface([(p0[0], p0[1], z0), (p1[0], p1[1], z0),
-                            (p1[0], p1[1], z1), (p0[0], p0[1], z1)], material,
-                           tag=f"{tag}:wall{i}"))
-    out.append(Surface([(p[0], p[1], z1) for p in fp], material, tag=f"{tag}:top"))
-    return out
-
-
-def parked_car(center, along_x: bool = True,
-               material: Material | None = None, tag: str = "car") -> list[Surface]:
-    m = material or DEFAULT_MATERIALS["metal"]
-    size = (4.5, 1.8) if along_x else (1.8, 4.5)
-    return _box_surfaces(center, size, (0.0, 1.5), m, tag)
-
-
-def lamp_post(center, material: Material | None = None, tag: str = "post") -> list[Surface]:
-    m = material or DEFAULT_MATERIALS["metal"]
-    return _box_surfaces(center, (0.2, 0.2), (0.0, 8.0), m, tag)
-
-
 def intersection_scene(plain: bool = True) -> Scene:
     """Four corner blocks around perpendicular street canyons.
 
     ``plain=True`` keeps only buildings and ground (the configuration used
     for gain analysis); ``plain=False`` adds parked cars and lamp posts.
     """
-    concrete = DEFAULT_MATERIALS["concrete"]
-    ey = EW_STREET_WIDTH / 2.0    # building face offset north/south of x axis
-    ex = NS_STREET_WIDTH / 2.0    # building face offset east/west of y axis
-    b = BLOCK_SIZE
-    surfaces: list[Surface] = []
-    corners = {
-        "ne": [(ex, ey), (ex + b, ey), (ex + b, ey + b), (ex, ey + b)],
-        "nw": [(-ex - b, ey), (-ex, ey), (-ex, ey + b), (-ex - b, ey + b)],
-        "sw": [(-ex - b, -ey - b), (-ex, -ey - b), (-ex, -ey), (-ex - b, -ey)],
-        "se": [(ex, -ey - b), (ex + b, -ey - b), (ex + b, -ey), (ex, -ey)],
-    }
-    for name, fp in corners.items():
-        surfaces.extend(extrude_footprint(fp, BUILDING_HEIGHT, concrete, tag=f"block_{name}"))
-    if not plain:
-        surfaces.extend(parked_car((-20.0, 6.0), along_x=True, tag="car_w"))
-        surfaces.extend(parked_car((5.25, -20.0), along_x=False, tag="car_s"))
-        surfaces.extend(lamp_post((-ex - 0.6, ey + 0.6), tag="post_nw"))
-        surfaces.extend(lamp_post((ex + 0.6, -ey - 0.6), tag="post_se"))
-    ground = ground_surface()
-    surfaces.append(ground)
-    return Scene(surfaces, ground=len(surfaces) - 1)
+    return load_scene(data_path("intersection_plain.json" if plain else "intersection.json"))
 
 
-def intersection_trajectories(duration: float = RUN_DURATION,
-                              dt: float = 0.5) -> tuple[Trajectory, Trajectory]:
-    """TX eastbound on the EW street, RX northbound on the NS street."""
-    tx = straight_trajectory((-55.0, -4.25, ANTENNA_HEIGHT), heading_deg=0.0,
-                             speed=APPROACH_SPEED, duration=duration, dt=dt,
-                             antenna_height=ANTENNA_HEIGHT)
-    rx = straight_trajectory((3.5, -55.0, ANTENNA_HEIGHT), heading_deg=90.0,
-                             speed=APPROACH_SPEED, duration=duration, dt=dt,
-                             antenna_height=ANTENNA_HEIGHT)
-    return tx, rx
+def intersection_trajectories() -> tuple[Trajectory, Trajectory]:
+    """TX eastbound on the EW street, RX northbound on the NS street, 6 s at 0.5 s."""
+    return (load_trajectory(data_path("tx_trajectory.csv")),
+            load_trajectory(data_path("rx_trajectory.csv")))
 
 
 def canyon_scene(width: float, length: float = 1000.0, height: float = 1000.0,

@@ -844,8 +844,8 @@ class Trajectory:
             raise ValueError("position/velocity must be (N, 3)")
         if not (np.isfinite(self.position).all() and np.isfinite(self.velocity).all()):
             raise ValueError("trajectory positions and velocities must be finite")
-        if self.antenna_height <= 0:
-            raise ValueError("antenna_height must be > 0")
+        if not (np.isfinite(self.antenna_height) and self.antenna_height > 0):
+            raise ValueError(f"antenna_height must be finite and > 0, not {self.antenna_height}")
 
     def at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Linearly interpolated (position, velocity) at time t (no extrapolation).

@@ -221,6 +221,14 @@ class TestInterpolation:
         with pytest.raises(ValueError, match="coarse snapshot times"):
             PathInterpolator([(t, p) for t in times])
 
+    # a NaN time used to pass the span check and give NaN lengths, on which
+    # synthesize_cir failed with an IndexError
+    @pytest.mark.parametrize("t", [math.nan, -1e-3, 0.011])
+    def test_time_outside_span_raises(self, t):
+        interp = PathInterpolator([(0.0, los_path(100.0)), (10e-3, los_path(100.1))])
+        with pytest.raises(ValueError, match=rf"time {t} outside the traced span"):
+            interp.paths_at(t)
+
 
 class TestDftPair:
     def test_impulse_flat_ctf(self):
@@ -434,6 +442,25 @@ class TestSynthesizeTensor:
                 tx, rx = intersection_trajectories()
                 trace_trajectory(free_space_scene(), tx, rx, TracerConfig(), 0.01,
                                  t0=1.0, t1=1.1, workers=workers)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(coarse_dt=-0.01), "coarse_dt must be finite and > 0, not -0.01"),
+        (dict(coarse_dt=0.0), "coarse_dt must be finite and > 0, not 0.0"),
+        (dict(coarse_dt=math.nan), "coarse_dt must be finite and > 0, not nan"),
+        (dict(coarse_dt=math.inf), "coarse_dt must be finite and > 0, not inf"),
+        (dict(t0=math.nan), "t0 must be finite, not nan"),
+        (dict(t1=math.inf), "t1 must be finite, not inf"),
+        (dict(t0=-math.inf), "t0 must be finite, not -inf"),
+    ], ids=["negative_step", "zero_step", "nan_step", "inf_step", "nan_t0", "inf_t1", "-inf_t0"])
+    def test_bad_trace_times_rejected(self, monkeypatch, kwargs, message):
+        """A bad step or end time raises before any snapshot is traced.  A
+        negative step used to return [], a zero step to raise
+        ZeroDivisionError and a NaN one to fail converting to an integer."""
+        monkeypatch.setattr(pipeline, "_run_jobs", lambda *a: pytest.fail("traced"))
+        tx, rx = intersection_trajectories()
+        with pytest.raises(ValueError, match=message):
+            trace_trajectory(free_space_scene(), tx, rx, TracerConfig(),
+                             **{"coarse_dt": 0.01, **kwargs})
 
     @pytest.mark.parametrize("extra, pooled", [(-1, False), (0, True)])
     def test_trace_pool_only_from_two_runs(self, monkeypatch, extra, pooled):

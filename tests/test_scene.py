@@ -13,7 +13,8 @@ from v2vchan.scene import (DEFAULT_MATERIALS, GeometryError, MAX_TILE_CELLS, Mat
                            occlusion_test, occlusion_test_batch,
                            save_trajectory, straight_trajectory)
 from v2vchan import scenarios
-from v2vchan.scenarios import intersection_scene
+from v2vchan.scenarios import (ANTENNA_HEIGHT, EW_STREET_WIDTH, GROUND_EXTENT, NS_STREET_WIDTH,
+                               data_path, intersection_scene, intersection_trajectories)
 
 from conftest import big_wall, l_roof_scene
 
@@ -419,13 +420,27 @@ class TestSceneIO:
             load_scene(p)
 
     def test_bundled_intersection_heights(self):
-        from v2vchan.scenarios import data_path
         scene = load_scene(data_path("intersection_plain.json"))
         block_tags = {s.tag.split(":")[0] for s in scene.surfaces if s.tag.startswith("block")}
         assert len(block_tags) == 4
         for s in scene.surfaces:
             if s.tag.startswith("block"):
                 assert np.isclose(s.vertices[:, 2].max(), 15.0)
+
+    @pytest.mark.parametrize("plain", [True, False], ids=["plain", "furnished"])
+    def test_bundled_intersection_matches_constants(self, plain):
+        """The scenario constants describe the bundled files, which alone
+        define the intersection."""
+        surfaces = {s.tag: s.vertices for s in intersection_scene(plain).surfaces}
+        assert (surfaces["block_ne:wall0"][:, 1] == EW_STREET_WIDTH / 2).all()
+        assert (surfaces["block_ne:wall3"][:, 0] == NS_STREET_WIDTH / 2).all()
+        ground = surfaces["ground"]
+        assert (ground[:, 2] == 0).all()
+        assert ground[:, :2].min(axis=0).tolist() == [-GROUND_EXTENT] * 2
+        assert ground[:, :2].max(axis=0).tolist() == [GROUND_EXTENT] * 2
+        for tr in intersection_trajectories():
+            assert (tr.position[:, 2] == ANTENNA_HEIGHT).all()
+            assert tr.antenna_height == ANTENNA_HEIGHT
 
     def test_unknown_material(self, tmp_path):
         doc = {"footprints": [{"polygon": [[0, 0], [1, 0], [1, 1]], "height": 2.0,
@@ -523,6 +538,14 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0]), np.zeros((1, 3)), np.zeros((1, 3)),
                        antenna_height=0.0)
+
+    # NaN used to pass the ``<= 0`` check
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_antenna_height_finite(self, h):
+        with pytest.raises(ValueError, match=f"antenna_height must be finite and > 0, not {h}"):
+            Trajectory(np.array([0.0]), np.zeros((1, 3)), np.zeros((1, 3)), h)
+        with pytest.raises(SceneFormatError, match="antenna_height"):
+            load_trajectory(data_path("tx_trajectory.csv"), antenna_height=h)
 
     @pytest.mark.parametrize("field", ["t", "position", "velocity"])
     def test_rejects_non_finite(self, field):
@@ -788,7 +811,6 @@ def _tagged(error, tag) -> str:
 class TestConstruction:
     @pytest.mark.parametrize("name", ["intersection.json", "intersection_plain.json"])
     def test_bundled_scenes(self, name):
-        from v2vchan.scenarios import data_path
         assert_same_scene(load_scene(data_path(name)))
 
     # the oracle scenes span kilometres, so they are tiled 25 times coarser
