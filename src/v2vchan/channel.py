@@ -276,10 +276,10 @@ class PathInterpolator:
     def _locate(self, t: float) -> tuple[int, float]:
         """(i, u): t lies at fraction u of interval i.  u == 1.0 means the
         path set is snapshot i + 1's (i == -1 for a single snapshot)."""
-        if len(self.times) == 1:
-            return -1, 1.0
         if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:   # NaN fails too
             raise ValueError(f"time {t} outside the traced span")
+        if len(self.times) == 1:
+            return -1, 1.0
         i = int(self._intervals(t))
         u = (t - self.times[i]) / self.dt
         return i, min(max(u, 0.0), 1.0)

@@ -10,7 +10,6 @@ RX correlations.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .metrics import MetricSeries, SeriesFormatError, _read_timed_csv
 from .raytracer import KINDS
+from .scene import _write_table
 
 LOS, NLOS = "LOS", "NLOS"
 
@@ -97,11 +97,9 @@ def load_labels(path) -> SegmentLabels:
 
 
 def save_labels(labels: SegmentLabels, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t_s", "label"])
-        for t, l in zip(labels.times, labels.is_los):
-            w.writerow([repr(float(t)), LOS if l else NLOS])
+    """Write ``labels`` as the CSV file :func:`load_labels` reads."""
+    _write_table(path, ["t_s", "label"],
+                 [[float(t), LOS if l else NLOS] for t, l in zip(labels.times, labels.is_los)])
 
 
 def _nearest(times: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -208,8 +206,5 @@ def save_report(stats: dict[str, ErrorStats], text_path, csv_path) -> str:
     text, rows = render_report(stats)
     with open(text_path, "w") as f:
         f.write(text)
-    with open(csv_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["metric", "segment", "mu", "sigma", "n"])
-        w.writerows(rows)
+    _write_table(csv_path, ["metric", "segment", "mu", "sigma", "n"], rows)
     return text

@@ -36,14 +36,13 @@ computation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelTensor, _ctf_rows, _each_chunk, _upcast
-from .scene import _read_table
+from .scene import _read_table, _write_table
 
 DB_FLOOR_SENTINEL = -400.0
 DEFAULT_N_AVG = 185  # 57 ms / 307.2 us, about ten wavelengths of travel at 10 m/s
@@ -435,28 +434,18 @@ def correlation_matrix_series(tensor: ChannelTensor, end: str,
     return _frequency_series(tensor, n_avg, stride, False, ((end, _pairs(n_el)),))[0]
 
 
-def _format_value(v: float, db_column: bool) -> str:
-    if np.isnan(v):
-        return ""
-    if db_column and np.isneginf(v):
-        return repr(DB_FLOOR_SENTINEL)
-    return repr(float(v))
-
-
 def series_to_csv(series: MetricSeries, path) -> None:
     """Write ``t_s,value`` (or one column per label, so only ``t_s`` for a
-    series without columns); missing values empty."""
-    db = series.unit == "dB"
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        if series.values.ndim == 1:
-            w.writerow(["t_s", series.labels[0] if series.labels else "value"])
-            for t, v in zip(series.times, series.values):
-                w.writerow([repr(float(t)), _format_value(v, db)])
-        else:
-            w.writerow(["t_s", *series.labels])
-            for t, row in zip(series.times, series.values):
-                w.writerow([repr(float(t))] + [_format_value(v, db) for v in row])
+    series without columns); missing values empty, -inf in a dB series as
+    ``DB_FLOOR_SENTINEL``.  A complex series raises ValueError."""
+    if np.iscomplexobj(series.values):
+        raise ValueError(f"series {series.kind!r} is complex; a metric CSV holds real values")
+    values = np.asarray(series.values, dtype=float)
+    if series.unit == "dB":
+        values = np.where(values == -np.inf, DB_FLOOR_SENTINEL, values)
+    header = (["t_s", *series.labels] if values.ndim == 2
+              else ["t_s", series.labels[0] if series.labels else "value"])
+    _write_table(path, header, np.column_stack((series.times, values)).tolist())
 
 
 def _read_timed_csv(path, header=None) -> tuple[list[str], np.ndarray, list]:
@@ -499,10 +488,7 @@ def series_from_csv(path, kind: str = "", unit: str = "") -> MetricSeries:
 
 
 def profile_to_csv(profile, path) -> None:
-    """Heat-map grid export for Apdp/Dsd: first row bin axis, then one row
-    ``t_s,<power per bin>`` per window."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t_s\\bin", *[repr(float(b)) for b in profile.bins]])
-        for t, row in zip(profile.times, profile.values):
-            w.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    """Heat-map grid export for Apdp/Dsd: first row ``t_s\\bin`` and the bin
+    axis, then one row ``t_s,<power per bin>`` per window."""
+    _write_table(path, ["t_s\\bin", *np.asarray(profile.bins, dtype=float).tolist()],
+                 np.column_stack((profile.times, profile.values)).astype(float).tolist())

@@ -45,8 +45,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .antenna import vh_basis
-from .scene import (Material, Scene, _cross, _fan_planes, occlusion_test, occlusion_test_batch,
-                    occlusion_test_blocks, occlusion_test_fan)
+from .scene import (Material, Scene, _cross, _fan_planes, _rowdot, occlusion_test,
+                    occlusion_test_batch, occlusion_test_blocks, occlusion_test_fan)
 
 SPEED_OF_LIGHT = 299792458.0
 VACUUM_PERMITTIVITY = 8.8541878128e-12
@@ -291,15 +291,6 @@ def trace_los(scene: Scene, tx, rx, frequency: float = DEFAULT_CARRIER) -> PathS
     return _pathset("los", np.array([d]), gain * np.eye(2, dtype=complex)[None],
                     direction[None], direction[None].copy(),
                     np.zeros((1, 0), dtype=int), np.zeros((1, 0, 3)))
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (N, 3) arrays, rounded as ``a[i] @ b[i]`` is.
-
-    ``einsum`` and a matrix-vector product sum in another order, which would
-    move the reflection points by an ulp against the per-sequence solution.
-    """
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def image_method_specular(scene: Scene, tx, rx, max_order: int,

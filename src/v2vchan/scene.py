@@ -140,6 +140,16 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]), axis=-1)
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, 3) arrays, rounded as ``a[i] @ b[i]`` is.
+
+    The BLAS dot of two 3-vectors: ``einsum`` and a matrix-vector product
+    sum in another order, which would move a surface frame or a reflection
+    point by an ulp against the per-surface and per-sequence solutions.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _ear_clip(poly2d) -> list[tuple[int, int, int]]:
     """Triangulate a simple 2D polygon (CCW) by ear clipping.
 
@@ -235,9 +245,6 @@ def _build_surfaces(specs, into=None) -> list[Surface]:
         if v.ndim == 2 and v.shape[1] == 3 and len(v) >= 3:
             groups.setdefault(len(v), []).append(i)
 
-    def dot(a, b):      # row by row, as the BLAS dot of two 3-vectors
-        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
     for idx in groups.values():
         v = np.stack([verts[i] for i in idx])
         nxt = np.concatenate((v[:, 1:], v[:, :1]), axis=1)
@@ -245,14 +252,14 @@ def _build_surfaces(specs, into=None) -> list[Surface]:
             # Newell's normal, each component summed along one polygon's vertices
             n = np.stack([np.sum((v[..., a] - nxt[..., a]) * (v[..., b] + nxt[..., b]), axis=1)
                           for a, b in ((1, 2), (2, 0), (0, 1))], axis=1)
-            area2 = np.sqrt(dot(n, n))
+            area2 = np.sqrt(_rowdot(n, n))
             normal = n / area2[:, None]
-            offset = dot(normal, v[:, 0])
+            offset = _rowdot(normal, v[:, 0])
             dev = np.abs((v @ normal[:, :, None])[..., 0] - offset[:, None]).max(axis=1)
             # in-plane orthonormal frame for 2D point-in-polygon tests
             e_u = v[:, 1] - v[:, 0]
-            e_u = e_u - dot(e_u, normal)[:, None] * normal
-            length = np.sqrt(dot(e_u, e_u))
+            e_u = e_u - _rowdot(e_u, normal)[:, None] * normal
+            length = np.sqrt(_rowdot(e_u, e_u))
             e_u /= length[:, None]
             e_v = _cross(normal, e_u)
             rel = v - v[:, :1]
@@ -916,12 +923,13 @@ def _read_table(path, error, header=None, floats=False, min_fields=2):
     """The header row and the ``(line, cells)`` rows of a CSV table, or with
     ``floats`` the rows as a float array.
 
-    Every text table is read here.  The file is UTF-8; rows whose cells are
-    all blank are skipped.  The first row is the header, of at least
-    ``min_fields`` fields, equal to ``header`` (fields stripped) when one is
-    given; one or more rows follow, each as long as the header, and with
-    ``floats`` every cell parses as a float.  Anything else raises ``error``
-    naming the file and, for a row, its line.
+    Every text table is read here and written by :func:`_write_table`.
+    The file is UTF-8; rows whose cells are all blank are skipped.  The
+    first row is the header, of at least ``min_fields`` fields, equal to
+    ``header`` (fields stripped) when one is given; one or more rows
+    follow, each as long as the header, and with ``floats`` every cell
+    parses as a float.  Anything else raises ``error`` naming the file and,
+    for a row, its line.
     """
     reader = csv.reader(io.StringIO(_read_text(path, error)))
     try:
@@ -947,6 +955,20 @@ def _read_table(path, error, header=None, floats=False, min_fields=2):
     return rows[0][1], rows[1:]
 
 
+def _write_table(path, header, rows) -> None:
+    """Write a CSV table: the ``header`` row, then each of ``rows``.
+
+    Every CSV file but the path dumps is written here, in one format: a
+    float cell (a numpy float too) as its ``repr``, so it reads back to the
+    same bits, and NaN as an empty cell; other cells as :mod:`csv` writes
+    them; lines end in CRLF.
+    """
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(
+            [("" if c != c else repr(float(c))) if isinstance(c, float) else c for c in row]
+            for row in [header, *rows])
+
+
 def load_trajectory(path, antenna_height: float | None = None) -> Trajectory:
     """Read a trajectory CSV with header ``t,x,y,z,vx,vy,vz`` (SI units).
 
@@ -963,13 +985,9 @@ def load_trajectory(path, antenna_height: float | None = None) -> Trajectory:
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "x", "y", "z", "vx", "vy", "vz"])
-        for i in range(len(traj.t)):
-            w.writerow([repr(float(traj.t[i]))]
-                       + [repr(float(x)) for x in traj.position[i]]
-                       + [repr(float(x)) for x in traj.velocity[i]])
+    """Write ``traj`` as the CSV file :func:`load_trajectory` reads."""
+    _write_table(path, ["t", "x", "y", "z", "vx", "vy", "vz"],
+                 np.column_stack((traj.t, traj.position, traj.velocity)).tolist())
 
 
 def _material_from_dict(d: dict, where: str) -> Material:

@@ -229,6 +229,18 @@ class TestInterpolation:
         with pytest.raises(ValueError, match=rf"time {t} outside the traced span"):
             interp.paths_at(t)
 
+    # one snapshot used to answer for every time, NaN too
+    def test_one_snapshot_span(self):
+        tx, rx = intersection_trajectories()
+        snaps = trace_trajectory(free_space_scene(), tx, rx, TracerConfig(), 0.01, t0=1.0, t1=1.0)
+        assert len(snaps) == 1
+        (t0, paths), = snaps
+        interp = PathInterpolator(snaps)
+        assert interp.paths_at(t0) is paths
+        for t in (math.nan, t0 + 5.0):
+            with pytest.raises(ValueError, match=rf"time {t} outside the traced span"):
+                interp.paths_at(t)
+
 
 class TestDftPair:
     def test_impulse_flat_ctf(self):
