@@ -341,6 +341,11 @@ def _job_count(workers: int) -> int:
     return 4 * workers
 
 
+#: Thread-count variables a worker's BLAS reads when it loads numpy; two
+#: workers each running the default thread count oversubscribe the cores.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _run_jobs(fn, jobs, workers: int):
     """``fn(*job)`` for each tuple of ``jobs``, as an iterator in job order.
 
@@ -351,12 +356,25 @@ def _run_jobs(fn, jobs, workers: int):
     default: each imports the package afresh, so ``fn`` must be a
     module-level function, and it, every job and every result are pickled.
     Callers pass at most one worker per job, so a single job never starts a
-    pool.
+    pool.  The workers start with one BLAS thread each: the
+    :data:`_BLAS_THREAD_VARS` are "1" in ``os.environ`` while the pool
+    starts them, within ``pool.map``, and then hold the caller's values again
+    (or are unset), also when starting raises.  Other threads of this
+    process can see the change while it lasts.
     """
     if workers == 1:
         return itertools.starmap(fn, jobs)
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
-    results = pool.map(fn, *zip(*jobs))
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(saved, "1"))
+    try:
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+        results = pool.map(fn, *zip(*jobs))
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
     pool.shutdown(wait=False)   # its workers exit once the submitted jobs are done
     return results
 

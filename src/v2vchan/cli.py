@@ -27,7 +27,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -36,7 +36,7 @@ import numpy as np
 from . import channel as chan
 from . import compare as cmp
 from . import metrics as met
-from .antenna import default_sharkfin_array
+from .antenna import default_sharkfin_array, isotropic_array
 from .channel import SimConfig, TensorFormatError, load_tensor, save_tensor
 from .pipeline import SERIES_UNITS, analyze_tensor, trace_trajectory
 from .raytracer import TracerConfig, dump_paths_csv, PATH_DUMP_HEADER
@@ -50,6 +50,10 @@ EXIT_DATA = 3
 
 class ConfigError(ValueError):
     pass
+
+
+#: The array layout of each ``array_type``; one layout serves both ends.
+_ARRAYS = {"sharkfin": default_sharkfin_array, "isotropic": lambda: isotropic_array(4)}
 
 
 @dataclass
@@ -67,7 +71,7 @@ class RunConfig:
     tx_trajectory: str = ""
     rx_trajectory: str = ""
     output_dir: str = "out"
-    array_type: str = "sharkfin"   # or "isotropic" for antenna-free runs
+    array_type: str = "sharkfin"   # a key of _ARRAYS
     # metrics
     n_avg: int = met.DEFAULT_N_AVG
     stride: int = 0              # 0 means n_avg (non-overlapping)
@@ -83,8 +87,8 @@ class RunConfig:
             raise ConfigError("stride and noise_seed must be >= 0")
         if self.noise_power < 0:
             raise ConfigError("noise_power must be >= 0")
-        if self.array_type not in ("sharkfin", "isotropic"):
-            raise ConfigError("array_type must be 'sharkfin' or 'isotropic'")
+        if self.array_type not in _ARRAYS:
+            raise ConfigError(f"array_type must be {' or '.join(map(repr, _ARRAYS))}")
 
 
 #: Every key a JSON run config may hold.
@@ -140,23 +144,18 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(str(e)) from e
 
 
-def _require_inputs(cfg: RunConfig) -> None:
+def _trace(cfg: RunConfig):
+    """The run's ``(tx, rx, snapshots)``: its trajectories and their traced
+    ``(t, PathSet)`` list, after the input files and the time span are checked."""
     for key in ("scene", "tx_trajectory", "rx_trajectory"):
         p = getattr(cfg, key)
         if not p:
             raise ConfigError(f"config key {key!r} is required")
         if not Path(p).exists():
             raise ConfigError(f"{key} file not found: {p}")
-
-
-def _load_run_inputs(cfg: RunConfig):
     scene = load_scene(cfg.scene)
     tx = load_trajectory(cfg.tx_trajectory)
     rx = load_trajectory(cfg.rx_trajectory)
-    return scene, tx, rx
-
-
-def _traced_snapshots(cfg: RunConfig, scene, tx, rx):
     if max(tx.t[0], rx.t[0]) > min(tx.t[-1], rx.t[-1]):
         raise ConfigError(f"{cfg.tx_trajectory} and {cfg.rx_trajectory} do not overlap in time")
     if cfg.tracer.enable_diffuse:
@@ -166,14 +165,12 @@ def _traced_snapshots(cfg: RunConfig, scene, tx, rx):
             scene.tile_cells(cfg.tracer.tile_size)
         except ValueError as e:
             raise ConfigError(f"{cfg.scene}: {e}") from e
-    return trace_trajectory(scene, tx, rx, cfg.tracer, cfg.sim.coarse_trace_dt,
-                            workers=cfg.workers)
+    return tx, rx, trace_trajectory(scene, tx, rx, cfg.tracer, cfg.sim.coarse_trace_dt,
+                                    workers=cfg.workers)
 
 
 def cmd_trace(cfg: RunConfig) -> int:
-    _require_inputs(cfg)
-    scene, tx, rx = _load_run_inputs(cfg)
-    snapshots = _traced_snapshots(cfg, scene, tx, rx)
+    snapshots = _trace(cfg)[2]
     out = Path(cfg.output_dir) / "trace"
     out.mkdir(parents=True, exist_ok=True)
     for k, (t, paths) in enumerate(snapshots):
@@ -185,17 +182,9 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 
 def cmd_synthesize(cfg: RunConfig) -> int:
-    _require_inputs(cfg)
-    scene, tx, rx = _load_run_inputs(cfg)
-    snapshots = _traced_snapshots(cfg, scene, tx, rx)
-    if cfg.array_type == "isotropic":
-        from .antenna import isotropic_array
-        tx_array = isotropic_array(4)
-        rx_array = isotropic_array(4)
-    else:
-        tx_array = default_sharkfin_array()
-        rx_array = default_sharkfin_array()
-    tensor = chan.synthesize_tensor(chan.PathInterpolator(snapshots), tx_array, rx_array,
+    tx, rx, snapshots = _trace(cfg)
+    array = _ARRAYS[cfg.array_type]()
+    tensor = chan.synthesize_tensor(chan.PathInterpolator(snapshots), array, array,
                                     cfg.sim, tx_heading=tx.heading, rx_heading=rx.heading,
                                     workers=cfg.workers)
     out = Path(cfg.output_dir)
@@ -222,8 +211,7 @@ def cmd_analyze(tensor_path: str, cfg: RunConfig) -> int:
                           f"and >= {met._FLOOR_MIN_BINS} delay bins, not n_avg="
                           f"{cfg.n_avg} and the {tensor.n_bins} bins of {tensor_path}")
     if cfg.noise_power > 0:
-        from .channel import add_measurement_noise
-        tensor = add_measurement_noise(tensor, cfg.noise_power, cfg.noise_seed)
+        tensor = chan.add_measurement_noise(tensor, cfg.noise_power, cfg.noise_seed)
     stride = cfg.stride if cfg.stride > 0 else None
     results = analyze_tensor(tensor, n_avg=cfg.n_avg, stride=stride,
                              threshold=cfg.noise_threshold)
@@ -239,34 +227,23 @@ def cmd_analyze(tensor_path: str, cfg: RunConfig) -> int:
 def cmd_compare(dir_a: str, dir_b: str, labels_path: str | None, cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    labels = cmp.load_labels(labels_path) if labels_path else None
+    # one row per series column, in the order analyze writes them
     stats: dict[str, cmp.ErrorStats] = {}
-    labels = None
-    if labels_path:
-        labels = cmp.load_labels(labels_path)
     for name, unit in SERIES_UNITS.items():
         pa, pb = Path(dir_a) / f"{name}.csv", Path(dir_b) / f"{name}.csv"
         for p in (pa, pb):
             if not p.exists():
                 raise ConfigError(f"metric file missing: {p}")
         sa = met.series_from_csv(pa, kind=name, unit=unit)
-        sb = met.series_from_csv(pb, kind=name, unit=unit)
-        eps = cmp.error_series(sa, sb)
+        eps = cmp.error_series(sa, met.series_from_csv(pb, kind=name, unit=unit))
         if name == "delay_spread":  # metric files are SI; the report uses ns
-            eps.values = eps.values * 1e9
-            eps.unit = "ns"
-        if labels is None:
-            lab = cmp.SegmentLabels(times=sa.times, is_los=np.ones(len(sa.times), bool))
-        else:
-            lab = labels
-        if eps.values.ndim == 1:
-            stats[name] = cmp.error_stats(eps, lab, metric_name=name)
-        else:
-            prefix = {"correlation_tx": "tx_", "correlation_rx": "rx_"}.get(name, "")
-            for c, col in enumerate(eps.labels):
-                col_eps = met.MetricSeries(kind=eps.kind, times=eps.times,
-                                           values=eps.values[:, c], unit=eps.unit)
-                stats[prefix + col] = cmp.error_stats(col_eps, lab,
-                                                      metric_name=prefix + col)
+            eps = replace(eps, values=eps.values * 1e9, unit="ns")
+        lab = labels or cmp.SegmentLabels(times=sa.times, is_los=np.ones(len(sa.times), bool))
+        prefix = {"correlation_tx": "tx_", "correlation_rx": "rx_"}.get(name, "")
+        columns = [name] if eps.values.ndim == 1 else [prefix + c for c in eps.labels]
+        for col, values in zip(columns, np.atleast_2d(eps.values.T)):
+            stats[col] = cmp.error_stats(replace(eps, values=values), lab, metric_name=col)
     print(cmp.save_report(stats, out / "report.txt", out / "report.csv"))
     return EXIT_OK
 

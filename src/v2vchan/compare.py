@@ -2,16 +2,18 @@
 
 The error convention is reference minus candidate (measured minus simulated
 when comparing against sounder data).  Sigma is the population root mean
-square deviation about the mean (divide by n).  Reports group every metric by LOS and NLOS segments and
-render as aligned text and CSV with one row per parameter in the customary
-order: gain, delay spread, Doppler spread, eigenvalues, TX correlations,
-RX correlations.
+square deviation about the mean (divide by n).  Reports group every metric
+by LOS and NLOS segments and render as aligned text and CSV with one row per
+parameter, in the order of the ``stats`` dict they are given.  ``v2vchan
+compare`` fills it in analysis order: gain, delay spread, Doppler spread,
+eigenvalues, TX correlations, RX correlations, each series' columns in the
+order of its metric file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +22,6 @@ from .raytracer import KINDS
 from .scene import _write_table
 
 LOS, NLOS = "LOS", "NLOS"
-
-#: Canonical report row order (prefix match, most specific first).
-REPORT_ORDER = (
-    "gain", "delay_spread", "doppler_spread",
-    "lambda_1", "lambda_2", "lambda_3", "lambda_4",
-    "tx_rho_12", "tx_rho_13", "tx_rho_14", "tx_rho_23", "tx_rho_24", "tx_rho_34",
-    "rx_rho_12", "rx_rho_13", "rx_rho_14", "rx_rho_23", "rx_rho_24", "rx_rho_34",
-)
 
 
 class AlignmentError(ValueError):
@@ -59,7 +53,6 @@ class ErrorStats:
     metric: str
     unit: str
     cells: dict            # segment -> (mu, sigma, n)
-    omitted: dict = field(default_factory=dict)  # segment -> reason
 
 
 def segment_los_nlos(snapshots, window_times) -> SegmentLabels:
@@ -145,43 +138,32 @@ def error_stats(eps: MetricSeries, labels: SegmentLabels,
                          "series per label first")
     # each window takes its nearest label; on a shared axis, its own
     is_los = labels.is_los[_nearest(labels.times, eps.times)]
-    cells, omitted = {}, {}
+    cells = {}
     for seg, mask in ((LOS, is_los), (NLOS, ~is_los)):
         x = eps.values[mask]
         x = x[np.isfinite(x)]
         if x.size == 0:
-            omitted[seg] = "no samples"
             continue
         mu = float(np.mean(x))
         dev = np.abs(mu - x) ** 2
         n = x.size
         sigma = float(math.sqrt(dev.sum() / n))
         cells[seg] = (mu, sigma, n)
-    return ErrorStats(metric=metric_name or eps.kind, unit=eps.unit,
-                      cells=cells, omitted=omitted)
-
-
-def _order_key(name: str) -> tuple:
-    try:
-        return (0, REPORT_ORDER.index(name))
-    except ValueError:
-        return (1, name)
+    return ErrorStats(metric=metric_name or eps.kind, unit=eps.unit, cells=cells)
 
 
 def render_report(stats: dict[str, ErrorStats]) -> tuple[str, list[list]]:
     """Aligned text table plus CSV rows ``metric,segment,mu,sigma,n``.
 
-    Rows follow the customary parameter order; unknown metrics append
-    alphabetically after the known set.
+    Rows follow the order of ``stats``, which ``v2vchan compare`` fills in
+    analysis order (see the module docstring).
     """
     if not stats:
         raise ValueError("need at least one metric")
-    names = sorted(stats, key=_order_key)
     header = ["parameter", "unit", "LOS mu", "LOS sigma", "NLOS mu", "NLOS sigma"]
     rows_text = [header]
     rows_csv = []
-    for name in names:
-        st = stats[name]
+    for name, st in stats.items():
         row = [name, st.unit]
         for seg in (LOS, NLOS):
             if seg in st.cells:

@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -561,3 +562,43 @@ class TestSynthesizeTensor:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeWarning, match="dropped"):
                 synthesize_tensor(PathInterpolator(coarse), arr, arr, cfg)
+
+
+class TestRunJobs:
+    """Pool workers start with one BLAS thread each, and the caller's
+    environment is as it was once the pool has started them."""
+
+    @pytest.mark.parametrize("preset", [(None, None, None), ("3", "3", "3"), ("4", None, "2")],
+                             ids=["unset", "preset", "mixed"])
+    def test_workers_start_with_one_blas_thread(self, monkeypatch, preset):
+        for var, value in zip(channel._BLAS_THREAD_VARS, preset):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        before = dict(os.environ)
+        jobs = [(var,) for var in channel._BLAS_THREAD_VARS]
+        assert list(channel._run_jobs(os.getenv, jobs, 2)) == ["1", "1", "1"]
+        assert dict(os.environ) == before
+
+    def test_environment_restored_when_a_job_raises(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        results = channel._run_jobs(os.getenv, [("OMP_NUM_THREADS",), (1,)], 2)
+        assert dict(os.environ) == before
+        assert next(results) == "1"
+        with pytest.raises(TypeError):
+            next(results)
+        assert dict(os.environ) == before
+
+    def test_environment_restored_when_the_pool_raises(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("pool failed")
+        monkeypatch.setattr(channel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        with pytest.raises(RuntimeError, match="pool failed"):
+            channel._run_jobs(os.getenv, [("MKL_NUM_THREADS",)] * 2, 2)
+        assert dict(os.environ) == before

@@ -107,7 +107,7 @@ class TestErrorStats:
         st = error_stats(eps, self._labels(6, [True] * 6))
         mu, sigma, n = st.cells[LOS]
         assert (mu, sigma, n) == (3.0, 0.0, 6)
-        assert NLOS in st.omitted
+        assert NLOS not in st.cells
 
     def test_two_point(self):
         eps = series([1.0, 3.0])
