@@ -24,12 +24,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -41,7 +38,7 @@ from .channel import SimConfig, TensorFormatError, load_tensor, save_tensor
 from .pipeline import SERIES_UNITS, analyze_tensor, trace_trajectory
 from .raytracer import TracerConfig, dump_paths_csv, PATH_DUMP_HEADER
 from .scene import (GeometryError, MaterialReferenceError, SceneFormatError,
-                    _read_text, load_scene, load_trajectory)
+                    _from_doc, _read_json, load_scene, load_trajectory)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,54 +91,18 @@ class RunConfig:
 #: Every key a JSON run config may hold.
 CONFIG_KEYS = frozenset(f.name for cls in (SimConfig, TracerConfig, RunConfig)
                         for f in fields(cls)) - {"frequency", "sim", "tracer"}
-# resolved once: get_type_hints evaluates the string annotations on each call
-_FIELD_TYPES = {cls: get_type_hints(cls) for cls in (SimConfig, TracerConfig, RunConfig)}
-
-
-def _fits(value, want: type) -> bool:
-    """Whether a JSON value fits a field of type ``want``: a bool only for a
-    bool, an int that is not a bool for an int, a finite number for a float."""
-    if isinstance(value, bool) != (want is bool):
-        return False
-    if want is float:
-        try:
-            return math.isfinite(value)
-        except (TypeError, OverflowError):
-            return False
-    return isinstance(value, want)
-
-
-def _from_doc(cls, doc: dict):
-    """``cls`` built from the keys of ``doc`` that name its fields, each value
-    checked against its field's type; ``cls`` checks the ranges itself."""
-    types = _FIELD_TYPES[cls]
-    values = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
-    for name, value in values.items():
-        if not _fits(value, types[name]):
-            want = "a finite number" if types[name] is float else types[name].__name__
-            raise ConfigError(f"config key {name!r} must be {want}, not {value!r}")
-    return cls(**values)
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
-    doc = {}
-    if path:
-        try:
-            doc = json.loads(_read_text(path, ConfigError))
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}:{e.lineno}: {e.msg}") from e
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(doc) - CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    """The run config in the JSON file ``path`` (none: the defaults), its
+    keys overridden by the values of ``overrides`` that are not None; the
+    file and every value are checked as a scene's are (:func:`scene._read_json`)."""
+    doc = _read_json(path, CONFIG_KEYS, ConfigError) if path else {}
     doc.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        sim = _from_doc(SimConfig, doc)
-        tracer = _from_doc(TracerConfig, {**doc, "frequency": sim.carrier_frequency})
-        return _from_doc(RunConfig, {**doc, "sim": sim, "tracer": tracer})
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    sim = _from_doc(SimConfig, doc, ConfigError, "config")
+    tracer = _from_doc(TracerConfig, {**doc, "frequency": sim.carrier_frequency},
+                       ConfigError, "config")
+    return _from_doc(RunConfig, {**doc, "sim": sim, "tracer": tracer}, ConfigError, "config")
 
 
 def _trace(cfg: RunConfig):

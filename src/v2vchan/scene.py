@@ -71,10 +71,14 @@ raises GeometryError.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
-from dataclasses import dataclass
+import reprlib
+from dataclasses import MISSING, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -969,6 +973,95 @@ def _write_table(path, header, rows) -> None:
             for row in [header, *rows])
 
 
+def _read_json(path, keys, error) -> dict:
+    """The JSON object in the UTF-8 file ``path``, whose keys must all be in
+    ``keys``.
+
+    Every JSON file, a scene or a run config, is read here, and each value
+    that its reader takes is checked by :func:`_checked`.  A file that does
+    not parse raises ``error`` naming it with the line and column, and so
+    does one nested deeper than the parser's recursion limit.
+    """
+    try:
+        doc = json.loads(_read_text(path, error))
+    except json.JSONDecodeError as e:
+        raise error(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise error(f"{path}: {e}") from None
+    return _object(doc, keys, str(path), error)
+
+
+def _fits(value, want: type) -> bool:
+    """Whether a JSON value fits a field of type ``want``: a bool only for a
+    bool, an int that is not a bool for an int, a finite number for a float."""
+    if isinstance(value, bool) != (want is bool):
+        return False
+    if want is float:
+        try:
+            return math.isfinite(value)
+        except (TypeError, OverflowError):
+            return False
+    return isinstance(value, want)
+
+
+#: How a message names a JSON type; others by their Python name.
+_KINDS = {float: "a finite number", dict: "an object", list: "an array"}
+
+
+def _checked(value, want: type, where: str, error=SceneFormatError, key=None):
+    """``value`` if it fits ``want`` (:func:`_fits`), as a float for a float;
+    else ``error`` saying ``<where> [key <key>] must be <type>, not <value>``."""
+    # a JSON value of exactly the wanted type fits unless a float is wanted
+    if (type(value) is not want or want is float) and not _fits(value, want):
+        where = where if key is None else f"{where} key {key!r}"
+        raise error(f"{where} must be {_KINDS.get(want) or want.__name__}, "
+                    f"not {reprlib.repr(value)}")
+    return float(value) if want is float else value
+
+
+def _object(value, keys, where: str, error=SceneFormatError) -> dict:
+    """``value`` if it is a JSON object whose keys are all in ``keys``."""
+    if unknown := _checked(value, dict, where, error).keys() - keys:
+        raise error(f"{where}: unknown keys: {', '.join(sorted(unknown))}")
+    return value
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    """``value``, a JSON array of numbers or of arrays of numbers, as a
+    float array.  One pass over its leaves checks that each is a number, an
+    int or a float (a bool is neither); whether it is finite is left to the
+    geometry checks."""
+    value = _checked(value, list, where)
+    leaves = itertools.chain(*value) if {list}.issuperset(map(type, value)) else value
+    if not {int, float}.issuperset(map(type, leaves)):
+        raise SceneFormatError(f"{where} must be a numeric array, not {reprlib.repr(value)}")
+    try:
+        return np.array(value, dtype=float)
+    except (ValueError, OverflowError) as e:    # unequal lengths, a number past 1e308
+        raise SceneFormatError(f"{where}: {e}") from e
+
+
+# resolved once per class: get_type_hints evaluates the string annotations on each call
+_field_types = functools.cache(get_type_hints)
+
+
+def _from_doc(cls, doc: dict, error, where: str):
+    """The dataclass ``cls`` built from the keys of ``doc`` that name its
+    fields, each value checked by :func:`_checked`.  A missing field without
+    a default, and a ValueError from ``cls``'s own range checks, raise
+    ``error`` too."""
+    types, values = _field_types(cls), {}
+    for f in fields(cls):
+        if f.name in doc:
+            values[f.name] = _checked(doc[f.name], types[f.name], where, error, f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise error(f"{where}: missing field {f.name!r}")
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise error(f"{where}: {e}") from e
+
+
 def load_trajectory(path, antenna_height: float | None = None) -> Trajectory:
     """Read a trajectory CSV with header ``t,x,y,z,vx,vy,vz`` (SI units).
 
@@ -990,39 +1083,6 @@ def save_trajectory(traj: Trajectory, path) -> None:
                  np.column_stack((traj.t, traj.position, traj.velocity)).tolist())
 
 
-def _material_from_dict(d: dict, where: str) -> Material:
-    try:
-        return Material(
-            name=_json(d["name"], str, f"{where}: name"),
-            relative_permittivity=float(d.get("relative_permittivity", 1.0)),
-            conductivity=float(d.get("conductivity", 0.0)),
-            is_pec=_json(d.get("is_pec", False), bool, f"{where}: is_pec"),
-            scattering_coefficient=float(d.get("scattering_coefficient", 0.0)),
-        )
-    except KeyError as e:
-        raise SceneFormatError(f"{where}: material missing field {e}") from e
-    except (TypeError, ValueError, OverflowError) as e:
-        raise SceneFormatError(f"{where}: {e}") from e
-
-
-def _floats(value, where: str, scalar: bool = False):
-    """A float (``scalar``) or float array from JSON data; SceneFormatError if
-    the data is not numeric or too large for a float."""
-    try:
-        return float(value) if scalar else np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise SceneFormatError(f"{where}: {e}") from e
-
-
-def _json(value, kind: type, where: str):
-    """``value`` if it has the JSON type ``kind`` (dict, list, str or bool),
-    else SceneFormatError."""
-    if not isinstance(value, kind):
-        raise SceneFormatError(f"{where}: expected a JSON {kind.__name__}, "
-                               f"not {type(value).__name__}")
-    return value
-
-
 def load_scene(path) -> Scene:
     """Load and validate a scene file.
 
@@ -1041,66 +1101,74 @@ def load_scene(path) -> Scene:
                         or {"vertices": [[x, y, z], ...], "material": ...}
         }
 
-    Material names resolve against the file's ``materials`` list first, then
-    the built-in defaults.  Unknown names raise MaterialReferenceError;
-    degenerate polygons raise GeometryError naming the surface; malformed
-    files raise SceneFormatError with line/field information.
+    ``ground`` is required, and so are a material's ``name``, a footprint's
+    ``polygon``, ``height`` and ``material``, an obstacle's ``material`` and
+    ``surfaces``, and exactly one of the ground's ``extent`` and
+    ``vertices``.  Material names resolve against the file's ``materials``
+    list first, then the built-in defaults.
+
+    The file is checked in three stages, each complete before the next
+    starts.  First its format, by the rule that run configs follow too
+    (:func:`_read_json`): every value a JSON number (not a string or a
+    boolean), string or boolean as its key needs (:func:`_fits`; a
+    coordinate may be NaN or infinite, which the geometry stage rejects), no
+    unknown key at any level and no missing required one, else
+    SceneFormatError naming the file and the value.  Then its material
+    names (MaterialReferenceError), then the geometry of every surface
+    (GeometryError naming the surface).
     """
-    try:
-        doc = json.loads(_read_text(path, SceneFormatError))
-    except json.JSONDecodeError as e:
-        raise SceneFormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise SceneFormatError(f"{path}: top level must be an object")
+    doc = _read_json(path, {"materials", "footprints", "obstacles", "ground"}, SceneFormatError)
+
+    def entries(key, keys):
+        """The ``(i, where, object)`` of each entry of the optional array ``doc[key]``."""
+        array = _checked(doc.get(key, []), list, str(path), SceneFormatError, key)
+        for i, entry in enumerate(array):
+            where = f"{path}: {key}[{i}]"
+            yield i, where, _object(entry, keys, where)
+
+    def get(obj, key, want, where, default=MISSING):
+        """``obj[key]``, or ``default`` if given and the key is absent, checked
+        by :func:`_checked`, or by :func:`_numbers` for ``np.ndarray``."""
+        if (value := obj.get(key, default)) is MISSING:
+            raise SceneFormatError(f"{where}: missing field {key!r}")
+        return (_numbers(value, f"{where} key {key!r}") if want is np.ndarray
+                else _checked(value, want, where, SceneFormatError, key))
 
     materials = dict(DEFAULT_MATERIALS)
-    for i, m in enumerate(_json(doc.get("materials", []), list, f"{path}: materials")):
-        mat = _material_from_dict(m, f"{path}: materials[{i}]")
+    for _, where, m in entries("materials", _field_types(Material)):
+        mat = _from_doc(Material, m, SceneFormatError, where)
         materials[mat.name] = mat
-
-    def resolve(name, where):
-        if not isinstance(name, str) or name not in materials:
-            raise MaterialReferenceError(f"{where}: unknown material {name!r}")
-        return materials[name]
-
-    # the whole file is read and checked first, then every surface is built in one pass
-    specs = []      # (vertices, material, tag) of each surface
-    for i, fp in enumerate(_json(doc.get("footprints", []), list, f"{path}: footprints")):
-        where = f"{path}: footprints[{i}]"
-        _json(fp, dict, where)
-        try:
-            poly = _floats(fp["polygon"], f"{where}: polygon")
-            height = _floats(fp["height"], f"{where}: height", scalar=True)
-            mat = resolve(fp["material"], where)
-        except KeyError as e:
-            raise SceneFormatError(f"{where}: missing field {e}") from e
-        tag = _json(fp.get("tag", f"footprint{i}"), str, f"{where}: tag")
-        specs += [(p, mat, t) for p, t in _extrusion(poly, height, tag)]
-    for i, ob in enumerate(_json(doc.get("obstacles", []), list, f"{path}: obstacles")):
-        where = f"{path}: obstacles[{i}]"
-        _json(ob, dict, where)
-        try:
-            mat = resolve(ob["material"], where)
-            polys = _json(ob["surfaces"], list, f"{where}: surfaces")
-        except KeyError as e:
-            raise SceneFormatError(f"{where}: missing field {e}") from e
-        tag = _json(ob.get("tag", f"obstacle{i}"), str, f"{where}: tag")
-        specs += [(_floats(poly, f"{where}: surfaces[{j}]"), mat,
-                   tag if len(polys) == 1 else f"{tag}:{j}") for j, poly in enumerate(polys)]
-
-    if "ground" not in doc:
-        raise SceneFormatError(f"{path}: missing required field 'ground'")
-    g = _json(doc["ground"], dict, f"{path}: ground")
-    gmat = resolve(g.get("material", "asphalt"), f"{path}: ground")
+    # (where, material, polygon, height, tag) of each footprint and (where,
+    # material, vertices, tag) of each explicit surface, all read before any is built
+    footprints, surfaces = [], []
+    for i, where, fp in entries("footprints", {"tag", "polygon", "height", "material"}):
+        footprints.append((where, get(fp, "material", str, where),
+                           get(fp, "polygon", np.ndarray, where), get(fp, "height", float, where),
+                           get(fp, "tag", str, where, f"footprint{i}")))
+    for i, where, ob in entries("obstacles", {"tag", "material", "surfaces"}):
+        mat, tag = get(ob, "material", str, where), get(ob, "tag", str, where, f"obstacle{i}")
+        polys = get(ob, "surfaces", list, where)
+        surfaces += [(where, mat, _numbers(poly, f"{where} key 'surfaces'[{j}]"),
+                      tag if len(polys) == 1 else f"{tag}:{j}") for j, poly in enumerate(polys)]
+    where = f"{path}: ground"
+    g = _object(get(doc, "ground", dict, str(path)), {"extent", "vertices", "material"}, where)
+    if ("extent" in g) == ("vertices" in g):
+        raise SceneFormatError(f"{where} needs exactly one of 'extent' and 'vertices'")
     if "vertices" in g:
-        ground = _floats(g["vertices"], f"{path}: ground")
-    elif "extent" in g:
-        extent = _floats(g["extent"], f"{path}: ground")
+        ground = get(g, "vertices", np.ndarray, where)
+    else:
+        extent = get(g, "extent", np.ndarray, where)
         if extent.shape != (4,) or not (extent[0] < extent[2] and extent[1] < extent[3]):
-            raise SceneFormatError(f"{path}: ground extent must be [xmin, ymin, xmax, ymax] "
+            raise SceneFormatError(f"{where} extent must be [xmin, ymin, xmax, ymax] "
                                    "with xmin < xmax and ymin < ymax")
         x0, y0, x1, y1 = extent
         ground = [(x0, y0, 0), (x1, y0, 0), (x1, y1, 0), (x0, y1, 0)]
-    else:
-        raise SceneFormatError(f"{path}: ground needs 'extent' or 'vertices'")
-    return Scene(_build_surfaces(specs + [(ground, gmat, "ground")]), ground=len(specs))
+    surfaces.append((where, get(g, "material", str, where, "asphalt"), ground, "ground"))
+
+    for where, name, *_ in footprints + surfaces:
+        if name not in materials:
+            raise MaterialReferenceError(f"{where}: unknown material {name!r}")
+    specs = [(p, materials[m], t) for _, m, poly, height, tag in footprints
+             for p, t in _extrusion(poly, height, tag)]
+    specs += [(v, materials[m], tag) for _, m, v, tag in surfaces]
+    return Scene(_build_surfaces(specs), ground=len(specs) - 1)

@@ -488,6 +488,18 @@ class TestConfigHandling:
         assert main(["trace", "-c", str(bad)]) == EXIT_CONFIG
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["5.9e9", True, math.nan,
+                                       pytest.param(10 ** 400, id="10**400")])
+    def test_scene_value_of_wrong_type_exit_3(self, tmp_path, capsys, value):
+        """A scene value is checked by the rule a run-config value is."""
+        scene = {"footprints": [{"polygon": [[0, 0], [10, 0], [10, 10]], "height": value,
+                                 "material": "concrete"}],
+                 "ground": {"extent": [-50, -50, 50, 50]}}
+        p = tmp_path / "scene.json"
+        p.write_text(json.dumps(scene))
+        assert main(["scene-validate", str(p)]) == EXIT_DATA
+        assert "'height'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         pytest.param("stride", -1, id="stride"), pytest.param("workers", -1, id="workers"),
         pytest.param("workers", 0, id="workers-zero"),
@@ -557,6 +569,17 @@ class TestConfigHandling:
             out[workers] = {p.name: p.read_bytes() for p in (tmp / workers).iterdir()}
         assert sorted(out["1"]) == ["channel.v2vc", "los_labels.csv"]
         assert out["1"] == out["2"]
+
+
+@pytest.mark.parametrize("argv, code", [(["scene-validate"], EXIT_DATA),
+                                        (["trace", "-c"], EXIT_CONFIG)], ids=["scene", "config"])
+def test_deeply_nested_json_exit_code(tmp_path, capsys, argv, code):
+    """A file nested past the JSON parser's recursion limit is a malformed
+    file like any other, not a RecursionError traceback."""
+    p = tmp_path / "deep.json"
+    p.write_text('{"ground": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main([*argv, str(p)]) == code
+    assert "recursion" in capsys.readouterr().err
 
 
 #: The config keys that belong to a run, not to SimConfig or TracerConfig.

@@ -6,7 +6,9 @@ infinity or an oversized number, and (for tensors) by arbitrary header
 fields and payload lengths; metric and label CSV files the same way as
 trajectories.  Each loader must either return or raise one of
 its documented exception types, and the CLI must turn every rejected file
-into exit code 3 (data error), never a traceback.  The three CSV loaders
+into exit code 3 (data error), never a traceback; a scene holding a
+boolean, a string or a null where a number belongs must raise
+SceneFormatError.  The three CSV loaders
 (trajectory, metric series, labels) also get the same six
 malformed files, since one reader decides for all of them.
 """
@@ -69,6 +71,25 @@ def _paths(node, prefix=()):
         yield prefix + (key,)
         if isinstance(value, (dict, list)):
             yield from _paths(value, prefix + (key,))
+
+
+_ABSENT = object()
+
+
+def _at(doc, path):
+    """The value at the key path ``path`` of ``doc``, or ``_ABSENT``."""
+    for key in path:
+        if not isinstance(doc, (dict, list)):
+            return _ABSENT
+        try:
+            doc = doc[key]
+        except (KeyError, IndexError, TypeError):
+            return _ABSENT
+    return doc
+
+
+#: The key path of every number in SCENE.
+NUMBER_PATHS = [p for p in _paths(SCENE) if type(_at(SCENE, p)) in (int, float)]
 
 
 @st.composite
@@ -168,10 +189,20 @@ def test_load_scene_raises_only_documented_errors(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("scene") / "scene.json"
     path.write_text(text)
     try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    # a bool, a string or a null where SCENE holds a number is a format fault
+    wrong_type = doc is not None and any(
+        value is None or isinstance(value, (bool, str))
+        for value in (_at(doc, p) for p in NUMBER_PATHS))
+    try:
         scene = load_scene(path)
-    except (SceneFormatError, MaterialReferenceError, GeometryError):
+    except (SceneFormatError, MaterialReferenceError, GeometryError) as e:
+        assert isinstance(e, SceneFormatError) or not wrong_type
         assert _cli("scene-validate", str(path)) == EXIT_DATA
     else:
+        assert not wrong_type
         assert isinstance(scene, Scene)
         for surf in scene.surfaces:
             m = surf.material

@@ -1,7 +1,9 @@
+import ast
 import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,6 +458,15 @@ class TestSceneIO:
          "ground": {"extent": [-50, -50, 50, 50]}},
         {"ground": {"extent": [-50, "south", 50, 50]}},
         {"ground": {"vertices": [[0, 0, 0], [1, 0, 0], None]}},
+        # a bool or a string where a number belongs is not read as one
+        *({"footprints": [{"polygon": [[0, 0], [10, 0], [10, 10]], "height": h,
+                           "material": "concrete"}], "ground": {"extent": [-50, -50, 50, 50]}}
+          for h in ("15", True)),
+        *({"ground": {"extent": [-60, -60, x, 60]}} for x in ("60", True)),
+        {"footprints": [{"polygon": [[0, 0], [10, True], [10, 10]], "height": 5.0,
+                         "material": "concrete"}], "ground": {"extent": [-50, -50, 50, 50]}},
+        {"obstacles": [{"material": "metal", "surfaces": [[[0, 0, 0], [1, 0, 0], [1, 0, "1.5"]]]}],
+         "ground": {"extent": [-50, -50, 50, 50]}},
     ])
     def test_non_numeric_geometry(self, tmp_path, doc):
         p = tmp_path / "s.json"
@@ -475,6 +486,19 @@ class TestSceneIO:
         {"ground": [-50, -50, 50, 50]},
         {"ground": {"extent": [-50, -50, 50]}},
         {"ground": {"extent": [-50, -50, 50, 10 ** 400]}},
+        {"materials": [{"name": "brick", "relative_permittivity": True}]},
+        {"materials": [{"name": "brick", "conductivity": "0.5"}]},
+        {"materials": [{"name": "brick", "scattering_coefficient": False}]},
+        # an unknown key, in place of the right one or next to it, at each level
+        {"obstacle": [{"material": "metal", "surfaces": [[[0, 0, 0], [1, 0, 0], [1, 0, 1]]]}]},
+        {"materials": [{"name": "brick", "conductivty": 0.5}]},
+        {"footprints": [{"polygon": [[0, 0], [10, 0], [10, 10]], "height": 5.0, "hieght": 5.0,
+                         "material": "concrete"}]},
+        {"obstacles": [{"material": "metal", "surfaces": [[[0, 0, 0], [1, 0, 0], [1, 0, 1]]],
+                        "surface": []}]},
+        {"ground": {"extent": [-50, -50, 50, 50], "extents": [-50, -50, 50, 50]}},
+        {"ground": {"extent": [-50, -50, 50, 50],
+                    "vertices": [[-5, -5, 0], [5, -5, 0], [5, 5, 0], [-5, 5, 0]]}},
     ])
     def test_wrong_json_type(self, tmp_path, doc):
         p = tmp_path / "s.json"
@@ -520,6 +544,20 @@ class TestSceneIO:
             assert s.tag == tag
             assert s.material == (Material(**brick) if mat == "brick"
                                   else DEFAULT_MATERIALS[mat])
+
+
+def test_one_json_reader():
+    """JSON files are parsed only by ``scene._read_json``: no other module of
+    the package calls ``json.loads`` or ``json.load``."""
+    sites = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "v2vchan").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                sites.append(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                sites.append(path.name)
+    assert sites == ["scene.py"]
 
 
 class TestTrajectory:
