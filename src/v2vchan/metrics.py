@@ -19,13 +19,23 @@ Both routes give the same bits, since a step's values depend only on its
 own row.
 
 The APDP, the DSD and that sliding pass compute in chunks of
-``channel._CHUNK_VALUES`` values (time rows, or the DSD's window columns)
-through :func:`channel._each_chunk`: a pass larger than one chunk is cut
-into half-size chunks that the calling thread and one helper thread take in
-turn, numpy's FFTs and ufunc loops releasing the GIL, so at most one chunk
-is in flight; a pass that fits one chunk starts no thread.  No option sets
-this, and since every value depends only on its own row or column, the
-output does not depend on the split.
+``channel._CHUNK_VALUES`` values (time rows, or the DSD's window columns).
+A pass larger than one chunk is cut into half-size chunks and runs on the
+calling thread and one helper thread, in one of two ways:
+
+- the APDP and the DSD split them even/odd (:func:`channel._each_chunk`):
+  each thread takes every other half-chunk, whose few large calls (the
+  powers, the column FFTs) release the GIL;
+- the frequency pass pipelines them (:func:`channel._pipelined`): the
+  helper transforms each half-chunk one ahead, and the calling thread runs
+  :func:`_step_values` on it.  That kernel makes about a hundred small
+  numpy calls per half-chunk and holds the GIL between them, so split
+  even/odd it ran at 0.66-0.77x its one-thread speed; pipelined, the
+  transform overlaps it.
+
+Either way at most one chunk is in flight, and a pass that fits one chunk
+starts no thread.  No option sets this, and since every value depends only
+on its own row or column, the output does not depend on the split.
 
 Measurement emulation: :func:`estimate_noise_floor` estimates the per-bin
 noise level from the signal-free region of a profile and
@@ -41,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelTensor, _ctf_rows, _each_chunk, _upcast
+from .channel import ChannelTensor, _ctf_rows, _each_chunk, _pipelined, _upcast
 from .scene import _read_table, _write_table
 
 DB_FLOOR_SENTINEL = -400.0
@@ -104,16 +114,22 @@ def _window_times(tensor: ChannelTensor, starts: np.ndarray, n_avg: int) -> np.n
     return tensor.t0 + (starts + (n_avg - 1) / 2.0) * tensor.dt
 
 
-def _sliding(data: np.ndarray, starts: np.ndarray, n_avg: int, bufs: tuple, step):
+def _sliding(data: np.ndarray, starts: np.ndarray, n_avg: int, bufs: tuple, step,
+             produce=None):
     """Yield the index of each window once ``bufs``, arrays of ``n_avg``
     rows, hold its per-step values in time order.
 
-    ``step(a, b)`` returns the values of time steps [a, b), one array per
-    buffer; it is called on time chunks of ``data`` by
-    :func:`channel._each_chunk`, so possibly on two threads at once, each
-    call writing only its own rows of the buffers.  Steps shared with the
-    previous window are moved up (one flat, forward, overlapping copy), not
-    computed again.
+    ``step`` returns the values of time steps [a, b), one array per buffer,
+    for time chunks of ``data``.  Without ``produce`` it is ``step(a, b)``,
+    run by :func:`channel._each_chunk`, so possibly on two threads at once,
+    each call writing only its own rows of the buffers: the split for a
+    step of a few large calls that release the GIL (the APDP).  With
+    ``produce`` it is ``step(produce(a, b))``, run by
+    :func:`channel._pipelined`: ``produce`` on the helper thread one
+    half-chunk ahead, ``step`` and the writes on this one, for one transform
+    followed by many small calls that hold the GIL (the frequency pass).
+    Steps shared with the previous window are moved up (one flat, forward,
+    overlapping copy), not computed again.
     """
     end = 0  # one past the last step the buffers hold
     for k, s in enumerate(starts):
@@ -122,10 +138,13 @@ def _sliding(data: np.ndarray, starts: np.ndarray, n_avg: int, bufs: tuple, step
             flat, row = buf.reshape(-1), buf[0].size
             flat[:keep * row] = flat[(n_avg - keep) * row:]
 
-        def fill(a, b):
-            for buf, values in zip(bufs, step(a, b)):
-                buf[a - s:b - s] = values
-        _each_chunk(fill, data, s + keep, s + n_avg)
+        def write(a, b, values):
+            for buf, v in zip(bufs, values):
+                buf[a - s:b - s] = v
+        if produce is None:
+            _each_chunk(lambda a, b: write(a, b, step(a, b)), data, s + keep, s + n_avg)
+        else:
+            _pipelined(produce, lambda a, b, x: write(a, b, step(x)), data, s + keep, s + n_avg)
         end = s + n_avg
         yield k
 
@@ -329,8 +348,8 @@ def _frequency_series(tensor: ChannelTensor, n_avg: int, stride: int | None, gra
         bufs += [np.empty(shape, dtype=complex), np.empty(shape, dtype=bool)]
     eig = np.full((len(starts), m_min), np.nan)
     corr = [np.full((len(pairs), len(starts)), np.nan, dtype=complex) for _, pairs in ends]
-    for k in _sliding(data, starts, n_avg, bufs,
-                      lambda a, b: _step_values(rows(data[a:b]), gram, ends)):
+    for k in _sliding(data, starts, n_avg, bufs, lambda x: _step_values(x, gram, ends),
+                      lambda a, b: rows(data[a:b])):
         if gram:
             total = bufs[0].sum(axis=0)
             mean_fro2 = float(np.trace(total).real) / n_mat

@@ -501,10 +501,13 @@ def _extrusion(footprint, height: float, tag: str) -> list[tuple[np.ndarray, str
         raise GeometryError("footprint needs >= 3 two-dimensional vertices")
     if not height > 0:
         raise GeometryError(f"footprint {tag!r}: height must be > 0")
-    if _self_intersects(fp):
-        raise GeometryError(f"footprint {tag!r} is self-intersecting")
-    # normalize to CCW so that edge-right is outward
-    area2 = np.sum(fp[:, 0] * np.roll(fp[:, 1], -1) - np.roll(fp[:, 0], -1) * fp[:, 1])
+    # corners near the float limit overflow these products to inf or NaN, a
+    # footprint that _build_surfaces then rejects as a wall's overflowing area
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _self_intersects(fp):
+            raise GeometryError(f"footprint {tag!r} is self-intersecting")
+        # normalize to CCW so that edge-right is outward
+        area2 = np.sum(fp[:, 0] * np.roll(fp[:, 1], -1) - np.roll(fp[:, 0], -1) * fp[:, 1])
     if area2 == 0:
         raise GeometryError(f"footprint {tag!r} has zero area")
     if area2 < 0:

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -435,6 +436,20 @@ class TestSceneValidate:
                                  "ground": {"extent": [-50, -50, 50, 50]}}))
         assert main(["scene-validate", str(p)]) == EXIT_DATA
         assert field in capsys.readouterr().err
+
+    def test_overflowing_footprint_warns_nothing(self, tmp_path, capsys):
+        """Corners at 1e308 overflow the footprint checks' products: the file
+        is still one data error, and numpy warns of nothing on the way."""
+        fp = {"polygon": [[0, 0], [1e308, 0], [1e308, 1e308], [0, 1e308]], "height": 10.0,
+              "material": "concrete"}
+        p = tmp_path / "scene.json"
+        p.write_text(json.dumps({"footprints": [fp],
+                                 "ground": {"extent": [-50, -50, 50, 50]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scene-validate", str(p)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("data error:") == 1 and "overflowing polygon area" in err
 
 
 class TestConfigHandling:
