@@ -65,7 +65,8 @@ from multiprocessing import get_context
 import numpy as np
 
 from .antenna import ArrayLayout
-from .raytracer import DEFAULT_CARRIER, SPEED_OF_LIGHT, PathSet, _require_finite
+from .raytracer import (DEFAULT_CARRIER, SPEED_OF_LIGHT, PathSet, _require_finite,
+                        _require_integer)
 from .scene import _uniform_times
 
 TENSOR_MAGIC = b"V2VC"
@@ -78,21 +79,21 @@ class TensorFormatError(ValueError):
 
 @dataclass
 class SimConfig:
-    """Sounder and sampling parameters for channel synthesis."""
+    """Sounder and sampling parameters for channel synthesis: the carrier,
+    the band and its delay bins, the ray-tracer's snapshot interval and the
+    synthesized time step.  A measured tensor carries its own snapshot
+    interval (:attr:`ChannelTensor.dt`)."""
 
     carrier_frequency: float = DEFAULT_CARRIER   # 5.9 GHz ITS band; the campaign used 5.6e9
     bandwidth: float = 240e6
     n_freq_bins: int = 769
-    snapshot_dt: float = 307.2e-6      # sounder snapshot interval
     coarse_trace_dt: float = 10e-3     # ray-tracer snapshot interval
     fine_dt: float = 100e-6            # synthesized tensor time step
 
     def __post_init__(self):
         _require_finite(self)
-        if (isinstance(self.n_freq_bins, bool)
-                or not isinstance(self.n_freq_bins, (int, np.integer))):
-            raise ValueError(f"n_freq_bins must be an integer, not {self.n_freq_bins!r}")
-        if min(self.carrier_frequency, self.bandwidth, self.snapshot_dt,
+        _require_integer(self, "n_freq_bins")
+        if min(self.carrier_frequency, self.bandwidth,
                self.coarse_trace_dt, self.fine_dt) <= 0 or self.n_freq_bins < 1:
             raise ValueError("all SimConfig parameters must be positive")
         ratio = self.coarse_trace_dt / self.fine_dt

@@ -5,16 +5,17 @@ flags win.  Exit codes: 0 on success, 2 for configuration problems (bad
 flags, missing or unreadable files, invalid values, trajectories without a
 common time span, analysis windows the tensor cannot hold), 3 for data
 problems (malformed scene, trajectory, tensor, metric or label files).  Any
-other error is a defect and raises with its traceback.  ``--workers`` (the
-``workers`` key, default 1) sets the number of tracing and synthesis
-processes, started with ``spawn`` above one; results do not depend on it.
-``analyze`` does not read it: its larger passes run on two threads anyway
-(see :mod:`v2vchan.metrics`).
+other error is a defect and raises with its traceback.  ``--workers``, a
+flag of ``trace`` and ``synthesize`` only (the ``workers`` key, default 1),
+sets the number of tracing and synthesis processes, started with ``spawn``
+above one; results do not depend on it.  ``analyze`` and ``compare`` ignore
+the key: the analysis's larger passes run on two threads anyway (see
+:mod:`v2vchan.metrics`).
 
 Subcommands::
 
-    v2vchan trace          -c run.json [-o OUTDIR]
-    v2vchan synthesize     -c run.json [-o OUTDIR]
+    v2vchan trace          -c run.json [-o OUTDIR] [--workers N]
+    v2vchan synthesize     -c run.json [-o OUTDIR] [--workers N]
     v2vchan analyze        TENSOR [-c run.json] [-o OUTDIR]
     v2vchan compare        DIR_A DIR_B [--labels FILE] [-o OUTDIR]
     v2vchan scene-validate SCENE
@@ -233,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("-c", "--config", help="JSON run config", default=None)
         p.add_argument("-o", "--output-dir", dest="output_dir", default=None)
+
+    for name, text in (("trace", "dump ray-traced paths per coarse snapshot"),
+                       ("synthesize", "trace and write the channel tensor")):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
         p.add_argument("--workers", type=int, default=None,
                        help="tracing and synthesis worker processes (default 1)")
-
-    p_trace = sub.add_parser("trace", help="dump ray-traced paths per coarse snapshot")
-    add_common(p_trace)
-    p_syn = sub.add_parser("synthesize", help="trace and write the channel tensor")
-    add_common(p_syn)
     p_ana = sub.add_parser("analyze", help="compute metric CSVs from a tensor")
     p_ana.add_argument("tensor")
     add_common(p_ana)
@@ -264,12 +265,11 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
-        overrides = {k: getattr(args, k, None)
-                     for k in ("output_dir", "workers", "n_avg", "stride",
-                               "noise_threshold")}
         if args.command == "scene-validate":
             return cmd_scene_validate(args.scene)
-        cfg = load_run_config(getattr(args, "config", None), overrides)
+        # every flag that names a config key overrides it
+        cfg = load_run_config(args.config, {k: v for k, v in vars(args).items()
+                                            if k in CONFIG_KEYS})
         if args.command == "trace":
             return cmd_trace(cfg)
         if args.command == "synthesize":

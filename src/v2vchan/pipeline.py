@@ -44,6 +44,10 @@ def trace_trajectory(scene: Scene, tx_traj: Trajectory, rx_traj: Trajectory,
                      workers: int = 1):
     """Ray-trace at every coarse time step; returns the (t, PathSet) list.
 
+    The steps run from the start of the trajectories' common span (or
+    ``t0``) for as many whole ``coarse_dt`` as fit before its end (or
+    ``t1``); a span that is not a whole number of steps ends short of it.
+
     The snapshots are cut into contiguous runs of about equal length, four
     per worker or, if fewer, as many of at least ``_RUN_SNAPSHOTS`` as fit,
     each one job of :func:`channel._run_jobs` on ``workers`` processes.
@@ -61,7 +65,9 @@ def trace_trajectory(scene: Scene, tx_traj: Trajectory, rx_traj: Trajectory,
     hi = min(tx_traj.t[-1], rx_traj.t[-1]) if t1 is None else t1
     if hi < lo:
         raise ValueError("trajectories do not overlap in time")
-    n = int(round((hi - lo) / coarse_dt)) + 1
+    # the slack keeps a whole span whose quotient rounds just below, such as
+    # 6.0 / 0.01 = 599.999..., at its last step
+    n = int((hi - lo) / coarse_dt + 1e-9) + 1
     size = -(-n // max(1, min(_job_count(workers), n // _RUN_SNAPSHOTS)))
     times = lo + np.arange(n) * coarse_dt
     positions = list(zip(tx_traj.at(times)[0], rx_traj.at(times)[0]))

@@ -69,6 +69,15 @@ def _require_finite(config) -> None:
         raise ValueError(f"{type(config).__name__} fields must be finite: {', '.join(bad)}")
 
 
+def _require_integer(config, name: str) -> None:
+    """ValueError unless the field ``name`` of ``config`` is an integer, a
+    Python or numpy one but not a bool; a float count would fail later, in
+    the middle of the work, with numpy's or Python's TypeError."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass
 class TracerConfig:
     """Knobs for :func:`trace_snapshot`."""
@@ -81,6 +90,7 @@ class TracerConfig:
 
     def __post_init__(self):
         _require_finite(self)
+        _require_integer(self, "max_order")
         if not self.frequency > 0:
             raise ValueError("frequency must be > 0")
         if not 1 <= self.max_order <= MAX_SPECULAR_ORDER:

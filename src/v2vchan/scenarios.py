@@ -86,10 +86,7 @@ def single_wall_scene(material: Material | None = None, extent: float = 1000.0,
 
 def pec_ground_scene(extent: float = 500.0) -> Scene:
     """Infinite-ish PEC ground plane at z = 0 for the two-ray oracle."""
-    m = DEFAULT_MATERIALS["metal"]
-    g = Surface([(-extent, -extent, 0), (extent, -extent, 0), (extent, extent, 0),
-                 (-extent, extent, 0)], m, tag="ground")
-    return Scene([g], ground=0)
+    return Scene([ground_surface(extent, DEFAULT_MATERIALS["metal"])])
 
 
 def free_space_scene() -> Scene:

@@ -173,11 +173,7 @@ def _ear_clip(poly2d) -> list[tuple[int, int, int]]:
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    guard = 0
     while len(idx) > 3:
-        guard += 1
-        if guard > 10 * n * n:
-            raise GeometryError("ear clipping failed; polygon may be degenerate")
         clipped = False
         for k in range(len(idx)):
             i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % len(idx)]
@@ -290,19 +286,15 @@ def _build_surfaces(specs, into=None) -> list[Surface]:
 class Scene:
     """Immutable collection of surfaces plus lookup/intersection machinery.
 
-    Surface ids are list indices.  ``ground`` is the index of the ground
-    surface when one exists (required for scenes loaded from files; optional
-    for in-memory scenes so that free-space oracle setups are expressible).
-    ``normals`` (S, 3), ``offsets`` (S,) and ``scattering`` (S,) hold each
-    surface's unit normal, plane offset and Lambertian scattering coefficient
-    by id, built once and read-only.
+    Surface ids are list indices.  A scene needs no ground: a loaded one
+    has the surface tagged ``"ground"`` last, and an in-memory oracle setup
+    may have none.  ``normals`` (S, 3), ``offsets`` (S,) and ``scattering``
+    (S,) hold each surface's unit normal, plane offset and Lambertian
+    scattering coefficient by id, built once and read-only.
     """
 
-    def __init__(self, surfaces: list[Surface], ground: int | None = None):
+    def __init__(self, surfaces: list[Surface]):
         self.surfaces = list(surfaces)
-        if ground is not None and not 0 <= ground < len(self.surfaces):
-            raise GeometryError("ground index out of range")
-        self.ground = ground
         allv = np.vstack([s.vertices for s in self.surfaces] or [np.zeros((1, 3))])
         self.bounding_box = np.vstack((allv.min(axis=0) - BOUNDING_MARGIN,
                                        allv.max(axis=0) + BOUNDING_MARGIN))
@@ -1174,4 +1166,4 @@ def load_scene(path) -> Scene:
     specs = [(p, materials[m], t) for _, m, poly, height, tag in footprints
              for p, t in _extrusion(poly, height, tag)]
     specs += [(v, materials[m], tag) for _, m, v, tag in surfaces]
-    return Scene(_build_surfaces(specs), ground=len(specs) - 1)
+    return Scene(_build_surfaces(specs))

@@ -74,7 +74,7 @@ def l_roof_scene() -> Scene:
     block = extrude_footprint([(0, 0), (20, 0), (20, 8), (8, 8), (8, 20), (0, 20)], 6.0,
                               concrete, tag="L")
     sign = Surface([(12, -4, 0.5), (18, -4, 0.5), (15, -4, 4.5)], metal, tag="sign")
-    return Scene(block + [sign, ground_surface(60.0)], ground=len(block) + 1)
+    return Scene(block + [sign, ground_surface(60.0)])
 
 
 #: Tensor file header fields in file order, with the values of a valid

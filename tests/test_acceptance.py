@@ -184,7 +184,8 @@ def test_criterion_5_doppler_mechanism():
     snaps = trace_trajectory(scene, tx_t, rx_t,
                              TracerConfig(frequency=F_C, enable_diffuse=False), 0.01)
     n_avg = 185
-    times = np.arange(10 * n_avg) * sim.snapshot_dt
+    snapshot_dt = 307.2e-6     # the sounder's snapshot interval
+    times = np.arange(10 * n_avg) * snapshot_dt
     arr = isotropic_array(1)
     tensor = synthesize_tensor(PathInterpolator(snaps), arr, arr, sim, times=times)
     # measurement emulation: noise floor 10 dB below the DSD peak, then the
@@ -195,7 +196,7 @@ def test_criterion_5_doppler_mechanism():
     dsd = compute_dsd(noisy, n_avg=n_avg)
     dsd = apply_noise_threshold(dsd, estimate_noise_floor_dsd(dsd))
     spread = rms_doppler_spread(dsd)
-    bin_width = 1.0 / (n_avg * sim.snapshot_dt)
+    bin_width = 1.0 / (n_avg * snapshot_dt)
     nu0 = F_C * 20.0 / SPEED_OF_LIGHT
     peaks = dsd.bins[np.argmax(dsd.values, axis=1)]
     peak_ok = bool(np.all(np.abs(peaks - nu0) <= bin_width))

@@ -49,7 +49,7 @@ class TestSimConfig:
             SimConfig(fine_dt=3e-4)  # 10 ms / 0.3 ms is not integral
 
     @pytest.mark.parametrize("field", ["carrier_frequency", "bandwidth", "n_freq_bins",
-                                       "snapshot_dt", "coarse_trace_dt", "fine_dt"])
+                                       "coarse_trace_dt", "fine_dt"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite(self, field, value):
         with pytest.raises(ValueError, match=f"finite: {field}"):
@@ -474,6 +474,21 @@ class TestSynthesizeTensor:
         with pytest.raises(ValueError, match=message):
             trace_trajectory(free_space_scene(), tx, rx, TracerConfig(),
                              **{"coarse_dt": 0.01, **kwargs})
+
+    @pytest.mark.parametrize("coarse_dt, t1, n", [(0.0175, None, 343), (0.01, None, 601),
+                                                  (0.01, 1.027, 3)])
+    def test_trace_ends_within_its_span(self, coarse_dt, t1, n):
+        """The whole steps that fit are traced.  A span that is not a whole
+        number of steps used to round up to one step past its end: past
+        ``t1`` silently, past the trajectories' last sample with ValueError."""
+        tx, rx = intersection_trajectories()   # 0 to 6 s
+        t0 = None if t1 is None else 1.0
+        times = [t for t, _ in trace_trajectory(free_space_scene(), tx, rx,
+                                                TracerConfig(enable_diffuse=False),
+                                                coarse_dt, t0=t0, t1=t1)]
+        lo = tx.t[0] if t0 is None else t0
+        assert len(times) == n
+        assert times[-1] == lo + (n - 1) * coarse_dt <= (tx.t[-1] if t1 is None else t1)
 
     @pytest.mark.parametrize("extra, pooled", [(-1, False), (0, True)])
     def test_trace_pool_only_from_two_runs(self, monkeypatch, extra, pooled):

@@ -461,6 +461,19 @@ class TestConfigHandling:
         p.write_text(json.dumps({"scene": "x", "warp_speed": 9}))
         assert main(["trace", "-c", str(p)]) == EXIT_CONFIG
 
+    def test_snapshot_dt_is_an_unknown_key(self, tmp_path, capsys):
+        # the sounder's snapshot interval was a SimConfig field that nothing read
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"scene": "x", "snapshot_dt": 307.2e-6}))
+        assert main(["trace", "-c", str(p)]) == EXIT_CONFIG
+        assert "unknown keys: snapshot_dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["analyze", "t.v2vc"], ["compare", "a", "b"]])
+    def test_workers_flag_only_on_tracing_commands(self, capsys, argv):
+        # analysis runs in process: a worker count there would be ignored
+        assert main([*argv, "--workers", "2"]) == EXIT_CONFIG
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
     def test_flag_overrides_config(self, run_dir):
         tmp, cfg = run_dir
         alt = tmp / "alt_out"
@@ -614,6 +627,23 @@ def test_readme_config_loads_and_keys_are_documented(tmp_path):
     # RunConfig re-declares no SimConfig or TracerConfig field
     assert {f.name for f in fields(RunConfig)} == RUN_ONLY_KEYS | {"sim", "tracer"}
     assert [k for k in sorted(RUN_ONLY_KEYS) if f"`{k}`" not in readme] == []
+
+
+def test_every_config_field_is_read():
+    """Every field of ``SimConfig``, ``TracerConfig`` and ``RunConfig`` is
+    read as an attribute somewhere in the package outside its own class: a
+    field that only its own checks read is a setting that changes nothing."""
+    reads = set()   # (enclosing class name or None, attribute name)
+    for path in sorted((Path(__file__).parents[1] / "src" / "v2vchan").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(n): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for n in ast.walk(c)}
+        reads |= {(owner.get(id(n)), n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{cls.__name__}.{f.name}" for cls in (SimConfig, TracerConfig, RunConfig)
+              for f in fields(cls)
+              if not any(attr == f.name and c != cls.__name__ for c, attr in reads)]
+    assert unread == []
 
 
 def test_no_module_reads_the_environment():

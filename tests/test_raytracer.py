@@ -323,6 +323,16 @@ class TestTracerConfig:
         with pytest.raises(ValueError, match=f"finite: {field}"):
             TracerConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(2.0)])
+    def test_max_order_must_be_an_integer(self, value):
+        # a float order used to fail later, inside tracing, with Python's
+        # TypeError, and True used to trace as order 1
+        with pytest.raises(ValueError, match="max_order must be an integer"):
+            TracerConfig(max_order=value)
+
+    def test_numpy_integer_order_accepted(self):
+        assert TracerConfig(max_order=np.int64(3)).max_order == 3
+
     @pytest.mark.parametrize("frequency", [0.0, -1.0])
     def test_frequency_must_be_positive(self, frequency):
         with pytest.raises(ValueError, match="frequency must be > 0"):

@@ -235,7 +235,7 @@ def _courtyard():
     concrete = DEFAULT_MATERIALS["concrete"]
     block = extrude_footprint([(0, 0), (40, 0), (40, 30), (30, 30), (30, 10), (10, 10),
                                (10, 30), (0, 30)], 12.0, concrete, tag="U")
-    return Scene(block + [ground_surface(80.0)], ground=len(block))
+    return Scene(block + [ground_surface(80.0)])
 
 
 def test_order_4_courtyard_block_over_ground():
@@ -343,7 +343,7 @@ def test_chain_matches_reference_at_normal_incidence():
                          ids=["pec", "intersection"])
 def test_chain_matches_reference_at_grazing_incidence(scene):
     paths = _assert_chain_matches_reference(scene, (-60, 0.3, 0.02), (60, 0.5, 0.03), 2)
-    ground = [p for p in paths if [sid for sid, _ in p.interactions] == [scene.ground]]
+    ground = [p for p in paths if [sid for sid, _ in p.interactions] == [len(scene.surfaces) - 1]]
     assert len(ground) == 1
     cos_i = abs(ground[0].departure[2])
     assert cos_i < 1e-3     # incidence beyond 89.9 degrees
@@ -846,7 +846,7 @@ def _shadow_scene():
     poster = Surface([(-5, 0, 2), (5, 0, 2), (5, 0, 4), (-5, 0, 4)], concrete, tag="poster")
     sticker = Surface([(6, 1e-9, 1), (9, 1e-9, 1), (9, 1e-9, 5), (6, 1e-9, 5)], concrete,
                       tag="sticker")
-    return Scene([wall, panel, poster, sticker, ground_surface(40.0)], ground=4)
+    return Scene([wall, panel, poster, sticker, ground_surface(40.0)])
 
 
 SHADOW_TX = (0.5, 10.0, 5.0)

@@ -277,8 +277,8 @@ class TestSceneContainer:
 
     def test_ground_reference(self, concrete):
         g = Surface([(-1, -1, 0), (1, -1, 0), (1, 1, 0), (-1, 1, 0)], concrete, tag="ground")
-        s = Scene([g], ground=0)
-        assert s.surfaces[s.ground] is g
+        s = Scene([g])
+        assert s.surfaces[0] is g and not hasattr(s, "ground")
 
     def test_plane_columns_by_surface_id(self, concrete):
         floor = Surface([(0, 0, 0), (4, 0, 0), (4, 3, 0), (0, 3, 0)], concrete)
@@ -408,7 +408,7 @@ class TestSceneIO:
         p.write_text(json.dumps(doc))
         scene = load_scene(p)
         assert len(scene.surfaces) == 2
-        assert scene.surfaces[scene.ground].tag == "ground"
+        assert scene.surfaces[-1].tag == "ground"
 
     def test_degenerate_polygon_rejected(self, tmp_path):
         doc = {
@@ -538,7 +538,7 @@ class TestSceneIO:
         want = [(v, f"panel:{j}", "brick") for j, v in enumerate(panel)] + [
             (sign[0], "sign", "metal"), (ground, "ground", "asphalt")]
         assert len(scene.surfaces) == len(want)
-        assert scene.ground == len(want) - 1
+        assert scene.surfaces[-1].tag == "ground"
         for s, (verts, tag, mat) in zip(scene.surfaces, want):
             assert np.array_equal(s.vertices, np.array(verts, dtype=float))
             assert s.tag == tag
@@ -794,8 +794,7 @@ def assert_same_surface(got, want):
 def assert_same_scene(got: Scene, tile_sizes=(1.0, 0.7)):
     """Every surface of ``got`` and every array its scene derives equal, byte
     for byte, those of the scene of reference surfaces on the same vertices."""
-    want = Scene([reference_surface(s.vertices, s.material, s.tag) for s in got.surfaces],
-                 ground=got.ground)
+    want = Scene([reference_surface(s.vertices, s.material, s.tag) for s in got.surfaces])
     for g, w in zip(got.surfaces, want.surfaces, strict=True):
         assert_same_surface(g, w)
     for name in ("normals", "offsets", "_tri", "_tri_normal", "_tri_area2", "_tri_edge",
