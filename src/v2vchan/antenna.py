@@ -286,26 +286,29 @@ class ArrayLayout:
         """
         return _complex_gains(self._planes_at(directions, heading_rad), self._live)
 
-    def _gains(self, directions: np.ndarray, heading_rad: float) -> list[np.ndarray]:
+    def _gains(self, directions: np.ndarray, heading_rad) -> list[np.ndarray]:
         """The gains of :meth:`element_gains`, one (n_elements, N) array per
         polarisation in ``live_pols``: its real plane when that is all that
-        is live, else its complex gains as :meth:`element_gains` has them."""
+        is live, else its complex gains as :meth:`element_gains` has them.
+        ``heading_rad`` is one heading or one per direction."""
         acc = self._planes_at(directions, heading_rad)
         full = _complex_gains(acc, self._live) if any(q % 2 for q in self._live) else None
         return [full[..., pol] if 2 * pol + 1 in self._live else acc[self._live.index(2 * pol)]
                 for pol in self.live_pols]
 
-    def _planes_at(self, directions: np.ndarray, heading_rad: float) -> np.ndarray:
+    def _planes_at(self, directions: np.ndarray, heading_rad) -> np.ndarray:
         """The (L, n_elements, N) values of the table's live planes toward
-        world directions (N, 3); see :meth:`element_gains`."""
+        world directions (N, 3); see :meth:`element_gains`.  ``heading_rad``
+        is one heading or an (N,) array of one per direction; ``np.degrees``
+        is ``math.degrees``' one multiply by 180 / pi, bit for bit."""
         directions = np.asarray(directions, dtype=float)
         if directions.ndim != 2 or directions.shape[1] != 3:
             raise ValueError(f"antenna query directions must have shape (N, 3), "
                              f"not {directions.shape}")
-        if not (np.isfinite(directions).all() and math.isfinite(heading_rad)):
+        if not (np.isfinite(directions).all() and np.isfinite(heading_rad).all()):
             raise ValueError("antenna query directions and heading must be finite")
         az, el = direction_to_angles(directions)
-        az_local = _wrap360((az - math.degrees(heading_rad)) - self._boresight)
+        az_local = _wrap360((az - np.degrees(heading_rad)) - self._boresight)
         az_local[az_local == 360.0] = 0.0   # a tiny negative azimuth reduces to 360
         return _bilinear(self._planes, self._cols, az_local, el)
 

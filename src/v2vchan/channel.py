@@ -9,8 +9,8 @@ produces positive Doppler for closing vehicles.
 Coarse ray-traced snapshots (default every 10 ms) are interpolated to a
 fine time grid by matching the rows of adjacent snapshots' path sets on
 their (kind, surfaces, tile) identity, once per interval, and at every fine
-step (one at a time) linearly interpolating length, amplitude and the
-renormalised directions; delay, hence phase, follows from the length.
+step linearly interpolating length, amplitude and the renormalised
+directions; delay, hence phase, follows from the length.
 Interaction points are not interpolated; synthesis never reads them.
 Matching is a join on that identity, numbered in the lexicographic order of
 its integer columns by one ``np.lexsort``.  The tracer emits each identity
@@ -25,7 +25,15 @@ full grid's times and step, so a chunk's steps come out bit for bit as in
 one pass.  The chunks run as jobs of :func:`_run_jobs`, the job runner
 tracing shares: in order in process, writing into the tensor, or on a pool
 of spawned worker processes, whose blocks are placed in step order.  The
-tensor does not depend on the worker count.  Within a step, the polarimetric
+tensor does not depend on the worker count.  Within a chunk the kernel
+runs on batches of whole fine steps of one interval, their path rows
+stacked step-major: as many steps as keep a batch within
+``_CHUNK_VALUES // (M_R M_T)`` rows, so its coupling array holds at most
+one chunk of values, and at least one.  A step on a snapshot's own time is
+a batch of its own.  The kernel's operations are elementwise over the rows,
+and the ones that read a step's heading (the element offsets and their
+delays) run per step, so a step's slice is bit for bit the one it has
+alone, whatever the batch.  Within a step, the polarimetric
 coupling g_rx^H A g_tx is summed over its (i, j) terms whose receive
 polarisation i and transmit polarisation j are both live in their arrays
 (:attr:`ArrayLayout.live_pols`): one term, (V, V), for the bundled
@@ -160,23 +168,35 @@ class ChannelTensor:
         return self.bin0 + np.arange(self.n_bins) * self.dbin
 
 
-def _synthesize(paths: PathSet, tx_array: ArrayLayout, rx_array: ArrayLayout,
-                config: SimConfig, tx_heading: float,
-                rx_heading: float) -> tuple[np.ndarray, int]:
-    """The (M_R, M_T, n_freq_bins) slice of a path set and the number of
-    paths dropped beyond the delay span.  Taps accumulate in row order, so
-    the row order fixes the float result."""
-    taus, amp, dep, arr = paths.delay, paths.amplitude, paths.departure, paths.arrival
+def _synthesize_steps(cols: dict, tx_array: ArrayLayout, rx_array: ArrayLayout,
+                      config: SimConfig, tx_headings, rx_headings, out: np.ndarray) -> int:
+    """Write the (M_R, M_T, n_freq_bins) slices of a batch of steps into the
+    C-ordered ``out`` (one slice per heading) and return the number of paths
+    dropped beyond the delay span.
+
+    ``cols`` maps the names of the steps' length, amplitude, departure and
+    arrival columns to them (the fields of a :class:`PathSet`, say), the
+    same number of rows per step, stacked step-major.  Every operation is
+    elementwise over the rows, or per step where it reads the step's
+    heading: ``world_offsets`` and the ``dep @ off.T`` product.  Taps
+    accumulate in row order into ``out`` from +0.0, so a step's slice is bit
+    for bit the one it has as a batch of its own, and the row order fixes
+    the float result."""
+    taus, amp, dep, arr = (cols["length"] / SPEED_OF_LIGHT, cols["amplitude"],
+                           cols["departure"], cols["arrival"])
     m_r, m_t = rx_array.size, tx_array.size
     f = config.carrier_frequency
     bins = np.rint(taus * config.bandwidth).astype(int)
+    step = np.repeat(np.arange(len(tx_headings)), len(taus) // len(tx_headings))
     keep = bins < config.n_freq_bins
     dropped = int((~keep).sum())
     if dropped:
-        taus, amp, dep, arr, bins = taus[keep], amp[keep], dep[keep], arr[keep], bins[keep]
+        taus, amp, dep, arr, bins, step = (x[keep] for x in (taus, amp, dep, arr, bins, step))
+    counts = np.bincount(step, minlength=len(tx_headings))
     doa = -arr                                         # (P, 3) arrival DoA
-    g_tx = tx_array._gains(dep, tx_heading)            # (M_T, P) per live polarisation
-    g_rx = [np.conj(g) if g.dtype == complex else g for g in rx_array._gains(doa, rx_heading)]
+    g_tx = tx_array._gains(dep, np.repeat(tx_headings, counts))   # (M_T, P) per live polarisation
+    g_rx = [np.conj(g) if g.dtype == complex else g
+            for g in rx_array._gains(doa, np.repeat(rx_headings, counts))]
     # polarimetric coupling per (rx element, tx element, path): sum over the
     # live (i, j) of conj(g_rx)_i A_ij g_tx_j, in the order (0, 0), (0, 1),
     # (1, 0), (1, 1), the H row of A sign-flipped into the DoA basis
@@ -188,26 +208,42 @@ def _synthesize(paths: PathSet, tx_array: ArrayLayout, rx_array: ArrayLayout,
         coup = np.zeros((m_r, m_t, len(taus)), dtype=complex)
     for term in terms:
         coup += term
-    # element-offset delays enter the phase only
-    off_tx = tx_array.world_offsets(tx_heading)        # (M_T, 3)
-    off_rx = rx_array.world_offsets(rx_heading)
-    dtau_tx = (dep @ off_tx.T) / SPEED_OF_LIGHT        # (P, M_T)
-    dtau_rx = (doa @ off_rx.T) / SPEED_OF_LIGHT        # (P, M_R)
+    del g_tx, g_rx, terms   # dropped as soon as read: they set the batch's heap peak
+    # element-offset delays enter the phase only, the offsets turned by each
+    # step's headings
+    dtau_tx, dtau_rx = np.empty((len(taus), m_t)), np.empty((len(taus), m_r))
+    ends = np.cumsum(counts).tolist()
+    for a, b, h_tx, h_rx in zip([0] + ends, ends, tx_headings, rx_headings):
+        dtau_tx[a:b] = (dep[a:b] @ tx_array.world_offsets(h_tx).T) / SPEED_OF_LIGHT  # (P, M_T)
+        dtau_rx[a:b] = (doa[a:b] @ rx_array.world_offsets(h_rx).T) / SPEED_OF_LIGHT  # (P, M_R)
     base = np.exp(-2j * math.pi * f * taus)            # (P,)
     ph_tx = np.exp(2j * math.pi * f * dtau_tx)         # (P, M_T)
     ph_rx = np.exp(2j * math.pi * f * dtau_rx)         # (P, M_R)
+    del dtau_tx, dtau_rx    # likewise
     vals = coup
     vals *= base
     vals *= ph_rx.T[:, None, :]
     vals *= ph_tx.T[None, :, :]
-    # accumulate over a combined (n, m, bin) index: np.add.at adds in index
-    # order, so each bin sums its paths in row order from +0.0, as one
+    # accumulate over a combined (step, n, m, bin) index: np.add.at adds in
+    # index order, so each bin sums its paths in row order from +0.0, as one
     # bincount per component would
     pair_idx = (np.arange(m_r)[:, None, None] * m_t
                 + np.arange(m_t)[None, :, None]) * config.n_freq_bins
-    acc = np.zeros((m_r, m_t, config.n_freq_bins), dtype=complex)
-    np.add.at(acc.reshape(-1), (pair_idx + bins[None, None, :]).ravel(), vals.ravel())
-    return acc, dropped
+    out[...] = 0.0
+    np.add.at(out.reshape(-1), (pair_idx + (step * out[0].size + bins)).ravel(), vals.ravel())
+    return dropped
+
+
+def _synthesize(paths: PathSet, tx_array: ArrayLayout, rx_array: ArrayLayout,
+                config: SimConfig, tx_heading: float,
+                rx_heading: float) -> tuple[np.ndarray, int]:
+    """The (M_R, M_T, n_freq_bins) slice of a path set and the number of
+    paths dropped beyond the delay span: :func:`_synthesize_steps` on one
+    step."""
+    out = np.empty((1, rx_array.size, tx_array.size, config.n_freq_bins), dtype=complex)
+    dropped = _synthesize_steps(vars(paths), tx_array, rx_array, config, [tx_heading],
+                                [rx_heading], out)
+    return out[0], dropped
 
 
 def synthesize_cir(paths: PathSet, tx_array: ArrayLayout,
@@ -302,25 +338,66 @@ class PathInterpolator:
         length, amplitude and the renormalised directions lerped and the
         start's identity and interaction points, then the held rows.  The
         identity and point columns are the interval's, shared by its steps;
-        only the four lerped columns are new arrays.
+        only the four lerped columns are new arrays.  This is the one-step
+        case of :meth:`_batches`.
         """
         i, u = self._locate(t)
         if u == 1.0:
             return self.snapshots[i + 1]
+        return replace(self._interval(i)[3], **self._lerped(i, np.array([u])))
+
+    def _interval(self, i: int) -> tuple[PathSet, PathSet, PathSet, PathSet]:
+        """Interval i's matched rows at its start and end, its held rows and
+        its path set with the start's values, matched on first use."""
         if self._current[0] != i:
             a, b = self.snapshots[i], self.snapshots[i + 1]
             ia, ib, held = _match_paths(a, b)
             start, held = a.take(ia), a.take(held)
             self._current = (i, start, b.take(ib), held, PathSet.concat([start, held]))
-        _, start, end, held, rows = self._current
-        cols = {name: (1.0 - u) * getattr(start, name) + u * getattr(end, name)
-                for name in ("length", "amplitude", "departure", "arrival")}
-        for name in ("departure", "arrival"):            # unit directions; 0 keeps the start
-            norm = np.linalg.norm(cols[name], axis=-1, keepdims=True)
-            cols[name] = np.divide(cols[name], norm, out=getattr(start, name).copy(),
-                                   where=norm > 0)
-        return replace(rows, **{name: np.concatenate((col, getattr(held, name)))
-                                for name, col in cols.items()})
+        return self._current[1:]
+
+    def _lerped(self, i: int, u: np.ndarray) -> dict:
+        """The four lerped columns of interval i at the fractions ``u``
+        (each below 1), one step per fraction, stacked step-major: each
+        step's matched rows lerped, then the held rows."""
+        start, end, held, rows = self._interval(i)
+        m = len(start)
+        cols = {}
+        for name in ("length", "amplitude", "departure", "arrival"):
+            a, b = getattr(start, name), getattr(end, name)
+            # one fraction per step, in the column's dtype: a complex column
+            # multiplies by (u + 0j), as it did by the one-step scalar
+            w = u.reshape(-1, *[1] * a.ndim).astype(a.dtype)
+            col = np.empty((len(u), len(rows), *a.shape[1:]), dtype=a.dtype)
+            lerp = (1.0 - w) * a + w * b
+            col[:, :m] = a if name in ("departure", "arrival") else lerp
+            if name in ("departure", "arrival"):        # unit directions; 0 keeps the start
+                norm = np.linalg.norm(lerp, axis=-1, keepdims=True)
+                np.divide(lerp, norm, out=col[:, :m], where=norm > 0)
+            col[:, m:] = getattr(held, name)
+            cols[name] = col.reshape(-1, *a.shape[1:])
+        return cols
+
+    def _batches(self, times, rows: int):
+        """(k0, k1, columns) over ``times`` in order: the four lerped
+        columns of steps k0..k1 - 1 (:meth:`_lerped`), or a snapshot's own.
+        A batch holds as many steps of one interval as keep its rows within
+        ``rows``, and at least one; a step on a snapshot's own time (u == 1)
+        is a batch of its own.  Each step's rows are bit for bit those of
+        :meth:`paths_at`."""
+        k0 = 0
+        while k0 < len(times):
+            i, u = self._locate(times[k0])
+            steps = max(1, rows // max(1, len(self._interval(i)[3]))) if u < 1.0 else 1
+            fractions = [u]
+            for t in times[k0 + 1:k0 + steps]:
+                j, v = self._locate(t)
+                if j != i or v == 1.0:
+                    break
+                fractions.append(v)
+            cols = self._lerped(i, np.array(fractions)) if u < 1.0 else vars(self.snapshots[i + 1])
+            yield k0, k0 + len(fractions), cols
+            k0 += len(fractions)
 
     def window(self, lo: int, hi: int) -> PathInterpolator:
         """This interpolator cut to snapshots lo..hi.  It evaluates every time
@@ -396,16 +473,18 @@ def _synthesize_chunk(interp: PathInterpolator, times, tx_headings, rx_headings,
 
     ``times`` and the two heading sequences are those steps' values;
     ``interp`` needs to cover only their coarse intervals (see
-    :meth:`PathInterpolator.window`).  Steps are synthesized one at a time
-    from :meth:`PathInterpolator.paths_at`.
+    :meth:`PathInterpolator.window`).  Steps are synthesized in batches
+    (:meth:`PathInterpolator._batches`) of as many steps of one interval as
+    keep a batch's path rows within ``_CHUNK_VALUES // (M_R M_T)``, each
+    batch by one :func:`_synthesize_steps` call into its slice of the block.
     """
     block = out if out is not None else np.empty(
         (len(times), rx_array.size, tx_array.size, config.n_freq_bins), dtype=complex)
+    rows = max(1, _CHUNK_VALUES // (rx_array.size * tx_array.size))
     dropped = 0
-    for k, (t, h_tx, h_rx) in enumerate(zip(times, tx_headings, rx_headings)):
-        block[k], n_dropped = _synthesize(interp.paths_at(t), tx_array, rx_array, config,
-                                          h_tx, h_rx)
-        dropped += n_dropped
+    for k0, k1, cols in interp._batches(times, rows):
+        dropped += _synthesize_steps(cols, tx_array, rx_array, config, tx_headings[k0:k1],
+                                     rx_headings[k0:k1], block[k0:k1])
     return block, dropped
 
 
@@ -427,9 +506,11 @@ def synthesize_tensor(interp: PathInterpolator, tx_array: ArrayLayout,
     The steps are cut into chunks of whole coarse intervals, at least four
     per worker, each synthesized by :func:`_synthesize_chunk` from a window
     of ``interp`` holding only its own snapshots and run by
-    :func:`_run_jobs`.  In process a chunk writes straight into its slice of
-    the tensor; on ``workers`` > 1 processes its block is returned and
-    placed.  The result does not depend on the worker count.  Paths dropped
+    :func:`_run_jobs`; a chunk synthesizes its steps in batches of at most
+    one chunk of coupling values.  In process a chunk writes straight into
+    its slice of the tensor; on ``workers`` > 1 processes its block is
+    returned and placed.  The result does not depend on the worker count or
+    the batches.  Paths dropped
     beyond the delay span are summed over all steps into one warning.
     """
     if times is None:

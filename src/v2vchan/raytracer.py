@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .antenna import vh_basis
-from .scene import (Material, Scene, _cross, _fan_planes, _rowdot, occlusion_test,
+from .scene import (Material, Scene, _cross, _fan_planes, _fits, _rowdot, occlusion_test,
                     occlusion_test_batch, occlusion_test_blocks, occlusion_test_fan)
 
 SPEED_OF_LIGHT = 299792458.0
@@ -62,11 +62,16 @@ class ComplexityError(ValueError):
 
 
 def _require_finite(config) -> None:
-    """ValueError naming every field of the dataclass ``config`` that is NaN or
-    infinite; the range checks that follow cannot see NaN."""
-    bad = [f.name for f in fields(config) if not math.isfinite(getattr(config, f.name))]
+    """ValueError naming every field of the dataclass ``config`` that is not
+    a finite real number (:func:`scene._fits`): NaN or infinite, which the
+    range checks that follow cannot see, not a number at all, or a bool.  A
+    bool is left to a bool field, whose value it is, and to an int field,
+    whose :func:`_require_integer` rejects it."""
+    bad = [f.name for f in fields(config) if not _fits(getattr(config, f.name), float)
+           and not (f.type not in (float, "float") and isinstance(getattr(config, f.name), bool))]
     if bad:
-        raise ValueError(f"{type(config).__name__} fields must be finite: {', '.join(bad)}")
+        raise ValueError(f"{type(config).__name__} fields must be real numbers and finite: "
+                         f"{', '.join(bad)}")
 
 
 def _require_integer(config, name: str) -> None:

@@ -64,6 +64,19 @@ class TestSimConfig:
     def test_numpy_integer_bins_accepted(self):
         assert SimConfig(n_freq_bins=np.int64(16)).max_delay == 16 / 240e6
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_freq_bins", "16"), ("bandwidth", True), ("fine_dt", None),
+        ("carrier_frequency", 1j), ("coarse_trace_dt", "0.01")])
+    def test_rejects_values_that_are_not_real_numbers(self, field, value):
+        # a string used to raise math.isfinite's TypeError, naming no field,
+        # and True was a bandwidth of 1 Hz
+        with pytest.raises(ValueError, match=f"finite: {field}$"):
+            SimConfig(**{field: value})
+
+    def test_names_every_field_that_is_not_a_number(self):
+        with pytest.raises(ValueError, match="finite: bandwidth, fine_dt$"):
+            SimConfig(bandwidth=False, fine_dt="1e-4")
+
 
 class TestSynthesizeCir:
     def test_no_paths_zero_slice(self):
@@ -426,7 +439,7 @@ class TestSynthesizeTensor:
         # cannot record as a start and a step
         def no_synthesis(*args):
             raise AssertionError("a step was synthesized")
-        monkeypatch.setattr("v2vchan.channel._synthesize", no_synthesis)
+        monkeypatch.setattr("v2vchan.channel._synthesize_steps", no_synthesis)
         p = los_path(5.0)
         coarse = [(0.0, p), (0.01, p)]
         with pytest.raises(ValueError, match="synthesis times"):

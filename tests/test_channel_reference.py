@@ -13,9 +13,13 @@ the kernel with the three-operand ``np.einsum`` coupling over all four
 ``synthesize_tensor`` against itself at one and two workers.
 ``reference_columns_at`` pins ``PathInterpolator.paths_at`` to the step that
 concatenated every column of the lerped start rows and the held rows.
+``reference_step`` is the kernel as it ran one step at a time; with
+``reference_columns_at`` it is the per-step loop that every batch cut of
+``synthesize_tensor`` must match bit for bit.
 """
 
 import math
+import tracemalloc
 import warnings
 from collections import defaultdict
 from dataclasses import fields, replace
@@ -23,7 +27,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from v2vchan import pipeline
+from v2vchan import channel, pipeline
 from v2vchan.antenna import (AntennaPattern, ArrayElement, ArrayLayout,
                              default_sharkfin_array, isotropic_array)
 from v2vchan.channel import (PathInterpolator, SimConfig, _match_paths, _synthesize,
@@ -502,3 +506,237 @@ def test_paths_at_columns_match_reference(flip_slice):
             g, w = getattr(got, f.name), getattr(want, f.name)
             assert g.dtype == w.dtype and g.shape == w.shape, f.name
             assert g.tobytes() == w.tobytes(), f.name
+
+
+def reference_step(paths: PathSet, tx_array, rx_array, config: SimConfig,
+                   tx_heading: float, rx_heading: float):
+    """One step as the kernel synthesized it before steps were batched: the
+    (M_R, M_T, n_freq_bins) slice and the dropped-path count."""
+    taus, amp, dep, arr = paths.delay, paths.amplitude, paths.departure, paths.arrival
+    m_r, m_t = rx_array.size, tx_array.size
+    f = config.carrier_frequency
+    bins = np.rint(taus * config.bandwidth).astype(int)
+    keep = bins < config.n_freq_bins
+    dropped = int((~keep).sum())
+    if dropped:
+        taus, amp, dep, arr, bins = taus[keep], amp[keep], dep[keep], arr[keep], bins[keep]
+    doa = -arr
+    g_tx = tx_array._gains(dep, tx_heading)
+    g_rx = [np.conj(g) if g.dtype == complex else g for g in rx_array._gains(doa, rx_heading)]
+    terms = (g_r[:, None, :] * (-amp[:, i, j] if i else amp[:, i, j]) * g_t[None, :, :]
+             for i, g_r in zip(rx_array.live_pols, g_rx)
+             for j, g_t in zip(tx_array.live_pols, g_tx))
+    coup = next(terms, None)
+    if coup is None:
+        coup = np.zeros((m_r, m_t, len(taus)), dtype=complex)
+    for term in terms:
+        coup += term
+    dtau_tx = (dep @ tx_array.world_offsets(tx_heading).T) / SPEED_OF_LIGHT
+    dtau_rx = (doa @ rx_array.world_offsets(rx_heading).T) / SPEED_OF_LIGHT
+    vals = coup
+    vals *= np.exp(-2j * math.pi * f * taus)
+    vals *= np.exp(2j * math.pi * f * dtau_rx).T[:, None, :]
+    vals *= np.exp(2j * math.pi * f * dtau_tx).T[None, :, :]
+    pair_idx = (np.arange(m_r)[:, None, None] * m_t
+                + np.arange(m_t)[None, :, None]) * config.n_freq_bins
+    acc = np.zeros((m_r, m_t, config.n_freq_bins), dtype=complex)
+    np.add.at(acc.reshape(-1), (pair_idx + bins[None, None, :]).ravel(), vals.ravel())
+    return acc, dropped
+
+
+def _turning(start: float, rate: float):
+    """A heading callable that turns by ``rate`` rad/s, so every fine step
+    of a batch has its own heading, as on a curved trajectory."""
+    return lambda t: start + rate * (np.asarray(t) - 4.0)
+
+
+TX_TURN, RX_TURN = _turning(0.3, 40.0), _turning(-1.2, -25.0)
+
+
+def _per_step_reference(snaps, tx, rx, times):
+    """The tensor and dropped count of the per-step loop: ``paths_at`` as it
+    built each step (``reference_columns_at``), then ``reference_step``."""
+    interp = PathInterpolator(snaps)
+    steps = [reference_step(reference_columns_at(interp, t), tx, rx, KERNEL_SIM, h_tx, h_rx)
+             for t, h_tx, h_rx in zip(times, TX_TURN(times), RX_TURN(times))]
+    return np.stack([s for s, _ in steps]), [n for _, n in steps]
+
+
+def _batched(snaps, tx, rx, times, workers=1):
+    """synthesize_tensor's data and the dropped count of its warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tensor = synthesize_tensor(PathInterpolator(snaps), tx, rx, KERNEL_SIM, times=times,
+                                   tx_heading=TX_TURN, rx_heading=RX_TURN, workers=workers)
+    dropped = [int(str(w.message).split()[0]) for w in caught if " beyond" in str(w.message)]
+    return tensor.data, sum(dropped)
+
+
+def _complex_v_layout() -> ArrayLayout:
+    """Two elements with complex V gains and no H."""
+    rng = np.random.default_rng(31)
+    grid = np.zeros((24, 13, 2), dtype=complex)
+    grid[..., 0] = rng.standard_normal((24, 13)) + 1j * rng.standard_normal((24, 13))
+    pattern = AntennaPattern(grid)
+    return ArrayLayout([ArrayElement([0.0, 0.0, 0.0], pattern, 0.0),
+                        ArrayElement([0.05, 0.0, 0.0], pattern, 90.0)])
+
+
+LAYOUTS = {
+    "sharkfin": (default_sharkfin_array, default_sharkfin_array),
+    "isotropic": (lambda: isotropic_array(4), lambda: isotropic_array(4)),
+    "complex-v": (_complex_v_layout, _complex_v_layout),
+    "h-only": (_h_only_layout, _h_only_layout),
+    "dual-pol": (lambda: _dual_pol_layout(8), lambda: _dual_pol_layout(9)),
+    "v-tx-dual-rx": (default_sharkfin_array, lambda: _dual_pol_layout(10)),
+    "dual-tx-h-rx": (lambda: _dual_pol_layout(11), _h_only_layout),
+}
+
+
+def _budgets(rows_per_step: int) -> dict:
+    """Batch budgets in path-rows: one row (one step a batch), around one
+    step's rows, and more than any interval holds."""
+    p = rows_per_step
+    return {"1": 1, "P-1": p - 1, "P": p, "P+1": p + 1, "1e6": 10 ** 6}
+
+
+def _set_budget(monkeypatch, rows: int, tx, rx) -> None:
+    monkeypatch.setattr(channel, "_CHUNK_VALUES", rows * tx.size * rx.size)
+
+
+def _flip_times(snaps):
+    """Every fine step of the flip slice up to its last snapshot's own time."""
+    times = snaps[0][0] + np.arange(65) * KERNEL_SIM.fine_dt
+    assert PathInterpolator(snaps)._locate(times[-1]) == (len(snaps) - 2, 1.0)
+    return times
+
+
+@pytest.fixture(scope="module")
+def flip_references(flip_slice):
+    """The per-step reference of the flip slice for every layout."""
+    snaps = flip_slice[0]
+    times = _flip_times(snaps)
+    return {name: _per_step_reference(snaps, make_tx(), make_rx(), times)
+            for name, (make_tx, make_rx) in LAYOUTS.items()}
+
+
+@pytest.mark.parametrize("budget", ["1", "P-1", "P", "P+1", "1e6"])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_batches_match_per_step_reference(flip_slice, flip_references, monkeypatch, budget,
+                                          layout):
+    """Every batch cut of the flip slice, with a heading that turns at every
+    step, gives the per-step loop's bits and dropped count."""
+    snaps = flip_slice[0]
+    tx, rx = (make() for make in LAYOUTS[layout])
+    _set_budget(monkeypatch, _budgets(len(snaps[0][1]))[budget], tx, rx)
+    want, dropped = flip_references[layout]
+    got, n_got = _batched(snaps, tx, rx, _flip_times(snaps))
+    assert n_got == sum(dropped) > 0
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("layout", ["sharkfin", "dual-pol"])
+def test_batches_on_two_workers_match_per_step_reference(flip_slice, flip_references, layout):
+    snaps = flip_slice[0]
+    tx, rx = (make() for make in LAYOUTS[layout])
+    want, dropped = flip_references[layout]
+    got, n_got = _batched(snaps, tx, rx, _flip_times(snaps), workers=2)
+    assert n_got == sum(dropped)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _random_set(rng, tiles, lengths) -> PathSet:
+    """Diffuse rows off surface 3 with the given tiles and lengths, random
+    amplitudes and unit directions."""
+    n = len(tiles)
+    surfaces = np.full((n, MAX_SPECULAR_ORDER), -1)
+    surfaces[:, 0] = 3
+    points = np.full((n, MAX_SPECULAR_ORDER, 3), np.nan)
+    points[:, 0] = rng.standard_normal((n, 3))
+    dep, arr = (v / np.linalg.norm(v, axis=1, keepdims=True)
+                for v in rng.standard_normal((2, n, 3)))
+    return PathSet(np.full(n, KINDS.index("diffuse")), surfaces, points,
+                   np.asarray(tiles), np.asarray(lengths, dtype=float),
+                   1e-3 * (rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))),
+                   dep, arr)
+
+
+def _hand_built_cases():
+    """(name, snapshots, rows per step of the first interval): one
+    snapshot; an interval with no matched rows; an interval whose matched
+    rows cross the 40-bin span (49.3 m) at different steps, one of whose
+    departures reverses through zero at u == 0.5."""
+    rng = np.random.default_rng(12)
+    one = [(4.0, _random_set(rng, np.arange(7), rng.uniform(5.0, 60.0, 7)))]
+    a = _random_set(rng, np.arange(6), rng.uniform(5.0, 45.0, 6))
+    b = _random_set(rng, np.arange(10, 19), rng.uniform(5.0, 45.0, 9))
+    unmatched = [(4.0, a), (4.01, b)]
+    a = _random_set(rng, np.arange(12), np.linspace(47.0, 52.0, 12))
+    b = _random_set(rng, np.arange(2, 14), np.linspace(52.0, 47.0, 12))
+    b.departure[0] = -a.departure[2]
+    crossing = [(4.0, a), (4.01, b), (4.02, _random_set(rng, np.arange(3), [10.0, 50.0, 60.0]))]
+    return [("one-snapshot", one, 7), ("unmatched", unmatched, 6), ("crossing", crossing, 12)]
+
+
+HAND_BUILT = _hand_built_cases()
+
+
+@pytest.mark.parametrize("budget", ["1", "P-1", "P", "P+1", "1e6"])
+@pytest.mark.parametrize("layout", ["sharkfin", "dual-pol"])
+@pytest.mark.parametrize("case", range(len(HAND_BUILT)), ids=[c[0] for c in HAND_BUILT])
+def test_hand_built_batches_match_per_step_reference(monkeypatch, case, layout, budget):
+    name, snaps, p = HAND_BUILT[case]
+    tx, rx = (make() for make in LAYOUTS[layout])
+    _set_budget(monkeypatch, _budgets(p)[budget], tx, rx)
+    if name == "one-snapshot":
+        times = np.array([4.0])
+    else:   # every step to the last snapshot's own time, at u == 0.5 among them
+        times = 4.0 + np.arange(16 * (len(snaps) - 1) + 1) * KERNEL_SIM.fine_dt
+        assert PathInterpolator(snaps)._locate(times[8]) == (0, 0.5)
+    want, dropped = _per_step_reference(snaps, tx, rx, times)
+    got, n_got = _batched(snaps, tx, rx, times)
+    assert n_got == sum(dropped)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if name == "crossing":
+        assert len(set(dropped[:16])) > 2
+
+
+@pytest.mark.parametrize("budget", ["1", "P-1", "P", "P+1", "1e6"])
+def test_paths_at_is_its_step_of_the_batch(flip_slice, budget):
+    """Each step's rows of a batch are ``paths_at``'s columns, byte for byte."""
+    snaps = flip_slice[0]
+    times = _flip_times(snaps)
+    rows = _budgets(len(snaps[0][1]))[budget]
+    steps = 0
+    for k0, k1, cols in PathInterpolator(snaps)._batches(times, rows):
+        assert k1 - k0 == 1 or len(cols["length"]) <= rows
+        for k in range(k0, k1):
+            want = PathInterpolator(snaps).paths_at(times[k])
+            p = len(want)
+            for name in ("length", "amplitude", "departure", "arrival"):
+                got = cols[name][(k - k0) * p:(k - k0 + 1) * p]
+                assert got.dtype == getattr(want, name).dtype
+                assert got.tobytes() == getattr(want, name).tobytes(), name
+        steps += k1 - k0
+    assert steps == len(times)
+
+
+def test_synthesis_heap_is_bounded():
+    """Batches of steps of about 900 paths keep the heap beside the tensor
+    within a few chunks: a batch's coupling array holds at most one chunk
+    of values, where a whole 16-step interval as one batch holds 3.5."""
+    rng = np.random.default_rng(5)
+    snaps = [(t, _random_set(rng, np.arange(900), rng.uniform(10.0, 45.0, 900)))
+             for t in (0.0, 0.01)]
+    arrays = default_sharkfin_array()
+    sim = SimConfig(n_freq_bins=193, fine_dt=625e-6)
+    interp = PathInterpolator(snaps)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tensor = synthesize_tensor(interp, arrays, arrays, sim, tx_heading=0.3, rx_heading=-1.2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert tensor.n_time == 16
+    assert peak - tensor.data.nbytes <= 5 * channel._CHUNK_VALUES * 16

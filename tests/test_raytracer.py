@@ -333,6 +333,18 @@ class TestTracerConfig:
     def test_numpy_integer_order_accepted(self):
         assert TracerConfig(max_order=np.int64(3)).max_order == 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_order", "2"), ("tile_size", None), ("frequency", True), ("cull_db", "-40"),
+        ("enable_diffuse", "yes"), ("enable_diffuse", None)])
+    def test_rejects_values_that_are_not_real_numbers(self, field, value):
+        # these used to raise math.isfinite's TypeError, naming no field
+        with pytest.raises(ValueError, match=f"finite: {field}$"):
+            TracerConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_a_value_of_enable_diffuse(self, value):
+        assert TracerConfig(enable_diffuse=value).enable_diffuse is value
+
     @pytest.mark.parametrize("frequency", [0.0, -1.0])
     def test_frequency_must_be_positive(self, frequency):
         with pytest.raises(ValueError, match="frequency must be > 0"):
